@@ -17,7 +17,25 @@
 //!   y-axis and the better axis is chosen.
 //!
 //! The selector returns a per-item class bit (`false` = left group) which
-//! the build feeds to the unshuffle primitive.
+//! the build feeds to the unshuffle primitive, and the bounding boxes of
+//! the two groups of every split — for the sweep these are the `L Bbox` /
+//! `R Bbox` rows at the winning position, so the build never folds a new
+//! node's box from its items.
+//!
+//! # The sweep's two sorts
+//!
+//! A sweep is two sorts — the gather orders by `min.x` and by `min.y`,
+//! `AxisOrders` — followed by a constant number of scans, permutations
+//! and elementwise passes: per axis one pass gathers the sorted boxes'
+//! four extent lanes, two fused four-lane scans build the rows, one pass
+//! scores every position; the rank and capacity-check lanes behind the
+//! legality rule are computed once and serve both axes. The sorts are
+//! the O(log n) part, and they are an *input*: [`select_split_classes`]
+//! sorts, but a caller that already holds the orders of `(seg, mbrs)`
+//! passes them in. The R-tree build does at the leaf level, where it
+//! sorts once and keeps both orders sorted through every later split by
+//! stable unshuffles (`crate::rtree`, "What a round costs"): a leaf round
+//! then issues no sort at all.
 
 use dp_geom::Rect;
 use scan_model::{Direction, FusedOp, Machine, ScanKind, Segments};
@@ -32,36 +50,46 @@ pub enum RtreeSplitAlgorithm {
     Sweep,
 }
 
-/// Per-segment minimum bounding rectangle of the masked items: 4 masked
-/// min/max scans plus a head read (the "small sequence of upward and
-/// downward inclusive scan operations" of Sec. 4.7).
-fn masked_group_rects(
+/// Per-segment minimum bounding rectangles of the items `keep` selects —
+/// the one MBR fold of the build (node boxes of a level from the boxes of
+/// the level below, the split groups' extents of the mean selector): one
+/// elementwise pass fills the four extent lanes (identities where `keep`
+/// is false) into arena-leased buffers, one fused four-lane downward
+/// min/max scan folds them, and a head read collects one box per segment
+/// (the "small sequence of upward and downward inclusive scan operations"
+/// of Sec. 4.7). A segment with nothing kept comes back [`Rect::empty`].
+pub(crate) fn segment_mbrs(
     machine: &Machine,
     seg: &Segments,
-    mbrs: &[Rect],
-    mask: &[bool],
+    items: &[Rect],
+    keep: impl Fn(usize) -> bool + Sync,
 ) -> Vec<Rect> {
-    // One elementwise pass fills all four masked extent lanes into
-    // arena-leased buffers, then the four min/max scans run fused.
-    machine.note_elementwise();
-    let mut lo_x: Vec<f64> = machine.lease();
-    let mut lo_y: Vec<f64> = machine.lease();
-    let mut hi_x: Vec<f64> = machine.lease();
-    let mut hi_y: Vec<f64> = machine.lease();
-    for (r, &m) in mbrs.iter().zip(mask) {
-        lo_x.push(if m { r.min.x } else { f64::INFINITY });
-        lo_y.push(if m { r.min.y } else { f64::INFINITY });
-        hi_x.push(if m { r.max.x } else { f64::NEG_INFINITY });
-        hi_y.push(if m { r.max.y } else { f64::NEG_INFINITY });
-    }
-    let lanes: [(&[f64], FusedOp); 4] = [
-        (&lo_x, FusedOp::Min),
-        (&lo_y, FusedOp::Min),
-        (&hi_x, FusedOp::Max),
-        (&hi_y, FusedOp::Max),
-    ];
-    let mut outs: Vec<Vec<f64>> = (0..lanes.len()).map(|_| machine.lease()).collect();
-    machine.scan_lanes_into(&lanes, seg, Direction::Down, ScanKind::Inclusive, &mut outs);
+    assert_eq!(seg.len(), items.len());
+    let mut lanes: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
+    machine.fill_lanes_into(
+        seg.len(),
+        |i| {
+            if keep(i) {
+                extents(&items[i])
+            } else {
+                [
+                    f64::INFINITY,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NEG_INFINITY,
+                ]
+            }
+        },
+        &mut lanes,
+    );
+    let mut outs: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
+    machine.scan_lanes_into(
+        &extent_lanes(&lanes),
+        seg,
+        Direction::Down,
+        ScanKind::Inclusive,
+        &mut outs,
+    );
     machine.note_elementwise();
     let rects = seg
         .starts()
@@ -74,14 +102,26 @@ fn masked_group_rects(
             }
         })
         .collect();
-    for out in outs {
-        machine.recycle(out);
+    for buf in lanes.into_iter().chain(outs) {
+        machine.recycle(buf);
     }
-    machine.recycle(lo_x);
-    machine.recycle(lo_y);
-    machine.recycle(hi_x);
-    machine.recycle(hi_y);
     rects
+}
+
+/// A box as the four extent lanes `[min.x, min.y, max.x, max.y]`.
+fn extents(r: &Rect) -> [f64; 4] {
+    [r.min.x, r.min.y, r.max.x, r.max.y]
+}
+
+/// The four extent lanes paired with their fold operators (min over the
+/// lower edges, max over the upper ones).
+fn extent_lanes(lanes: &[Vec<f64>; 4]) -> [(&[f64], FusedOp); 4] {
+    [
+        (&lanes[0], FusedOp::Min),
+        (&lanes[1], FusedOp::Min),
+        (&lanes[2], FusedOp::Max),
+        (&lanes[3], FusedOp::Max),
+    ]
 }
 
 /// The minimum number of items each side of a split must receive.
@@ -118,6 +158,33 @@ pub fn select_split_classes(
     max: usize,
     algo: RtreeSplitAlgorithm,
 ) -> Vec<bool> {
+    split_classes(machine, seg, mbrs, overflowing, m_min, max, algo, None).class
+}
+
+/// What a selector decided for the overflowing segments of one level.
+pub(crate) struct Split {
+    /// Per item: `false` = left group.
+    pub(crate) class: Vec<bool>,
+    /// Per overflowing segment, in order: the MBRs of its left and right
+    /// groups — the boxes of the two nodes the split makes.
+    pub(crate) halves: Vec<[Rect; 2]>,
+}
+
+/// [`select_split_classes`] for the R-tree build, which also wants the new
+/// nodes' boxes and may already hold the sweep's axis orders of
+/// `(seg, mbrs)` (it carries the leaf level's across rounds); without them
+/// the sweep sorts here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn split_classes(
+    machine: &Machine,
+    seg: &Segments,
+    mbrs: &[Rect],
+    overflowing: &[bool],
+    m_min: usize,
+    max: usize,
+    algo: RtreeSplitAlgorithm,
+    sorted: Option<&AxisOrders>,
+) -> Split {
     assert_eq!(seg.num_segments(), overflowing.len());
     assert_eq!(seg.len(), mbrs.len());
     for (s, r) in seg.ranges().enumerate() {
@@ -129,9 +196,25 @@ pub fn select_split_classes(
             );
         }
     }
-    match algo {
-        RtreeSplitAlgorithm::Mean => mean_split(machine, seg, mbrs, overflowing, m_min, max),
-        RtreeSplitAlgorithm::Sweep => sweep_split(machine, seg, mbrs, overflowing, m_min, max),
+    match (algo, sorted) {
+        (RtreeSplitAlgorithm::Mean, _) => {
+            let class = mean_split(machine, seg, mbrs, overflowing, m_min, max);
+            // The groups' boxes: one masked fold per side.
+            let left = segment_mbrs(machine, seg, mbrs, |i| !class[i]);
+            let right = segment_mbrs(machine, seg, mbrs, |i| class[i]);
+            let halves = (0..seg.num_segments())
+                .filter(|&s| overflowing[s])
+                .map(|s| [left[s], right[s]])
+                .collect();
+            Split { class, halves }
+        }
+        (RtreeSplitAlgorithm::Sweep, Some(orders)) => {
+            sweep_split(machine, seg, mbrs, overflowing, m_min, max, orders)
+        }
+        (RtreeSplitAlgorithm::Sweep, None) => {
+            let orders = lower_edge_orders(machine, seg, mbrs);
+            sweep_split(machine, seg, mbrs, overflowing, m_min, max, &orders)
+        }
     }
 }
 
@@ -195,12 +278,10 @@ fn mean_split(
     let side_y: Vec<bool> = machine.zip_map(&mid_y, &mean_y, |m, mu| m >= mu);
 
     // Resulting group extents and overlaps per axis.
-    let not_x: Vec<bool> = machine.map(&side_x, |b| !b);
-    let not_y: Vec<bool> = machine.map(&side_y, |b| !b);
-    let left_x = masked_group_rects(machine, seg, mbrs, &not_x);
-    let right_x = masked_group_rects(machine, seg, mbrs, &side_x);
-    let left_y = masked_group_rects(machine, seg, mbrs, &not_y);
-    let right_y = masked_group_rects(machine, seg, mbrs, &side_y);
+    let left_x = segment_mbrs(machine, seg, mbrs, |i| !side_x[i]);
+    let right_x = segment_mbrs(machine, seg, mbrs, |i| side_x[i]);
+    let left_y = segment_mbrs(machine, seg, mbrs, |i| !side_y[i]);
+    let right_y = segment_mbrs(machine, seg, mbrs, |i| side_y[i]);
 
     // Side counts per segment (legality), fused into one two-lane
     // addition scan. The counts are small integers, exact in `f64`.
@@ -291,107 +372,128 @@ fn mean_split(
 // Sweep split (O(log n), Fig. 29)
 // ----------------------------------------------------------------------
 
-/// Per-axis sweep state: for each position in the axis-sorted order, the
-/// bounding boxes of the prefix (inclusive) and suffix (exclusive), plus
-/// the item's rank.
-struct AxisSweep {
-    /// Gather order that sorts each segment along the axis.
-    order: Vec<usize>,
-    /// For each *sorted position*, overlap of the split "after this
-    /// position" (infinite when illegal).
-    score: Vec<(f64, f64)>, // (overlap, margin)
-    /// Rank of each sorted position within its segment.
-    rank: Vec<u64>,
+/// The two gather orders a sweep reads its boxes through: each segment's
+/// items sorted by the lower edge along x (`[0]`) and along y (`[1]`),
+/// ties broken by lane.
+pub(crate) type AxisOrders = [Vec<usize>; 2];
+
+/// Sorts every segment's boxes by their lower edge along each axis
+/// (Fig. 29's `ls:left side` row): the two sorts of a sweep.
+pub(crate) fn lower_edge_orders(machine: &Machine, seg: &Segments, mbrs: &[Rect]) -> AxisOrders {
+    [
+        machine.segmented_sort_perm(seg, mbrs, |a, b| a.min.x.total_cmp(&b.min.x)),
+        machine.segmented_sort_perm(seg, mbrs, |a, b| a.min.y.total_cmp(&b.min.y)),
+    ]
 }
 
+/// The best legal split of one segment along one axis.
+struct AxisBest {
+    /// `(overlap, margin)` of the split; infinite if no position is legal.
+    score: (f64, f64),
+    /// The split falls after this position of the axis-sorted order.
+    at: usize,
+    /// The left and right groups' boxes.
+    halves: [Rect; 2],
+}
+
+/// The box an extent-lane row set holds at position `i`.
+fn row_rect(rows: &[Vec<f64>; 4], i: usize) -> Rect {
+    Rect::from_coords(rows[0][i], rows[1][i], rows[2][i], rows[3][i])
+}
+
+/// Sweeps one axis and returns the best split of every overflowing
+/// segment, in segment order. `rank` and `after` are each position's rank
+/// in its segment and the number of positions from it to the segment's
+/// end; they do not depend on the axis, so the caller computes them once.
+#[allow(clippy::too_many_arguments)]
 fn axis_sweep(
     machine: &Machine,
     seg: &Segments,
     mbrs: &[Rect],
+    overflowing: &[bool],
+    order: &[usize],
+    rank: &[u64],
+    after: &[u64],
     m_min: usize,
     max: usize,
-    axis_y: bool,
-) -> AxisSweep {
-    // Sort by the left edge along the axis (Fig. 29's `ls:left side`).
-    let keys: Vec<f64> = machine.map(mbrs, |r| if axis_y { r.min.y } else { r.min.x });
-    let order = machine.segmented_sort_perm(seg, &keys, |a, b| a.total_cmp(b));
-    let mut sorted: Vec<Rect> = machine.lease();
-    machine.gather_into(mbrs, &order, &mut sorted);
-
-    // One elementwise pass fills the four extent lanes of the sorted
-    // boxes into leased buffers.
-    machine.note_elementwise();
-    let mut lo_x: Vec<f64> = machine.lease();
-    let mut lo_y: Vec<f64> = machine.lease();
-    let mut hi_x: Vec<f64> = machine.lease();
-    let mut hi_y: Vec<f64> = machine.lease();
-    for r in &sorted {
-        lo_x.push(r.min.x);
-        lo_y.push(r.min.y);
-        hi_x.push(r.max.x);
-        hi_y.push(r.max.y);
-    }
-    let lanes: [(&[f64], FusedOp); 4] = [
-        (&lo_x, FusedOp::Min),
-        (&lo_y, FusedOp::Min),
-        (&hi_x, FusedOp::Max),
-        (&hi_y, FusedOp::Max),
-    ];
+) -> Vec<AxisBest> {
+    // The sorted boxes' four extent lanes: the gather through `order` and
+    // the fill are one pass (a permutation and an elementwise op).
+    machine.note_permute();
+    let mut lanes: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
+    machine.fill_lanes_into(seg.len(), |i| extents(&mbrs[order[i]]), &mut lanes);
     // L Bbox: upward inclusive min/max scans (Fig. 29 rows
     // `L Bbox left side` / `L Bbox right side`, extended to full boxes),
     // fused into one four-lane pass.
-    let mut l_outs: Vec<Vec<f64>> = (0..lanes.len()).map(|_| machine.lease()).collect();
-    machine.scan_lanes_into(&lanes, seg, Direction::Up, ScanKind::Inclusive, &mut l_outs);
+    let mut l: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
+    machine.scan_lanes_into(
+        &extent_lanes(&lanes),
+        seg,
+        Direction::Up,
+        ScanKind::Inclusive,
+        &mut l,
+    );
     // R Bbox: downward exclusive scans (Fig. 29's "analogous downward
     // min/max exclusive scans"), likewise fused.
-    let mut r_outs: Vec<Vec<f64>> = (0..lanes.len()).map(|_| machine.lease()).collect();
+    let mut r: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
     machine.scan_lanes_into(
-        &lanes,
+        &extent_lanes(&lanes),
         seg,
         Direction::Down,
         ScanKind::Exclusive,
-        &mut r_outs,
+        &mut r,
     );
 
-    let rank = machine.rank_in_segment(seg);
-    let lens = machine.segment_counts_broadcast(seg);
-
-    // Score every split position (split after sorted position i).
-    machine.note_elementwise();
-    let score: Vec<(f64, f64)> = (0..seg.len())
-        .map(|i| {
+    // Score every split position (split after sorted position i). Both
+    // sides of a legal position are non-empty, so its rows hold boxes.
+    let mut score: [Vec<f64>; 2] = std::array::from_fn(|_| machine.lease());
+    machine.fill_lanes_into(
+        seg.len(),
+        |i| {
             let k = rank[i] + 1; // left group size
-            let len = lens[i];
-            let floor = split_floor(len as usize, m_min, max) as u64;
-            if k < floor || len - k < floor {
-                return (f64::INFINITY, f64::INFINITY);
+            let right = after[i] - 1;
+            let floor = split_floor((k + right) as usize, m_min, max) as u64;
+            if k < floor || right < floor {
+                return [f64::INFINITY, f64::INFINITY];
             }
-            let l = Rect::from_coords(l_outs[0][i], l_outs[1][i], l_outs[2][i], l_outs[3][i]);
-            let r = Rect::from_coords(
-                r_outs[0][i].min(r_outs[2][i]),
-                r_outs[1][i].min(r_outs[3][i]),
-                r_outs[2][i],
-                r_outs[3][i],
-            );
-            (l.overlap_area(&r), l.margin() + r.margin())
+            let (lb, rb) = (row_rect(&l, i), row_rect(&r, i));
+            [lb.overlap_area(&rb), lb.margin() + rb.margin()]
+        },
+        &mut score,
+    );
+
+    // Per-segment argmin over the legal split positions (a min-reduction;
+    // one scan-equivalent). The rows at the winning position are the two
+    // new nodes' boxes.
+    machine.note_scan();
+    let best = seg
+        .ranges()
+        .zip(overflowing)
+        .filter(|(_, &over)| over)
+        .map(|(range, _)| {
+            let mut best = ((f64::INFINITY, f64::INFINITY), range.start);
+            for i in range {
+                let sc = (score[0][i], score[1][i]);
+                if sc < best.0 {
+                    best = (sc, i);
+                }
+            }
+            AxisBest {
+                score: best.0,
+                at: best.1,
+                halves: [row_rect(&l, best.1), row_rect(&r, best.1)],
+            }
         })
         .collect();
-
-    for out in l_outs {
-        machine.recycle(out);
+    for lane in lanes.into_iter().chain(l).chain(r).chain(score) {
+        machine.recycle(lane);
     }
-    for out in r_outs {
-        machine.recycle(out);
-    }
-    machine.recycle(lo_x);
-    machine.recycle(lo_y);
-    machine.recycle(hi_x);
-    machine.recycle(hi_y);
-    machine.recycle(sorted);
-
-    AxisSweep { order, score, rank }
+    best
 }
 
+/// The sweep selector over boxes already sorted along both axes: `orders`
+/// must equal [`lower_edge_orders`] of `(seg, mbrs)`, however the caller
+/// obtained them.
 fn sweep_split(
     machine: &Machine,
     seg: &Segments,
@@ -399,51 +501,51 @@ fn sweep_split(
     overflowing: &[bool],
     m_min: usize,
     max: usize,
-) -> Vec<bool> {
-    let x = axis_sweep(machine, seg, mbrs, m_min, max, false);
-    let y = axis_sweep(machine, seg, mbrs, m_min, max, true);
-
-    // Per-segment argmin over the legal split positions of each axis
-    // (a min-reduction; one scan-equivalent per axis).
-    machine.note_scan();
-    machine.note_scan();
+    orders: &AxisOrders,
+) -> Split {
     let n = seg.len();
+    // One rank lane and one capacity-check lane (Fig. 19) per step, shared
+    // by both axes; a position's segment length is their sum.
+    let rank = machine.rank_in_segment(seg);
+    let after = machine.capacity_check_scan(seg);
+    let sweep = |order: &[usize]| {
+        axis_sweep(
+            machine,
+            seg,
+            mbrs,
+            overflowing,
+            order,
+            &rank,
+            &after,
+            m_min,
+            max,
+        )
+    };
+    let (best_x, best_y) = (sweep(&orders[0]), sweep(&orders[1]));
+
+    machine.note_permute();
     let mut class = vec![false; n];
-    for (s, r) in seg.ranges().enumerate() {
-        if !overflowing[s] {
-            continue;
-        }
-        let best_of = |sweep: &AxisSweep| -> ((f64, f64), u64) {
-            let mut best = ((f64::INFINITY, f64::INFINITY), 0u64);
-            for i in r.clone() {
-                let sc = sweep.score[i];
-                if sc < best.0 {
-                    best = (sc, sweep.rank[i]);
-                }
-            }
-            best
-        };
-        let (score_x, k_x) = best_of(&x);
-        let (score_y, k_y) = best_of(&y);
+    let mut halves = Vec::with_capacity(best_x.len());
+    let splitting = seg.ranges().zip(overflowing).filter(|(_, &over)| over);
+    for (((range, _), x), y) in splitting.zip(best_x).zip(best_y) {
         debug_assert!(
-            score_x.0.is_finite() || score_y.0.is_finite(),
+            x.score.0.is_finite() || y.score.0.is_finite(),
             "an overflowing segment must have a legal split"
         );
         // Minimal overlap wins; ties fall to the smaller margin sum
         // (the paper's perimeter tie-break).
-        let (sweep, k) = if score_x <= score_y {
-            (&x, k_x)
+        let (order, best) = if x.score <= y.score {
+            (&orders[0], x)
         } else {
-            (&y, k_y)
+            (&orders[1], y)
         };
-        // Items at sorted rank <= k go left.
-        for j in r.clone() {
-            let item = sweep.order[j];
-            class[item] = sweep.rank[j] > k;
+        // Items sorted up to the chosen position go left.
+        for j in range {
+            class[order[j]] = j > best.at;
         }
+        halves.push(best.halves);
     }
-    machine.note_permute();
-    class
+    Split { class, halves }
 }
 
 #[cfg(test)]

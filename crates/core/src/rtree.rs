@@ -15,21 +15,57 @@
 //! overflow and split when the round reaches height `h+1` ("these splits
 //! possibly propagating upward"); an overflowing root splits and a new
 //! root level appears above it (Fig. 42). The build terminates when every
-//! node has at most `M` children (Fig. 44) — O(log n) rounds, each with a
-//! constant number of scans and two sorts: O(log² n) total.
+//! node has at most `M` children (Fig. 44) — O(log n) rounds.
 //!
 //! Because the split reorders a node's children and children are stored
 //! contiguously, a split at height `h` permutes whole blocks of every
 //! level below — the "expensive processor reordering" the paper's SAM
-//! discussion points at (Fig. 12). [`DpRTree`] performs it as a cascade of
+//! discussion points at (Fig. 12). The build performs it as a cascade of
 //! block gathers.
+//!
+//! # What a round costs
+//!
+//! The paper charges every split step two sorts (the sweep selector's two
+//! axes), O(log² n) primitive time over the build, and a literal
+//! implementation also re-derives each level's item boxes from the lanes
+//! before it can split that level. Neither is needed, because nothing a
+//! step does invalidates them; the split policy carries both across steps:
+//!
+//! * **Node MBRs.** A node's box depends only on the set of lanes under
+//!   it. A split changes that set for the split nodes alone, and their two
+//!   new boxes are the selector's own `L Bbox` / `R Bbox` rows at the
+//!   chosen position ([`crate::rsplit`]); every reordering moves the
+//!   boxes with their blocks. So the policy holds every level's node
+//!   boxes at all times — they are the items a split one level up reads,
+//!   and at the end they *are* the tree's `node_mbrs`. (`min`/`max` are
+//!   exact, so a box folded in sweep order equals the box folded in lane
+//!   order bit for bit — short of an extent where `+0.0` and `-0.0` tie,
+//!   whose sign then follows the fold order; `==` cannot tell.)
+//! * **Leaf axis orders.** The leaf level — the only level with `n` items
+//!   — is sorted by `min.x` and by `min.y` **once**, at its first split.
+//!   Afterwards each order is *maintained*: a leaf split stably
+//!   unshuffles it by the split classes (its entries renamed through the
+//!   unshuffle's targets), an upper-level cascade block-gathers it. The
+//!   unshuffle is stable, so two lanes that stay in one leaf never swap,
+//!   in the lane vector or in either order; the sort's (key, lane)
+//!   tie-break therefore still holds in every new leaf and the maintained
+//!   order is exactly what a fresh sort of the moved lanes would return.
+//!   A leaf round is O(1) scans, permutations and elementwise passes, and
+//!   the leaf level costs two sorts plus O(log n) such rounds.
+//!
+//! Upper levels hold a geometrically shrinking number of items and still
+//! sort per split. `tests/rtree_differential.rs` checks, after every
+//! driver step, that the carried state equals its recomputation from the
+//! lanes, and pins the finished trees' bytes to digests taken before the
+//! state was carried.
 
 use crate::round_driver::{RoundAdvance, RoundDriver, SplitPolicy};
-use crate::rsplit::{select_split_classes, RtreeSplitAlgorithm};
+use crate::rsplit::{
+    lower_edge_orders, segment_mbrs, split_classes, AxisOrders, RtreeSplitAlgorithm,
+};
 use crate::SegId;
 use dp_geom::{LineSeg, Point, Rect};
-use scan_model::ops::{Max, Min};
-use scan_model::{Machine, ScanKind, Segments};
+use scan_model::{Machine, Segments};
 
 /// What [`DpRTree::raw_parts`] hands the snapshot codec: `(lane_line,
 /// lane_bbox, per-level group lengths, node_mbrs, rounds)`.
@@ -87,6 +123,37 @@ pub fn build_rtree(
     max: usize,
     algo: RtreeSplitAlgorithm,
 ) -> DpRTree {
+    build_rtree_audited(machine, segs, m, max, algo, &mut |_| {})
+}
+
+/// What the build carries from one driver step to the next, as
+/// [`build_rtree_audited`] shows it to a test after every step.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct RtreeBuildAudit<'a> {
+    /// Per lane: the segment's bounding rectangle, in current lane order.
+    pub lane_bbox: &'a [Rect],
+    /// The level stack (`groups[0]` groups lanes into leaves).
+    pub groups: &'a [Segments],
+    /// Carried: `node_mbrs[h][s]` is the MBR of node `s` at level `h`.
+    pub node_mbrs: &'a [Vec<Rect>],
+    /// Carried (sweep selector, once a leaf has split): the leaf level's
+    /// gather orders by `min.x` and by `min.y`.
+    pub leaf_orders: Option<&'a [Vec<usize>; 2]>,
+}
+
+/// [`build_rtree`] with a test hook: `audit` sees the carried state after
+/// every driver step, so a differential test can compare it against a
+/// recomputation from the lanes. Not part of the supported surface.
+#[doc(hidden)]
+pub fn build_rtree_audited(
+    machine: &Machine,
+    segs: &[LineSeg],
+    m: usize,
+    max: usize,
+    algo: RtreeSplitAlgorithm,
+    audit: &mut dyn FnMut(RtreeBuildAudit<'_>),
+) -> DpRTree {
     assert!(max >= 2, "M must be at least 2");
     assert!(
         m >= 1 && 2 * m <= max + 1,
@@ -107,15 +174,31 @@ pub fn build_rtree(
         return tree;
     }
 
+    let root_mbr = segment_mbrs(machine, &tree.groups[0], &tree.lane_bbox, |_| true);
     let mut policy = RtreeSplitPolicy {
         tree: &mut tree,
         algo,
         h: 0,
         sweep_split_any: false,
+        node_mbrs: vec![root_mbr],
+        leaf_orders: None,
     };
-    let rounds = RoundDriver::run(machine, &mut policy);
-    tree.rounds = rounds;
-    tree.node_mbrs = tree.compute_all_mbrs(machine);
+    let mut driver = RoundDriver::new();
+    loop {
+        let finished = driver.step(machine, &mut policy).finished;
+        audit(RtreeBuildAudit {
+            lane_bbox: &policy.tree.lane_bbox,
+            groups: &policy.tree.groups,
+            node_mbrs: &policy.node_mbrs,
+            leaf_orders: policy.leaf_orders.as_ref(),
+        });
+        if finished {
+            break;
+        }
+    }
+    let node_mbrs = policy.node_mbrs;
+    tree.rounds = driver.rounds();
+    tree.node_mbrs = node_mbrs;
     tree
 }
 
@@ -127,6 +210,10 @@ pub fn build_rtree(
 /// `advance` therefore carries a height cursor instead of equating steps
 /// with rounds. A mid-sweep root split grows a new level that the same
 /// sweep still visits (Fig. 42).
+///
+/// The policy also owns what a step would otherwise recompute from the
+/// lanes (see the module docs): every node's MBR, and for the sweep
+/// selector the leaf level's two sorted axis orders.
 struct RtreeSplitPolicy<'t> {
     tree: &'t mut DpRTree,
     algo: RtreeSplitAlgorithm,
@@ -134,6 +221,14 @@ struct RtreeSplitPolicy<'t> {
     h: usize,
     /// Whether any node split since the current sweep began.
     sweep_split_any: bool,
+    /// `node_mbrs[h][s]`: MBR of node `s` at level `h`, current after
+    /// every step; the items a split at level `h + 1` reads, and the
+    /// finished tree's `node_mbrs`.
+    node_mbrs: Vec<Vec<Rect>>,
+    /// The leaf level's [`lower_edge_orders`], sorted at the first leaf
+    /// split of a sweep-selector build and kept equal to a fresh sort of
+    /// the current lanes by every later reordering.
+    leaf_orders: Option<AxisOrders>,
 }
 
 impl SplitPolicy for RtreeSplitPolicy<'_> {
@@ -145,8 +240,13 @@ impl SplitPolicy for RtreeSplitPolicy<'_> {
         self.tree.groups[self.h].num_segments()
     }
 
+    /// The node capacity check at the cursor's level (Fig. 19 / Fig. 39's
+    /// `count` row): one flag per node, `true` when it holds more than `M`
+    /// items.
     fn decide(&mut self, machine: &Machine) -> Vec<bool> {
-        self.tree.overflow_flags(machine, self.h)
+        let counts = machine.segment_counts(&self.tree.groups[self.h]);
+        machine.note_elementwise();
+        counts.iter().map(|&c| c as usize > self.tree.max).collect()
     }
 
     fn emit(&mut self, _machine: &Machine, _want: &[bool]) {
@@ -154,8 +254,92 @@ impl SplitPolicy for RtreeSplitPolicy<'_> {
         // overflowing ones move (split) this step.
     }
 
-    fn partition(&mut self, machine: &Machine, want: &[bool]) {
-        self.tree.split_level(machine, self.h, want, self.algo);
+    /// Splits every overflowing node of the cursor's level once:
+    /// split-class selection, unshuffle (cascading below an upper level),
+    /// new segment lengths, upward propagation of the extra children (root
+    /// growth included), and the refresh of the split level's node MBRs.
+    fn partition(&mut self, machine: &Machine, overflowing: &[bool]) {
+        let h = self.h;
+        let (m, max) = (self.tree.m, self.tree.max);
+        if h == 0 && self.algo == RtreeSplitAlgorithm::Sweep && self.leaf_orders.is_none() {
+            let tree = &*self.tree;
+            self.leaf_orders = Some(lower_edge_orders(machine, &tree.groups[0], &tree.lane_bbox));
+        }
+        let sorted = if h == 0 {
+            self.leaf_orders.as_ref()
+        } else {
+            None
+        };
+        let seg = &self.tree.groups[h];
+        let split = split_classes(
+            machine,
+            seg,
+            self.items(h),
+            overflowing,
+            m,
+            max,
+            self.algo,
+            sorted,
+        );
+
+        // Partition the items of each overflowing segment.
+        let un = machine.unshuffle_layout(seg, &split.class);
+        // Convert the scatter targets to a gather order.
+        machine.note_permute();
+        let mut order = vec![0usize; un.target.len()];
+        for (i, &t) in un.target.iter().enumerate() {
+            order[t] = i;
+        }
+        if h == 0 {
+            if let Some(orders) = &mut self.leaf_orders {
+                for axis in orders {
+                    unshuffle_axis_order(machine, seg, axis, &split.class, &un.target);
+                }
+            }
+            self.gather_lanes(machine, &order);
+        } else {
+            self.cascade_item_order(machine, h, order);
+        }
+
+        // Overflowing nodes become two: new level-h segment lengths, and
+        // the two groups' boxes in place of the node's. No other node's
+        // box changes — every other node still covers the same lanes.
+        let tree = &mut *self.tree;
+        let nodes = &mut self.node_mbrs[h];
+        let root_mbr = nodes[0];
+        let mut new_lengths = Vec::with_capacity(nodes.len() + split.halves.len());
+        let mut new_nodes = Vec::with_capacity(nodes.len() + split.halves.len());
+        let mut halves = split.halves.into_iter();
+        for (s, r) in tree.groups[h].ranges().enumerate() {
+            if overflowing[s] {
+                let (na, nb) = un.counts[s];
+                debug_assert!(na >= m && nb >= m);
+                new_lengths.extend([na, nb]);
+                new_nodes.extend(halves.next().expect("one pair of boxes per split node"));
+            } else {
+                new_lengths.push(r.len());
+                new_nodes.push(nodes[s]);
+            }
+        }
+        *nodes = new_nodes;
+
+        if h + 1 < tree.groups.len() {
+            // Propagate the extra children to the parents.
+            let parent = &tree.groups[h + 1];
+            let mut parent_lengths: Vec<usize> = parent.lengths();
+            for (s, _) in overflowing.iter().enumerate().filter(|(_, &o)| o) {
+                parent_lengths[parent.segment_of(s)] += 1;
+            }
+            tree.groups[h + 1] = Segments::from_lengths(&parent_lengths)
+                .expect("parents keep at least their previous children");
+        } else {
+            // The root split: grow a new root level above (Fig. 42); the
+            // new root covers what the old one did.
+            tree.groups.push(Segments::single(new_lengths.len()));
+            self.node_mbrs.push(vec![root_mbr]);
+        }
+        tree.groups[h] =
+            Segments::from_lengths(&new_lengths).expect("split sides are non-empty (>= m >= 1)");
     }
 
     fn advance(&mut self, _machine: &Machine, split_any: bool) -> RoundAdvance {
@@ -179,6 +363,83 @@ impl SplitPolicy for RtreeSplitPolicy<'_> {
             finished: !completed,
         }
     }
+}
+
+impl RtreeSplitPolicy<'_> {
+    /// Item MBRs at grouping level `h`: lane bboxes for `h = 0`, otherwise
+    /// the carried node MBRs of level `h - 1`.
+    fn items(&self, h: usize) -> &[Rect] {
+        match h {
+            0 => &self.tree.lane_bbox,
+            _ => &self.node_mbrs[h - 1],
+        }
+    }
+
+    /// Reorders the lane vectors by `order` (gather indices).
+    fn gather_lanes(&mut self, machine: &Machine, order: &[usize]) {
+        let tree = &mut *self.tree;
+        tree.lane_line = machine.gather(&tree.lane_line, order);
+        tree.lane_bbox = machine.gather(&tree.lane_bbox, order);
+    }
+
+    /// Reorders the items at level `h >= 1` by `order` (gather indices),
+    /// cascading whole-block moves down to the lanes; the carried node
+    /// MBRs and leaf orders move with their blocks.
+    fn cascade_item_order(&mut self, machine: &Machine, h: usize, mut order: Vec<usize>) {
+        for level in (1..=h).rev() {
+            // Items at `level` are the segments of groups[level - 1];
+            // reorder those segments and induce the item order one level
+            // down.
+            self.node_mbrs[level - 1] = machine.gather(&self.node_mbrs[level - 1], &order);
+            let below = &self.tree.groups[level - 1];
+            machine.note_permute();
+            let mut new_lengths = Vec::with_capacity(order.len());
+            let mut induced = Vec::with_capacity(below.len());
+            for &item in &order {
+                let r = below.range(item);
+                new_lengths.push(r.len());
+                induced.extend(r);
+            }
+            self.tree.groups[level - 1] =
+                Segments::from_lengths(&new_lengths).expect("segment lengths are preserved");
+            order = induced;
+        }
+        if let Some(orders) = &mut self.leaf_orders {
+            // Lanes moved in whole leaves, so an entry's lane shifted as
+            // far as the entry's own position did: a block gather.
+            for axis in orders {
+                machine.note_permute();
+                let mut moved = [Vec::new()];
+                machine.fill_lanes_into(
+                    order.len(),
+                    |i| [axis[order[i]] + i - order[i]],
+                    &mut moved,
+                );
+                [*axis] = moved;
+            }
+        }
+        self.gather_lanes(machine, &order);
+    }
+}
+
+/// Keeps one leaf axis order sorted across a leaf split. `axis` lists
+/// each segment's lanes in key order; the split sends lane `i` to
+/// `target[i]` by `class[i]`. Renaming the entries through `target` and
+/// stably unshuffling them by their lane's class yields each new
+/// segment's lanes, still in key order: a stable partition never swaps
+/// two entries that stay together, and the lanes' own unshuffle kept
+/// equal-key lanes in lane order, so the sort's (key, lane) tie-break
+/// survives — the result equals a fresh sort of the moved lanes.
+fn unshuffle_axis_order(
+    machine: &Machine,
+    seg: &Segments,
+    axis: &mut Vec<usize>,
+    class: &[bool],
+    target: &[usize],
+) {
+    let entry_class = machine.gather(class, axis);
+    let layout = machine.unshuffle_layout(seg, &entry_class);
+    *axis = machine.apply_unshuffle(&machine.gather(target, axis), &layout);
 }
 
 /// Bulk loads a *packed* R-tree: segments are sorted by the Hilbert index
@@ -255,128 +516,15 @@ pub fn pack_rtree_hilbert(machine: &Machine, segs: &[LineSeg], world: Rect, max:
 }
 
 impl DpRTree {
-    /// Item MBRs at grouping level `h`: lane bboxes for `h = 0`, otherwise
-    /// the per-segment MBRs of level `h - 1` (computed bottom-up with
-    /// min/max scans).
-    fn item_mbrs(&self, machine: &Machine, h: usize) -> Vec<Rect> {
-        let mut mbrs = self.lane_bbox.clone();
-        for level in 0..h {
-            mbrs = fold_mbrs(machine, &self.groups[level], &mbrs);
-        }
-        mbrs
-    }
-
+    /// Every level's node MBRs, folded bottom-up from the lane boxes.
     fn compute_all_mbrs(&self, machine: &Machine) -> Vec<Vec<Rect>> {
-        let mut out = Vec::with_capacity(self.groups.len());
-        let mut items = self.lane_bbox.clone();
+        let mut out: Vec<Vec<Rect>> = Vec::with_capacity(self.groups.len());
         for seg in &self.groups {
-            let node = fold_mbrs(machine, seg, &items);
-            out.push(node.clone());
-            items = node;
+            let items = out.last().map_or(&self.lane_bbox[..], |below| &below[..]);
+            let nodes = segment_mbrs(machine, seg, items, |_| true);
+            out.push(nodes);
         }
         out
-    }
-
-    /// The node capacity check at level `h` (Fig. 19 / Fig. 39's `count`
-    /// row): one flag per node, `true` when it holds more than `M` items.
-    fn overflow_flags(&self, machine: &Machine, h: usize) -> Vec<bool> {
-        let counts = machine.segment_counts(&self.groups[h]);
-        machine.note_elementwise();
-        counts.iter().map(|&c| c as usize > self.max).collect()
-    }
-
-    /// Splits every overflowing node of level `h` once: split-class
-    /// selection, unshuffle cascade, new segment lengths, and upward
-    /// propagation of the extra children (root growth included). Requires
-    /// at least one `overflowing` flag set.
-    fn split_level(
-        &mut self,
-        machine: &Machine,
-        h: usize,
-        overflowing: &[bool],
-        algo: RtreeSplitAlgorithm,
-    ) {
-        let mbrs = self.item_mbrs(machine, h);
-        let class = select_split_classes(
-            machine,
-            &self.groups[h],
-            &mbrs,
-            overflowing,
-            self.m,
-            self.max,
-            algo,
-        );
-
-        // Partition the items of each overflowing segment.
-        let un = machine.unshuffle_layout(&self.groups[h], &class);
-        // Convert the scatter targets to a gather order for the cascade.
-        machine.note_permute();
-        let mut order = vec![0usize; un.target.len()];
-        for (i, &t) in un.target.iter().enumerate() {
-            order[t] = i;
-        }
-        self.apply_item_order(machine, h, &order);
-
-        // New level-h segment lengths: overflowing segments split in two.
-        let mut new_lengths = Vec::with_capacity(self.groups[h].num_segments() + 8);
-        let mut splits_per_segment = Vec::with_capacity(self.groups[h].num_segments());
-        for (s, r) in self.groups[h].ranges().enumerate() {
-            if overflowing[s] {
-                let (na, nb) = un.counts[s];
-                debug_assert!(na >= self.m && nb >= self.m);
-                new_lengths.push(na);
-                new_lengths.push(nb);
-                splits_per_segment.push(1usize);
-            } else {
-                new_lengths.push(r.len());
-                splits_per_segment.push(0);
-            }
-        }
-        self.groups[h] =
-            Segments::from_lengths(&new_lengths).expect("split sides are non-empty (>= m >= 1)");
-
-        // Propagate the extra children to the parents.
-        if h + 1 < self.groups.len() {
-            let parent = &self.groups[h + 1];
-            let mut parent_lengths: Vec<usize> = parent.lengths();
-            for (s, &extra) in splits_per_segment.iter().enumerate() {
-                if extra > 0 {
-                    let p = parent.segment_of(s);
-                    parent_lengths[p] += extra;
-                }
-            }
-            self.groups[h + 1] = Segments::from_lengths(&parent_lengths)
-                .expect("parents keep at least their previous children");
-        } else if self.groups[h].num_segments() > 1 {
-            // The root split: grow a new root level above (Fig. 42).
-            let n_top = self.groups[h].num_segments();
-            self.groups.push(Segments::single(n_top));
-        }
-    }
-
-    /// Reorders the items at level `h` by `order` (gather indices),
-    /// cascading block permutations down to the lanes.
-    fn apply_item_order(&mut self, machine: &Machine, h: usize, order: &[usize]) {
-        if h == 0 {
-            self.lane_line = machine.gather(&self.lane_line, order);
-            self.lane_bbox = machine.gather(&self.lane_bbox, order);
-            return;
-        }
-        // Items at level h are the segments of groups[h-1]; reorder those
-        // segments and induce the item order one level down.
-        let below = &self.groups[h - 1];
-        let old_lengths = below.lengths();
-        machine.note_permute();
-        let mut new_lengths = Vec::with_capacity(old_lengths.len());
-        let mut induced = Vec::with_capacity(below.len());
-        for &item in order {
-            let r = below.range(item);
-            new_lengths.push(r.len());
-            induced.extend(r);
-        }
-        self.groups[h - 1] =
-            Segments::from_lengths(&new_lengths).expect("segment lengths are preserved");
-        self.apply_item_order(machine, h - 1, &induced);
     }
 
     // ------------------------------------------------------------------
@@ -678,27 +826,6 @@ impl DpRTree {
     }
 }
 
-/// Per-segment MBRs via four min/max scans and head reads.
-fn fold_mbrs(machine: &Machine, seg: &Segments, items: &[Rect]) -> Vec<Rect> {
-    if seg.is_empty() {
-        // Empty tree: a single empty root MBR.
-        return vec![Rect::empty()];
-    }
-    let lo_x: Vec<f64> = machine.map(items, |r| r.min.x);
-    let lo_y: Vec<f64> = machine.map(items, |r| r.min.y);
-    let hi_x: Vec<f64> = machine.map(items, |r| r.max.x);
-    let hi_y: Vec<f64> = machine.map(items, |r| r.max.y);
-    let lo_x = machine.down_scan_seg(&lo_x, seg, Min, ScanKind::Inclusive);
-    let lo_y = machine.down_scan_seg(&lo_y, seg, Min, ScanKind::Inclusive);
-    let hi_x = machine.down_scan_seg(&hi_x, seg, Max, ScanKind::Inclusive);
-    let hi_y = machine.down_scan_seg(&hi_y, seg, Max, ScanKind::Inclusive);
-    machine.note_elementwise();
-    seg.starts()
-        .iter()
-        .map(|&h| Rect::from_coords(lo_x[h], lo_y[h], hi_x[h], hi_y[h]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,6 +846,44 @@ mod tests {
                 LineSeg::from_coords(x, y, x + 3.0, y + 2.0)
             })
             .collect()
+    }
+
+    /// What a step used to derive before it could split level `h`: the
+    /// lane boxes cloned and refolded through every level below.
+    fn item_mbrs_from_lanes(
+        machine: &Machine,
+        lane_bbox: &[Rect],
+        groups: &[Segments],
+        h: usize,
+    ) -> Vec<Rect> {
+        let mut mbrs = lane_bbox.to_vec();
+        for seg in &groups[..h] {
+            mbrs = segment_mbrs(machine, seg, &mbrs, |_| true);
+        }
+        mbrs
+    }
+
+    #[test]
+    fn carried_state_equals_the_per_step_recomputation() {
+        let oracle = Machine::sequential();
+        let segs = segments(200);
+        for m in machines() {
+            for algo in [RtreeSplitAlgorithm::Mean, RtreeSplitAlgorithm::Sweep] {
+                for (mn, mx) in [(1usize, 3usize), (2, 5), (4, 8)] {
+                    build_rtree_audited(&m, &segs, mn, mx, algo, &mut |a| {
+                        for (h, nodes) in a.node_mbrs.iter().enumerate() {
+                            let refolded =
+                                item_mbrs_from_lanes(&oracle, a.lane_bbox, a.groups, h + 1);
+                            assert_eq!(nodes, &refolded, "{algo:?} ({mn},{mx}) level {h}");
+                        }
+                        if let Some(orders) = a.leaf_orders {
+                            let sorted = lower_edge_orders(&oracle, &a.groups[0], a.lane_bbox);
+                            assert_eq!(orders, &sorted, "{algo:?} ({mn},{mx})");
+                        }
+                    });
+                }
+            }
+        }
     }
 
     #[test]

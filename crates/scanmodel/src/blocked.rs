@@ -64,18 +64,25 @@ pub const DEFAULT_BLOCK_BYTES: usize = 1 << 18;
 /// Cached in a `OnceLock`: machines are constructed per shard and in
 /// thousands of tests, and the right block size is a property of the
 /// hardware, not of any one machine.
+///
+/// The value is resolved *before* the cell is touched, never inside its
+/// initialiser: calibration submits scans to the worker pool and helps
+/// drain the queue while it waits, so it can pick up a job that builds a
+/// `Machine` and lands here again — on the same thread, inside the
+/// initialiser, where `OnceLock` blocks forever (and every other worker
+/// that reaches this function blocks behind it). First to finish wins;
+/// a thread that raced it calibrated for nothing.
 pub fn tuned_block_bytes() -> usize {
     static TUNED: OnceLock<usize> = OnceLock::new();
-    *TUNED.get_or_init(|| {
-        if let Ok(raw) = std::env::var("DP_BLOCK") {
-            if let Ok(bytes) = raw.trim().parse::<usize>() {
-                if bytes > 0 {
-                    return bytes;
-                }
-            }
-        }
-        calibrate_block_bytes()
-    })
+    if let Some(&bytes) = TUNED.get() {
+        return bytes;
+    }
+    let bytes = std::env::var("DP_BLOCK")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .filter(|&bytes| bytes > 0)
+        .unwrap_or_else(calibrate_block_bytes);
+    *TUNED.get_or_init(|| bytes)
 }
 
 /// Power-of-two sweep over L2-sized candidates: time a small blocked sum
