@@ -44,7 +44,7 @@ fn bench_primitives(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(format!("clone/{label}"), n), &n, |b, _| {
                 b.iter(|| {
                     let layout = m.clone_layout(&seg, black_box(&clone_flags));
-                    black_box(m.apply_clone(&data, &layout))
+                    black_box(m.apply(&data, &layout))
                 })
             });
             group.bench_with_input(
@@ -63,7 +63,7 @@ fn bench_primitives(c: &mut Criterion) {
                 |b, _| {
                     b.iter(|| {
                         let layout = m.delete_layout(&seg, black_box(&clone_flags));
-                        black_box(m.apply_delete(&data, &layout))
+                        black_box(m.apply(&data, &layout))
                     })
                 },
             );

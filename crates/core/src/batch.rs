@@ -23,24 +23,8 @@ use crate::error::SpatialError;
 use crate::quadtree::{DpQuadtree, QtNode};
 use crate::SegId;
 use dp_geom::Rect;
-use scan_model::ops::{Element, Sum};
-use scan_model::primitives::{CloneLayout, DeleteLayout};
+use scan_model::ops::Sum;
 use scan_model::{Machine, ScanKind, Segments};
-
-/// Compacts a frontier vector in place (the deletion gather is strictly
-/// increasing, so survivors close ranks within the same buffer).
-fn delete_swap<T: Element>(machine: &Machine, mut src: Vec<T>, layout: &DeleteLayout) -> Vec<T> {
-    machine.apply_delete_in_place(&mut src, layout);
-    src
-}
-
-/// Grows a frontier vector in place (the clone gather is monotone, so a
-/// backward sweep expands the buffer without a copy — the
-/// frontier-doubling analogue of [`delete_swap`]).
-fn clone_swap<T: Element>(machine: &Machine, mut src: Vec<T>, layout: &CloneLayout) -> Vec<T> {
-    machine.apply_clone_in_place(&mut src, layout);
-    src
-}
 
 /// Runs all `queries` against `tree` simultaneously; returns, per query,
 /// the deduplicated sorted ids whose segments intersect the query window
@@ -135,9 +119,9 @@ pub fn batch_window_candidates(
         }
         let keep = machine.delete_layout(&seg, &at_leaf);
         machine.recycle(at_leaf);
-        lane_query = delete_swap(machine, lane_query, &keep);
-        lane_node = delete_swap(machine, lane_node, &keep);
-        lane_rect = delete_swap(machine, lane_rect, &keep);
+        machine.apply_in_place(&mut lane_query, &keep);
+        machine.apply_in_place(&mut lane_node, &keep);
+        machine.apply_in_place(&mut lane_rect, &keep);
         if lane_query.is_empty() {
             break;
         }
@@ -150,17 +134,17 @@ pub fn batch_window_candidates(
         all.resize(lane_query.len(), true);
         let double = machine.clone_layout(&seg, &all);
         machine.recycle(all);
-        lane_query = clone_swap(machine, lane_query, &double);
-        lane_node = clone_swap(machine, lane_node, &double);
-        lane_rect = clone_swap(machine, lane_rect, &double);
+        machine.apply_in_place(&mut lane_query, &double);
+        machine.apply_in_place(&mut lane_node, &double);
+        machine.apply_in_place(&mut lane_rect, &double);
         let seg = double.seg;
         let mut all: Vec<bool> = machine.lease();
         all.resize(lane_query.len(), true);
         let quad = machine.clone_layout(&seg, &all);
         machine.recycle(all);
-        lane_query = clone_swap(machine, lane_query, &quad);
-        lane_node = clone_swap(machine, lane_node, &quad);
-        lane_rect = clone_swap(machine, lane_rect, &quad);
+        machine.apply_in_place(&mut lane_query, &quad);
+        machine.apply_in_place(&mut lane_node, &quad);
+        machine.apply_in_place(&mut lane_rect, &quad);
 
         // Rank within each 4-group via an unsegmented exclusive scan.
         let mut ones: Vec<u64> = machine.lease();
@@ -202,11 +186,11 @@ pub fn batch_window_candidates(
         let seg = Segments::single(lane_query.len());
         let keep = machine.delete_layout(&seg, &misses);
         machine.recycle(misses);
-        machine.recycle(lane_node);
-        machine.recycle(lane_rect);
-        lane_query = delete_swap(machine, lane_query, &keep);
-        lane_node = delete_swap(machine, child_node, &keep);
-        lane_rect = delete_swap(machine, child_rect, &keep);
+        machine.recycle(std::mem::replace(&mut lane_node, child_node));
+        machine.recycle(std::mem::replace(&mut lane_rect, child_rect));
+        machine.apply_in_place(&mut lane_query, &keep);
+        machine.apply_in_place(&mut lane_node, &keep);
+        machine.apply_in_place(&mut lane_rect, &keep);
 
         // One descent level completed: all surviving lanes stepped one
         // node deeper in lockstep, with a constant number of primitives

@@ -347,7 +347,7 @@ impl SplitPolicy for JoinPolicy<'_> {
         machine.map_into(want, |w| !w, &mut retire);
         let layout = machine.delete_layout(&seg, &retire);
         machine.recycle(retire);
-        machine.apply_delete_in_place(&mut self.nab, &layout);
+        machine.apply_in_place(&mut self.nab, &layout);
 
         // 2. Fan every ambiguous pair out ×4 (generalized cloning,
         //    Figs. 13–14): a coarser leaf block is cloned unchanged
@@ -357,7 +357,7 @@ impl SplitPolicy for JoinPolicy<'_> {
         four.resize(self.nab.len(), 4);
         let fan = machine.fanout_layout(&seg, &four);
         machine.recycle(four);
-        machine.apply_fanout_swap(&mut self.nab, &fan);
+        machine.apply_in_place(&mut self.nab, &fan);
 
         // 3. One elementwise child-and-classify step. After a uniform ×4
         //    fanout, lanes 4k..4k+4 share one parent pair, so each
@@ -409,8 +409,8 @@ impl SplitPolicy for JoinPolicy<'_> {
         let seg = Segments::single(self.nab.len());
         let layout = machine.delete_layout(&seg, &dead);
         machine.recycle(dead);
-        machine.apply_delete_in_place(&mut self.nab, &layout);
-        machine.apply_delete_in_place(&mut self.class, &layout);
+        machine.apply_in_place(&mut self.nab, &layout);
+        machine.apply_in_place(&mut self.class, &layout);
 
         let mut ready: Vec<bool> = machine.lease();
         machine.map_into(&self.class, |c| c == READY, &mut ready);

@@ -156,7 +156,7 @@ pub fn build_kdtree(machine: &Machine, points: &[Point], leaf_capacity: usize) -
         // needed — the deletion primitive drops retired lanes).
         let delete_flags: Vec<bool> = machine.map(&retained, |b| !b);
         let layout = machine.delete_layout(&seg, &delete_flags);
-        lane_id = machine.apply_delete(&lane_id, &layout);
+        lane_id = machine.apply(&lane_id, &layout);
         seg = Segments::from_lengths(&new_lengths).expect("split halves are non-empty");
         node_of = new_node_of;
         depth_of = new_depth_of;

@@ -269,9 +269,9 @@ impl SplitPolicy for QuadSplitPolicy<'_, '_, '_> {
         // The deletion gather is strictly increasing, so the lane vectors
         // close ranks in place — no second buffer per vector.
         let mut line = std::mem::take(&mut self.state.line);
-        machine.apply_delete_in_place(&mut line, &layout);
+        machine.apply_in_place(&mut line, &layout);
         let mut rect = std::mem::take(&mut self.state.rect);
-        machine.apply_delete_in_place(&mut rect, &layout);
+        machine.apply_in_place(&mut rect, &layout);
         let kept_nodes: Vec<ActiveNode> = self
             .state
             .nodes
@@ -280,19 +280,13 @@ impl SplitPolicy for QuadSplitPolicy<'_, '_, '_> {
             .filter(|(_, &w)| w)
             .map(|(n, _)| *n)
             .collect();
-        let kept_lengths: Vec<usize> = layout
-            .kept_per_segment
-            .iter()
-            .copied()
-            .filter(|&l| l > 0)
-            .collect();
-        debug_assert_eq!(kept_lengths.len(), kept_nodes.len());
-        let seg = Segments::from_lengths(&kept_lengths)
-            .expect("splitting nodes always hold at least one lane");
+        // The layout's output descriptor is the kept nodes' segments: a
+        // retired node's lanes all vanish, and its segment with them.
+        debug_assert_eq!(layout.seg.num_segments(), kept_nodes.len());
         let compacted = LineProcSet {
             line,
             rect,
-            seg,
+            seg: layout.seg,
             nodes: kept_nodes,
         };
 

@@ -137,8 +137,8 @@ pub fn build_region_quadtree(
         }
         let seg = Segments::single(n);
         let layout = machine.delete_layout(&seg, &delete);
-        codes = machine.apply_delete(&codes, &layout);
-        levels = machine.apply_delete(&levels, &layout);
+        codes = machine.apply(&codes, &layout);
+        levels = machine.apply(&levels, &layout);
     }
 
     let blocks = codes

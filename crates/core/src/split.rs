@@ -94,10 +94,10 @@ fn split_stage(
     // Step 2: clone the crossing lanes (Sec. 4.1) — the gather is
     // monotone, so the lane vectors grow in place.
     let layout = machine.clone_layout(seg, &clone_flags);
-    machine.apply_clone_in_place(&mut line, &layout);
-    machine.apply_clone_in_place(&mut rect, &layout);
+    machine.apply_in_place(&mut line, &layout);
+    machine.apply_in_place(&mut rect, &layout);
     let mut c_membership: Vec<(bool, bool)> = machine.lease();
-    machine.apply_clone_into(&membership, &layout, &mut c_membership);
+    machine.apply_into(&membership, &layout, &mut c_membership);
     machine.recycle(membership);
     machine.recycle(clone_flags);
 
@@ -109,15 +109,10 @@ fn split_stage(
     machine.note_elementwise();
     let mut class: Vec<bool> = machine.lease();
     class.extend(
-        c_membership.iter().zip(layout.is_clone.iter()).map(
-            |(&(a, b), &is_clone)| {
-                if a && b {
-                    is_clone
-                } else {
-                    b
-                }
-            },
-        ),
+        c_membership
+            .iter()
+            .zip(layout.rank.iter())
+            .map(|(&(a, b), &rank)| if a && b { rank == 1 } else { b }),
     );
     machine.recycle(c_membership);
 

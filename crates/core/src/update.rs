@@ -389,7 +389,7 @@ pub fn batch_update(
         .collect();
     if !deletes.is_empty() {
         let layout = machine.delete_layout(&Segments::single(n), &delete_flag);
-        *segs = machine.apply_delete(segs, &layout);
+        *segs = machine.apply(segs, &layout);
     }
     segs.extend(batch.inserts.iter().copied());
 
@@ -445,12 +445,12 @@ pub fn batch_update(
             let layout = machine.delete_layout(&seg, &flags);
             // Compact and remap the survivors in the flat buffer itself.
             let mut remapped = flat;
-            machine.apply_delete_in_place(&mut remapped, &layout);
+            machine.apply_in_place(&mut remapped, &layout);
             machine.map_in_place(&mut remapped, |id| new_id[id as usize]);
             machine.recycle(flags);
             let mut off = 0;
             for (k, &ri) in occupied.iter().enumerate() {
-                let klen = layout.kept_per_segment[k];
+                let klen = layout.counts[k];
                 if klen != recs[ri].lines.len() {
                     recs[ri].changed = true;
                 }
@@ -492,9 +492,9 @@ pub fn batch_update(
                 break;
             }
             let layout = machine.fanout_layout(&Segments::single(lane_ins.len()), &copies);
-            let next_ins = machine.apply_fanout(&lane_ins, &layout);
-            let mut next_node = machine.apply_fanout(&lane_node, &layout);
-            let mut next_rect = machine.apply_fanout(&lane_rect, &layout);
+            let next_ins = machine.apply(&lane_ins, &layout);
+            let mut next_node = machine.apply(&lane_node, &layout);
+            let mut next_rect = machine.apply(&lane_rect, &layout);
             // Copy rank r addresses the r-th crossing child, elementwise.
             machine.note_elementwise();
             for i in 0..next_ins.len() {

@@ -1,46 +1,49 @@
-//! Cache-blocked scan kernels: block-reduce → block-scan → block-apply
-//! in one structure, with the reset structure read inline.
+//! The one scan walk: a cache-blocked block-reduce → carry → block-apply
+//! kernel, generic over its lane count and lane operators.
 //!
-//! The original parallel kernels ([`crate::par`], [`crate::fused`]) are
-//! correct but memory-bound: every scan walks the full vector twice
-//! (summary pass + rescan pass) and materializes a `Vec<bool>` of fold
-//! resets per call, so a scan round streams ~3n elements through DRAM
-//! where the sequential kernel streams n. These kernels restructure the
-//! same pair-scan decomposition (Gu, Obeya & Shun, *Parallel In-Place
-//! Algorithms*) around fixed-size cache blocks:
+//! A segmented scan is an ordinary scan of *(reset, value)* pairs,
 //!
-//! * the fold-restart structure is computed from the segment flags
-//!   *inside* the walk (`crate::fused::ResetView`) — no resets vector;
+//! ```text
+//! (f1, v1) ⊕ (f2, v2) = (f1 ∨ f2, if f2 { v2 } else { v1 ⊕ v2 })
+//! ```
+//!
+//! which is associative whenever `⊕` is, so the vector can be cut into
+//! blocks (Gu, Obeya & Shun, *Parallel In-Place Algorithms*): phase 1
+//! reduces every block to its pair-scan total, a short sequential fold
+//! turns the totals into per-block carries, and phase 3 re-scans each
+//! block seeded with its carry. Every [`crate::Machine`] scan on either
+//! backend is this kernel ([`scan_blocked_into`] for one static
+//! [`CombineOp`], [`scan_lanes_blocked_into`] for up to
+//! [`MAX_FUSED_WIDTH`] dynamic [`FusedOp`] lanes per chunk — the same
+//! body, monomorphized over its lane operators):
+//!
+//! * the fold-restart structure is read off the segment descriptor
+//!   *inside* the walk, once per run of lanes between two boundaries —
+//!   no resets vector is materialized and the inner loops test no flag;
 //! * blocks are [`block_elems`]-sized (an L2-ish byte budget, see
 //!   [`tuned_block_bytes`]), not `n / threads`-sized, so each block's
 //!   summary and rescan touch cache-resident data;
 //! * blocks are dealt to workers as contiguous ranges
 //!   ([`rayon::for_each_block`]) so the reduce and apply phases revisit
 //!   the same worker-local spans;
-//! * with a single worker the two phases collapse into **one** sweep:
-//!   the carry threads straight through the rescan body block-to-block,
-//!   touching each element exactly once and reproducing the sequential
-//!   kernel's pure directional fold bit-for-bit.
+//! * with a single worker the phases collapse into **one** sweep: the
+//!   rescan body runs once over the whole vector, touching each element
+//!   exactly once — the pure directional fold. The sequential backend is
+//!   that arm with `threads = 0`, which also keeps it off the pool's
+//!   fault hook.
 //!
 //! Numerical contract: the single-worker sweep is always bit-identical
-//! to the sequential kernel. The multi-worker two-phase path folds
-//! block totals exactly like [`crate::par`] does, so lanes whose
-//! operator is associative under rounding (all integer ops, f64
-//! Min/Max, integer-valued f64 sums) are bit-identical at any block
-//! size; fractional f64 sums additionally require that no segment
-//! fully contain a block — the same contract the unblocked parallel
-//! kernels have always had.
-//!
-//! [`crate::Machine`] routes parallel-backend scans here once `n`
-//! crosses its threshold; the unblocked kernels remain as the reference
-//! the differential tests compare against.
+//! to the independent oracle [`crate::scan::scan_seq`]. The multi-worker
+//! path folds block totals lane by lane in walk order, so lanes whose
+//! operator is associative under rounding (all integer ops, f64 Min/Max,
+//! integer-valued f64 sums) are bit-identical at any block size;
+//! fractional f64 sums additionally require that no segment fully
+//! contain a block.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::fused::{
-    block_rescan, block_summary, check_lanes, dispatch_width, FusedElement, FusedOp, LaneState,
-    ResetView, MAX_FUSED_WIDTH,
-};
+use crate::fused::{FusedElement, FusedOp, MAX_FUSED_WIDTH};
 use crate::ops::{CombineOp, Element, Sum};
 use crate::scan::{Direction, ScanKind};
 use crate::scatter::SyncPtr;
@@ -133,32 +136,333 @@ pub fn block_elems<T>(block_bytes: usize) -> usize {
     (block_bytes / std::mem::size_of::<T>().max(1)).max(MIN_BLOCK_ELEMS)
 }
 
-/// Per-block pair-scan state for a single generic operator (the K-lane
-/// fused kernels carry [`LaneState`] instead).
-#[derive(Clone, Copy)]
-struct Carry<T> {
-    valid: bool,
-    state: T,
-}
-
-/// Directional combine with the sequential kernel's operand order (state
-/// on the walk side), for an arbitrary [`CombineOp`].
-#[inline(always)]
-fn combine_op_dir<T, O>(op: &O, dir: Direction, state: T, d: T) -> T
+/// Walks `0..n` block by block: `block`-sized blocks dealt to the pool
+/// ([`rayon::for_each_block`]) when `pool` is set, else one inline call
+/// over the whole range. The blocked elementwise, layout and apply
+/// bodies all go through here, so the block-sizing policy lives in one
+/// place.
+pub(crate) fn for_each_block<F>(pool: bool, n: usize, block: usize, body: F)
 where
-    T: Element,
-    O: CombineOp<T>,
+    F: Fn(usize, usize) + Sync,
 {
-    match dir {
-        Direction::Up => op.combine(state, d),
-        Direction::Down => op.combine(d, state),
+    if pool {
+        rayon::for_each_block(n, block, body);
+    } else if n > 0 {
+        body(0, n);
     }
 }
 
-/// Blocked segmented scan for one generic operator, bit-identical to
-/// [`crate::scan::scan_seq_into`]. `block` is in elements (see
-/// [`block_elems`]); `threads` chooses between the single fused sweep
-/// (one worker) and the two-phase blocked decomposition.
+/// The operators of a K-lane scan, addressed by lane, so the walk below
+/// is written once for a single static [`CombineOp`] (K = 1 — `First`,
+/// `Last`, `Or`, `And` and non-numeric lanes keep a monomorphized loop)
+/// and for a stack array of dynamic [`FusedOp`]s.
+pub(crate) trait LaneOps<T: Element, const K: usize>: Copy + Send + Sync {
+    /// The identity of lane `lane`'s operator.
+    fn identity(&self, lane: usize) -> T;
+    /// `a ⊕ b` under lane `lane`'s operator.
+    fn combine(&self, lane: usize, a: T, b: T) -> T;
+}
+
+/// One static operator as a one-lane operator set.
+#[derive(Clone, Copy)]
+struct OneOp<O>(O);
+
+impl<T: Element, O: CombineOp<T>> LaneOps<T, 1> for OneOp<O> {
+    #[inline(always)]
+    fn identity(&self, _lane: usize) -> T {
+        self.0.identity()
+    }
+    #[inline(always)]
+    fn combine(&self, _lane: usize, a: T, b: T) -> T {
+        self.0.combine(a, b)
+    }
+}
+
+/// Pair-scan state of all K lanes. One `valid` bit serves every lane:
+/// they share the reset structure, so all K become valid at the same
+/// element.
+#[derive(Clone, Copy)]
+struct LaneState<T, const K: usize> {
+    valid: bool,
+    state: [T; K],
+}
+
+/// Everything a block body reads: the K input lanes, their operators, the
+/// segment structure and the walk's direction and kind. `Copy`, so each
+/// pool phase carries its own copy and the single-sweep arm's never has
+/// its address taken — its fields stay in registers across the stores.
+#[derive(Clone, Copy)]
+struct Walk<'a, T, L, const K: usize> {
+    datas: [&'a [T]; K],
+    ops: L,
+    seg: &'a Segments,
+    dir: Direction,
+    kind: ScanKind,
+}
+
+impl<T: Element, L: LaneOps<T, K>, const K: usize> Walk<'_, T, L, K> {
+    /// Directional combine with the oracle's operand order: the
+    /// already-accumulated state sits on the walk side (`state ⊕ d`
+    /// upward, `d ⊕ state` downward), which is what preserves `f64`
+    /// bit-identity and non-commutative operators.
+    #[inline(always)]
+    fn combine(&self, lane: usize, state: T, d: T) -> T {
+        match self.dir {
+            Direction::Up => self.ops.combine(lane, state, d),
+            Direction::Down => self.ops.combine(lane, d, state),
+        }
+    }
+
+    fn empty(&self) -> LaneState<T, K> {
+        LaneState {
+            valid: false,
+            state: std::array::from_fn(|l| self.ops.identity(l)),
+        }
+    }
+
+    /// Cuts `lo..hi` at the segment boundaries inside it: the runs of
+    /// lanes between two boundaries, in walk order, each with whether the
+    /// fold restarts at its first-walked lane (a segment head going up, a
+    /// segment end going down). The restart structure is read off the
+    /// segment starts once per run, so the bodies below loop over a run
+    /// with no per-lane flag test.
+    #[inline(always)]
+    fn runs(&self, lo: usize, hi: usize) -> impl Iterator<Item = (Range<usize>, bool)> + '_ {
+        let starts = self.seg.starts();
+        let flags = self.seg.flags();
+        // The segment starts strictly inside `lo..hi`.
+        let cuts = &starts[starts.partition_point(|&s| s <= lo)..];
+        let mut cuts = cuts[..cuts.partition_point(|&s| s < hi)].iter();
+        let up = matches!(self.dir, Direction::Up);
+        // The next run's walk-side end, and whether the fold restarts
+        // there; every run but the first-walked begins at a cut. (A
+        // pointer walk over the cuts: runs of one or two lanes are common
+        // late in a build, and indexing them costs as much as the run.)
+        let mut at = if up { lo } else { hi };
+        let mut restarts = if up {
+            flags[lo]
+        } else {
+            hi == flags.len() || flags[hi]
+        };
+        let mut done = false;
+        std::iter::from_fn(move || {
+            if done {
+                return None;
+            }
+            let cut = if up { cuts.next() } else { cuts.next_back() };
+            done = cut.is_none();
+            let far = cut.copied().unwrap_or(if up { hi } else { lo });
+            let run = if up { at..far } else { far..at };
+            let item = (run, restarts);
+            (at, restarts) = (far, true);
+            Some(item)
+        })
+    }
+
+    /// Block-reduce over `lo..hi` in walk order: the K-lane pair-scan
+    /// total plus whether the block contains a restart.
+    #[inline(always)]
+    fn summary(&self, lo: usize, hi: usize) -> (bool, LaneState<T, K>) {
+        let mut total = self.empty();
+        let mut has_reset = false;
+        for (run, restarts) in self.runs(lo, hi) {
+            has_reset |= restarts;
+            total = match self.dir {
+                Direction::Up => self.summary_body(run, restarts, total),
+                Direction::Down => self.summary_body(run.rev(), restarts, total),
+            };
+        }
+        (has_reset, total)
+    }
+
+    /// The one block-summary body: folds one run onto `total`. `walk` is
+    /// a concrete `Range` (or its `Rev`), so this monomorphizes into a
+    /// plain counted loop with stack state only.
+    #[inline(always)]
+    fn summary_body(
+        &self,
+        mut walk: impl Iterator<Item = usize>,
+        restarts: bool,
+        mut total: LaneState<T, K>,
+    ) -> LaneState<T, K> {
+        if restarts || !total.valid {
+            let Some(i) = walk.next() else { return total };
+            total.valid = true;
+            for l in 0..K {
+                total.state[l] = self.datas[l][i];
+            }
+        }
+        for i in walk {
+            for l in 0..K {
+                total.state[l] = self.combine(l, total.state[l], self.datas[l][i]);
+            }
+        }
+        total
+    }
+
+    /// Block-apply over `lo..hi` in walk order, seeded with the block's
+    /// carry; returns the carry-out.
+    #[inline(always)]
+    fn rescan(
+        &self,
+        lo: usize,
+        hi: usize,
+        mut seed: LaneState<T, K>,
+        bases: &[SyncPtr<T>; K],
+    ) -> LaneState<T, K> {
+        // Plain locals, so the loops keep the addresses in registers.
+        let outs: [*mut T; K] = std::array::from_fn(|l| bases[l].get());
+        for (run, restarts) in self.runs(lo, hi) {
+            seed = match self.dir {
+                Direction::Up => self.rescan_body(run, restarts, seed, outs),
+                Direction::Down => self.rescan_body(run.rev(), restarts, seed, outs),
+            };
+        }
+        seed
+    }
+
+    /// The one block-rescan body: scans one run onward from `seed`,
+    /// writing every lane's output slot through its buffer's address.
+    #[inline(always)]
+    fn rescan_body(
+        &self,
+        mut walk: impl Iterator<Item = usize>,
+        restarts: bool,
+        mut seed: LaneState<T, K>,
+        outs: [*mut T; K],
+    ) -> LaneState<T, K> {
+        let datas = self.datas;
+        // SAFETY (both writes): slot i of lane l is written exactly once,
+        // by the block owning index i; blocks are disjoint and i < n,
+        // within each out's resized length.
+        if restarts || !seed.valid {
+            // The walk's first lane always restarts (lane 0 heads a
+            // segment, the last lane ends one) and every later block is
+            // seeded with a valid carry.
+            debug_assert!(
+                restarts,
+                "interior lane must have a neighbour in its segment"
+            );
+            let Some(i) = walk.next() else { return seed };
+            seed.valid = true;
+            for l in 0..K {
+                seed.state[l] = datas[l][i];
+                let value = match self.kind {
+                    ScanKind::Inclusive => seed.state[l],
+                    ScanKind::Exclusive => self.ops.identity(l),
+                };
+                unsafe { outs[l].add(i).write(value) };
+            }
+        }
+        for i in walk {
+            for l in 0..K {
+                let before = seed.state[l];
+                seed.state[l] = self.combine(l, before, datas[l][i]);
+                let value = match self.kind {
+                    ScanKind::Inclusive => seed.state[l],
+                    ScanKind::Exclusive => before,
+                };
+                unsafe { outs[l].add(i).write(value) };
+            }
+        }
+        seed
+    }
+}
+
+/// The scan kernel. `datas` are the K input lanes (each `seg.len()`
+/// long, checked by the callers), `outs` their K output buffers.
+/// `threads` is the pool width the walk may use; `0` means "stay off the
+/// pool": the one-sweep arm runs inline without consulting the pool's
+/// fault hook (the sequential backend).
+#[allow(clippy::too_many_arguments)]
+fn scan_walk<T, L, const K: usize>(
+    datas: [&[T]; K],
+    ops: L,
+    seg: &Segments,
+    dir: Direction,
+    kind: ScanKind,
+    block: usize,
+    threads: usize,
+    outs: &mut [Vec<T>],
+) where
+    T: Element,
+    L: LaneOps<T, K>,
+{
+    let n = seg.len();
+    for (l, out) in outs.iter_mut().enumerate() {
+        out.clear();
+        out.resize(n, ops.identity(l));
+    }
+    if n == 0 {
+        return;
+    }
+    let walk = Walk {
+        datas,
+        ops,
+        seg,
+        dir,
+        kind,
+    };
+    let bases: [SyncPtr<T>; K] = std::array::from_fn(|l| SyncPtr(outs[l].as_mut_ptr()));
+    let block = block.max(1);
+    let nblocks = n.div_ceil(block);
+
+    if threads.min(nblocks) <= 1 {
+        // One sweep: reduce, carry and apply collapse into a single
+        // rescan of the whole vector, so each element is loaded and
+        // stored exactly once. On the pool's behalf (threads > 0) the
+        // checkpoint keeps fault-injection coverage identical to the
+        // multi-worker path.
+        if threads > 0 {
+            rayon::fault_checkpoint();
+        }
+        walk.rescan(0, n, walk.empty(), &bases);
+        return;
+    }
+
+    // Phase 1 (block-reduce): per-block pair-scan summaries, workers
+    // walking contiguous block ranges.
+    let mut summaries = vec![(false, walk.empty()); nblocks];
+    let sptr = SyncPtr(summaries.as_mut_ptr());
+    rayon::for_each_block(n, block, move |lo, hi| {
+        // SAFETY: `lo / block` is a unique block index per call and the
+        // summaries vec was sized to `nblocks`.
+        unsafe { sptr.get().add(lo / block).write(walk.summary(lo, hi)) };
+    });
+
+    // Phase 2 (carry): exclusive fold of the block totals, sequential
+    // over the (few) blocks in walk order, lane by lane.
+    let mut carries = vec![walk.empty(); nblocks];
+    let mut carry = walk.empty();
+    for k in 0..nblocks {
+        let b = match dir {
+            Direction::Up => k,
+            Direction::Down => nblocks - 1 - k,
+        };
+        carries[b] = carry;
+        let (has_reset, total) = summaries[b];
+        if has_reset || !carry.valid {
+            carry = total;
+        } else if total.valid {
+            for l in 0..K {
+                carry.state[l] = walk.combine(l, carry.state[l], total.state[l]);
+            }
+        }
+    }
+
+    // Phase 3 (block-apply): re-scan each block seeded with its carry,
+    // over the same worker-local block ranges as the reduce.
+    let carries = &carries;
+    rayon::for_each_block(n, block, move |lo, hi| {
+        walk.rescan(lo, hi, carries[lo / block], &bases);
+    });
+}
+
+/// Blocked segmented scan for one static operator, bit-identical to
+/// [`crate::scan::scan_seq`]. `block` is in elements (see
+/// [`block_elems`]); `threads` is the worker count the walk may use —
+/// one worker (or one block) runs the single fused sweep, `0` runs it
+/// without touching the pool at all.
 ///
 /// # Panics
 ///
@@ -177,199 +481,23 @@ pub fn scan_blocked_into<T, O>(
     T: Element,
     O: CombineOp<T>,
 {
-    assert_eq!(
-        data.len(),
-        seg.len(),
-        "scan: data length {} does not match segment descriptor length {}",
-        data.len(),
-        seg.len()
+    seg.expect_lane("scan", data.len());
+    scan_walk(
+        [data],
+        OneOp(op),
+        seg,
+        dir,
+        kind,
+        block,
+        threads,
+        std::slice::from_mut(out),
     );
-    let n = data.len();
-    out.clear();
-    out.resize(n, op.identity());
-    if n == 0 {
-        return;
-    }
-    let resets = ResetView::new(seg, dir);
-    let block = block.max(1);
-    let nblocks = n.div_ceil(block);
-    let nt = threads.min(nblocks).max(1);
-    let base = SyncPtr(out.as_mut_ptr());
-    let empty = Carry {
-        valid: false,
-        state: op.identity(),
-    };
-
-    if nt == 1 {
-        // Single fused sweep: reduce, scan and apply collapse into one
-        // pass — the carry threads block-to-block through the rescan
-        // body, so each element is loaded and stored exactly once. The
-        // checkpoint keeps fault-injection coverage identical to the
-        // pooled multi-worker path.
-        rayon::fault_checkpoint();
-        let mut seed = empty;
-        match dir {
-            Direction::Up => {
-                for b in 0..nblocks {
-                    let lo = b * block;
-                    let hi = (lo + block).min(n);
-                    seed = rescan_range(lo..hi, seed, resets, data, &op, dir, kind, &base);
-                }
-            }
-            Direction::Down => {
-                for b in (0..nblocks).rev() {
-                    let lo = b * block;
-                    let hi = (lo + block).min(n);
-                    seed = rescan_range((lo..hi).rev(), seed, resets, data, &op, dir, kind, &base);
-                }
-            }
-        }
-        return;
-    }
-
-    // Phase 1 (block-reduce): per-block pair-scan summaries, workers
-    // walking contiguous block ranges.
-    let mut summaries: Vec<(bool, Carry<T>)> = vec![(false, empty); nblocks];
-    {
-        let sptr = SyncPtr(summaries.as_mut_ptr());
-        rayon::for_each_block(n, block, |lo, hi| {
-            let s = match dir {
-                Direction::Up => summary_range(lo..hi, resets, data, &op, dir),
-                Direction::Down => summary_range((lo..hi).rev(), resets, data, &op, dir),
-            };
-            // SAFETY: `lo / block` is a unique block index per call and
-            // the summaries vec was sized to `nblocks`.
-            unsafe { sptr.get().add(lo / block).write(s) };
-        });
-    }
-
-    // Phase 2 (block-scan): exclusive scan of block totals, sequential
-    // over the (few) blocks, in walk order.
-    let mut carries: Vec<Carry<T>> = vec![empty; nblocks];
-    let mut carry = empty;
-    let order: Box<dyn Iterator<Item = usize>> = match dir {
-        Direction::Up => Box::new(0..nblocks),
-        Direction::Down => Box::new((0..nblocks).rev()),
-    };
-    for b in order {
-        carries[b] = carry;
-        let (has_reset, total) = summaries[b];
-        if has_reset || !carry.valid {
-            carry = total;
-        } else if total.valid {
-            carry.state = combine_op_dir(&op, dir, carry.state, total.state);
-        }
-    }
-
-    // Phase 3 (block-apply): re-scan each block seeded with its carry,
-    // same worker-local block ranges as the reduce.
-    rayon::for_each_block(n, block, |lo, hi| {
-        let b = lo / block;
-        let _ = match dir {
-            Direction::Up => rescan_range(lo..hi, carries[b], resets, data, &op, dir, kind, &base),
-            Direction::Down => rescan_range(
-                (lo..hi).rev(),
-                carries[b],
-                resets,
-                data,
-                &op,
-                dir,
-                kind,
-                &base,
-            ),
-        };
-    });
 }
 
-/// Reduce body for one block: pair-scan total plus whether the block
-/// contains a fold reset.
-#[inline(always)]
-fn summary_range<T, O>(
-    walk: impl Iterator<Item = usize>,
-    resets: ResetView<'_>,
-    data: &[T],
-    op: &O,
-    dir: Direction,
-) -> (bool, Carry<T>)
-where
-    T: Element,
-    O: CombineOp<T>,
-{
-    let mut s = Carry {
-        valid: false,
-        state: op.identity(),
-    };
-    let mut has_reset = false;
-    for i in walk {
-        let r = resets.at(i);
-        if r || !s.valid {
-            has_reset |= r;
-            s.valid = true;
-            s.state = data[i];
-        } else {
-            s.state = combine_op_dir(op, dir, s.state, data[i]);
-        }
-    }
-    (has_reset, s)
-}
-
-/// Apply body for one block: re-scan seeded with the block's carry,
-/// writing outputs through the base pointer; returns the carry-out so
-/// the single-worker path can thread it into the next block.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn rescan_range<T, O>(
-    walk: impl Iterator<Item = usize>,
-    mut seed: Carry<T>,
-    resets: ResetView<'_>,
-    data: &[T],
-    op: &O,
-    dir: Direction,
-    kind: ScanKind,
-    base: &SyncPtr<T>,
-) -> Carry<T>
-where
-    T: Element,
-    O: CombineOp<T>,
-{
-    for i in walk {
-        let reset = resets.at(i);
-        let fresh = reset || !seed.valid;
-        debug_assert!(
-            !fresh || reset || !matches!(kind, ScanKind::Exclusive),
-            "interior lane must have a neighbour in its segment"
-        );
-        let d = data[i];
-        let before = seed.state;
-        let next = if fresh {
-            d
-        } else {
-            combine_op_dir(op, dir, before, d)
-        };
-        let value = match kind {
-            ScanKind::Inclusive => next,
-            ScanKind::Exclusive => {
-                if reset {
-                    op.identity()
-                } else {
-                    before
-                }
-            }
-        };
-        seed.state = next;
-        seed.valid = true;
-        // SAFETY: slot i is written exactly once, by the walk owning
-        // index i; i < n and `out` was resized to n before `base` was
-        // taken.
-        unsafe { base.get().add(i).write(value) };
-    }
-    seed
-}
-
-/// Blocked multi-lane fused scan, bit-identical per lane to
-/// [`crate::fused::scan_lanes_seq_into`]. Lane chunks wider than
-/// [`MAX_FUSED_WIDTH`] are processed in chunks exactly as the unblocked
-/// kernels do.
+/// Blocked multi-lane fused scan: every `(data, op)` lane in one walk of
+/// the segments, lane `k` written into `outs[k]`. Bit-identical per lane
+/// to [`scan_blocked_into`] (and so to the oracle). Lane sets wider than
+/// [`MAX_FUSED_WIDTH`] are processed in chunks of that width.
 ///
 /// # Panics
 ///
@@ -384,176 +512,45 @@ pub fn scan_lanes_blocked_into<T: FusedElement>(
     threads: usize,
     outs: &mut [Vec<T>],
 ) {
-    check_lanes(lanes, seg, outs);
-    let n = seg.len();
-    if n == 0 {
-        for out in outs.iter_mut() {
-            out.clear();
-        }
-        return;
+    assert_eq!(
+        lanes.len(),
+        outs.len(),
+        "scan_lanes: {} input lanes but {} output buffers",
+        lanes.len(),
+        outs.len()
+    );
+    for (data, _) in lanes {
+        seg.expect_lane("scan", data.len());
     }
-    let resets = ResetView::new(seg, dir);
-    let block = block.max(1);
-    let mut at = 0;
-    while at < lanes.len() {
-        let w = (lanes.len() - at).min(MAX_FUSED_WIDTH);
-        let chunk = &lanes[at..at + w];
-        let outs_chunk = &mut outs[at..at + w];
-        dispatch_width!(
-            w,
-            blocked_kernel(chunk, resets, block, threads, dir, kind, outs_chunk)
-        );
-        at += w;
-    }
-}
-
-fn blocked_kernel<T: FusedElement, const K: usize>(
-    lanes: &[(&[T], FusedOp)],
-    resets: ResetView<'_>,
-    block: usize,
-    threads: usize,
-    dir: Direction,
-    kind: ScanKind,
-    outs: &mut [Vec<T>],
-) {
-    let n = resets.len();
-    let datas: [&[T]; K] = std::array::from_fn(|l| lanes[l].0);
-    let ops: [FusedOp; K] = std::array::from_fn(|l| lanes[l].1);
-    let idents: [T; K] = std::array::from_fn(|l| T::fused_identity(ops[l]));
-    for (out, &id) in outs.iter_mut().zip(idents.iter()) {
-        out.clear();
-        out.resize(n, id);
-    }
-    let bases: [SyncPtr<T>; K] = std::array::from_fn(|l| SyncPtr(outs[l].as_mut_ptr()));
-    let nblocks = n.div_ceil(block);
-    let nt = threads.min(nblocks).max(1);
-    let empty = LaneState {
-        valid: false,
-        state: idents,
-    };
-
-    if nt == 1 {
-        // Single fused sweep over all K lanes (see scan_blocked_into).
-        rayon::fault_checkpoint();
-        let mut seed = empty;
-        match dir {
-            Direction::Up => {
-                for b in 0..nblocks {
-                    let lo = b * block;
-                    let hi = (lo + block).min(n);
-                    seed = block_rescan::<T, K>(
-                        lo..hi,
-                        seed,
-                        resets,
-                        &datas,
-                        &ops,
-                        &idents,
-                        dir,
-                        kind,
-                        &bases,
-                    );
-                }
-            }
-            Direction::Down => {
-                for b in (0..nblocks).rev() {
-                    let lo = b * block;
-                    let hi = (lo + block).min(n);
-                    seed = block_rescan::<T, K>(
-                        (lo..hi).rev(),
-                        seed,
-                        resets,
-                        &datas,
-                        &ops,
-                        &idents,
-                        dir,
-                        kind,
-                        &bases,
-                    );
-                }
-            }
-        }
-        return;
-    }
-
-    // Block-reduce on worker-local block ranges.
-    let mut summaries: Vec<(bool, LaneState<T, K>)> = vec![(false, empty); nblocks];
+    for (chunk, outs) in lanes
+        .chunks(MAX_FUSED_WIDTH)
+        .zip(outs.chunks_mut(MAX_FUSED_WIDTH))
     {
-        let sptr = SyncPtr(summaries.as_mut_ptr());
-        rayon::for_each_block(n, block, |lo, hi| {
-            let s = match dir {
-                Direction::Up => block_summary::<T, K>(lo..hi, resets, &datas, &ops, dir, &idents),
-                Direction::Down => {
-                    block_summary::<T, K>((lo..hi).rev(), resets, &datas, &ops, dir, &idents)
+        // One monomorphized walk per chunk width, so the accumulators
+        // are stack arrays and the per-lane loop unrolls.
+        macro_rules! chunk_of {
+            ($($k:literal)*) => {
+                match chunk.len() {
+                    $($k => scan_walk::<T, [FusedOp; $k], $k>(
+                        std::array::from_fn(|l| chunk[l].0),
+                        std::array::from_fn(|l| chunk[l].1),
+                        seg, dir, kind, block, threads, outs,
+                    ),)*
+                    _ => unreachable!("chunk width bounded by MAX_FUSED_WIDTH"),
                 }
             };
-            // SAFETY: `lo / block` is a unique block index per call and
-            // the summaries vec was sized to `nblocks`.
-            unsafe { sptr.get().add(lo / block).write(s) };
-        });
-    }
-
-    // Block-scan of summaries, lane-by-lane in the unfused fold order.
-    let mut carries: Vec<LaneState<T, K>> = vec![empty; nblocks];
-    let mut carry = empty;
-    let order: Box<dyn Iterator<Item = usize>> = match dir {
-        Direction::Up => Box::new(0..nblocks),
-        Direction::Down => Box::new((0..nblocks).rev()),
-    };
-    for b in order {
-        carries[b] = carry;
-        let (has_reset, total) = &summaries[b];
-        if *has_reset || !carry.valid {
-            carry = *total;
-        } else if total.valid {
-            for ((c, &op), &t) in carry
-                .state
-                .iter_mut()
-                .zip(ops.iter())
-                .zip(total.state.iter())
-            {
-                *c = crate::fused::combine_dir(op, dir, *c, t);
-            }
         }
+        chunk_of!(1 2 3 4 5 6 7 8);
     }
-
-    // Block-apply on the same worker-local block ranges.
-    rayon::for_each_block(n, block, |lo, hi| {
-        let b = lo / block;
-        let _ = match dir {
-            Direction::Up => block_rescan::<T, K>(
-                lo..hi,
-                carries[b],
-                resets,
-                &datas,
-                &ops,
-                &idents,
-                dir,
-                kind,
-                &bases,
-            ),
-            Direction::Down => block_rescan::<T, K>(
-                (lo..hi).rev(),
-                carries[b],
-                resets,
-                &datas,
-                &ops,
-                &idents,
-                dir,
-                kind,
-                &bases,
-            ),
-        };
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::scan_lanes_seq_into;
     use crate::ops::{First, Max, Min};
     use crate::scan::scan_seq;
 
-    fn irregular_segments(n: usize, seed: u64) -> Segments {
+    fn irregular_segments(n: usize, seed: u64, max_len: u64) -> Segments {
         if n == 0 {
             return Segments::single(0);
         }
@@ -567,23 +564,77 @@ mod tests {
         let mut lengths = Vec::new();
         let mut covered = 0usize;
         while covered < n {
-            let l = (((next() % 37) + 1) as usize).min(n - covered);
+            let l = (((next() % max_len) + 1) as usize).min(n - covered);
             lengths.push(l);
             covered += l;
         }
         Segments::from_lengths(&lengths).unwrap()
     }
 
-    /// Blocked single-op scans are bit-identical to the sequential
-    /// reference at every boundary-adjacent size, for tiny blocks and
-    /// both the single-sweep and two-phase paths.
+    /// Each fused lane composed from the independent oracle.
+    fn reference<T>(
+        lanes: &[(&[T], FusedOp)],
+        seg: &Segments,
+        dir: Direction,
+        kind: ScanKind,
+    ) -> Vec<Vec<T>>
+    where
+        T: FusedElement,
+        Sum: CombineOp<T>,
+        Min: CombineOp<T>,
+        Max: CombineOp<T>,
+    {
+        lanes
+            .iter()
+            .map(|&(data, op)| match op {
+                FusedOp::Sum => scan_seq(data, seg, Sum, dir, kind),
+                FusedOp::Min => scan_seq(data, seg, Min, dir, kind),
+                FusedOp::Max => scan_seq(data, seg, Max, dir, kind),
+            })
+            .collect()
+    }
+
+    /// Every direction and kind, on the inline sweep (`threads = 0`), the
+    /// pooled single sweep and the two-phase path, against the oracle.
+    fn check_lanes_all_modes<T>(
+        lanes: &[(&[T], FusedOp)],
+        seg: &Segments,
+        configs: &[(usize, usize)],
+    ) where
+        T: FusedElement + PartialEq + std::fmt::Debug,
+        Sum: CombineOp<T>,
+        Min: CombineOp<T>,
+        Max: CombineOp<T>,
+    {
+        for &(block, threads) in configs {
+            for dir in [Direction::Up, Direction::Down] {
+                for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+                    let want = reference(lanes, seg, dir, kind);
+                    let mut got: Vec<Vec<T>> = vec![Vec::new(); lanes.len()];
+                    scan_lanes_blocked_into(lanes, seg, dir, kind, block, threads, &mut got);
+                    assert_eq!(
+                        got,
+                        want,
+                        "n={} block={block} threads={threads} {dir:?} {kind:?}",
+                        seg.len()
+                    );
+                }
+            }
+        }
+    }
+
+    const ANY_SHAPE: &[(usize, usize)] = &[(8, 0), (8, 1), (64, 1), (64, 4), (4096, 4)];
+
+    /// Single-op scans are bit-identical to the oracle at every
+    /// boundary-adjacent size, for tiny blocks and both the single-sweep
+    /// and two-phase paths.
     #[test]
     fn blocked_scan_matches_seq_at_boundaries() {
         for &n in &[0usize, 1, 7, 63, 64, 65, 127, 128, 129, 1000, 4097] {
             let data: Vec<i64> = (0..n).map(|i| (i % 23) as i64 - 11).collect();
-            let seg = irregular_segments(n, 0xDEAD_BEEF ^ n as u64);
+            let seg = irregular_segments(n, 0xDEAD_BEEF ^ n as u64, 37);
             for &block in &[8usize, 64, 4096] {
-                for &threads in &[1usize, 4] {
+                for &threads in &[0usize, 1, 4] {
                     for dir in [Direction::Up, Direction::Down] {
                         for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
                             let want = scan_seq(&data, &seg, Sum, dir, kind);
@@ -602,13 +653,13 @@ mod tests {
         }
     }
 
-    /// Non-commutative operators (First) keep the sequential operand
-    /// order through the blocked carry fold.
+    /// Non-commutative operators (First) keep the oracle's operand order
+    /// through the blocked carry fold.
     #[test]
     fn blocked_scan_respects_non_commutative_ops() {
         let n = 513;
         let data: Vec<u64> = (0..n as u64).map(|i| i * 10).collect();
-        let seg = irregular_segments(n, 42);
+        let seg = irregular_segments(n, 42, 37);
         for dir in [Direction::Up, Direction::Down] {
             let want = scan_seq(&data, &seg, First, dir, ScanKind::Inclusive);
             let mut got = Vec::new();
@@ -639,15 +690,14 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// Blocked fused lanes are bit-identical to the sequential fused
-    /// kernel, including f64 lanes, wider-than-max chunking, and both
-    /// scheduling paths.
+    /// Fused lanes are bit-identical to the composed oracle, including
+    /// f64 lanes, wider-than-max chunking, and both scheduling paths.
     #[test]
-    fn blocked_lanes_match_seq_kernel() {
+    fn blocked_lanes_match_composed_oracle() {
         for &n in &[0usize, 1, 63, 64, 65, 500, 4097] {
             let a: Vec<f64> = (0..n).map(|i| (i % 19) as f64 / 3.0 - 2.5).collect();
             let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 31) as f64 * 0.81).collect();
-            let seg = irregular_segments(n, 0xFEED ^ n as u64);
+            let seg = irregular_segments(n, 0xFEED ^ n as u64, 37);
             let lanes: Vec<(&[f64], FusedOp)> = vec![
                 (&a, FusedOp::Sum),
                 (&a, FusedOp::Min),
@@ -659,45 +709,96 @@ mod tests {
                 (&b, FusedOp::Max),
                 (&a, FusedOp::Min),
             ];
-            // Two-phase scheduling (threads > 1) carries block totals the
-            // way `crate::par` does, so fractional f64 sums are grouped
-            // per block: bit-identity to the sequential fold then needs
-            // no segment to fully contain a block (block=64 > the max
-            // segment length of 37 here). The single-worker sweep
-            // (threads = 1) is the pure fold and is exact at any block.
-            for &(block, threads) in &[(8usize, 1usize), (64, 1), (64, 4), (4096, 4)] {
-                {
-                    for dir in [Direction::Up, Direction::Down] {
-                        for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
-                            let mut want: Vec<Vec<f64>> = vec![Vec::new(); lanes.len()];
-                            scan_lanes_seq_into(&lanes, &seg, dir, kind, &mut want);
-                            let mut got: Vec<Vec<f64>> = vec![Vec::new(); lanes.len()];
-                            scan_lanes_blocked_into(
-                                &lanes, &seg, dir, kind, block, threads, &mut got,
-                            );
-                            assert_eq!(
-                                got, want,
-                                "n={n} block={block} threads={threads} {dir:?} {kind:?}"
-                            );
-                        }
-                    }
-                }
-            }
+            // Two-phase scheduling (threads > 1) groups fractional f64
+            // sums per block: bit-identity to the sequential fold then
+            // needs no segment to fully contain a block (block=64 > the
+            // max segment length of 37 here). The single-worker sweep is
+            // the pure fold and is exact at any block.
+            check_lanes_all_modes(&lanes, &seg, &[(8, 0), (8, 1), (64, 1), (64, 4), (4096, 4)]);
         }
+    }
+
+    #[test]
+    fn fused_matches_composed_on_fig8() {
+        let a = vec![3i64, 1, 2, 1, 0, 1, 2, 2, 1, 0, 3, 3];
+        let b = vec![-5i64, 9, 0, 2, 8, -1, 4, 7, 6, 1, -3, 2];
+        let seg = Segments::from_lengths(&[3, 4, 2, 3]).unwrap();
+        let lanes: Vec<(&[i64], FusedOp)> = vec![
+            (&a, FusedOp::Sum),
+            (&b, FusedOp::Min),
+            (&b, FusedOp::Max),
+            (&a, FusedOp::Max),
+        ];
+        check_lanes_all_modes(&lanes, &seg, &[(1, 0), (2, 1), (2, 4), (5, 4)]);
+    }
+
+    #[test]
+    fn fused_matches_composed_on_large_irregular_f64() {
+        let n = 50_000usize;
+        let mut state = 0x1234_5678u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        let a: Vec<f64> = (0..n)
+            .map(|_| (next() % 2000) as f64 / 7.0 - 140.0)
+            .collect();
+        let b: Vec<f64> = (0..n).map(|_| (next() % 999) as f64 * 0.31).collect();
+        let seg = irregular_segments(n, 0x5EED, 311);
+        let lanes: Vec<(&[f64], FusedOp)> = vec![
+            (&a, FusedOp::Sum),
+            (&a, FusedOp::Min),
+            (&a, FusedOp::Max),
+            (&b, FusedOp::Sum),
+            (&b, FusedOp::Min),
+        ];
+        // Blocks longer than any segment keep fractional sums exact on
+        // the two-phase path.
+        check_lanes_all_modes(
+            &lanes,
+            &seg,
+            &[(1024, 0), (1024, 1), (1024, 4), (12_500, 2)],
+        );
+    }
+
+    #[test]
+    fn fused_wider_than_max_width_chunks() {
+        // More lanes than MAX_FUSED_WIDTH: the kernel processes the set
+        // in chunks, which must be invisible in the outputs.
+        let n = 5_000usize;
+        let a: Vec<i64> = (0..n).map(|i| (i % 17) as i64 - 8).collect();
+        let seg = Segments::from_lengths(&[n / 2, n - n / 2]).unwrap();
+        let lanes: Vec<(&[i64], FusedOp)> = (0..MAX_FUSED_WIDTH + 3)
+            .map(|l| {
+                (
+                    a.as_slice(),
+                    match l % 3 {
+                        0 => FusedOp::Sum,
+                        1 => FusedOp::Min,
+                        _ => FusedOp::Max,
+                    },
+                )
+            })
+            .collect();
+        check_lanes_all_modes(&lanes, &seg, ANY_SHAPE);
     }
 
     /// A single giant segment spanning many blocks exercises the carry
     /// fold across invalid/valid block states.
     #[test]
-    fn blocked_giant_segment_spans_blocks() {
-        let n = 10_000usize;
-        let data: Vec<i64> = (0..n).map(|i| (i % 13) as i64 - 6).collect();
+    fn giant_segment_spans_blocks() {
+        let n = 20_000usize;
+        let a: Vec<i64> = (0..n).map(|i| (i % 13) as i64 - 6).collect();
         let seg = Segments::single(n);
+        let lanes: Vec<(&[i64], FusedOp)> = vec![(&a, FusedOp::Sum), (&a, FusedOp::Min)];
+        check_lanes_all_modes(&lanes, &seg, ANY_SHAPE);
         for &threads in &[1usize, 4] {
-            let want = scan_seq(&data, &seg, Max, Direction::Down, ScanKind::Inclusive);
+            let want = scan_seq(&a, &seg, Max, Direction::Down, ScanKind::Inclusive);
             let mut got = Vec::new();
             scan_blocked_into(
-                &data,
+                &a,
                 &seg,
                 Max,
                 Direction::Down,
@@ -708,6 +809,28 @@ mod tests {
             );
             assert_eq!(got, want, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn fused_empty_and_singleton() {
+        let empty: Vec<i64> = Vec::new();
+        let seg0 = Segments::single(0);
+        let lanes: Vec<(&[i64], FusedOp)> = vec![(&empty, FusedOp::Sum)];
+        let mut outs = vec![vec![1i64, 2]];
+        scan_lanes_blocked_into(
+            &lanes,
+            &seg0,
+            Direction::Up,
+            ScanKind::Inclusive,
+            64,
+            4,
+            &mut outs,
+        );
+        assert!(outs[0].is_empty());
+        let one = vec![5i64];
+        let seg1 = Segments::single(1);
+        let lanes: Vec<(&[i64], FusedOp)> = vec![(&one, FusedOp::Sum), (&one, FusedOp::Max)];
+        check_lanes_all_modes(&lanes, &seg1, ANY_SHAPE);
     }
 
     #[test]

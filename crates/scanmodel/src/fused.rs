@@ -1,4 +1,4 @@
-//! Fused multi-lane segmented scans.
+//! Dynamic operators for fused multi-lane segmented scans.
 //!
 //! The paper's build rounds issue several independent segmented scans over
 //! the *same* segment descriptor (PM₁ needs Min/Max over ε plus four MBB
@@ -7,27 +7,20 @@
 //! the lanes share a descriptor, one pass can carry K accumulators and
 //! amortize the traffic and (on the parallel backend) the dispatch.
 //!
-//! `scan_lanes_*` here run K `(data, op)` pairs — all in the same
-//! direction and kind — in a single walk of the segment structure. The
-//! per-lane combine order is *exactly* the order the unfused kernels use
-//! ([`crate::scan::scan_seq`] sequentially, [`crate::par::scan_par`]'s
-//! blocked two-pass in parallel, with the same block length), so outputs
-//! are bit-identical to the composed single-scan form even for
-//! non-associative-under-rounding `f64` sums. Property tests assert this.
-//!
-//! Ops are dynamic ([`FusedOp`]) rather than type-level so heterogeneous
-//! lane sets (Min next to Max next to Sum) fit in one slice. The kernels
-//! are monomorphized over the lane count (chunks of up to
-//! [`MAX_FUSED_WIDTH`]) so the per-lane accumulators live in stack arrays
-//! and the per-element loop unrolls — a fused pass must beat K separate
-//! tight passes, which it cannot do through boxed iterators or per-block
-//! heap state.
+//! The walk itself is the one kernel of [`crate::blocked`], generic over
+//! its lane operators; this module supplies the dynamic operator a fused
+//! lane names itself by. Ops are dynamic ([`FusedOp`]) rather than
+//! type-level so heterogeneous lane sets (Min next to Max next to Sum) fit
+//! in one slice, and a `[FusedOp; K]` stack array is the kernel's operator
+//! set for a K-lane chunk (chunks of up to [`MAX_FUSED_WIDTH`], so the
+//! per-lane accumulators live in stack arrays and the per-element loop
+//! unrolls — a fused pass must beat K separate tight passes). Each lane's
+//! combine delegates to the static [`CombineOp`] impls, so a fused lane is
+//! bit-identical to the single-operator scan of the same data, `f64` sums
+//! included. Property tests assert this.
 
+use crate::blocked::LaneOps;
 use crate::ops::{CombineOp, Max, Min, Sum};
-use crate::scan::{Direction, ScanKind};
-use crate::scatter::SyncPtr;
-use crate::vector::Segments;
-use rayon::prelude::*;
 
 /// Combine operator selector for a fused scan lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,571 +74,13 @@ impl_fused_element!(i32, i64, u32, u64, usize, i8, u8, i16, u16, f64);
 /// sharing beyond the eighth lane).
 pub const MAX_FUSED_WIDTH: usize = 8;
 
-/// Directional combine with the unfused kernels' operand order: the
-/// already-accumulated state sits on the walk side (`state ⊕ d` upward,
-/// `d ⊕ state` downward), which is what preserves `f64` bit-identity.
-#[inline(always)]
-pub(crate) fn combine_dir<T: FusedElement>(op: FusedOp, dir: Direction, state: T, d: T) -> T {
-    match dir {
-        Direction::Up => T::fused_combine(op, state, d),
-        Direction::Down => T::fused_combine(op, d, state),
-    }
-}
-
-/// Zero-allocation view of the fold-restart structure: segment heads for
-/// upward scans, segment ends for downward scans. Earlier kernels
-/// materialized this as a `Vec<bool>` per call — one full extra pass of
-/// memory traffic per scan; computing it from the flags inside the walk
-/// is free.
-#[derive(Clone, Copy)]
-pub(crate) struct ResetView<'a> {
-    flags: &'a [bool],
-    down: bool,
-}
-
-impl<'a> ResetView<'a> {
-    pub(crate) fn new(seg: &'a Segments, dir: Direction) -> Self {
-        ResetView {
-            flags: seg.flags(),
-            down: matches!(dir, Direction::Down),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Whether the fold restarts at lane `i`.
+impl<T: FusedElement, const K: usize> LaneOps<T, K> for [FusedOp; K] {
     #[inline(always)]
-    pub(crate) fn at(&self, i: usize) -> bool {
-        if self.down {
-            i + 1 == self.flags.len() || self.flags[i + 1]
-        } else {
-            self.flags[i]
-        }
+    fn identity(&self, lane: usize) -> T {
+        T::fused_identity(self[lane])
     }
-}
-
-pub(crate) fn check_lanes<T: FusedElement>(
-    lanes: &[(&[T], FusedOp)],
-    seg: &Segments,
-    outs: &mut [Vec<T>],
-) {
-    assert_eq!(
-        lanes.len(),
-        outs.len(),
-        "scan_lanes: {} input lanes but {} output buffers",
-        lanes.len(),
-        outs.len()
-    );
-    for (data, _) in lanes {
-        assert_eq!(
-            data.len(),
-            seg.len(),
-            "scan: data length {} does not match segment descriptor length {}",
-            data.len(),
-            seg.len()
-        );
-    }
-}
-
-/// Dispatches a lane chunk of width `w ∈ 1..=MAX_FUSED_WIDTH` to the
-/// kernel monomorphized for exactly that width.
-macro_rules! dispatch_width {
-    ($w:expr, $kernel:ident ( $($arg:expr),* $(,)? )) => {
-        match $w {
-            1 => $kernel::<T, 1>($($arg),*),
-            2 => $kernel::<T, 2>($($arg),*),
-            3 => $kernel::<T, 3>($($arg),*),
-            4 => $kernel::<T, 4>($($arg),*),
-            5 => $kernel::<T, 5>($($arg),*),
-            6 => $kernel::<T, 6>($($arg),*),
-            7 => $kernel::<T, 7>($($arg),*),
-            8 => $kernel::<T, 8>($($arg),*),
-            _ => unreachable!("chunk width bounded by MAX_FUSED_WIDTH"),
-        }
-    };
-}
-pub(crate) use dispatch_width;
-
-/// Sequential fused segmented scan: runs every `(data, op)` lane in one
-/// walk of the segments, writing lane `k` into `outs[k]` (cleared and
-/// resized). Bit-identical per lane to [`crate::scan::scan_seq`].
-///
-/// # Panics
-///
-/// Panics if `lanes.len() != outs.len()` or any lane's length differs
-/// from `seg.len()`.
-pub fn scan_lanes_seq_into<T: FusedElement>(
-    lanes: &[(&[T], FusedOp)],
-    seg: &Segments,
-    dir: Direction,
-    kind: ScanKind,
-    outs: &mut [Vec<T>],
-) {
-    check_lanes(lanes, seg, outs);
-    let mut at = 0;
-    while at < lanes.len() {
-        let w = (lanes.len() - at).min(MAX_FUSED_WIDTH);
-        let chunk = &lanes[at..at + w];
-        let outs_chunk = &mut outs[at..at + w];
-        dispatch_width!(w, seq_kernel(chunk, seg, dir, kind, outs_chunk));
-        at += w;
-    }
-}
-
-fn seq_kernel<T: FusedElement, const K: usize>(
-    lanes: &[(&[T], FusedOp)],
-    seg: &Segments,
-    dir: Direction,
-    kind: ScanKind,
-    outs: &mut [Vec<T>],
-) {
-    let n = seg.len();
-    let datas: [&[T]; K] = std::array::from_fn(|l| lanes[l].0);
-    let ops: [FusedOp; K] = std::array::from_fn(|l| lanes[l].1);
-    let idents: [T; K] = std::array::from_fn(|l| T::fused_identity(ops[l]));
-    for (out, &id) in outs.iter_mut().zip(idents.iter()) {
-        out.clear();
-        out.resize(n, id);
-    }
-    let bases: [SyncPtr<T>; K] = std::array::from_fn(|l| SyncPtr(outs[l].as_mut_ptr()));
-    for r in seg.ranges() {
-        match dir {
-            Direction::Up => seq_segment::<T, K>(r, &datas, &ops, &idents, dir, kind, &bases),
-            Direction::Down => {
-                seq_segment::<T, K>(r.rev(), &datas, &ops, &idents, dir, kind, &bases)
-            }
-        }
-    }
-}
-
-/// One segment's walk: K stack accumulators advanced per element, outputs
-/// written through raw base pointers.
-///
-/// The `walk` iterator is a concrete `Range` (or its `Rev`) so this
-/// monomorphizes into a plain counted loop.
-#[inline(always)]
-fn seq_segment<T: FusedElement, const K: usize>(
-    walk: impl Iterator<Item = usize>,
-    datas: &[&[T]; K],
-    ops: &[FusedOp; K],
-    idents: &[T; K],
-    dir: Direction,
-    kind: ScanKind,
-    bases: &[SyncPtr<T>; K],
-) {
-    let mut acc: [T; K] = *idents;
-    let mut first = true;
-    for i in walk {
-        for l in 0..K {
-            let d = datas[l][i];
-            let next = if first {
-                d
-            } else {
-                combine_dir(ops[l], dir, acc[l], d)
-            };
-            let value = match kind {
-                ScanKind::Inclusive => next,
-                ScanKind::Exclusive => {
-                    if first {
-                        idents[l]
-                    } else {
-                        acc[l]
-                    }
-                }
-            };
-            acc[l] = next;
-            // SAFETY: i < n and every out was resized to n; each lane
-            // writes only its own buffer.
-            unsafe { bases[l].get().add(i).write(value) };
-        }
-        first = false;
-    }
-}
-
-/// Parallel fused segmented scan: the blocked two-pass scheme of
-/// [`crate::par`], generalized to K lanes sharing one segment walk. The
-/// reset structure (`has_reset`, per-block) depends only on the flags, so
-/// it is computed once per call; per-lane carries are folded in the same
-/// sequential lane order as the unfused kernel, preserving `f64` rounding.
-/// `threads` is the cached pool width used for block sizing.
-///
-/// # Panics
-///
-/// Panics if `lanes.len() != outs.len()` or any lane's length differs
-/// from `seg.len()`.
-pub fn scan_lanes_par_into<T: FusedElement>(
-    lanes: &[(&[T], FusedOp)],
-    seg: &Segments,
-    dir: Direction,
-    kind: ScanKind,
-    threads: usize,
-    outs: &mut [Vec<T>],
-) {
-    check_lanes(lanes, seg, outs);
-    let n = seg.len();
-    if n == 0 {
-        for out in outs.iter_mut() {
-            out.clear();
-        }
-        return;
-    }
-    // The fold-restart structure (segment heads for Up scans, segment
-    // ends for Down) is read straight off the flags inside each walk —
-    // no materialized resets vector. Shared by every lane chunk.
-    let resets = ResetView::new(seg, dir);
-    let blk = crate::par::block_len(n, threads);
-    let mut at = 0;
-    while at < lanes.len() {
-        let w = (lanes.len() - at).min(MAX_FUSED_WIDTH);
-        let chunk = &lanes[at..at + w];
-        let outs_chunk = &mut outs[at..at + w];
-        dispatch_width!(w, par_kernel(chunk, resets, blk, dir, kind, outs_chunk));
-        at += w;
-    }
-}
-
-/// Per-block pair-scan state for all K lanes. `valid` stands in for the
-/// unfused kernel's per-lane `Option`: every lane shares the one reset
-/// structure, so all K lanes become valid at the same element.
-#[derive(Clone, Copy)]
-pub(crate) struct LaneState<T, const K: usize> {
-    pub(crate) valid: bool,
-    pub(crate) state: [T; K],
-}
-
-fn par_kernel<T: FusedElement, const K: usize>(
-    lanes: &[(&[T], FusedOp)],
-    resets: ResetView<'_>,
-    blk: usize,
-    dir: Direction,
-    kind: ScanKind,
-    outs: &mut [Vec<T>],
-) {
-    let n = resets.len();
-    let datas: [&[T]; K] = std::array::from_fn(|l| lanes[l].0);
-    let ops: [FusedOp; K] = std::array::from_fn(|l| lanes[l].1);
-    let idents: [T; K] = std::array::from_fn(|l| T::fused_identity(ops[l]));
-    let nblocks = n.div_ceil(blk);
-
-    // Pass 1: per-block pair-scan totals for every lane in one walk.
-    let summaries: Vec<(bool, LaneState<T, K>)> = (0..nblocks)
-        .into_par_iter()
-        .map(|b| {
-            let lo = b * blk;
-            let hi = (lo + blk).min(n);
-            match dir {
-                Direction::Up => block_summary::<T, K>(lo..hi, resets, &datas, &ops, dir, &idents),
-                Direction::Down => {
-                    block_summary::<T, K>((lo..hi).rev(), resets, &datas, &ops, dir, &idents)
-                }
-            }
-        })
-        .collect();
-
-    // Sequential carry scan over block summaries, folded lane-by-lane in
-    // the same order as the unfused kernel.
-    let empty = LaneState {
-        valid: false,
-        state: idents,
-    };
-    let mut carries: Vec<LaneState<T, K>> = vec![empty; nblocks];
-    let mut carry = empty;
-    let order: Box<dyn Iterator<Item = usize>> = match dir {
-        Direction::Up => Box::new(0..nblocks),
-        Direction::Down => Box::new((0..nblocks).rev()),
-    };
-    for b in order {
-        carries[b] = carry;
-        let (has_reset, total) = &summaries[b];
-        if *has_reset || !carry.valid {
-            carry = *total;
-        } else if total.valid {
-            for ((c, &op), &t) in carry
-                .state
-                .iter_mut()
-                .zip(ops.iter())
-                .zip(total.state.iter())
-            {
-                *c = combine_dir(op, dir, *c, t);
-            }
-        }
-    }
-
-    // Pass 2: re-scan each block seeded with its carries, writing all K
-    // outputs in the same walk through raw base pointers (each block
-    // writes only its own slots, so writes are disjoint).
-    for (out, &id) in outs.iter_mut().zip(idents.iter()) {
-        out.clear();
-        out.resize(n, id);
-    }
-    let bases: [SyncPtr<T>; K] = std::array::from_fn(|l| SyncPtr(outs[l].as_mut_ptr()));
-    (0..nblocks).into_par_iter().for_each(|b| {
-        let lo = b * blk;
-        let hi = (lo + blk).min(n);
-        let _carry_out = match dir {
-            Direction::Up => block_rescan::<T, K>(
-                lo..hi,
-                carries[b],
-                resets,
-                &datas,
-                &ops,
-                &idents,
-                dir,
-                kind,
-                &bases,
-            ),
-            Direction::Down => block_rescan::<T, K>(
-                (lo..hi).rev(),
-                carries[b],
-                resets,
-                &datas,
-                &ops,
-                &idents,
-                dir,
-                kind,
-                &bases,
-            ),
-        };
-    });
-}
-
-/// Pass-1 body for one block: the K-lane pair-scan total plus whether the
-/// block contains a reset. Stack state only.
-#[inline(always)]
-pub(crate) fn block_summary<T: FusedElement, const K: usize>(
-    walk: impl Iterator<Item = usize>,
-    resets: ResetView<'_>,
-    datas: &[&[T]; K],
-    ops: &[FusedOp; K],
-    dir: Direction,
-    idents: &[T; K],
-) -> (bool, LaneState<T, K>) {
-    let mut s = LaneState {
-        valid: false,
-        state: *idents,
-    };
-    let mut has_reset = false;
-    for i in walk {
-        if resets.at(i) || !s.valid {
-            has_reset |= resets.at(i);
-            s.valid = true;
-            for (st, d) in s.state.iter_mut().zip(datas.iter()) {
-                *st = d[i];
-            }
-        } else {
-            for ((st, &op), d) in s.state.iter_mut().zip(ops.iter()).zip(datas.iter()) {
-                *st = combine_dir(op, dir, *st, d[i]);
-            }
-        }
-    }
-    (has_reset, s)
-}
-
-/// Pass-2 body for one block: re-scan seeded by the block's carries,
-/// writing every lane's output slot through its base pointer. Returns
-/// the carry-out state so a single-worker blocked walk can thread it
-/// straight into the next block (see [`crate::blocked`]).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn block_rescan<T: FusedElement, const K: usize>(
-    walk: impl Iterator<Item = usize>,
-    mut seed: LaneState<T, K>,
-    resets: ResetView<'_>,
-    datas: &[&[T]; K],
-    ops: &[FusedOp; K],
-    idents: &[T; K],
-    dir: Direction,
-    kind: ScanKind,
-    bases: &[SyncPtr<T>; K],
-) -> LaneState<T, K> {
-    for i in walk {
-        let reset = resets.at(i);
-        let fresh = reset || !seed.valid;
-        assert!(
-            !fresh || reset || !matches!(kind, ScanKind::Exclusive),
-            "interior lane must have a neighbour in its segment"
-        );
-        for l in 0..K {
-            let d = datas[l][i];
-            let before = seed.state[l];
-            let next = if fresh {
-                d
-            } else {
-                combine_dir(ops[l], dir, before, d)
-            };
-            let value = match kind {
-                ScanKind::Inclusive => next,
-                ScanKind::Exclusive => {
-                    if reset {
-                        idents[l]
-                    } else {
-                        before
-                    }
-                }
-            };
-            seed.state[l] = next;
-            // SAFETY: slot i of lane l is written exactly once, by the
-            // block owning index i; blocks are disjoint and i < n, within
-            // each out's resized length.
-            unsafe { bases[l].get().add(i).write(value) };
-        }
-        seed.valid = true;
-    }
-    seed
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::{Max, Min, Sum};
-    use crate::scan::scan_seq;
-
-    fn reference<T>(
-        lanes: &[(&[T], FusedOp)],
-        seg: &Segments,
-        dir: Direction,
-        kind: ScanKind,
-    ) -> Vec<Vec<T>>
-    where
-        T: FusedElement + PartialEq + std::fmt::Debug,
-        Sum: CombineOp<T>,
-        Min: CombineOp<T>,
-        Max: CombineOp<T>,
-    {
-        lanes
-            .iter()
-            .map(|&(data, op)| match op {
-                FusedOp::Sum => scan_seq(data, seg, Sum, dir, kind),
-                FusedOp::Min => scan_seq(data, seg, Min, dir, kind),
-                FusedOp::Max => scan_seq(data, seg, Max, dir, kind),
-            })
-            .collect()
-    }
-
-    fn check_all_modes<T>(lanes: &[(&[T], FusedOp)], seg: &Segments)
-    where
-        T: FusedElement + PartialEq + std::fmt::Debug,
-        Sum: CombineOp<T>,
-        Min: CombineOp<T>,
-        Max: CombineOp<T>,
-    {
-        for dir in [Direction::Up, Direction::Down] {
-            for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
-                let want = reference(lanes, seg, dir, kind);
-                let mut seq: Vec<Vec<T>> = vec![Vec::new(); lanes.len()];
-                scan_lanes_seq_into(lanes, seg, dir, kind, &mut seq);
-                assert_eq!(seq, want, "seq {dir:?} {kind:?}");
-                let mut par: Vec<Vec<T>> = vec![Vec::new(); lanes.len()];
-                scan_lanes_par_into(
-                    lanes,
-                    seg,
-                    dir,
-                    kind,
-                    rayon::current_num_threads(),
-                    &mut par,
-                );
-                assert_eq!(par, want, "par {dir:?} {kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_matches_composed_on_fig8() {
-        let a = vec![3i64, 1, 2, 1, 0, 1, 2, 2, 1, 0, 3, 3];
-        let b = vec![-5i64, 9, 0, 2, 8, -1, 4, 7, 6, 1, -3, 2];
-        let seg = Segments::from_lengths(&[3, 4, 2, 3]).unwrap();
-        let lanes: Vec<(&[i64], FusedOp)> = vec![
-            (&a, FusedOp::Sum),
-            (&b, FusedOp::Min),
-            (&b, FusedOp::Max),
-            (&a, FusedOp::Max),
-        ];
-        check_all_modes(&lanes, &seg);
-    }
-
-    #[test]
-    fn fused_matches_composed_on_large_irregular_f64() {
-        let n = 50_000usize;
-        let mut state = 0x1234_5678u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        let a: Vec<f64> = (0..n)
-            .map(|_| (next() % 2000) as f64 / 7.0 - 140.0)
-            .collect();
-        let b: Vec<f64> = (0..n).map(|_| (next() % 999) as f64 * 0.31).collect();
-        let mut lengths = Vec::new();
-        let mut covered = 0usize;
-        while covered < n {
-            let l = (((next() % 311) + 1) as usize).min(n - covered);
-            lengths.push(l);
-            covered += l;
-        }
-        let seg = Segments::from_lengths(&lengths).unwrap();
-        let lanes: Vec<(&[f64], FusedOp)> = vec![
-            (&a, FusedOp::Sum),
-            (&a, FusedOp::Min),
-            (&a, FusedOp::Max),
-            (&b, FusedOp::Sum),
-            (&b, FusedOp::Min),
-        ];
-        check_all_modes(&lanes, &seg);
-    }
-
-    #[test]
-    fn fused_wider_than_max_width_chunks() {
-        // More lanes than MAX_FUSED_WIDTH: the kernels process the set in
-        // chunks, which must be invisible in the outputs.
-        let n = 5_000usize;
-        let a: Vec<i64> = (0..n).map(|i| (i % 17) as i64 - 8).collect();
-        let seg = Segments::from_lengths(&[n / 2, n - n / 2]).unwrap();
-        let lanes: Vec<(&[i64], FusedOp)> = (0..MAX_FUSED_WIDTH + 3)
-            .map(|l| {
-                (
-                    a.as_slice(),
-                    match l % 3 {
-                        0 => FusedOp::Sum,
-                        1 => FusedOp::Min,
-                        _ => FusedOp::Max,
-                    },
-                )
-            })
-            .collect();
-        check_all_modes(&lanes, &seg);
-    }
-
-    #[test]
-    fn fused_single_giant_segment() {
-        let n = 20_000usize;
-        let a: Vec<i64> = (0..n).map(|i| (i % 13) as i64 - 6).collect();
-        let seg = Segments::single(n);
-        let lanes: Vec<(&[i64], FusedOp)> = vec![(&a, FusedOp::Sum), (&a, FusedOp::Min)];
-        check_all_modes(&lanes, &seg);
-    }
-
-    #[test]
-    fn fused_empty_and_singleton() {
-        let empty: Vec<i64> = Vec::new();
-        let seg0 = Segments::single(0);
-        let lanes: Vec<(&[i64], FusedOp)> = vec![(&empty, FusedOp::Sum)];
-        let mut outs = vec![vec![1i64, 2]];
-        scan_lanes_par_into(
-            &lanes,
-            &seg0,
-            Direction::Up,
-            ScanKind::Inclusive,
-            4,
-            &mut outs,
-        );
-        assert!(outs[0].is_empty());
-        let one = vec![5i64];
-        let seg1 = Segments::single(1);
-        let lanes: Vec<(&[i64], FusedOp)> = vec![(&one, FusedOp::Sum), (&one, FusedOp::Max)];
-        check_all_modes(&lanes, &seg1);
+    #[inline(always)]
+    fn combine(&self, lane: usize, a: T, b: T) -> T {
+        T::fused_combine(self[lane], a, b)
     }
 }

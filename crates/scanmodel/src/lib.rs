@@ -17,27 +17,39 @@
 //!
 //! The original work ran on a Thinking Machines CM-5; here the "machine" is
 //! the [`Machine`] type, which executes the same primitives on a shared
-//! memory multicore via either a sequential reference backend or a
-//! rayon-parallel backend (see [`Backend`]). Both backends are exact and
+//! memory multicore, inline on the calling thread or cache-blocked across
+//! a worker pool (see [`Backend`]) — one kernel per primitive family,
+//! whichever backend runs it. Both backends are exact and
 //! deterministic, and every public operation routes through [`Machine`] so
 //! that an [`OpStats`] counter can record how many primitive operations an
 //! algorithm issued — this is how the complexity claims of the paper
 //! (e.g. "O(log n) stages of O(1) scans each") are verified empirically.
 //!
 //! On top of the three raw primitive families, the crate provides the
-//! higher-level spatial primitives of the paper's Section 4:
+//! higher-level spatial primitives of the paper's Section 4. Cloning,
+//! duplicate deletion and the frontier algorithms' fan-out are one
+//! computation — give every lane an *arity*, scan the arities, scatter —
+//! so they are named wrappers over one layout kernel ([`flat_map`]), all
+//! producing one gather-form [`Layout`] at the cost of a single cloning
+//! (1 scan, 2 elementwise ops, 1 permutation):
 //!
-//! * [`Machine::clone_layout`] — *cloning* / *generalize* (Sec. 4.1);
-//! * [`Machine::unshuffle_layout`] — *unshuffling* / *packing* (Sec. 4.2);
-//! * [`Machine::delete_layout`] — *duplicate deletion* / *concentrate*
-//!   (Sec. 4.3);
-//! * [`Machine::fanout_layout`] — the generalized pair-expansion form of
-//!   cloning used by the frontier algorithms (batch query descent,
-//!   spatial join);
-//! * [`Machine::flat_map`] — the variable-arity flat-map (counts lane →
-//!   segmented layout → fused clone/apply), the full generalization of
-//!   cloning that the dominance/skyline pipelines compact and expand
-//!   with;
+//! * [`Machine::clone_layout`] — *cloning* / *generalize* (Sec. 4.1),
+//!   arity `1 + flag`;
+//! * [`Machine::delete_layout`] / [`Machine::delete_duplicates`] —
+//!   *duplicate deletion* / *concentrate* (Sec. 4.3), arity `1 − flag`;
+//! * [`Machine::fanout_layout`] / [`Machine::flat_map`] — a counts lane:
+//!   the pair expansion of the batch query descent and the spatial join,
+//!   and the variable-arity flat-map the dominance/skyline pipelines
+//!   compact and expand with;
+//! * [`Machine::apply`], [`Machine::apply_into`],
+//!   [`Machine::apply_in_place`], [`Machine::apply_map_into`] — the one
+//!   apply, by destination; the in-place sweep direction is read off the
+//!   layout.
+//!
+//! and, beside them:
+//!
+//! * [`Machine::unshuffle_layout`] — *unshuffling* / *packing* (Sec. 4.2),
+//!   the one scatter-form layout (two scans, Fig. 16);
 //! * [`Machine::segment_counts`] — the *node capacity check* scan (Sec. 4.4);
 //! * [`Machine::broadcast_first`] / [`Machine::broadcast_last`] — the
 //!   copy-scan broadcast used throughout Section 4;
@@ -61,25 +73,24 @@
 pub mod arena;
 pub mod blocked;
 pub mod error;
-pub mod expand;
 pub mod fault;
 pub mod flat_map;
 pub mod fused;
 pub mod machine;
 pub mod ops;
-pub mod par;
 pub mod permute;
 pub mod primitives;
 pub mod scan;
-pub mod scatter;
+mod scatter;
 pub mod soa;
 pub mod vector;
 
 pub use arena::ScratchArena;
 pub use error::ScanModelError;
-pub use expand::FanoutLayout;
 pub use fault::{FaultMode, FaultPlan, FaultSite, InjectedFault, WorkerFaultGuard};
+pub use flat_map::Layout;
 pub use fused::{FusedElement, FusedOp};
 pub use machine::{Backend, Machine, OpStats, RoundTrace, StatsSnapshot, MAX_ROUND_TRACES};
+pub use primitives::UnshuffleLayout;
 pub use scan::{Direction, ScanKind};
 pub use vector::Segments;

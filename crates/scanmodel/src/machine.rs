@@ -16,21 +16,29 @@
 use crate::arena::ScratchArena;
 use crate::blocked;
 use crate::fault::{FaultPlan, FaultSite};
-use crate::fused::{self, FusedElement, FusedOp};
+use crate::fused::{FusedElement, FusedOp};
 use crate::ops::{CombineOp, Element};
-use crate::par::{self, PAR_THRESHOLD};
 use crate::permute::{permute_par_into, permute_seq_into};
-use crate::scan::{scan_seq_into, Direction, ScanKind};
+use crate::scan::{Direction, ScanKind};
+use crate::scatter::SyncPtr;
 use crate::vector::Segments;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Default minimum vector length before the parallel backend engages;
+/// below this a primitive runs inline even on the parallel backend.
+/// Lowered from 4096 once the rayon shim gained a persistent worker pool:
+/// dispatch now costs a queue push instead of per-call thread spawns, so
+/// smaller vectors amortize it.
+pub const PAR_THRESHOLD: usize = 2048;
+
 /// Execution backend for primitive operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Every primitive executes on the calling thread; the reference
-    /// implementation.
+    /// Every primitive executes on the calling thread — the same kernels
+    /// as the parallel backend, run by one worker that never touches the
+    /// pool.
     Sequential,
     /// Primitives over vectors longer than the machine's parallel threshold
     /// execute on the rayon thread pool. Results are bit-identical to the
@@ -79,9 +87,10 @@ pub struct StatsSnapshot {
     /// `_into`-variant calls served by a buffer whose capacity already
     /// covered the output (no heap allocation took place).
     pub allocs_avoided: u64,
-    /// Scan passes executed by the cache-blocked kernels
-    /// ([`crate::blocked`]). Backend-dependent by construction: the
-    /// sequential reference never blocks, so this stays zero there.
+    /// Kernel passes the parallel backend dealt to the pool in cache
+    /// blocks ([`crate::blocked`]). Backend-dependent by construction:
+    /// the sequential backend runs every kernel as one inline sweep, so
+    /// this stays zero there.
     pub blocked_passes: u64,
     /// Output bytes the machine's primitives wrote (scans, maps,
     /// permutes, gathers, in-place applies) — the memory-traffic side of
@@ -194,8 +203,8 @@ pub const MAX_ROUND_TRACES: usize = 4096;
 pub struct Machine {
     backend: Backend,
     par_threshold: usize,
-    /// Worker-pool width, read once at construction so `block_len` does
-    /// not re-query it on every parallel primitive.
+    /// Worker-pool width, read once at construction so the blocked
+    /// kernels do not re-query it on every primitive.
     threads: usize,
     /// Block byte budget for the cache-blocked kernels: the process-wide
     /// tuned value ([`crate::blocked::tuned_block_bytes`]) unless
@@ -281,9 +290,50 @@ impl Machine {
         self.backend == Backend::Parallel && n >= self.par_threshold
     }
 
-    /// Cached worker-pool width (see the `threads` field).
-    pub(crate) fn threads(&self) -> usize {
-        self.threads
+    /// The pool width a blocked scan over `n` lanes may use, counting the
+    /// blocked pass when the parallel backend engages; `0` keeps the walk
+    /// inline and off the pool (see [`blocked::scan_blocked_into`]).
+    fn scan_workers(&self, n: usize) -> usize {
+        if self.use_par(n) {
+            self.count_blocked_pass();
+            self.threads
+        } else {
+            0
+        }
+    }
+
+    /// The one blocked elementwise walk: cuts `K` equally long buffers into
+    /// aligned blocks and hands `body` each block's first lane and its `K`
+    /// sub-slices — disjoint cache blocks on the pool once the parallel
+    /// backend engages, the whole buffers in one inline call otherwise.
+    /// (`T` may be `MaybeUninit<_>`: a fill writes a vector's spare
+    /// capacity and sets its length afterwards.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers differ in length.
+    pub(crate) fn for_each_block_of<T, F, const K: usize>(&self, lanes: [&mut [T]; K], body: F)
+    where
+        T: Send,
+        F: Fn(usize, [&mut [T]; K]) + Sync,
+    {
+        let n = lanes.first().map_or(0, |lane| lane.len());
+        assert!(
+            lanes.iter().all(|lane| lane.len() == n),
+            "elementwise: output buffers differ in length"
+        );
+        let bases = lanes.map(|lane| SyncPtr(lane.as_mut_ptr()));
+        blocked::for_each_block(self.use_par(n), n, self.block_elems::<T>(), |lo, hi| {
+            // SAFETY: blocks are disjoint, so every sub-slice is handed to
+            // exactly one worker, and `lo..hi` lies within each buffer
+            // (all `n` long, exclusively borrowed for this call).
+            body(
+                lo,
+                std::array::from_fn(|l| unsafe {
+                    std::slice::from_raw_parts_mut(bases[l].get().add(lo), hi - lo)
+                }),
+            );
+        });
     }
 
     /// Current counter values.
@@ -535,21 +585,16 @@ impl Machine {
         self.note_alloc_avoided(out.capacity(), data.len());
         self.count_bytes_moved(std::mem::size_of_val(data));
         fit_exact(out, data.len());
-        if self.use_par(data.len()) {
-            self.count_blocked_pass();
-            blocked::scan_blocked_into(
-                data,
-                seg,
-                op,
-                dir,
-                kind,
-                self.block_elems::<T>(),
-                self.threads,
-                out,
-            );
-        } else {
-            scan_seq_into(data, seg, op, dir, kind, out);
-        }
+        blocked::scan_blocked_into(
+            data,
+            seg,
+            op,
+            dir,
+            kind,
+            self.block_elems::<T>(),
+            self.scan_workers(data.len()),
+            out,
+        );
     }
 
     /// Fused multi-lane segmented scan: runs every `(data, op)` lane — all
@@ -595,20 +640,15 @@ impl Machine {
             fit_exact(out, seg.len());
         }
         self.count_bytes_moved(lanes.len() * seg.len() * std::mem::size_of::<T>());
-        if self.use_par(seg.len()) {
-            self.count_blocked_pass();
-            blocked::scan_lanes_blocked_into(
-                lanes,
-                seg,
-                dir,
-                kind,
-                self.block_elems::<T>(),
-                self.threads,
-                outs,
-            );
-        } else {
-            fused::scan_lanes_seq_into(lanes, seg, dir, kind, outs);
-        }
+        blocked::scan_lanes_blocked_into(
+            lanes,
+            seg,
+            dir,
+            kind,
+            self.block_elems::<T>(),
+            self.scan_workers(seg.len()),
+            outs,
+        );
     }
 
     /// Upward segmented scan (convenience over [`Machine::scan`]).
@@ -681,7 +721,7 @@ impl Machine {
         self.count_bytes_moved(data.len() * std::mem::size_of::<U>());
         fit_exact(out, data.len());
         if self.use_par(data.len()) {
-            par::map_par_into(data, f, out);
+            data.par_iter().map(|&x| f(x)).collect_into_vec(out);
         } else {
             out.clear();
             out.extend(data.iter().map(|&x| f(x)));
@@ -721,17 +761,20 @@ impl Machine {
         self.count_elementwise();
         self.note_alloc_avoided(out.capacity(), a.len());
         self.count_bytes_moved(a.len() * std::mem::size_of::<U>());
+        assert_eq!(
+            a.len(),
+            b.len(),
+            "elementwise: vector lengths {} and {} differ",
+            a.len(),
+            b.len()
+        );
         fit_exact(out, a.len());
         if self.use_par(a.len()) {
-            par::zip_map_par_into(a, b, f, out);
+            a.par_iter()
+                .zip(b.par_iter())
+                .map(|(&x, &y)| f(x, y))
+                .collect_into_vec(out);
         } else {
-            assert_eq!(
-                a.len(),
-                b.len(),
-                "elementwise: vector lengths {} and {} differ",
-                a.len(),
-                b.len()
-            );
             out.clear();
             out.extend(a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)));
         }
@@ -749,23 +792,11 @@ impl Machine {
         self.count_elementwise();
         self.count_bytes_moved(std::mem::size_of_val(data));
         self.count_inplace_reuse();
-        if self.use_par(data.len()) {
-            let base = crate::scatter::SyncPtr(data.as_mut_ptr());
-            rayon::for_each_block(data.len(), self.block_elems::<T>(), |lo, hi| {
-                for i in lo..hi {
-                    // SAFETY: blocks are disjoint, so each lane is read and
-                    // rewritten by exactly one worker.
-                    unsafe {
-                        let p = base.get().add(i);
-                        p.write(f(p.read()));
-                    }
-                }
-            });
-        } else {
-            for x in data.iter_mut() {
+        self.for_each_block_of([data], |_, [block]| {
+            for x in block {
                 *x = f(*x);
             }
-        }
+        });
     }
 
     /// Binary elementwise map **in place**: lane `i` of `data` becomes
@@ -793,23 +824,11 @@ impl Machine {
         self.count_elementwise();
         self.count_bytes_moved(std::mem::size_of_val(data));
         self.count_inplace_reuse();
-        if self.use_par(data.len()) {
-            let base = crate::scatter::SyncPtr(data.as_mut_ptr());
-            rayon::for_each_block(data.len(), self.block_elems::<T>(), |lo, hi| {
-                for (k, &y) in other[lo..hi].iter().enumerate() {
-                    // SAFETY: blocks are disjoint, so each lane is read and
-                    // rewritten by exactly one worker.
-                    unsafe {
-                        let p = base.get().add(lo + k);
-                        p.write(f(p.read(), y));
-                    }
-                }
-            });
-        } else {
-            for (x, &y) in data.iter_mut().zip(other.iter()) {
+        self.for_each_block_of([data], |lo, [block]| {
+            for (x, &y) in block.iter_mut().zip(&other[lo..]) {
                 *x = f(*x, y);
             }
-        }
+        });
     }
 
     /// Fused multi-lane elementwise fill: evaluates `f(i)` once per index
@@ -832,15 +851,20 @@ impl Machine {
         for out in outs.iter_mut() {
             fit_exact(out, n);
         }
-        if self.use_par(n) {
-            par::fill_lanes_par_into(n, &f, self.threads, outs);
-        } else {
-            for i in 0..n {
-                let vals = f(i);
-                for (out, v) in outs.iter_mut().zip(vals) {
-                    out.push(v);
+        let mut each = outs.iter_mut();
+        let spare =
+            std::array::from_fn(|_| &mut each.next().expect("K buffers").spare_capacity_mut()[..n]);
+        self.for_each_block_of::<_, _, K>(spare, |lo, mut blocks| {
+            for k in 0..blocks[0].len() {
+                for (block, v) in blocks.iter_mut().zip(f(lo + k)) {
+                    block[k].write(v);
                 }
             }
+        });
+        for out in outs.iter_mut() {
+            // SAFETY: the walk above initialized lanes `0..n` of every
+            // buffer's spare capacity.
+            unsafe { out.set_len(n) };
         }
     }
 
@@ -967,6 +991,28 @@ mod tests {
             seq.zip_map(&data, &data, |a, b| a * b),
             par.zip_map(&data, &data, |a, b| a * b)
         );
+    }
+
+    /// Paper Fig. 9: the elementwise add of two vectors.
+    #[test]
+    fn zip_map_matches_fig9() {
+        for m in [
+            Machine::sequential(),
+            Machine::parallel().with_par_threshold(1),
+        ] {
+            let a = vec![0i64, 1, 2, 1, 4, 3, 6, 2, 9, 5];
+            let b = vec![4i64, 7, 2, 0, 3, 6, 1, 5, 0, 4];
+            let got = m.zip_map(&a, &b, |x, y| x + y);
+            assert_eq!(got, vec![4, 8, 4, 1, 7, 9, 7, 7, 9, 9]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lengths")]
+    fn zip_map_length_mismatch_panics() {
+        Machine::parallel()
+            .with_par_threshold(1)
+            .zip_map(&[1i64], &[1i64, 2], |x, y| x + y);
     }
 
     #[test]

@@ -17,7 +17,7 @@ impl<T: Copy + Send + Sync + 'static> Element for T {}
 ///
 /// `combine` must be associative: `combine(combine(a, b), c) ==
 /// combine(a, combine(b, c))` — this is what makes the blocked parallel
-/// scan in [`crate::par`] exact. It need *not* be commutative (the
+/// scan in [`crate::blocked`] exact. It need *not* be commutative (the
 /// [`First`] operator, used for broadcasts, is not).
 ///
 /// `identity` must satisfy `combine(identity(), x) == x` for every `x`

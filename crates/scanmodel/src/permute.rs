@@ -42,25 +42,13 @@ pub fn validate_permutation(index: &[usize], target_len: usize) -> Result<(), Sc
     Ok(())
 }
 
-/// Sequential permutation: `out[index[i]] = data[i]`, with
-/// `index` a bijection on `0..n`.
+/// Sequential permutation into a caller-provided buffer (cleared first):
+/// `out[index[i]] = data[i]`, with `index` a bijection on `0..n`.
 ///
 /// # Panics
 ///
 /// Panics if lengths differ or the index vector is not a permutation
 /// (the one-to-one requirement of paper Fig. 10).
-pub fn permute_seq<T: Element>(data: &[T], index: &[usize]) -> Vec<T> {
-    let mut out = Vec::new();
-    permute_seq_into(data, index, &mut out);
-    out
-}
-
-/// Sequential permutation into a caller-provided buffer (cleared first),
-/// with the same contract as [`permute_seq`].
-///
-/// # Panics
-///
-/// Panics if lengths differ or the index vector is not a permutation.
 pub fn permute_seq_into<T: Element>(data: &[T], index: &[usize], out: &mut Vec<T>) {
     assert_eq!(
         data.len(),
@@ -77,18 +65,8 @@ pub fn permute_seq_into<T: Element>(data: &[T], index: &[usize], out: &mut Vec<T
     }
 }
 
-/// Parallel permutation with the same contract as [`permute_seq`].
-///
-/// # Panics
-///
-/// Panics if lengths differ or the index vector is not a permutation.
-pub fn permute_par<T: Element>(data: &[T], index: &[usize]) -> Vec<T> {
-    let mut out = Vec::new();
-    permute_par_into(data, index, &mut out);
-    out
-}
-
-/// Parallel permutation into a caller-provided buffer (cleared first).
+/// Parallel permutation into a caller-provided buffer (cleared first),
+/// with the same contract as [`permute_seq_into`].
 ///
 /// Validation runs first (sequentially — it is a cheap O(n) pass), then
 /// the scatter writes proceed in parallel into the buffer's spare
@@ -124,6 +102,18 @@ pub fn permute_par_into<T: Element>(data: &[T], index: &[usize], out: &mut Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn permute_seq<T: Element>(data: &[T], index: &[usize]) -> Vec<T> {
+        let mut out = Vec::new();
+        permute_seq_into(data, index, &mut out);
+        out
+    }
+
+    fn permute_par<T: Element>(data: &[T], index: &[usize]) -> Vec<T> {
+        let mut out = Vec::new();
+        permute_par_into(data, index, &mut out);
+        out
+    }
 
     /// The worked example of paper Fig. 10.
     #[test]

@@ -1,16 +1,19 @@
-//! The spatial primitive operations of the paper's Section 4, composed from
-//! scans, elementwise operations and permutations.
+//! The spatial primitive operations of the paper's Section 4 that are not
+//! gather-form reorderings: unshuffling, the node capacity check, the
+//! copy-scan broadcasts and the segmented sort. (Cloning, deletion and
+//! fan-out are arities of the one layout kernel in [`crate::flat_map`].)
 //!
-//! Each primitive follows the paper's mechanics figure step by step
-//! (Figs. 14, 16 and 18), and issues its constituent operations through the
-//! owning [`Machine`] so that the operation counters reflect the paper's
-//! cost accounting.
+//! Each primitive issues its constituent operations through the owning
+//! [`Machine`] so that the operation counters reflect the paper's cost
+//! accounting.
 //!
-//! The reordering primitives are split into a *layout* computation (which
-//! runs the scans and produces target/source index vectors) and an *apply*
-//! step (a permutation), because the spatial build algorithms carry several
-//! parallel vectors per line processor (geometry, identifiers, node state)
-//! that must all be reordered the same way.
+//! Unshuffling is split, like the gather-form layouts, into a *layout*
+//! computation and an *apply* step (a permutation), because the spatial
+//! build algorithms carry several parallel vectors per line processor
+//! (geometry, identifiers, node state) that must all be reordered the same
+//! way. It is the one **scatter-form** layout: Fig. 16 computes where each
+//! lane *goes* from two counting scans, and the R-tree and quadtree split
+//! stages consume those targets directly.
 
 use crate::machine::Machine;
 use crate::ops::Element;
@@ -18,33 +21,6 @@ use crate::ops::{First, Last, Sum};
 use crate::scan::{Direction, ScanKind};
 use crate::vector::Segments;
 use std::cmp::Ordering as CmpOrdering;
-
-/// Result of a cloning layout computation ([`Machine::clone_layout`],
-/// paper Sec. 4.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CloneLayout {
-    /// For each output lane, the input lane it is a copy of. Originals and
-    /// their clones are adjacent: the original first, its clone immediately
-    /// after (the "small curved arrows" of paper Fig. 14).
-    pub src_lane: Vec<usize>,
-    /// `true` for output lanes that are clones (the inserted copies).
-    pub is_clone: Vec<bool>,
-    /// The segment descriptor after cloning: clones join the segment of
-    /// their original.
-    pub seg: Segments,
-}
-
-impl CloneLayout {
-    /// Number of output lanes.
-    pub fn len(&self) -> usize {
-        self.src_lane.len()
-    }
-
-    /// `true` when the layout covers zero lanes.
-    pub fn is_empty(&self) -> bool {
-        self.src_lane.is_empty()
-    }
-}
 
 /// Result of an unshuffle layout computation ([`Machine::unshuffle_layout`],
 /// paper Sec. 4.2).
@@ -59,188 +35,7 @@ pub struct UnshuffleLayout {
     pub counts: Vec<(usize, usize)>,
 }
 
-/// Result of a deletion layout computation ([`Machine::delete_layout`],
-/// paper Sec. 4.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeleteLayout {
-    /// Input lanes that survive, in order (gather indices).
-    pub src_lane: Vec<usize>,
-    /// Per input segment, the number of surviving lanes (may be zero).
-    pub kept_per_segment: Vec<usize>,
-}
-
 impl Machine {
-    // ------------------------------------------------------------------
-    // Cloning (paper Sec. 4.1, Figs. 13-14)
-    // ------------------------------------------------------------------
-
-    /// Computes the cloning layout for the flagged lanes: every lane with
-    /// `clone_flags[i] == true` is replicated, with the copy inserted
-    /// immediately after the original; all other lanes shift right to make
-    /// room.
-    ///
-    /// Mechanics (paper Fig. 14): an unsegmented upward **exclusive**
-    /// `+`-scan of the clone flags yields each lane's rightward offset
-    /// (`F1`); an elementwise add of the offset to the lane's position
-    /// yields its new index (`F2`); the permutation repositions the lanes
-    /// and each flagged lane then copies itself one slot to the right.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clone_flags.len() != seg.len()`.
-    pub fn clone_layout(&self, seg: &Segments, clone_flags: &[bool]) -> CloneLayout {
-        assert_eq!(
-            clone_flags.len(),
-            seg.len(),
-            "clone: flag length {} does not match segment descriptor length {}",
-            clone_flags.len(),
-            seg.len()
-        );
-        let n = seg.len();
-        if self.use_par(n) {
-            return self.clone_layout_blocked(seg, clone_flags);
-        }
-        let ones: Vec<u64> = self.map(clone_flags, |f| f as u64);
-        // F1: offset each existing lane must move right (Fig. 14
-        // `up-scan(CF,+,ex)` — unsegmented: room is made globally).
-        let offsets = self.up_scan(&ones, Sum, ScanKind::Exclusive);
-        let total_clones = clone_flags.iter().filter(|&&f| f).count();
-        let out_len = n + total_clones;
-
-        // F2 = ew(+, P, F1): the new position of each original lane.
-        let positions: Vec<usize> = {
-            self.count_elementwise();
-            offsets
-                .iter()
-                .enumerate()
-                .map(|(i, &off)| i + off as usize)
-                .collect()
-        };
-
-        // The permutation plus the adjacent self-copy, fused into one
-        // scatter pass (counted as the permutation of Fig. 14).
-        self.count_permute();
-        let mut src_lane = vec![0usize; out_len];
-        let mut is_clone = vec![false; out_len];
-        let mut flags_out = vec![false; out_len];
-        let in_flags = seg.flags();
-        for i in 0..n {
-            let p = positions[i];
-            src_lane[p] = i;
-            flags_out[p] = in_flags[i];
-            if clone_flags[i] {
-                src_lane[p + 1] = i;
-                is_clone[p + 1] = true;
-                // A clone never begins a segment: it joins its original's.
-            }
-        }
-        let seg_out = Segments::from_flags(flags_out)
-            .expect("clone layout preserves the leading segment flag");
-        CloneLayout {
-            src_lane,
-            is_clone,
-            seg: seg_out,
-        }
-    }
-
-    /// Single-sweep cloning layout for the blocked parallel backend: the
-    /// map, room-making scan, position arithmetic and scatter of Fig. 14
-    /// collapse into one push-based walk (the output position of lane `i`
-    /// is exactly the number of lanes and clones already emitted), so the
-    /// four constituent passes touch memory once. Bit-identical to the
-    /// composed path, and charged the same paper-level operation counts.
-    fn clone_layout_blocked(&self, seg: &Segments, clone_flags: &[bool]) -> CloneLayout {
-        let n = seg.len();
-        // Same paper-level accounting as the composed reference: the
-        // indicator map, the room-making scan (Fig. 14 F1), the position
-        // elementwise (F2) and the scatter — plus the bytes those two
-        // u64 vectors would have carried, kept backend-identical.
-        rayon::fault_checkpoint();
-        self.count_elementwise();
-        self.count_scan();
-        self.count_elementwise();
-        self.count_permute();
-        self.count_blocked_pass();
-        self.count_bytes_moved(2 * n * std::mem::size_of::<u64>());
-        let total_clones = clone_flags.iter().filter(|&&f| f).count();
-        let out_len = n + total_clones;
-        let in_flags = seg.flags();
-        let mut src_lane = Vec::with_capacity(out_len);
-        let mut is_clone = Vec::with_capacity(out_len);
-        let mut flags_out = Vec::with_capacity(out_len);
-        for i in 0..n {
-            src_lane.push(i);
-            is_clone.push(false);
-            flags_out.push(in_flags[i]);
-            if clone_flags[i] {
-                // The clone sits immediately after its original and never
-                // begins a segment.
-                src_lane.push(i);
-                is_clone.push(true);
-                flags_out.push(false);
-            }
-        }
-        let seg_out = Segments::from_flags(flags_out)
-            .expect("clone layout preserves the leading segment flag");
-        CloneLayout {
-            src_lane,
-            is_clone,
-            seg: seg_out,
-        }
-    }
-
-    /// Applies a cloning (or any gather-form) layout to one data vector.
-    pub fn apply_clone<T: Element>(&self, data: &[T], layout: &CloneLayout) -> Vec<T> {
-        self.gather(data, &layout.src_lane)
-    }
-
-    /// Applies a cloning layout into a caller-provided buffer (cleared
-    /// first).
-    pub fn apply_clone_into<T: Element>(&self, data: &[T], layout: &CloneLayout, out: &mut Vec<T>) {
-        self.gather_into(data, &layout.src_lane, out);
-    }
-
-    /// Applies a cloning layout **in place**, growing `data` from `n` to
-    /// `layout.len()` lanes without a second buffer. The clone gather is
-    /// monotone (`src_lane[j] <= j`, copies only ever pull leftward), so a
-    /// single backward sweep reads every source before it is overwritten.
-    /// Counted as the same permutation as [`Machine::apply_clone_into`]
-    /// plus one in-place reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` does not match the input length the layout
-    /// was computed for.
-    pub fn apply_clone_in_place<T: Element>(&self, data: &mut Vec<T>, layout: &CloneLayout) {
-        let n = data.len();
-        let out_len = layout.len();
-        assert!(
-            out_len >= n,
-            "clone in place: layout covers {} lanes but data has {}",
-            out_len,
-            n
-        );
-        if self.use_par(out_len) {
-            rayon::fault_checkpoint();
-        }
-        self.count_permute();
-        self.count_bytes_moved(out_len * std::mem::size_of::<T>());
-        self.count_inplace_reuse();
-        if out_len == 0 {
-            data.clear();
-            return;
-        }
-        // The fill value is irrelevant: every extended slot is rewritten
-        // by the sweep below.
-        let fill = data[n - 1];
-        data.resize(out_len, fill);
-        for j in (0..out_len).rev() {
-            let src = layout.src_lane[j];
-            debug_assert!(src <= j, "clone gather must be monotone");
-            data[j] = data[src];
-        }
-    }
-
     // ------------------------------------------------------------------
     // Unshuffling (paper Sec. 4.2, Figs. 15-16)
     // ------------------------------------------------------------------
@@ -258,67 +53,30 @@ impl Machine {
     /// the new position indices (`ew(-,P,F1)` for `a`s, `ew(+,P,F2)` for
     /// `b`s), and a permutation repositions the lanes.
     ///
+    /// Those two indicator maps, two scans and the position elementwise op
+    /// are what the layout is charged; it executes them as two walks per
+    /// segment. One counting walk finds `na` (the `a`-class population)
+    /// and a second assigns targets by running class ranks: an `a` at
+    /// rank `ra` goes to `start + ra` (Fig. 16's `i - F1[i]`, since
+    /// `i - start - ra` is exactly the `b`s to its left) and a `b` at rank
+    /// `rb` goes to `start + na + rb` (Fig. 16's `i + F2[i]`).
+    ///
     /// # Panics
     ///
     /// Panics if `class.len() != seg.len()`.
     pub fn unshuffle_layout(&self, seg: &Segments, class: &[bool]) -> UnshuffleLayout {
-        assert_eq!(
-            class.len(),
-            seg.len(),
-            "unshuffle: class length {} does not match segment descriptor length {}",
-            class.len(),
-            seg.len()
-        );
-        if self.use_par(seg.len()) {
-            return self.unshuffle_layout_blocked(seg, class);
-        }
-        let b_ind: Vec<u64> = self.map(class, |c| c as u64);
-        let a_ind: Vec<u64> = self.map(class, |c| (!c) as u64);
-        // F1: b's to my left (inclusive scan adds 0 at an `a` lane itself).
-        let f1 = self.scan(&b_ind, seg, Sum, Direction::Up, ScanKind::Inclusive);
-        // F2: a's to my right.
-        let f2 = self.scan(&a_ind, seg, Sum, Direction::Down, ScanKind::Inclusive);
-        // F3 = per-class elementwise position arithmetic.
-        self.count_elementwise();
-        let target: Vec<usize> = (0..seg.len())
-            .map(|i| {
-                if class[i] {
-                    i + f2[i] as usize
-                } else {
-                    i - f1[i] as usize
-                }
-            })
-            .collect();
-        let counts = seg
-            .ranges()
-            .map(|r| {
-                let na = r.clone().filter(|&i| !class[i]).count();
-                (na, r.len() - na)
-            })
-            .collect();
-        UnshuffleLayout { target, counts }
-    }
-
-    /// Two-subwalk unshuffle layout for the blocked parallel backend.
-    /// Per segment, one counting walk finds `na` (the `a`-class
-    /// population) and a second walk assigns targets by running class
-    /// ranks: an `a` at rank `ra` goes to `start + ra` (which equals the
-    /// reference's `i - F1[i]`, since `i - start - ra` is exactly the
-    /// `b`s to its left) and a `b` at rank `rb` goes to `start + na + rb`
-    /// (the reference's `i + F2[i]`). The two segmented scans, two
-    /// indicator maps and the position elementwise of Fig. 16 collapse
-    /// into those two walks; bit-identical targets, identical paper-level
-    /// operation counts.
-    fn unshuffle_layout_blocked(&self, seg: &Segments, class: &[bool]) -> UnshuffleLayout {
+        seg.expect_lane("unshuffle", class.len());
         let n = seg.len();
-        rayon::fault_checkpoint();
         self.count_elementwise();
         self.count_elementwise();
         self.count_scan();
         self.count_scan();
         self.count_elementwise();
-        self.count_blocked_pass();
         self.count_bytes_moved(4 * n * std::mem::size_of::<u64>());
+        if self.use_par(n) {
+            self.count_blocked_pass();
+            rayon::fault_checkpoint();
+        }
         let mut target = vec![0usize; n];
         let mut counts = Vec::with_capacity(seg.num_segments());
         for r in seg.ranges() {
@@ -372,140 +130,6 @@ impl Machine {
         std::mem::swap(data, &mut tmp);
         self.recycle(tmp);
         self.count_inplace_reuse();
-    }
-
-    // ------------------------------------------------------------------
-    // Duplicate deletion (paper Sec. 4.3, Figs. 17-18)
-    // ------------------------------------------------------------------
-
-    /// Computes the deletion layout: lanes with `delete_flags[i] == true`
-    /// are removed and the survivors close ranks leftward.
-    ///
-    /// Mechanics (paper Fig. 18): an unsegmented upward **exclusive**
-    /// `+`-scan over the delete flags counts the doomed lanes to each
-    /// lane's left (`F1`); an elementwise subtract from the position index
-    /// gives each survivor's new index, and a permutation compacts them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delete_flags.len() != seg.len()`.
-    pub fn delete_layout(&self, seg: &Segments, delete_flags: &[bool]) -> DeleteLayout {
-        assert_eq!(
-            delete_flags.len(),
-            seg.len(),
-            "delete: flag length {} does not match segment descriptor length {}",
-            delete_flags.len(),
-            seg.len()
-        );
-        if self.use_par(seg.len()) {
-            return self.delete_layout_blocked(seg, delete_flags);
-        }
-        let ones: Vec<u64> = self.map(delete_flags, |f| f as u64);
-        let f1 = self.up_scan(&ones, Sum, ScanKind::Exclusive);
-        self.count_elementwise();
-        self.count_permute();
-        let mut src_lane = Vec::with_capacity(seg.len());
-        for i in 0..seg.len() {
-            if !delete_flags[i] {
-                debug_assert_eq!(i - f1[i] as usize, src_lane.len());
-                src_lane.push(i);
-            }
-        }
-        let kept_per_segment = seg
-            .ranges()
-            .map(|r| r.filter(|&i| !delete_flags[i]).count())
-            .collect();
-        DeleteLayout {
-            src_lane,
-            kept_per_segment,
-        }
-    }
-
-    /// Single-sweep deletion layout for the blocked parallel backend: one
-    /// walk per segment pushes the survivors in order (a survivor's output
-    /// slot is exactly the count of survivors already pushed, which is the
-    /// reference's `i - F1[i]`) and records each segment's kept count as
-    /// it closes. The indicator map, compaction scan, position elementwise
-    /// and gather-index scatter of Fig. 18 collapse into that walk;
-    /// bit-identical to the composed path, identical paper-level counts.
-    fn delete_layout_blocked(&self, seg: &Segments, delete_flags: &[bool]) -> DeleteLayout {
-        let n = seg.len();
-        rayon::fault_checkpoint();
-        self.count_elementwise();
-        self.count_scan();
-        self.count_elementwise();
-        self.count_permute();
-        self.count_blocked_pass();
-        self.count_bytes_moved(2 * n * std::mem::size_of::<u64>());
-        let mut src_lane = Vec::with_capacity(n);
-        let mut kept_per_segment = Vec::with_capacity(seg.num_segments());
-        for r in seg.ranges() {
-            let before = src_lane.len();
-            for i in r {
-                if !delete_flags[i] {
-                    src_lane.push(i);
-                }
-            }
-            kept_per_segment.push(src_lane.len() - before);
-        }
-        DeleteLayout {
-            src_lane,
-            kept_per_segment,
-        }
-    }
-
-    /// Applies a deletion layout to one data vector.
-    pub fn apply_delete<T: Element>(&self, data: &[T], layout: &DeleteLayout) -> Vec<T> {
-        self.gather(data, &layout.src_lane)
-    }
-
-    /// Applies a deletion layout into a caller-provided buffer (cleared
-    /// first).
-    pub fn apply_delete_into<T: Element>(
-        &self,
-        data: &[T],
-        layout: &DeleteLayout,
-        out: &mut Vec<T>,
-    ) {
-        self.gather_into(data, &layout.src_lane, out);
-    }
-
-    /// Applies a deletion layout **in place**: survivors close ranks
-    /// leftward through `data`, which is then truncated to the survivor
-    /// count — no second buffer. The deletion gather is strictly
-    /// increasing (`src_lane[j] >= j`), so a forward sweep never reads a
-    /// slot it has already overwritten. Counted as the same permutation
-    /// as [`Machine::apply_delete_into`] plus one in-place reuse.
-    pub fn apply_delete_in_place<T: Element>(&self, data: &mut Vec<T>, layout: &DeleteLayout) {
-        let kept = layout.src_lane.len();
-        if self.use_par(kept) {
-            rayon::fault_checkpoint();
-        }
-        self.count_permute();
-        self.count_bytes_moved(kept * std::mem::size_of::<T>());
-        self.count_inplace_reuse();
-        for (j, &src) in layout.src_lane.iter().enumerate() {
-            debug_assert!(src >= j, "delete gather must be strictly increasing");
-            data[j] = data[src];
-        }
-        data.truncate(kept);
-    }
-
-    /// Deletes duplicates from a *sorted* vector of keys: every lane equal
-    /// to its left neighbour is flagged and removed (the full duplicate-
-    /// deletion primitive of paper Sec. 4.3).
-    pub fn delete_duplicates<T: Element + PartialEq>(
-        &self,
-        data: &[T],
-        seg: &Segments,
-    ) -> (Vec<T>, DeleteLayout) {
-        self.count_elementwise();
-        let flags: Vec<bool> = (0..data.len())
-            .map(|i| i > 0 && !seg.flags()[i] && data[i] == data[i - 1])
-            .collect();
-        let layout = self.delete_layout(seg, &flags);
-        let out = self.apply_delete(data, &layout);
-        (out, layout)
     }
 
     // ------------------------------------------------------------------
@@ -604,13 +228,7 @@ impl Machine {
         K: Element,
         F: Fn(&K, &K) -> CmpOrdering + Send + Sync,
     {
-        assert_eq!(
-            keys.len(),
-            seg.len(),
-            "sort: key length {} does not match segment descriptor length {}",
-            keys.len(),
-            seg.len()
-        );
+        seg.expect_lane("sort", keys.len());
         self.count_sort();
         let n = seg.len();
         let mut order: Vec<usize> = (0..n).collect();
@@ -670,50 +288,27 @@ mod tests {
         ]
     }
 
-    /// Paper Figs. 13-14: clone elements a, d and g of [a..g].
-    #[test]
-    fn fig13_14_cloning() {
-        for m in machines() {
-            let data: Vec<char> = "abcdefg".chars().collect();
-            let seg = Segments::single(7);
-            let flags = vec![true, false, false, true, false, false, true];
-            let layout = m.clone_layout(&seg, &flags);
-            let out = m.apply_clone(&data, &layout);
-            assert_eq!(out, "aabcddefgg".chars().collect::<Vec<_>>());
-            assert_eq!(
-                layout.is_clone,
-                vec![false, true, false, false, false, true, false, false, false, true]
-            );
-            assert_eq!(layout.seg.num_segments(), 1);
-            assert_eq!(layout.seg.len(), 10);
-        }
+    /// A little deterministic LCG so the sweeps do not depend on external
+    /// randomness.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
     }
 
-    #[test]
-    fn cloning_respects_segments() {
-        for m in machines() {
-            let data = vec![1u32, 2, 3, 4];
-            let seg = Segments::from_lengths(&[2, 2]).unwrap();
-            // Clone the lane that starts the second segment.
-            let flags = vec![false, false, true, false];
-            let layout = m.clone_layout(&seg, &flags);
-            let out = m.apply_clone(&data, &layout);
-            assert_eq!(out, vec![1, 2, 3, 3, 4]);
-            assert_eq!(layout.seg.lengths(), vec![2, 3]);
-            // The clone joins its original's segment, not a new one.
-            assert_eq!(layout.seg.flags(), &[true, false, true, false, false]);
+    fn random_case(n: usize, seed: u64) -> (Segments, Vec<bool>) {
+        let mut s = seed;
+        let mut lengths = Vec::new();
+        let mut total = 0usize;
+        while total < n {
+            let len = (lcg(&mut s) as usize % 37 + 1).min(n - total);
+            lengths.push(len);
+            total += len;
         }
-    }
-
-    #[test]
-    fn cloning_nothing_is_identity() {
-        for m in machines() {
-            let data = vec![5i64, 6, 7];
-            let seg = Segments::single(3);
-            let layout = m.clone_layout(&seg, &[false, false, false]);
-            assert_eq!(m.apply_clone(&data, &layout), data);
-            assert_eq!(layout.seg, seg);
-        }
+        let seg = Segments::from_lengths(&lengths).unwrap();
+        let flags = (0..n).map(|_| lcg(&mut s) % 3 == 0).collect();
+        (seg, flags)
     }
 
     /// Paper Figs. 15-16: unshuffle [b a b a a b a] into a's then b's.
@@ -768,44 +363,6 @@ mod tests {
         }
     }
 
-    /// Paper Figs. 17-18: delete flagged duplicates from a sorted ordering.
-    #[test]
-    fn fig17_18_duplicate_deletion() {
-        for m in machines() {
-            // Sorted with duplicates: a a b c c c d e.
-            let data: Vec<char> = "aabcccde".chars().collect();
-            let seg = Segments::single(8);
-            let (out, layout) = m.delete_duplicates(&data, &seg);
-            assert_eq!(out, "abcde".chars().collect::<Vec<_>>());
-            assert_eq!(layout.kept_per_segment, vec![5]);
-        }
-    }
-
-    #[test]
-    fn delete_respects_segment_boundaries() {
-        for m in machines() {
-            // Equal keys across a segment boundary are NOT duplicates.
-            let data = vec![1u32, 1, 1, 1];
-            let seg = Segments::from_lengths(&[2, 2]).unwrap();
-            let (out, layout) = m.delete_duplicates(&data, &seg);
-            assert_eq!(out, vec![1, 1]);
-            assert_eq!(layout.kept_per_segment, vec![1, 1]);
-        }
-    }
-
-    #[test]
-    fn delete_layout_explicit_flags() {
-        for m in machines() {
-            let seg = Segments::from_lengths(&[2, 3]).unwrap();
-            let flags = vec![true, false, false, true, true];
-            let layout = m.delete_layout(&seg, &flags);
-            assert_eq!(layout.src_lane, vec![1, 2]);
-            assert_eq!(layout.kept_per_segment, vec![1, 1]);
-            let data = vec![10u32, 11, 12, 13, 14];
-            assert_eq!(m.apply_delete(&data, &layout), vec![11, 12]);
-        }
-    }
-
     /// Paper Fig. 19: the node capacity check scan.
     #[test]
     fn fig19_capacity_check() {
@@ -853,151 +410,6 @@ mod tests {
         }
     }
 
-    /// A little deterministic LCG so the equivalence sweeps do not depend
-    /// on external randomness.
-    fn lcg(state: &mut u64) -> u64 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *state >> 33
-    }
-
-    fn random_case(n: usize, seed: u64) -> (Segments, Vec<bool>) {
-        let mut s = seed;
-        let mut lengths = Vec::new();
-        let mut total = 0usize;
-        while total < n {
-            let len = (lcg(&mut s) as usize % 37 + 1).min(n - total);
-            lengths.push(len);
-            total += len;
-        }
-        let seg = Segments::from_lengths(&lengths).unwrap();
-        let flags = (0..n).map(|_| lcg(&mut s) % 3 == 0).collect();
-        (seg, flags)
-    }
-
-    /// The blocked single-sweep layout kernels (parallel backend) must be
-    /// bit-identical to the composed scan/ew/permute reference (sequential
-    /// backend) on irregular segment structures.
-    #[test]
-    fn blocked_layouts_match_reference() {
-        let seq = Machine::sequential();
-        let par = Machine::new(Backend::Parallel).with_par_threshold(1);
-        for n in [1usize, 2, 37, 64, 100, 1000] {
-            for seed in [1u64, 7, 42] {
-                let (seg, flags) = random_case(n, seed);
-                assert_eq!(
-                    seq.clone_layout(&seg, &flags),
-                    par.clone_layout(&seg, &flags),
-                    "clone layout diverged at n={n} seed={seed}"
-                );
-                assert_eq!(
-                    seq.unshuffle_layout(&seg, &flags),
-                    par.unshuffle_layout(&seg, &flags),
-                    "unshuffle layout diverged at n={n} seed={seed}"
-                );
-                assert_eq!(
-                    seq.delete_layout(&seg, &flags),
-                    par.delete_layout(&seg, &flags),
-                    "delete layout diverged at n={n} seed={seed}"
-                );
-            }
-        }
-    }
-
-    /// The fused layout kernels charge the same paper-level operation
-    /// counts and bytes as the composed reference path, so complexity
-    /// accounting stays backend-identical.
-    #[test]
-    fn blocked_layouts_keep_reference_op_counts() {
-        let seq = Machine::sequential();
-        let par = Machine::new(Backend::Parallel).with_par_threshold(1);
-        let (seg, flags) = random_case(200, 3);
-        type LayoutFn = fn(&Machine, &Segments, &[bool]);
-        let cases: [(&str, LayoutFn); 3] = [
-            ("clone", |m, s, f| {
-                m.clone_layout(s, f);
-            }),
-            ("unshuffle", |m, s, f| {
-                m.unshuffle_layout(s, f);
-            }),
-            ("delete", |m, s, f| {
-                m.delete_layout(s, f);
-            }),
-        ];
-        for (name, run) in cases {
-            let b_seq = seq.stats();
-            run(&seq, &seg, &flags);
-            let d_seq = seq.stats().since(&b_seq);
-            let b_par = par.stats();
-            run(&par, &seg, &flags);
-            let d_par = par.stats().since(&b_par);
-            assert_eq!(d_seq.scans, d_par.scans, "{name}: scans diverged");
-            assert_eq!(
-                d_seq.scan_passes, d_par.scan_passes,
-                "{name}: scan passes diverged"
-            );
-            assert_eq!(
-                d_seq.elementwise, d_par.elementwise,
-                "{name}: elementwise diverged"
-            );
-            assert_eq!(d_seq.permutes, d_par.permutes, "{name}: permutes diverged");
-            assert_eq!(
-                d_seq.bytes_moved, d_par.bytes_moved,
-                "{name}: bytes moved diverged"
-            );
-            assert_eq!(d_seq.blocked_passes, 0, "{name}: sequential ran blocked");
-            assert_eq!(d_par.blocked_passes, 1, "{name}: fused kernel is one pass");
-        }
-    }
-
-    #[test]
-    fn delete_in_place_matches_gather() {
-        for m in machines() {
-            for n in [0usize, 1, 5, 100] {
-                let (seg, flags) = random_case(n.max(1), 11);
-                let (seg, flags) = if n == 0 {
-                    (Segments::single(0), Vec::new())
-                } else {
-                    (seg, flags)
-                };
-                let data: Vec<u64> = (0..seg.len() as u64).map(|i| i * 3 + 1).collect();
-                let layout = m.delete_layout(&seg, &flags);
-                let expect = m.apply_delete(&data, &layout);
-                let before = m.stats();
-                let mut in_place = data.clone();
-                m.apply_delete_in_place(&mut in_place, &layout);
-                let d = m.stats().since(&before);
-                assert_eq!(in_place, expect);
-                assert_eq!(d.permutes, 1);
-                assert_eq!(d.inplace_reuses, 1);
-            }
-        }
-    }
-
-    #[test]
-    fn clone_in_place_matches_gather() {
-        for m in machines() {
-            for n in [0usize, 1, 5, 100] {
-                let (seg, flags) = if n == 0 {
-                    (Segments::single(0), Vec::new())
-                } else {
-                    random_case(n, 13)
-                };
-                let data: Vec<i64> = (0..seg.len() as i64).map(|i| -i).collect();
-                let layout = m.clone_layout(&seg, &flags);
-                let expect = m.apply_clone(&data, &layout);
-                let before = m.stats();
-                let mut in_place = data.clone();
-                m.apply_clone_in_place(&mut in_place, &layout);
-                let d = m.stats().since(&before);
-                assert_eq!(in_place, expect);
-                assert_eq!(d.permutes, 1);
-                assert_eq!(d.inplace_reuses, 1);
-            }
-        }
-    }
-
     #[test]
     fn unshuffle_swap_matches_permute_and_recycles() {
         for m in machines() {
@@ -1030,6 +442,27 @@ mod tests {
             let keys = vec![2.5f64, -1.0, 0.0, 2.5];
             let order = m.segmented_sort_perm(&seg, &keys, |a, b| a.total_cmp(b));
             assert_eq!(order, vec![1, 2, 0, 3]);
+        }
+    }
+
+    /// The layout is charged Fig. 16's two indicator maps, two scans and
+    /// one position elementwise op, with the same bytes on both backends;
+    /// only the parallel backend counts a blocked pass.
+    #[test]
+    fn unshuffle_layout_keeps_fig16_op_counts() {
+        let (seg, class) = random_case(200, 3);
+        let mut bytes = None;
+        for m in machines() {
+            let before = m.stats();
+            let layout = m.unshuffle_layout(&seg, &class);
+            let d = m.stats().since(&before);
+            assert_eq!((d.scans, d.scan_passes), (2, 2));
+            assert_eq!(d.elementwise, 3);
+            assert_eq!(d.permutes, 0);
+            let blocked = u64::from(m.backend() == Backend::Parallel);
+            assert_eq!(d.blocked_passes, blocked);
+            assert_eq!(*bytes.get_or_insert(d.bytes_moved), d.bytes_moved);
+            assert_eq!(layout.target.len(), 200);
         }
     }
 }

@@ -1,6 +1,7 @@
-//! Sequential reference implementation of (segmented) scans.
+//! Scan vocabulary and the independent sequential oracle.
 //!
-//! These functions implement the exact semantics of the paper's Fig. 8:
+//! [`scan_seq`] implements the exact semantics of the paper's Fig. 8, one
+//! segment at a time:
 //!
 //! * an **upward inclusive** scan returns
 //!   `[a0, a0⊕a1, …, a0⊕…⊕a(n-1)]` within each segment;
@@ -8,8 +9,10 @@
 //!   `[id, a0, …, a0⊕…⊕a(n-2)]` within each segment;
 //! * **downward** scans run from the right end of each segment instead.
 //!
-//! The parallel backend in [`crate::par`] must produce bit-identical output;
-//! property tests assert this equivalence (experiment E24 in `DESIGN.md`).
+//! The machine never calls it: every [`crate::Machine`] scan, on both
+//! backends, runs the one blocked walk of [`crate::blocked`]. `scan_seq`
+//! shares no code with that walk and is what the differential tests
+//! compare it against, bit for bit.
 
 use crate::ops::{CombineOp, Element};
 use crate::vector::Segments;
@@ -35,7 +38,7 @@ pub enum ScanKind {
     Exclusive,
 }
 
-/// Sequential segmented scan. `data.len()` must equal `seg.len()`.
+/// Sequential segmented scan: a plain directional fold per segment.
 ///
 /// # Panics
 ///
@@ -45,103 +48,28 @@ where
     T: Element,
     O: CombineOp<T>,
 {
-    let mut out = Vec::new();
-    scan_seq_into(data, seg, op, dir, kind, &mut out);
-    out
-}
-
-/// Sequential segmented scan writing into a caller-provided buffer, which
-/// is cleared and resized first; an arena-leased buffer therefore incurs
-/// no allocation once warm. Bit-identical to [`scan_seq`].
-///
-/// # Panics
-///
-/// Panics if `data.len() != seg.len()`.
-pub fn scan_seq_into<T, O>(
-    data: &[T],
-    seg: &Segments,
-    op: O,
-    dir: Direction,
-    kind: ScanKind,
-    out: &mut Vec<T>,
-) where
-    T: Element,
-    O: CombineOp<T>,
-{
-    assert_eq!(
-        data.len(),
-        seg.len(),
-        "scan: data length {} does not match segment descriptor length {}",
-        data.len(),
-        seg.len()
-    );
-    out.clear();
-    out.resize(data.len(), op.identity());
-    match dir {
-        Direction::Up => {
-            for r in seg.ranges() {
-                let mut acc = op.identity();
-                let mut first = true;
-                for i in r {
-                    match kind {
-                        ScanKind::Inclusive => {
-                            acc = if first {
-                                data[i]
-                            } else {
-                                op.combine(acc, data[i])
-                            };
-                            out[i] = acc;
-                        }
-                        ScanKind::Exclusive => {
-                            out[i] = acc;
-                            acc = if first {
-                                data[i]
-                            } else {
-                                op.combine(acc, data[i])
-                            };
-                        }
-                    }
-                    first = false;
-                }
-            }
-        }
-        Direction::Down => {
-            for r in seg.ranges() {
-                let mut acc = op.identity();
-                let mut first = true;
-                for i in r.rev() {
-                    match kind {
-                        ScanKind::Inclusive => {
-                            acc = if first {
-                                data[i]
-                            } else {
-                                op.combine(data[i], acc)
-                            };
-                            out[i] = acc;
-                        }
-                        ScanKind::Exclusive => {
-                            out[i] = acc;
-                            acc = if first {
-                                data[i]
-                            } else {
-                                op.combine(data[i], acc)
-                            };
-                        }
-                    }
-                    first = false;
-                }
-            }
+    seg.expect_lane("scan", data.len());
+    let mut out = vec![op.identity(); data.len()];
+    for r in seg.ranges() {
+        let mut acc: Option<T> = None;
+        let mut step = |i: usize| {
+            let next = match (acc, dir) {
+                (None, _) => data[i],
+                (Some(a), Direction::Up) => op.combine(a, data[i]),
+                (Some(a), Direction::Down) => op.combine(data[i], a),
+            };
+            out[i] = match kind {
+                ScanKind::Inclusive => next,
+                ScanKind::Exclusive => acc.unwrap_or(op.identity()),
+            };
+            acc = Some(next);
+        };
+        match dir {
+            Direction::Up => r.for_each(&mut step),
+            Direction::Down => r.rev().for_each(&mut step),
         }
     }
-}
-
-/// Sequential unsegmented scan: a single segment covering the whole vector.
-pub fn scan_seq_flat<T, O>(data: &[T], op: O, dir: Direction, kind: ScanKind) -> Vec<T>
-where
-    T: Element,
-    O: CombineOp<T>,
-{
-    scan_seq(data, &Segments::single(data.len()), op, dir, kind)
+    out
 }
 
 #[cfg(test)]
@@ -248,12 +176,5 @@ mod tests {
         let data = vec![1i64, 2];
         let seg = Segments::single(3);
         scan_seq(&data, &seg, Sum, Direction::Up, ScanKind::Inclusive);
-    }
-
-    #[test]
-    fn flat_scan_equals_single_segment() {
-        let data = vec![1i64, 2, 3, 4];
-        let flat = scan_seq_flat(&data, Sum, Direction::Up, ScanKind::Inclusive);
-        assert_eq!(flat, vec![1, 3, 6, 10]);
     }
 }

@@ -1,201 +1,32 @@
-//! A write-once scatter buffer for parallel permutation-style writes.
+//! Raw-pointer wrapper for disjoint parallel writes.
 //!
-//! The permutation and cloning primitives place each input lane at a
-//! *precomputed, pairwise-distinct* target index. Writes to distinct
-//! indices of one buffer from many threads are race-free, but safe Rust
-//! cannot express "these scattered `&mut` accesses are disjoint" through a
-//! slice, so [`ScatterBuf`] wraps the one required `unsafe` block behind an
-//! interface whose callers must uphold (and in debug builds, are checked
-//! for) the disjoint-full-coverage contract.
+//! The permutation, scan and layout kernels place each output lane at a
+//! *precomputed, pairwise-distinct* index. Writes to distinct indices of
+//! one buffer from many threads are race-free, but safe Rust cannot
+//! express "these scattered `&mut` accesses are disjoint" through a
+//! slice, so the kernels share a buffer's base pointer through
+//! [`SyncPtr`] and state at each write why the slots are disjoint.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-
-/// Raw-pointer wrapper for disjoint parallel writes into a `Vec`'s spare
-/// capacity (used by the `_into` permutation and fused-scan kernels,
-/// where callers prove the written slots pairwise disjoint).
+/// A `*mut T` that may cross thread boundaries; every user proves the
+/// slots it writes pairwise disjoint.
 pub(crate) struct SyncPtr<T>(pub(crate) *mut T);
+// SAFETY: the wrapper only moves the address; each write site carries
+// its own disjointness argument, and `T: Send` lets the values land on
+// another thread.
 unsafe impl<T: Send> Send for SyncPtr<T> {}
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
+
+impl<T> Clone for SyncPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SyncPtr<T> {}
 
 impl<T> SyncPtr<T> {
     /// Accessor so closures capture the `Sync` wrapper, not the raw
     /// pointer field (which is not `Sync`).
     pub(crate) fn get(&self) -> *mut T {
         self.0
-    }
-}
-
-#[cfg(debug_assertions)]
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// A fixed-length buffer into which each slot must be written exactly once
-/// before the buffer is finalized.
-///
-/// In debug builds every write and the final [`ScatterBuf::into_vec`] are
-/// checked against a per-slot write counter; double writes, out-of-range
-/// writes and missing writes panic with the offending index. In release
-/// builds the checks compile away and writes are plain stores.
-pub struct ScatterBuf<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    #[cfg(debug_assertions)]
-    written: Box<[AtomicU8]>,
-}
-
-// SAFETY: concurrent access is only through `write`, whose contract
-// requires distinct indices per call; distinct `UnsafeCell` slots written
-// from different threads do not alias.
-unsafe impl<T: Send> Sync for ScatterBuf<T> {}
-unsafe impl<T: Send> Send for ScatterBuf<T> {}
-
-impl<T> ScatterBuf<T> {
-    /// Allocates a buffer of `len` uninitialized slots.
-    pub fn new(len: usize) -> Self {
-        let slots: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..len)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect();
-        ScatterBuf {
-            slots,
-            #[cfg(debug_assertions)]
-            written: (0..len).map(|_| AtomicU8::new(0)).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` if the buffer has zero slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Writes `value` into slot `index`.
-    ///
-    /// # Contract
-    ///
-    /// Each index must be written **exactly once** across all threads
-    /// before [`ScatterBuf::into_vec`] is called, and `index < len`.
-    /// Violations are detected (with a panic) in debug builds and are
-    /// undefined behaviour in release builds.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics on out-of-range or duplicate writes.
-    #[inline]
-    pub fn write(&self, index: usize, value: T) {
-        #[cfg(debug_assertions)]
-        {
-            assert!(
-                index < self.slots.len(),
-                "scatter write to index {index} out of bounds (len {})",
-                self.slots.len()
-            );
-            let prev = self.written[index].fetch_add(1, Ordering::Relaxed);
-            assert_eq!(prev, 0, "scatter slot {index} written twice");
-        }
-        // SAFETY: contract guarantees `index` in range and exclusive for
-        // this call; `UnsafeCell` grants the raw pointer.
-        unsafe {
-            (*self.slots[index].get()).write(value);
-        }
-    }
-
-    /// Finalizes the buffer into a `Vec<T>`.
-    ///
-    /// # Contract
-    ///
-    /// Every slot must have been written (checked in debug builds).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics naming the first unwritten slot.
-    pub fn into_vec(self) -> Vec<T> {
-        #[cfg(debug_assertions)]
-        for (i, w) in self.written.iter().enumerate() {
-            assert_eq!(
-                w.load(Ordering::Relaxed),
-                1,
-                "scatter slot {i} was never written"
-            );
-        }
-        let slots = self.slots;
-        // SAFETY: every slot has been initialized exactly once per the
-        // write contract. `UnsafeCell<MaybeUninit<T>>` has the same layout
-        // as `T`, so transmuting the boxed slice reinterprets fully
-        // initialized storage.
-        let len = slots.len();
-        let raw = Box::into_raw(slots);
-        unsafe {
-            let ptr = raw as *mut UnsafeCell<MaybeUninit<T>> as *mut T;
-            Vec::from_raw_parts(ptr, len, len)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rayon::prelude::*;
-
-    #[test]
-    fn sequential_fill() {
-        let buf = ScatterBuf::new(4);
-        for i in 0..4 {
-            buf.write(3 - i, i as u64);
-        }
-        assert_eq!(buf.into_vec(), vec![3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn parallel_fill_is_complete() {
-        let n = 10_000usize;
-        let buf = ScatterBuf::new(n);
-        (0..n).into_par_iter().for_each(|i| {
-            buf.write((i * 7919) % n, i as u64); // 7919 coprime with 10000
-        });
-        let v = buf.into_vec();
-        assert_eq!(v.len(), n);
-        let mut seen = vec![false; n];
-        for &x in &v {
-            assert!(!seen[x as usize]);
-            seen[x as usize] = true;
-        }
-    }
-
-    #[test]
-    fn empty_buffer() {
-        let buf: ScatterBuf<u32> = ScatterBuf::new(0);
-        assert!(buf.is_empty());
-        assert!(buf.into_vec().is_empty());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "written twice")]
-    fn duplicate_write_panics_in_debug() {
-        let buf = ScatterBuf::new(2);
-        buf.write(0, 1u32);
-        buf.write(0, 2u32);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "never written")]
-    fn missing_write_panics_in_debug() {
-        let buf: ScatterBuf<u32> = ScatterBuf::new(2);
-        buf.write(0, 1);
-        let _ = buf.into_vec();
-    }
-
-    #[test]
-    fn drop_semantics_with_heap_values() {
-        // Non-Copy payloads must be moved out intact.
-        let buf = ScatterBuf::new(3);
-        buf.write(2, "c".to_string());
-        buf.write(0, "a".to_string());
-        buf.write(1, "b".to_string());
-        assert_eq!(buf.into_vec(), vec!["a", "b", "c"]);
     }
 }

@@ -101,6 +101,21 @@ impl Segments {
         self.flags.is_empty()
     }
 
+    /// The length check every segmented primitive makes on a lane it is
+    /// handed alongside this descriptor; `what` names the primitive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane_len != self.len()`.
+    pub(crate) fn expect_lane(&self, what: &str, lane_len: usize) {
+        assert_eq!(
+            lane_len,
+            self.len(),
+            "{what}: lane length {lane_len} does not match segment descriptor length {}",
+            self.len()
+        );
+    }
+
     /// Number of segments.
     pub fn num_segments(&self) -> usize {
         self.starts.len()

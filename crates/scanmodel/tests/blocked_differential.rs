@@ -1,8 +1,9 @@
 //! Differential tests for the cache-blocked kernel path: a parallel
 //! machine forced down the blocked dispatch (`with_par_threshold(1)`)
 //! with a deliberately tiny block size must be bit-identical to the
-//! unblocked sequential reference on every primitive, at every block
-//! boundary shape.
+//! sequential machine's single inline sweep — and both to the
+//! independent oracles (`scan_seq`, the composed paper-figure layouts of
+//! `oracles/`) — on every primitive, at every block boundary shape.
 //!
 //! The boundary shapes named by the acceptance criteria are all here:
 //! empty input, exactly one block, one element either side of a block
@@ -14,9 +15,13 @@
 //! The proptest section honours `PROPTEST_CASES` (CI pins it to 64)
 //! through `ProptestConfig::default()`, like the rest of the suite.
 
+mod oracles;
+
+use oracles::{clone_composed, delete_composed, fanout_composed, unshuffle_composed};
 use proptest::prelude::*;
 use scan_model::blocked::MIN_BLOCK_ELEMS;
 use scan_model::ops::{Max, Min, Sum};
+use scan_model::scan::scan_seq;
 use scan_model::{Direction, Machine, ScanKind, Segments};
 
 /// One block = 64 `i64` lanes: small enough that every fixture size
@@ -27,7 +32,7 @@ const TINY_BLOCK_BYTES: usize = MIN_BLOCK_ELEMS * std::mem::size_of::<i64>();
 /// the degenerate shapes.
 const BOUNDARY_SIZES: &[usize] = &[0, 1, 63, 64, 65, 127, 128, 129, 1000];
 
-/// The unblocked reference and the blocked machine under test.
+/// The single-sweep machine and the blocked machine under test.
 fn machines() -> (Machine, Machine) {
     (
         Machine::sequential(),
@@ -69,6 +74,11 @@ fn blocked_scans_match_unblocked_at_every_boundary() {
         let (data, seg) = fixture(n, 0xB10C + n as u64);
         for dir in [Direction::Up, Direction::Down] {
             for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+                assert_eq!(
+                    par.scan(&data, &seg, Sum, dir, kind),
+                    scan_seq(&data, &seg, Sum, dir, kind),
+                    "sum scan left the oracle at n={n} {dir:?} {kind:?}"
+                );
                 assert_eq!(
                     seq.scan(&data, &seg, Sum, dir, kind),
                     par.scan(&data, &seg, Sum, dir, kind),
@@ -120,22 +130,33 @@ fn blocked_compaction_layouts_match_unblocked_at_every_boundary() {
         // Keep-flag pack (delete layout drops where the flag is set).
         let dl_seq = seq.delete_layout(&seg, &flags);
         let dl_par = par.delete_layout(&seg, &flags);
+        assert_eq!(dl_seq, dl_par, "delete layout diverged at n={n}");
         assert_eq!(
-            seq.apply_delete(&data, &dl_seq),
-            par.apply_delete(&data, &dl_par),
+            (dl_par.src_lane.clone(), dl_par.counts.clone()),
+            delete_composed(&seg, &flags),
+            "delete layout left Fig. 18 at n={n}"
+        );
+        assert_eq!(
+            seq.apply(&data, &dl_seq),
+            par.apply(&data, &dl_par),
             "delete pack diverged at n={n}"
         );
         let mut in_place = data.clone();
-        par.apply_delete_in_place(&mut in_place, &dl_par);
+        par.apply_in_place(&mut in_place, &dl_par);
         assert_eq!(
             in_place,
-            seq.apply_delete(&data, &dl_seq),
+            seq.apply(&data, &dl_seq),
             "in-place delete diverged at n={n}"
         );
 
         // Two-way unshuffle (stable partition by class).
         let ul_seq = seq.unshuffle_layout(&seg, &flags);
         let ul_par = par.unshuffle_layout(&seg, &flags);
+        assert_eq!(
+            (ul_par.target.clone(), ul_par.counts.clone()),
+            unshuffle_composed(&seg, &flags),
+            "unshuffle layout left Fig. 16 at n={n}"
+        );
         assert_eq!(
             seq.apply_unshuffle(&data, &ul_seq),
             par.apply_unshuffle(&data, &ul_par),
@@ -152,18 +173,63 @@ fn blocked_compaction_layouts_match_unblocked_at_every_boundary() {
         // Clone expansion (adjacent copies where flagged).
         let cl_seq = seq.clone_layout(&seg, &flags);
         let cl_par = par.clone_layout(&seg, &flags);
+        assert_eq!(cl_seq, cl_par, "clone layout diverged at n={n}");
+        let is_clone: Vec<bool> = cl_par.rank.iter().map(|&r| r == 1).collect();
         assert_eq!(
-            seq.apply_clone(&data, &cl_seq),
-            par.apply_clone(&data, &cl_par),
+            (
+                cl_par.src_lane.clone(),
+                is_clone,
+                cl_par.seg.flags().to_vec()
+            ),
+            clone_composed(&seg, &flags),
+            "clone layout left Fig. 14 at n={n}"
+        );
+        assert_eq!(
+            seq.apply(&data, &cl_seq),
+            par.apply(&data, &cl_par),
             "clone diverged at n={n}"
         );
         let mut cloned = data.clone();
-        par.apply_clone_in_place(&mut cloned, &cl_par);
+        par.apply_in_place(&mut cloned, &cl_par);
         assert_eq!(
             cloned,
-            seq.apply_clone(&data, &cl_seq),
+            seq.apply(&data, &cl_seq),
             "in-place clone diverged at n={n}"
         );
+    }
+}
+
+/// Arities 0..=3 mixed — vanished lanes, vanished segment heads and
+/// multi-copy lanes in one layout — against the composed ×k form of
+/// Fig. 14, plus the fused-map apply against gather-then-map.
+#[test]
+fn blocked_fanout_layouts_match_composed_at_every_boundary() {
+    let (seq, par) = machines();
+    for &n in BOUNDARY_SIZES {
+        let (data, seg) = fixture(n, 0xFA40 + n as u64);
+        let mut s = n as u64 + 5;
+        let copies: Vec<u32> = (0..n).map(|_| (lcg(&mut s) % 4) as u32).collect();
+        let want = fanout_composed(&seg, &copies);
+        for m in [&seq, &par] {
+            let layout = m.fanout_layout(&seg, &copies);
+            assert_eq!(layout.src_lane, want.src_lane, "n={n}");
+            assert_eq!(layout.rank, want.rank, "n={n}");
+            assert_eq!(layout.seg.flags(), &want.flags[..], "n={n}");
+            assert_eq!(layout.counts, want.counts, "n={n}");
+            assert_eq!(layout.input_len(), n);
+            let gathered = m.apply(&data, &layout);
+            let mut mapped = Vec::new();
+            m.apply_map_into(&data, &layout, |v, r| v * 4 + i64::from(r), &mut mapped);
+            let expect: Vec<i64> = gathered
+                .iter()
+                .zip(&layout.rank)
+                .map(|(&v, &r)| v * 4 + i64::from(r))
+                .collect();
+            assert_eq!(mapped, expect, "fused-map apply diverged at n={n}");
+            let mut in_place = data.clone();
+            m.apply_in_place(&mut in_place, &layout);
+            assert_eq!(in_place, gathered, "in-place fan-out diverged at n={n}");
+        }
     }
 }
 
@@ -197,7 +263,7 @@ fn block_size_invariance() {
     let reference_scan = seq.scan(&data, &seg, Sum, Direction::Up, ScanKind::Exclusive);
     let reference_pack = {
         let dl = seq.delete_layout(&seg, &flags);
-        seq.apply_delete(&data, &dl)
+        seq.apply(&data, &dl)
     };
     for block_bytes in [512, 1024, 4096, 1 << 18, 1 << 24] {
         let par = Machine::parallel()
@@ -210,7 +276,7 @@ fn block_size_invariance() {
         );
         let dl = par.delete_layout(&seg, &flags);
         assert_eq!(
-            par.apply_delete(&data, &dl),
+            par.apply(&data, &dl),
             reference_pack,
             "pack changed under block_bytes={block_bytes}"
         );
@@ -260,11 +326,11 @@ proptest! {
         let (seq, par) = machines();
         let mut s = flag_seed | 1;
         let flags: Vec<bool> = (0..data.len()).map(|_| lcg(&mut s) % 2 == 0).collect();
-        let expect = seq.apply_delete(&data, &seq.delete_layout(&seg, &flags));
+        let expect = seq.apply(&data, &seq.delete_layout(&seg, &flags));
         let dl = par.delete_layout(&seg, &flags);
-        prop_assert_eq!(&par.apply_delete(&data, &dl), &expect);
+        prop_assert_eq!(&par.apply(&data, &dl), &expect);
         let mut in_place = data.clone();
-        par.apply_delete_in_place(&mut in_place, &dl);
+        par.apply_in_place(&mut in_place, &dl);
         prop_assert_eq!(&in_place, &expect);
     }
 

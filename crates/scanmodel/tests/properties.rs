@@ -159,7 +159,7 @@ proptest! {
             .collect();
         for m in [machines().0, machines().1] {
             let layout = m.clone_layout(&seg, &flags);
-            let out = m.apply_clone(&data, &layout);
+            let out = m.apply(&data, &layout);
             // Reference: sequential expansion.
             let mut expect = Vec::new();
             for (i, &v) in data.iter().enumerate() {
@@ -190,7 +190,7 @@ proptest! {
             .collect();
         for m in [machines().0, machines().1] {
             let layout = m.delete_layout(&seg, &flags);
-            let out = m.apply_delete(&data, &layout);
+            let out = m.apply(&data, &layout);
             let expect: Vec<i64> = data
                 .iter()
                 .enumerate()
@@ -198,7 +198,7 @@ proptest! {
                 .map(|(_, &v)| v)
                 .collect();
             prop_assert_eq!(out, expect);
-            let total_kept: usize = layout.kept_per_segment.iter().sum();
+            let total_kept: usize = layout.counts.iter().sum();
             prop_assert_eq!(total_kept, layout.src_lane.len());
         }
     }
@@ -350,8 +350,8 @@ proptest! {
                 .collect();
             let cl = m.clone_layout(&seg, &flags);
             let mut out: Vec<i64> = m.lease();
-            m.apply_clone_into(&data, &cl, &mut out);
-            prop_assert_eq!(&out, &m.apply_clone(&data, &cl));
+            m.apply_into(&data, &cl, &mut out);
+            prop_assert_eq!(&out, &m.apply(&data, &cl));
             m.recycle(out);
 
             let un = m.unshuffle_layout(&seg, &flags);
@@ -362,8 +362,8 @@ proptest! {
 
             let dl = m.delete_layout(&seg, &flags);
             let mut out: Vec<i64> = m.lease();
-            m.apply_delete_into(&data, &dl, &mut out);
-            prop_assert_eq!(&out, &m.apply_delete(&data, &dl));
+            m.apply_into(&data, &dl, &mut out);
+            prop_assert_eq!(&out, &m.apply(&data, &dl));
             m.recycle(out);
         }
     }
@@ -444,9 +444,9 @@ fn clone_unshuffle_into_empty_and_single_lane() {
 
         let cl = m.clone_layout(&seg, &flags);
         let mut out: Vec<i64> = m.lease();
-        m.apply_clone_into(&empty, &cl, &mut out);
+        m.apply_into(&empty, &cl, &mut out);
         assert!(out.is_empty());
-        assert_eq!(out, m.apply_clone(&empty, &cl));
+        assert_eq!(out, m.apply(&empty, &cl));
         m.recycle(out);
 
         let un = m.unshuffle_layout(&seg, &flags);
@@ -463,8 +463,8 @@ fn clone_unshuffle_into_empty_and_single_lane() {
 
             let cl = m.clone_layout(&seg, &[flag]);
             let mut out: Vec<i64> = m.lease();
-            m.apply_clone_into(&data, &cl, &mut out);
-            assert_eq!(out, m.apply_clone(&data, &cl));
+            m.apply_into(&data, &cl, &mut out);
+            assert_eq!(out, m.apply(&data, &cl));
             assert_eq!(out.len(), if flag { 2 } else { 1 });
             m.recycle(out);
 
@@ -498,8 +498,8 @@ proptest! {
         for m in [machines().0, machines().1] {
             let cl = m.clone_layout(&seg, &flags);
             let mut out: Vec<i64> = m.lease();
-            m.apply_clone_into(&data, &cl, &mut out);
-            prop_assert_eq!(&out, &m.apply_clone(&data, &cl));
+            m.apply_into(&data, &cl, &mut out);
+            prop_assert_eq!(&out, &m.apply(&data, &cl));
             let doubled = n + flags.iter().filter(|&&f| f).count();
             prop_assert_eq!(out.len(), doubled);
             m.recycle(out);

@@ -83,7 +83,7 @@ fn main() {
         .collect();
     row("F2=ew(+,P,F1)", &f2);
     let layout = m.clone_layout(&seg1, &cf);
-    row("result", &m.apply_clone(&x, &layout));
+    row("result", &m.apply(&x, &layout));
 
     // ------------------------------------------------------------------
     println!("\n== Figures 15-16: unshuffling ==");
