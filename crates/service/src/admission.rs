@@ -36,8 +36,7 @@
 
 use crate::coalesce::{Coalescer, FlushDecision};
 use crate::shed::{Admission, AdmissionPolicy};
-use crate::{QueryService, Response};
-use dp_geom::Rect;
+use crate::{families, QueryService, Response};
 use dp_spatial::SpatialError;
 use dp_workloads::Request;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,21 +95,8 @@ impl Ticket {
     /// against the *completion* time even when `wait` is called much
     /// later, as an open-loop driver does).
     pub fn wait_timed(self) -> (Response, Instant) {
-        let mut slot = self
-            .slot
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(done) = slot.take() {
-                return done;
-            }
-            slot = self
-                .slot
-                .ready
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.wait_until(None)
+            .expect("a wait without a deadline ends only with the response")
     }
 
     /// Blocks until the response is ready.
@@ -122,30 +108,27 @@ impl Ticket {
     /// ticket back on timeout so the caller can keep waiting — used by
     /// the tests that pin "no admitted request waits forever".
     pub fn wait_timeout(self, timeout: Duration) -> Result<(Response, Instant), Ticket> {
-        let deadline = Instant::now() + timeout;
-        {
-            let mut slot = self
-                .slot
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(done) = slot.take() {
-                    return Ok(done);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .slot
-                    .ready
-                    .wait_timeout(slot, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                slot = guard;
+        self.wait_until(Some(Instant::now() + timeout)).ok_or(self)
+    }
+
+    /// The response once the worker has fulfilled the slot; `None` if
+    /// `deadline` passes first.
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<(Response, Instant)> {
+        let ReplySlot { inner, ready } = &*self.slot;
+        let mut slot = inner.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(done) = slot.take() {
+                return Some(done);
             }
+            slot = match deadline {
+                None => ready.wait(slot).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.checked_duration_since(Instant::now())?;
+                    let timed = ready.wait_timeout(slot, left);
+                    timed.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
-        Err(self)
     }
 
     /// The lane this request was routed to.
@@ -377,7 +360,7 @@ impl ServicePipeline {
         // Writes admitted through the pipeline defer compaction to the
         // background thread below instead of compacting inline under
         // write pressure.
-        service.set_deferred_compaction(true);
+        service.defer_compaction.store(true, Ordering::Relaxed);
         let compactor_shared = Arc::new(CompactorShared {
             flags: Mutex::new(CompactorFlags {
                 pending: false,
@@ -437,25 +420,12 @@ impl ServicePipeline {
         self.shed_total.load(Ordering::Relaxed)
     }
 
-    /// Which lane a request routes to: the first shard its geometry
-    /// overlaps (so a coalesced batch stays shard-local), folded into
-    /// the lane count; deletes address logical ids, not geometry, and
-    /// spread by id instead.
+    /// Which lane a request routes to: the shard of its routing geometry
+    /// (see `families::route` — the first shard the request overlaps, so
+    /// a coalesced batch stays shard-local; deletes spread by id), folded
+    /// into the lane count.
     pub fn lane_of(&self, r: &Request) -> usize {
-        let grid = self.service.grid();
-        let shard = match r {
-            Request::Window(q) | Request::Join(q) | Request::Skyline(q) => {
-                grid.first_shard_overlapping(q).unwrap_or(0)
-            }
-            Request::PointInWindow(p) | Request::KNearest { p, .. } | Request::DominanceAgg(p) => {
-                grid.first_shard_overlapping(&Rect::point(*p)).unwrap_or(0)
-            }
-            Request::Insert(seg) => grid
-                .first_shard_overlapping(&Rect::point(seg.a))
-                .unwrap_or(0),
-            Request::Delete(id) => *id as usize,
-        };
-        shard % self.lanes.len()
+        families::route(&self.service.grid(), r) % self.lanes.len()
     }
 
     /// Submits one request and returns its [`Ticket`]. Under
@@ -615,7 +585,9 @@ impl Drop for ServicePipeline {
         if let Some(compactor) = self.compactor.take() {
             let _ = compactor.join();
         }
-        self.service.set_deferred_compaction(false);
+        self.service
+            .defer_compaction
+            .store(false, Ordering::Relaxed);
     }
 }
 
@@ -668,11 +640,11 @@ fn worker_loop(
             })
             .sum();
         let requests: Vec<Request> = batch.iter().map(|e| e.request).collect();
-        // `execute_admitted` never panics by design (the recovery ladder
+        // `execute_inner` never panics by design (the recovery ladder
         // owns crashes below it); this backstop keeps the no-ticket-
         // waits-forever guarantee even if that invariant ever breaks.
         let responses = catch_unwind(AssertUnwindSafe(|| {
-            service.execute_admitted(&requests, shard_slot)
+            service.execute_inner(&requests, Some(shard_slot))
         }))
         .unwrap_or_else(|_| {
             vec![

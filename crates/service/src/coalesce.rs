@@ -106,6 +106,17 @@ impl LatencyHistogram {
         }
     }
 
+    /// A histogram holding `buckets` as its counts — for quantiles over
+    /// counts gathered elsewhere (the per-shard flush histograms). The
+    /// samples themselves are gone, so the mean and max read 0.
+    pub(crate) fn from_buckets(buckets: [u64; HISTOGRAM_BUCKETS]) -> Self {
+        LatencyHistogram {
+            buckets,
+            count: buckets.iter().sum(),
+            ..LatencyHistogram::new()
+        }
+    }
+
     /// The bucket index for a sample of `micros` microseconds.
     pub fn bucket_of(micros: u64) -> usize {
         (64 - micros.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)

@@ -8,14 +8,15 @@
 //! requests — window queries, point-in-window probes, k-nearest-neighbour
 //! lookups, and (against an optional *overlay* layer) windowed spatial
 //! joins — is routed to the overlapping shards, executed per shard as
-//! lockstep batches on a long-lived [`Machine`], and merged per request.
+//! lockstep batches on a long-lived [`scan_model::Machine`], and merged
+//! per request.
 //!
 //! A service built with [`QueryService::build_with_overlay`] indexes a
 //! second segment layer per shard; `Join` requests then answer with the
 //! base×overlay pairs intersecting inside their window, computed by the
-//! data-parallel [`frontier_join`] once per shard and filtered per
-//! window (see [`QueryService::stats`] for the per-shard join round
-//! telemetry).
+//! data-parallel [`dp_spatial::join::frontier_join`] once per shard and
+//! filtered per window (see [`QueryService::stats`] for the per-shard
+//! join round telemetry).
 //!
 //! ## Execution model
 //!
@@ -25,9 +26,9 @@
 //!    probe is routed to every shard whose tile it overlaps.
 //! 2. **Execute.** Shards run concurrently. A shard drains its probe
 //!    queue in chunks of at most `flush_batch`, each chunk executed as one
-//!    [`batch_window_query`] — a lockstep descent costing a constant
-//!    number of scan-model primitives per tree level regardless of the
-//!    chunk size (paper Sec. 4). The shard reuses one [`Machine`] and one
+//!    [`dp_spatial::batch::batch_window_query`] — a lockstep descent
+//!    costing a constant number of scan-model primitives per tree level
+//!    regardless of the chunk size (paper Sec. 4). The shard reuses one `Machine` and one
 //!    [`scan_model::ScratchArena`] across its lifetime.
 //! 3. **Merge.** Per-shard hits are mapped from shard-local to global
 //!    segment ids, concatenated per request in shard order, sorted and
@@ -48,7 +49,7 @@
 //!
 //! * **Validation.** Unanswerable requests (non-finite windows or points,
 //!   `k = 0`) are rejected per slot with
-//!   [`Response::Rejected`]`(`[`SpatialError::MalformedRequest`]`)` —
+//!   [`Response::Rejected`]`(`[`dp_spatial::SpatialError::MalformedRequest`]`)` —
 //!   neighbouring requests in the batch are unaffected.
 //! * **Isolation.** Every per-shard unit of work (a probe chunk, a join
 //!   computation, a shard build) runs under `catch_unwind`, so a panic —
@@ -86,3032 +87,44 @@
 //! result cache ([`cache`]), and epoch compaction moves to a background
 //! thread. The lockstep execution core underneath is unchanged — the
 //! differential suites run the same streams through both paths.
+//!
+//! ## Module map
+//!
+//! Each mechanism is written once, in the module named for it:
+//!
+//! | module | holds | used by |
+//! |---|---|---|
+//! | `config` | [`QueryServiceConfig`], the one machine factory | every constructor |
+//! | `response` | [`Response`] and its `try_*` accessors | callers |
+//! | `state` | shards and their swappable cores, logical ids, the serving epoch, [`QueryService`] and its constructors (one per aggregate) | everything |
+//! | `recovery` | the ladder (`on_shard`: retry → rebuild → degrade), the shared shard-build body, `fan_out` | probe chunks, the cached join, the cold build |
+//! | `families` | the request-family table: validate + plan, route, reduce, wrap | `reads`, [`admission`] |
+//! | `reads` | the executor: read runs, routed probes, k-NN rounds, joins | [`QueryService::execute_batch`], lane workers |
+//! | `writes` | the overlay ladder, one publish path, compaction | the executor, the background compactor |
+//! | `stats` | counter block, [`ServiceStats`] views | callers, [`admission`] |
+//! | [`admission`], [`coalesce`], [`shed`], [`cache`], [`snapshot`] | the pipelined front end, its policies, the hot-window cache, persistence | as before |
 
 pub mod admission;
 pub mod cache;
 pub mod coalesce;
+mod config;
+mod families;
+mod reads;
+mod recovery;
+mod response;
 pub mod shed;
 pub mod snapshot;
+mod state;
+mod stats;
+mod writes;
 
 pub use admission::{BatchTicket, ServicePipeline, Ticket};
 pub use cache::{CacheKind, CacheLookup, CacheStats, WindowCache};
 pub use coalesce::{Coalescer, FlushDecision, LatencyHistogram, HISTOGRAM_BUCKETS};
+pub use config::QueryServiceConfig;
+pub use reads::brute_knearest;
+pub use recovery::{RecoveryAction, RecoveryEvent, RETRY_LIMIT};
+pub use response::Response;
 pub use shed::{Admission, AdmissionPolicy};
-
-use dp_geom::{clip_segment_closed, LineSeg, Point, Rect};
-use dp_spatial::batch::batch_window_query;
-use dp_spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial::dominance::{dominance_agg, dominance_weight, skyline, DomPoint};
-use dp_spatial::join::{frontier_join, pair_intersects_in};
-use dp_spatial::quadtree::DpQuadtree;
-use dp_spatial::shard::{build_shard, ShardGrid, ShardIndex};
-use dp_spatial::update::{batch_update_bucket_pmr, UpdateBatch};
-use dp_spatial::{MalformedKind, SegId, SpatialError};
-use dp_workloads::Request;
-use rayon::prelude::*;
-use scan_model::{Backend, FaultPlan, InjectedFault, Machine, RoundTrace, StatsSnapshot};
-use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::Instant;
-
-/// Number of log₂-microsecond latency buckets per shard.
-pub const LATENCY_BUCKETS: usize = 32;
-
-/// Crashed shard work is retried this many times (per ladder rung) before
-/// escalating to a rebuild, and again before degrading.
-pub const RETRY_LIMIT: u32 = 2;
-
-/// Configuration of a [`QueryService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryServiceConfig {
-    /// Tiles per world side; the service runs `shard_grid²` shards. Must
-    /// be a positive power of two.
-    pub shard_grid: u32,
-    /// Maximum probes executed per per-shard lockstep batch. Larger
-    /// batches amortise the per-level primitive cost over more lanes;
-    /// smaller batches bound per-flush latency.
-    pub flush_batch: usize,
-    /// Backend of every shard's [`Machine`].
-    pub backend: Backend,
-    /// Parallel-threshold override for the shard machines (`None` keeps
-    /// the machine default).
-    pub par_threshold: Option<usize>,
-    /// Bucket capacity of the per-shard PMR quadtrees.
-    pub capacity: usize,
-    /// Maximum subdivision depth of the per-shard quadtrees.
-    pub max_depth: usize,
-    /// Write pressure (accumulated tombstones + pending overlay inserts)
-    /// at which a compaction merges base and overlay into a fresh epoch.
-    pub compact_threshold: usize,
-    /// Admission-lane coalescing deadline: the oldest request buffered
-    /// by a [`ServicePipeline`] lane waits at most this long before its
-    /// micro-batch is flushed, full or not.
-    pub coalesce_deadline_micros: u64,
-    /// Bound of each admission lane's queue; a full lane applies the
-    /// pipeline's [`AdmissionPolicy`] (backpressure or shedding). Must
-    /// be at least `flush_batch` so one full micro-batch fits.
-    pub queue_bound: usize,
-    /// Capacity of the hot-window result cache consulted on the
-    /// admission path (`0` disables caching).
-    pub cache_capacity: usize,
-}
-
-impl Default for QueryServiceConfig {
-    fn default() -> Self {
-        QueryServiceConfig {
-            shard_grid: 4,
-            flush_batch: 1024,
-            backend: Backend::Parallel,
-            par_threshold: None,
-            capacity: 8,
-            max_depth: 16,
-            compact_threshold: 256,
-            coalesce_deadline_micros: 200,
-            queue_bound: 4096,
-            cache_capacity: 1024,
-        }
-    }
-}
-
-impl QueryServiceConfig {
-    /// A sequential-backend configuration with the given shard grid
-    /// (handy in tests).
-    pub fn sequential(shard_grid: u32) -> Self {
-        QueryServiceConfig {
-            shard_grid,
-            backend: Backend::Sequential,
-            ..QueryServiceConfig::default()
-        }
-    }
-
-    fn validate(&self) -> Result<(), SpatialError> {
-        if self.shard_grid == 0 || !self.shard_grid.is_power_of_two() {
-            return Err(SpatialError::InvalidConfig {
-                reason: "shard_grid must be a positive power of two",
-            });
-        }
-        if self.capacity == 0 {
-            return Err(SpatialError::InvalidConfig {
-                reason: "bucket capacity must be at least 1",
-            });
-        }
-        if self.compact_threshold == 0 {
-            return Err(SpatialError::InvalidConfig {
-                reason: "compact_threshold must be at least 1",
-            });
-        }
-        if self.flush_batch == 0 {
-            return Err(SpatialError::InvalidConfig {
-                reason: "flush_batch must be at least 1",
-            });
-        }
-        if self.queue_bound < self.flush_batch {
-            return Err(SpatialError::InvalidConfig {
-                reason: "queue_bound must hold at least one full flush_batch",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// One response, aligned with the request at the same batch position.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Sorted, deduplicated ids of segments intersecting the window.
-    /// The payload is shared (`Arc`) so a hot-window cache hit hands the
-    /// cached answer out without copying the id vector; equality still
-    /// compares the ids themselves.
-    Window(Arc<Vec<SegId>>),
-    /// Sorted, deduplicated ids of segments passing through the point
-    /// (shared like [`Response::Window`]).
-    PointInWindow(Arc<Vec<SegId>>),
-    /// Up to `k` `(id, distance)` pairs, nearest first, ties broken by
-    /// ascending id. Shorter than `k` only when the collection itself
-    /// holds fewer segments.
-    KNearest(Vec<(SegId, f64)>),
-    /// Sorted, deduplicated `(base_id, overlay_id)` pairs intersecting
-    /// inside the request window. Empty when the service was built
-    /// without an overlay layer.
-    Join(Vec<(SegId, SegId)>),
-    /// The segment was added; the payload is its *logical* id — its
-    /// position in the serving collection right after the insert, the id
-    /// subsequent query responses report it under (until later deletes
-    /// shift it, exactly as in an eagerly-updated `Vec`).
-    Inserted(SegId),
-    /// The segment with this logical id was removed.
-    Deleted(SegId),
-    /// Sorted ascending logical ids of the *skyline* segments of the
-    /// window: among the midpoints of the segments intersecting the
-    /// request window, the points dominated by no other candidate under
-    /// closed max-dominance (see [`dp_spatial::dominance`]). Shared like
-    /// [`Response::Window`] so cache hits hand out one allocation.
-    Skyline(Arc<Vec<SegId>>),
-    /// Dominated-set aggregate of a query point: over every live segment
-    /// whose midpoint lies in the closed lower-left quadrant of the
-    /// query (and intersects that quadrant's world clip), the count, the
-    /// sum and the max of the quantized-length weights
-    /// ([`dp_spatial::dominance::dominance_weight`]). `max` is 0 when
-    /// the dominated set is empty.
-    DominanceAgg {
-        /// Number of dominated segments.
-        count: u64,
-        /// Sum of their weights.
-        sum: u64,
-        /// Maximum weight (0 for an empty set).
-        max: u64,
-    },
-    /// The request was unanswerable (non-finite geometry, `k = 0`,
-    /// unknown delete id) and was rejected by per-slot validation
-    /// without touching any shard.
-    Rejected(SpatialError),
-}
-
-impl Response {
-    /// The window hits, or the typed error: the rejection that produced
-    /// a [`Response::Rejected`], or
-    /// [`SpatialError::ResponseKindMismatch`] when the slot holds a
-    /// different response kind. `index` is the slot position, echoed
-    /// into the mismatch error.
-    pub fn try_window(&self, index: usize) -> Result<&[SegId], SpatialError> {
-        match self {
-            Response::Window(ids) => Ok(ids),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-
-    /// The point-probe hits (see [`Response::try_window`] for the error
-    /// contract).
-    pub fn try_point_in_window(&self, index: usize) -> Result<&[SegId], SpatialError> {
-        match self {
-            Response::PointInWindow(ids) => Ok(ids),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-
-    /// The k-nearest answer (see [`Response::try_window`] for the error
-    /// contract).
-    pub fn try_knearest(&self, index: usize) -> Result<&[(SegId, f64)], SpatialError> {
-        match self {
-            Response::KNearest(found) => Ok(found),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-
-    /// The join pairs (see [`Response::try_window`] for the error
-    /// contract).
-    pub fn try_join(&self, index: usize) -> Result<&[(SegId, SegId)], SpatialError> {
-        match self {
-            Response::Join(pairs) => Ok(pairs),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-
-    /// The inserted segment's logical id (see [`Response::try_window`]
-    /// for the error contract).
-    pub fn try_inserted(&self, index: usize) -> Result<SegId, SpatialError> {
-        match self {
-            Response::Inserted(id) => Ok(*id),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-
-    /// The skyline ids (see [`Response::try_window`] for the error
-    /// contract).
-    pub fn try_skyline(&self, index: usize) -> Result<&[SegId], SpatialError> {
-        match self {
-            Response::Skyline(ids) => Ok(ids),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-
-    /// The dominance aggregate as `(count, sum, max)` (see
-    /// [`Response::try_window`] for the error contract).
-    pub fn try_dominance_agg(&self, index: usize) -> Result<(u64, u64, u64), SpatialError> {
-        match self {
-            Response::DominanceAgg { count, sum, max } => Ok((*count, *sum, *max)),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-
-    /// The deleted segment's logical id (see [`Response::try_window`]
-    /// for the error contract).
-    pub fn try_deleted(&self, index: usize) -> Result<SegId, SpatialError> {
-        match self {
-            Response::Deleted(id) => Ok(*id),
-            Response::Rejected(e) => Err(*e),
-            _ => Err(SpatialError::ResponseKindMismatch { index }),
-        }
-    }
-}
-
-/// Which rung of the recovery ladder a [`RecoveryEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// The crashed unit was re-run on the same shard core (the `n`-th
-    /// retry of its ladder rung, 1-based).
-    Retry(u32),
-    /// The shard was rebuilt from its assigned segments on a fresh
-    /// machine.
-    Rebuild,
-    /// The shard gave up: its index was dropped and the sequential
-    /// oracle answers for it from now on.
-    Degrade,
-    /// A warm restart from an on-disk snapshot was attempted but the
-    /// snapshot could not be used (missing, corrupt, wrong version, or
-    /// inconsistent with the requested build); the service fell through
-    /// to a cold rebuild from segments. `shard` is the grid size (one
-    /// event per restart, not per shard) and `error` carries the typed
-    /// cause.
-    ColdRestart,
-}
-
-/// One recovery decision taken by the service, in the order observed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryEvent {
-    /// Row-major shard slot the event concerns.
-    pub shard: usize,
-    /// Which ladder rung was taken.
-    pub action: RecoveryAction,
-    /// Best-effort cause: the typed form of the caught panic for
-    /// retries/rebuilds, [`SpatialError::ShardUnavailable`] for
-    /// degradations.
-    pub error: SpatialError,
-}
-
-/// Interior-mutable per-shard counters.
-#[derive(Debug)]
-struct ShardCounters {
-    probes: AtomicU64,
-    batches: AtomicU64,
-    max_queue_depth: AtomicU64,
-    admitted: AtomicU64,
-    coalesced_batches: AtomicU64,
-    shed: AtomicU64,
-    cache_hits: AtomicU64,
-    queue_wait_micros: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS],
-}
-
-impl ShardCounters {
-    fn new() -> Self {
-        ShardCounters {
-            probes: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            coalesced_batches: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            queue_wait_micros: AtomicU64::new(0),
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn record_flush(&self, elapsed_micros: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        let bucket = (64 - elapsed_micros.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.latency[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A fresh counter block holding the same values — carried into the
-    /// replacement [`Shard`]s of a compacted epoch so telemetry is
-    /// continuous across epoch swaps. `max_queue_depth` is the one
-    /// exception: it is a *gauge* (steady-state admission-queue
-    /// high-water mark), not a monotone counter, and the new epoch's
-    /// queues start empty — carrying an old peak would make the value
-    /// unfalsifiable, so epoch swaps reset it.
-    fn carry(&self) -> ShardCounters {
-        ShardCounters {
-            probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
-            batches: AtomicU64::new(self.batches.load(Ordering::Relaxed)),
-            max_queue_depth: AtomicU64::new(0),
-            admitted: AtomicU64::new(self.admitted.load(Ordering::Relaxed)),
-            coalesced_batches: AtomicU64::new(self.coalesced_batches.load(Ordering::Relaxed)),
-            shed: AtomicU64::new(self.shed.load(Ordering::Relaxed)),
-            cache_hits: AtomicU64::new(self.cache_hits.load(Ordering::Relaxed)),
-            queue_wait_micros: AtomicU64::new(self.queue_wait_micros.load(Ordering::Relaxed)),
-            latency: std::array::from_fn(|i| {
-                AtomicU64::new(self.latency[i].load(Ordering::Relaxed))
-            }),
-        }
-    }
-
-    fn record_queue(&self, depth: usize) {
-        self.probes.fetch_add(depth as u64, Ordering::Relaxed);
-        // On the direct `execute_batch` path the handed queue *is* the
-        // instantaneous depth: everything arrives at once. The admission
-        // path records the steady-state lane depth instead (see
-        // `QueryService::note_admitted_batch`).
-        self.max_queue_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        self.probes.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.max_queue_depth.store(0, Ordering::Relaxed);
-        self.admitted.store(0, Ordering::Relaxed);
-        self.coalesced_batches.store(0, Ordering::Relaxed);
-        self.shed.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.queue_wait_micros.store(0, Ordering::Relaxed);
-        for b in &self.latency {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A point-in-time view of one shard, part of [`ServiceStats`].
-#[derive(Debug, Clone)]
-pub struct ShardStats {
-    /// Shard index (row-major in the grid).
-    pub shard: usize,
-    /// The serving epoch this snapshot was taken from (bumped by every
-    /// successful compaction).
-    pub epoch: u64,
-    /// The shard's tile.
-    pub tile: Rect,
-    /// Segments assigned to the shard.
-    pub segments: usize,
-    /// Window probes routed to the shard over its lifetime.
-    pub probes: u64,
-    /// Lockstep batches the shard has executed.
-    pub batches: u64,
-    /// High-water mark of the shard's *request queue depth*: on the
-    /// admission path, the steady-state depth of the shard's lane
-    /// (sampled at every enqueue); on the direct
-    /// [`QueryService::execute_batch`] path, the probe queue handed per
-    /// call. A gauge, not a counter — reset by epoch swaps (the new
-    /// epoch's queues start empty) and by
-    /// [`QueryService::reset_stats`].
-    pub max_queue_depth: u64,
-    /// Requests admitted to this shard's lane(s) through a
-    /// [`ServicePipeline`] (0 on the direct path).
-    pub admitted: u64,
-    /// Coalesced micro-batches flushed by this shard's lane worker(s).
-    pub coalesced_batches: u64,
-    /// Requests shed by this shard's lane(s) under
-    /// [`AdmissionPolicy::Shed`].
-    pub shed: u64,
-    /// Admission-path probes answered from the hot-window cache.
-    pub cache_hits: u64,
-    /// Total microseconds admitted requests spent queued in this
-    /// shard's lane(s) before their micro-batch was handed to the
-    /// engine.
-    pub queue_wait_micros: u64,
-    /// Per-flush latency histogram: bucket `i` counts flushes that took
-    /// `[2^(i-1), 2^i)` microseconds (bucket 0: sub-microsecond).
-    pub latency_histogram: [u64; LATENCY_BUCKETS],
-    /// Scan-model primitive counters of the shard's machine — the
-    /// service-level extension of [`scan_model::OpStats`].
-    pub ops: StatsSnapshot,
-    /// Scratch-arena buffer leases taken by the shard's machine over its
-    /// lifetime (not reset by [`QueryService::reset_stats`]).
-    pub arena_takes: u64,
-    /// Of [`ShardStats::arena_takes`], leases served from the pool
-    /// without allocating.
-    pub arena_hits: u64,
-    /// Per-round telemetry of the shard's index build, captured at
-    /// construction time (one [`RoundTrace`] per subdivision round; not
-    /// affected by [`QueryService::reset_stats`]). Empty when the build
-    /// itself degraded.
-    pub build_trace: Vec<RoundTrace>,
-    /// The shard gave up on its index and answers via the sequential
-    /// oracle (see the crate docs' recovery ladder).
-    pub degraded: bool,
-    /// Crashed work units re-run on the same core.
-    pub retries: u64,
-    /// Times the shard was rebuilt from segments on a fresh machine.
-    pub rebuilds: u64,
-    /// Faults the shard's [`FaultPlan`] fork has injected, across all
-    /// sites (0 without fault injection).
-    pub faults_injected: u64,
-    /// Telemetry of the shard's base×overlay frontier join. `None` until
-    /// the first `Join` request touches the shard (the join is computed
-    /// lazily and cached) or when the service has no overlay layer.
-    pub join: Option<ShardJoinStats>,
-}
-
-/// Telemetry of one shard's cached base×overlay frontier join.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardJoinStats {
-    /// Intersecting pairs the shard contributes (global ids, pre-window
-    /// filtering).
-    pub pairs: usize,
-    /// Frontier-expansion rounds the join took (≤ max tree height).
-    pub rounds: usize,
-    /// Largest candidate-pair frontier across those rounds.
-    pub frontier_peak: usize,
-    /// Exact segment-pair tests issued in leaf×leaf blocks.
-    pub pairs_tested: u64,
-    /// Per-round [`RoundTrace`] of the join's driver run.
-    pub trace: Vec<RoundTrace>,
-}
-
-/// Aggregated service statistics: per-shard views plus batch-level
-/// counters.
-#[derive(Debug, Clone)]
-pub struct ServiceStats {
-    /// One entry per shard.
-    pub shards: Vec<ShardStats>,
-    /// Requests accepted by [`QueryService::execute_batch`] (rejected
-    /// slots included — they were received, then refused).
-    pub requests: u64,
-    /// Expanding-window rounds spent on k-nearest requests.
-    pub knn_rounds: u64,
-    /// `Join` requests answered (each may touch several shards).
-    pub join_requests: u64,
-    /// The serving epoch number (bumped by every successful compaction).
-    pub epoch: u64,
-    /// Pending overlay segments awaiting the next compaction.
-    pub overlay_size: usize,
-    /// Tombstoned epoch-base segments awaiting the next compaction.
-    pub tombstones: usize,
-    /// Successful compactions over the service lifetime.
-    pub compactions: u64,
-    /// Compaction attempts that crashed and left the old epoch serving.
-    pub failed_compactions: u64,
-    /// Faults injected by the overlay ladder's fault-plan fork (0
-    /// without fault injection).
-    pub ladder_faults: u64,
-}
-
-impl ServiceStats {
-    /// Total window probes across shards (≥ answered window requests: a
-    /// request fans out to every overlapping shard, and k-NN requests
-    /// probe once per round).
-    pub fn total_probes(&self) -> u64 {
-        self.shards.iter().map(|s| s.probes).sum()
-    }
-
-    /// The busiest shard's probe count — `0` for a service with no
-    /// shards or no traffic (never panics, unlike `max().unwrap()`).
-    pub fn max_shard_probes(&self) -> u64 {
-        self.shards.iter().map(|s| s.probes).max().unwrap_or(0)
-    }
-
-    /// Total scan-model primitives across all shard machines.
-    pub fn total_primitives(&self) -> u64 {
-        self.shards.iter().map(|s| s.ops.total_primitives()).sum()
-    }
-
-    /// Shards currently degraded to the sequential oracle.
-    pub fn degraded_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.degraded).count()
-    }
-
-    /// Requests admitted through the pipeline, across all lanes.
-    pub fn total_admitted(&self) -> u64 {
-        self.shards.iter().map(|s| s.admitted).sum()
-    }
-
-    /// Requests shed by full lanes, across all lanes.
-    pub fn total_shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed).sum()
-    }
-
-    /// Admission-path probes answered from the hot-window cache.
-    pub fn total_cache_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.cache_hits).sum()
-    }
-
-    /// Mean admission-queue wait per admitted request, in microseconds
-    /// (`None` before any pipelined request).
-    pub fn mean_queue_wait_micros(&self) -> Option<f64> {
-        let admitted = self.total_admitted();
-        (admitted > 0).then(|| {
-            self.shards.iter().map(|s| s.queue_wait_micros).sum::<u64>() as f64 / admitted as f64
-        })
-    }
-
-    /// Total faults injected across all shard fault-plan forks, plus the
-    /// overlay ladder's fork.
-    pub fn total_faults_injected(&self) -> u64 {
-        self.shards.iter().map(|s| s.faults_injected).sum::<u64>() + self.ladder_faults
-    }
-
-    /// Approximate latency quantile over all per-shard flushes: the upper
-    /// bound (in microseconds) of the histogram bucket containing the
-    /// `q`-quantile flush, or `None` before any flush.
-    pub fn flush_latency_quantile_micros(&self, q: f64) -> Option<u64> {
-        let mut merged = [0u64; LATENCY_BUCKETS];
-        for s in &self.shards {
-            for (m, v) in merged.iter_mut().zip(s.latency_histogram.iter()) {
-                *m += v;
-            }
-        }
-        let total: u64 = merged.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let target = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &count) in merged.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return Some(1u64 << i);
-            }
-        }
-        Some(1u64 << (LATENCY_BUCKETS - 1))
-    }
-}
-
-/// A shard's cached base×overlay join: pairs in global ids plus the
-/// round telemetry of the frontier run that produced them.
-struct ShardJoin {
-    pairs: Vec<(SegId, SegId)>,
-    rounds: usize,
-    frontier_peak: usize,
-    pairs_tested: u64,
-    trace: Vec<RoundTrace>,
-}
-
-impl ShardJoin {
-    fn empty() -> Self {
-        ShardJoin {
-            pairs: Vec::new(),
-            rounds: 0,
-            frontier_peak: 0,
-            pairs_tested: 0,
-            trace: Vec::new(),
-        }
-    }
-}
-
-/// The swappable heart of a shard. Everything is behind an `Arc` so a
-/// query thread can *snapshot* the core under a brief lock, run the
-/// actual machine work with no lock held (holding a shard lock across
-/// pool work can self-deadlock when the holder help-drains another
-/// batch's job for the same shard), and a recovering thread can swap in
-/// a rebuilt core underneath it.
-#[derive(Clone)]
-struct ShardCore {
-    machine: Arc<Machine>,
-    /// `None` once the shard has degraded to the sequential oracle.
-    index: Option<Arc<ShardIndex>>,
-    overlay: Option<Arc<ShardIndex>>,
-    /// The cached base×overlay join (first computation wins).
-    join: Option<Arc<ShardJoin>>,
-}
-
-struct Shard {
-    /// The shard's tile (kept outside the core so stats work when the
-    /// index is gone).
-    tile: Rect,
-    /// Global ids of base segments assigned to this shard — the rebuild
-    /// source and the oracle's scan list.
-    assigned: Vec<SegId>,
-    /// Global ids of overlay segments assigned to this shard.
-    overlay_assigned: Vec<SegId>,
-    /// This shard's fork of the service fault plan (occurrence indices
-    /// count per shard, so injection is schedule-independent).
-    plan: Arc<FaultPlan>,
-    counters: ShardCounters,
-    retries: AtomicU64,
-    rebuilds: AtomicU64,
-    degraded: AtomicBool,
-    /// Round-driver telemetry of this shard's (first successful) build,
-    /// drained from the machine right after construction.
-    build_trace: Vec<RoundTrace>,
-    core: Mutex<ShardCore>,
-}
-
-impl Shard {
-    fn lock_core(&self) -> MutexGuard<'_, ShardCore> {
-        // A panic while the lock was held cannot corrupt the core (it
-        // only holds Arcs swapped atomically under the lock), so poison
-        // is safe to clear.
-        self.core.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn snapshot(&self) -> ShardCore {
-        self.lock_core().clone()
-    }
-}
-
-/// Rank of base id `b` among the live (non-tombstoned) ids of its epoch
-/// — its logical id. `tombstones` is sorted ascending.
-fn logical_of_base(tombstones: &[SegId], b: SegId) -> SegId {
-    b - tombstones.partition_point(|&t| t < b) as SegId
-}
-
-/// The `j`-th live base id: the inverse of [`logical_of_base`]. Standard
-/// rank/select fixpoint — `b = j + #{t ∈ tombstones : t ≤ b}` converges
-/// because the right-hand side is monotone and bounded.
-fn base_of_logical(tombstones: &[SegId], j: SegId) -> SegId {
-    let mut b = j;
-    loop {
-        let nb = j + tombstones.partition_point(|&t| t <= b) as SegId;
-        if nb == b {
-            return b;
-        }
-        b = nb;
-    }
-}
-
-/// One immutable serving epoch plus the write overlay accumulated on top
-/// of it. Readers snapshot the whole state with one `Arc` clone and run
-/// lock-free; writers publish a replacement `Arc` under the state write
-/// lock; a compaction folds the overlay into the shard trees and bumps
-/// `epoch` in the same single atomic swap — so no reader ever observes a
-/// half-swapped tree.
-///
-/// **Logical ids.** Query responses and write requests address segments
-/// by *logical* id: the segment's position in the collection an eager
-/// sequential engine would hold after replaying every accepted write
-/// (`Vec::push` per insert, `Vec::remove` per delete). Inside an epoch
-/// that collection is: the epoch's base segments minus `tombstones` (in
-/// base order), then `pending` in arrival order.
-struct ServingState {
-    /// Compaction generation, bumped once per epoch swap.
-    epoch: u64,
-    /// The epoch's base segment collection; shard `global_ids` and
-    /// `tombstones` index into it.
-    segs: Arc<Vec<LineSeg>>,
-    /// The epoch's shards, built over `segs`.
-    shards: Arc<Vec<Shard>>,
-    /// Base ids deleted since the epoch was built (sorted ascending).
-    tombstones: Vec<SegId>,
-    /// Segments inserted since the epoch was built, in arrival order.
-    pending: Vec<LineSeg>,
-    /// The overlay ladder: a bucket PMR quadtree over `pending`
-    /// (local ids), maintained incrementally by the batch updater.
-    /// `None` exactly when `pending` is empty.
-    ladder: Option<Arc<DpQuadtree>>,
-}
-
-impl ServingState {
-    /// Live base segments: logical ids `0..kept()` map to them.
-    fn kept(&self) -> SegId {
-        (self.segs.len() - self.tombstones.len()) as SegId
-    }
-
-    /// Total live segments (base survivors + pending).
-    fn live(&self) -> SegId {
-        self.kept() + self.pending.len() as SegId
-    }
-
-    fn is_tombstoned(&self, b: SegId) -> bool {
-        self.tombstones.binary_search(&b).is_ok()
-    }
-
-    /// The segment behind a logical id.
-    fn logical_seg(&self, id: SegId) -> LineSeg {
-        let kept = self.kept();
-        if id < kept {
-            self.segs[base_of_logical(&self.tombstones, id) as usize]
-        } else {
-            self.pending[(id - kept) as usize]
-        }
-    }
-
-    /// The full logical collection — what an eager engine would hold.
-    fn logical_collection(&self) -> Vec<LineSeg> {
-        let mut out = Vec::with_capacity(self.live() as usize);
-        let mut t = 0;
-        for (b, seg) in self.segs.iter().enumerate() {
-            if t < self.tombstones.len() && self.tombstones[t] as usize == b {
-                t += 1;
-                continue;
-            }
-            out.push(*seg);
-        }
-        out.extend(self.pending.iter().copied());
-        out
-    }
-}
-
-/// The sharded query service. Cheap to share by reference across threads:
-/// every query path takes `&self`; reads run on an epoch snapshot, writes
-/// serialize on the state lock and publish atomically.
-pub struct QueryService {
-    config: QueryServiceConfig,
-    grid: ShardGrid,
-    world: Rect,
-    /// The serving state: swapped wholesale on writes and compactions.
-    state: RwLock<Arc<ServingState>>,
-    /// Overlay segment collection (empty without an overlay layer);
-    /// `Response::Join` pairs index `(logical collection, overlay_segs)`.
-    overlay_segs: Vec<LineSeg>,
-    /// The fault-plan fork driving the write path's ladder machine
-    /// (salted past every shard fork).
-    ladder_plan: Arc<FaultPlan>,
-    /// The machine the overlay ladder and its queries run on.
-    ladder_machine: Machine,
-    requests: AtomicU64,
-    knn_rounds: AtomicU64,
-    join_requests: AtomicU64,
-    compactions: AtomicU64,
-    failed_compactions: AtomicU64,
-    events: Mutex<Vec<RecoveryEvent>>,
-    /// Hot-window result cache, consulted only on the admission path
-    /// (see [`QueryService::execute_admitted`]); the write path always
-    /// invalidates it, so direct and pipelined callers can mix freely.
-    cache: WindowCache,
-    /// When set (a [`ServicePipeline`] is attached), accepted writes do
-    /// not compact inline — lane workers signal the pipeline's
-    /// background compactor instead.
-    defer_compaction: AtomicBool,
-}
-
-/// Maps a caught panic payload to its typed cause: injected faults keep
-/// their site and occurrence; anything else becomes a generic
-/// shard-unavailable cause.
-fn error_from_panic(shard: usize, attempts: u32, payload: &(dyn Any + Send)) -> SpatialError {
-    match payload.downcast_ref::<InjectedFault>() {
-        Some(f) => SpatialError::FaultInjected {
-            site: f.site,
-            occurrence: f.occurrence,
-        },
-        None => SpatialError::ShardUnavailable { shard, attempts },
-    }
-}
-
-/// Deterministic backoff: a bounded spin that grows with the attempt
-/// number. No wall clock, so recovery timing cannot perturb the seeded
-/// fault streams or make replays diverge.
-fn backoff(attempt: u32) {
-    for _ in 0..(1u64 << attempt.min(8)) * 64 {
-        std::hint::spin_loop();
-    }
-}
-
-fn make_machine(config: &QueryServiceConfig, plan: &Arc<FaultPlan>) -> Machine {
-    let machine = match config.par_threshold {
-        Some(t) => Machine::new(config.backend).with_par_threshold(t),
-        None => Machine::new(config.backend),
-    };
-    machine.with_fault_plan(plan.clone())
-}
-
-/// Per-slot request validation: `Some(error)` when the request can never
-/// be answered. Windows reaching outside the world are *not* rejected —
-/// the service clips them naturally via routing plus exact filters.
-fn validate_request(index: usize, r: &Request) -> Option<SpatialError> {
-    // The canonical empty rect (`Rect::empty()`) is deliberately built
-    // from infinities and is a well-defined request that matches nothing;
-    // NaN corners fail `is_empty`'s comparisons, so poisoned rects are
-    // still caught.
-    let malformed_rect = |q: &Rect| {
-        let finite = q.min.x.is_finite()
-            && q.min.y.is_finite()
-            && q.max.x.is_finite()
-            && q.max.y.is_finite();
-        !finite && !q.is_empty()
-    };
-    let finite_point = |p: &Point| p.x.is_finite() && p.y.is_finite();
-    match r {
-        Request::Window(q) | Request::Join(q) | Request::Skyline(q) if malformed_rect(q) => {
-            Some(SpatialError::MalformedRequest {
-                index,
-                kind: MalformedKind::NonFiniteWindow,
-            })
-        }
-        Request::PointInWindow(p) | Request::DominanceAgg(p) if !finite_point(p) => {
-            Some(SpatialError::MalformedRequest {
-                index,
-                kind: MalformedKind::NonFinitePoint,
-            })
-        }
-        Request::KNearest { k: 0, .. } => Some(SpatialError::MalformedRequest {
-            index,
-            kind: MalformedKind::ZeroK,
-        }),
-        Request::KNearest { p, .. } if !finite_point(p) => Some(SpatialError::MalformedRequest {
-            index,
-            kind: MalformedKind::NonFinitePoint,
-        }),
-        Request::Insert(seg) if !(finite_point(&seg.a) && finite_point(&seg.b)) => {
-            Some(SpatialError::MalformedRequest {
-                index,
-                kind: MalformedKind::NonFiniteSegment,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Packs a dominance aggregate triple into six `u32` words (hi/lo per
-/// value) so the answer can ride the cache's `Arc<Vec<SegId>>` payload
-/// unchanged.
-fn encode_agg((count, sum, max): (u64, u64, u64)) -> Vec<SegId> {
-    let mut out = Vec::with_capacity(6);
-    for v in [count, sum, max] {
-        out.push((v >> 32) as SegId);
-        out.push(v as SegId);
-    }
-    out
-}
-
-/// Inverse of [`encode_agg`]; a malformed payload decodes to the empty
-/// aggregate rather than panicking on the serving path.
-fn decode_agg(words: &[SegId]) -> (u64, u64, u64) {
-    if words.len() != 6 {
-        return (0, 0, 0);
-    }
-    let v = |i: usize| ((words[i] as u64) << 32) | words[i + 1] as u64;
-    (v(0), v(2), v(4))
-}
-
-/// Brute closed max-dominance skyline over dominance points — the
-/// degraded rung when the ladder machine crashes mid-pipeline. O(n²)
-/// but exact; restates the `seq_spatial` oracle locally because that
-/// crate is a dev-dependency only.
-fn brute_skyline(points: &[DomPoint]) -> Vec<SegId> {
-    let dominates =
-        |a: &DomPoint, b: &DomPoint| a.x >= b.x && a.y >= b.y && (a.x > b.x || a.y > b.y);
-    points
-        .iter()
-        .filter(|p| !points.iter().any(|q| dominates(q, p)))
-        .map(|p| p.id)
-        .collect()
-}
-
-/// What one shard's fault-tolerant build produced.
-struct ShardBuild {
-    core: ShardCore,
-    build_trace: Vec<RoundTrace>,
-    events: Vec<RecoveryEvent>,
-    retries: u64,
-    degraded: bool,
-}
-
-/// Builds one shard's core, riding the recovery ladder: up to
-/// `1 + RETRY_LIMIT` attempts (each on a fresh machine — the shared plan
-/// keeps its occurrence counters, so a once-at fault does not re-fire),
-/// then degradation (core with no index).
-#[allow(clippy::too_many_arguments)]
-fn build_core_recovering(
-    config: &QueryServiceConfig,
-    world: Rect,
-    segs: &[LineSeg],
-    overlay_segs: &[LineSeg],
-    tile: Rect,
-    assigned: &[SegId],
-    overlay_assigned: &[SegId],
-    plan: &Arc<FaultPlan>,
-    shard_no: usize,
-) -> ShardBuild {
-    let mut events = Vec::new();
-    let mut retries = 0u64;
-    for attempt in 0..=RETRY_LIMIT {
-        let machine = make_machine(config, plan);
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            let index = build_shard(
-                &machine,
-                world,
-                tile,
-                segs,
-                assigned,
-                config.capacity,
-                config.max_depth,
-            );
-            let trace = machine.take_round_traces();
-            let overlay = if overlay_segs.is_empty() {
-                None
-            } else {
-                let idx = build_shard(
-                    &machine,
-                    world,
-                    tile,
-                    overlay_segs,
-                    overlay_assigned,
-                    config.capacity,
-                    config.max_depth,
-                );
-                // The overlay build's traces are not part of the base
-                // build table; the join's own trace is captured when the
-                // join first runs.
-                machine.take_round_traces();
-                Some(Arc::new(idx))
-            };
-            (index, trace, overlay)
-        }));
-        match built {
-            Ok((index, build_trace, overlay)) => {
-                return ShardBuild {
-                    core: ShardCore {
-                        machine: Arc::new(machine),
-                        index: Some(Arc::new(index)),
-                        overlay,
-                        join: None,
-                    },
-                    build_trace,
-                    events,
-                    retries,
-                    degraded: false,
-                };
-            }
-            Err(payload) => {
-                let cause = error_from_panic(shard_no, attempt + 1, payload.as_ref());
-                if attempt < RETRY_LIMIT {
-                    retries += 1;
-                    events.push(RecoveryEvent {
-                        shard: shard_no,
-                        action: RecoveryAction::Retry(attempt + 1),
-                        error: cause,
-                    });
-                    backoff(attempt + 1);
-                } else {
-                    events.push(RecoveryEvent {
-                        shard: shard_no,
-                        action: RecoveryAction::Degrade,
-                        error: SpatialError::ShardUnavailable {
-                            shard: shard_no,
-                            attempts: RETRY_LIMIT + 1,
-                        },
-                    });
-                }
-            }
-        }
-    }
-    ShardBuild {
-        core: ShardCore {
-            machine: Arc::new(make_machine(config, plan)),
-            index: None,
-            overlay: None,
-            join: None,
-        },
-        build_trace: Vec::new(),
-        events,
-        retries,
-        degraded: true,
-    }
-}
-
-impl QueryService {
-    /// Builds the service: partitions `segs` over the shard grid and
-    /// constructs every shard's quadtree (shards build concurrently,
-    /// each through its own machine).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the validation errors [`QueryService::try_build`]
-    /// reports (invalid shard grid or capacity, segments outside the
-    /// half-open `world`).
-    pub fn build(config: QueryServiceConfig, world: Rect, segs: Vec<LineSeg>) -> Self {
-        QueryService::try_build(config, world, segs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`QueryService::build`] plus a second *overlay* layer of segments,
-    /// indexed per shard exactly like the base layer. `Join` requests
-    /// answer with base×overlay pairs intersecting inside their window;
-    /// with an empty `overlay` every join answer is empty.
-    ///
-    /// Both layers' shard trees span the full world, so each shard's base
-    /// and overlay quadtrees are aligned decompositions — exactly the
-    /// precondition of [`frontier_join`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the validation errors
-    /// [`QueryService::try_build_with_overlay`] reports.
-    pub fn build_with_overlay(
-        config: QueryServiceConfig,
-        world: Rect,
-        segs: Vec<LineSeg>,
-        overlay: Vec<LineSeg>,
-    ) -> Self {
-        QueryService::try_build_with_overlay(config, world, segs, overlay)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`QueryService::build`]: validates the configuration and
-    /// every segment endpoint before any shard work, returning a typed
-    /// [`SpatialError`] instead of panicking.
-    pub fn try_build(
-        config: QueryServiceConfig,
-        world: Rect,
-        segs: Vec<LineSeg>,
-    ) -> Result<Self, SpatialError> {
-        QueryService::try_build_with_overlay(config, world, segs, Vec::new())
-    }
-
-    /// Fallible [`QueryService::build_with_overlay`].
-    pub fn try_build_with_overlay(
-        config: QueryServiceConfig,
-        world: Rect,
-        segs: Vec<LineSeg>,
-        overlay: Vec<LineSeg>,
-    ) -> Result<Self, SpatialError> {
-        QueryService::try_build_with_faults(
-            config,
-            world,
-            segs,
-            overlay,
-            Arc::new(FaultPlan::disabled()),
-        )
-    }
-
-    /// [`QueryService::try_build_with_overlay`] under a fault plan: each
-    /// shard gets a [`FaultPlan::fork`] of `plan` (salted by its shard
-    /// index) attached to its machine, so round aborts, arena overflows
-    /// and — with an armed worker hook — pool panics are injected
-    /// deterministically per shard. `Err` is returned only for
-    /// validation failures; shards whose *builds* keep crashing degrade
-    /// to the oracle instead of failing construction.
-    pub fn try_build_with_faults(
-        config: QueryServiceConfig,
-        world: Rect,
-        segs: Vec<LineSeg>,
-        overlay: Vec<LineSeg>,
-        plan: Arc<FaultPlan>,
-    ) -> Result<Self, SpatialError> {
-        config.validate()?;
-        for (index, s) in segs.iter().chain(overlay.iter()).enumerate() {
-            if !(world.contains_half_open(s.a) && world.contains_half_open(s.b)) {
-                return Err(SpatialError::SegmentOutsideWorld {
-                    index: index % segs.len().max(1),
-                });
-            }
-        }
-        let grid = ShardGrid::new(world, config.shard_grid);
-        let assignment = grid.assign_segments(&segs);
-        let overlay_assignment = grid.assign_segments(&overlay);
-        let build_one = |i: usize| {
-            let shard_plan = Arc::new(plan.fork(i as u64));
-            let built = build_core_recovering(
-                &config,
-                world,
-                &segs,
-                &overlay,
-                grid.tile_of(i),
-                &assignment[i],
-                &overlay_assignment[i],
-                &shard_plan,
-                i,
-            );
-            let shard = Shard {
-                tile: grid.tile_of(i),
-                assigned: assignment[i].clone(),
-                overlay_assigned: overlay_assignment[i].clone(),
-                plan: shard_plan,
-                counters: ShardCounters::new(),
-                retries: AtomicU64::new(built.retries),
-                rebuilds: AtomicU64::new(0),
-                degraded: AtomicBool::new(built.degraded),
-                build_trace: built.build_trace,
-                core: Mutex::new(built.core),
-            };
-            (shard, built.events)
-        };
-        // Concurrent shard builds, with the same pre-body-fault fallback
-        // as the query fan-outs: if a worker fault escapes the fan-out
-        // itself, rebuild every shard on this thread. Partial results
-        // from the crashed fan-out are discarded and each shard's plan
-        // fork is recreated fresh, so the fallback is self-consistent
-        // (worker-fault timing is thread-schedule-dependent by nature —
-        // the seeded sites stay deterministic per shard regardless).
-        let fan_out = || -> Vec<(Shard, Vec<RecoveryEvent>)> {
-            (0..grid.num_shards())
-                .into_par_iter()
-                .map(build_one)
-                .collect()
-        };
-        let builds = catch_unwind(AssertUnwindSafe(fan_out))
-            .unwrap_or_else(|_| (0..grid.num_shards()).map(build_one).collect());
-        let mut shards = Vec::with_capacity(builds.len());
-        let mut events = Vec::new();
-        for (shard, shard_events) in builds {
-            shards.push(shard);
-            events.extend(shard_events);
-        }
-        let ladder_plan = Arc::new(plan.fork(grid.num_shards() as u64));
-        let ladder_machine = make_machine(&config, &ladder_plan);
-        Ok(QueryService {
-            config,
-            grid,
-            world,
-            state: RwLock::new(Arc::new(ServingState {
-                epoch: 0,
-                segs: Arc::new(segs),
-                shards: Arc::new(shards),
-                tombstones: Vec::new(),
-                pending: Vec::new(),
-                ladder: None,
-            })),
-            overlay_segs: overlay,
-            ladder_plan,
-            ladder_machine,
-            requests: AtomicU64::new(0),
-            knn_rounds: AtomicU64::new(0),
-            join_requests: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            failed_compactions: AtomicU64::new(0),
-            events: Mutex::new(events),
-            cache: WindowCache::new(config.cache_capacity),
-            defer_compaction: AtomicBool::new(false),
-        })
-    }
-
-    fn state_snapshot(&self) -> Arc<ServingState> {
-        self.state
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &QueryServiceConfig {
-        &self.config
-    }
-
-    /// The shard grid.
-    pub fn grid(&self) -> ShardGrid {
-        self.grid
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.grid.num_shards()
-    }
-
-    /// The live *logical* segment collection: the ids in query responses
-    /// index into this, and it equals what an eager sequential engine
-    /// would hold after replaying every accepted write.
-    pub fn segments(&self) -> Vec<LineSeg> {
-        self.state_snapshot().logical_collection()
-    }
-
-    /// The overlay segment collection (empty without an overlay layer);
-    /// the second id of a [`Response::Join`] pair indexes into this.
-    pub fn overlay_segments(&self) -> &[LineSeg] {
-        &self.overlay_segs
-    }
-
-    /// Every recovery decision taken so far, in observation order (build
-    /// events first, then query-time events as they happened).
-    pub fn recovery_events(&self) -> Vec<RecoveryEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn push_event(&self, event: RecoveryEvent) {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event);
-    }
-
-    /// Executes a batch of mixed requests; `out[i]` answers
-    /// `requests[i]`. Deterministic: identical batches against identical
-    /// service states produce identical responses regardless of backend,
-    /// shard count or thread schedule — including under injected faults,
-    /// where recovered shards return exactly what a healthy run would.
-    /// Unanswerable requests come back as [`Response::Rejected`] without
-    /// disturbing their neighbours; nothing on this path panics.
-    ///
-    /// Writes and reads interleave with strict batch-order semantics:
-    /// the batch is split into maximal read runs and single writes; each
-    /// read run executes against the serving state snapshot taken after
-    /// the preceding write, so every request observes exactly the writes
-    /// before it in the batch — the eager sequential oracle's view.
-    pub fn execute_batch(&self, requests: &[Request]) -> Vec<Response> {
-        self.execute_inner(requests, None)
-    }
-
-    /// The admission path's executor: [`execute_batch`] semantics, plus
-    /// the hot-window cache (hits skip routing and descent entirely) and
-    /// per-shard admission telemetry attributed to `cache_shard`. Only
-    /// [`ServicePipeline`] lane workers call this — the direct path
-    /// never consults the cache, so its probe-count invariants (one
-    /// probe per overlapping shard, pinned by the differential suite)
-    /// hold unconditionally.
-    ///
-    /// [`execute_batch`]: QueryService::execute_batch
-    pub(crate) fn execute_admitted(
-        &self,
-        requests: &[Request],
-        cache_shard: usize,
-    ) -> Vec<Response> {
-        self.execute_inner(requests, Some(cache_shard))
-    }
-
-    fn execute_inner(&self, requests: &[Request], cache_shard: Option<usize>) -> Vec<Response> {
-        self.requests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let is_write = |r: &Request| matches!(r, Request::Insert(_) | Request::Delete(_));
-        let mut out = Vec::with_capacity(requests.len());
-        let mut i = 0;
-        while i < requests.len() {
-            if is_write(&requests[i]) {
-                out.push(self.apply_write(i, &requests[i]));
-                i += 1;
-            } else {
-                let mut j = i;
-                while j < requests.len() && !is_write(&requests[j]) {
-                    j += 1;
-                }
-                let st = self.state_snapshot();
-                out.extend(self.execute_reads(&st, &requests[i..j], i, cache_shard));
-                i = j;
-            }
-        }
-        out
-    }
-
-    /// Executes one run of read requests against an epoch snapshot.
-    /// `offset` is the run's position in the enclosing batch (typed
-    /// errors carry batch-absolute indices). With `cache_shard` set
-    /// (the admission path), window/point probes consult the
-    /// hot-window cache first: hits skip routing and descent, misses
-    /// execute normally and offer their answers back under the
-    /// write-version protocol (see [`cache`]).
-    fn execute_reads(
-        &self,
-        st: &ServingState,
-        requests: &[Request],
-        offset: usize,
-        cache_shard: Option<usize>,
-    ) -> Vec<Response> {
-        let rejections: Vec<Option<SpatialError>> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| validate_request(offset + i, r))
-            .collect();
-
-        // Window-like requests become probes immediately; k-NN requests
-        // join the expanding-window rounds afterwards. Rejected slots
-        // contribute nothing.
-        let mut probe_answers: Vec<Option<Arc<Vec<SegId>>>> = vec![None; requests.len()];
-        let mut probes: Vec<(usize, Rect)> = Vec::new();
-        // Cache misses awaiting their computed answer: (slot, kind,
-        // rect, version-at-miss).
-        let mut pending_admits: Vec<(usize, CacheKind, Rect, u64)> = Vec::new();
-        for (slot, r) in requests.iter().enumerate() {
-            if rejections[slot].is_some() {
-                continue;
-            }
-            let (kind, rect) = match r {
-                Request::Window(q) => (CacheKind::Window, *q),
-                Request::PointInWindow(p) => (CacheKind::PointInWindow, Rect::point(*p)),
-                Request::Skyline(q) => (CacheKind::Skyline, *q),
-                Request::DominanceAgg(p) => (CacheKind::DominanceAgg, self.dominated_rect(p)),
-                Request::KNearest { .. } | Request::Join(_) => continue,
-                Request::Insert(_) | Request::Delete(_) => unreachable!("writes split out"),
-            };
-            if let Some(shard) = cache_shard {
-                match self.cache.lookup(kind, &rect) {
-                    CacheLookup::Hit(ids) => {
-                        st.shards[shard % st.shards.len().max(1)]
-                            .counters
-                            .cache_hits
-                            .fetch_add(1, Ordering::Relaxed);
-                        probe_answers[slot] = Some(ids);
-                        continue;
-                    }
-                    CacheLookup::Miss(version) => {
-                        pending_admits.push((slot, kind, rect, version));
-                    }
-                }
-            }
-            probes.push((slot, rect));
-        }
-        let window_hits = self.run_probes(st, &probes);
-        for ((slot, _), ids) in probes.iter().zip(window_hits) {
-            // Dominance-family probes produce *candidates* (the logical
-            // ids intersecting the rect); reduce them to the final
-            // answer here so the cache admit below and the response
-            // share one allocation holding the finished result.
-            let answer = match &requests[*slot] {
-                Request::Skyline(_) => self.compute_skyline(st, &ids),
-                Request::DominanceAgg(p) => encode_agg(self.compute_dominance_agg(st, &ids, p)),
-                _ => ids,
-            };
-            probe_answers[*slot] = Some(Arc::new(answer));
-        }
-        for (slot, kind, rect, version) in pending_admits {
-            if let Some(ids) = &probe_answers[slot] {
-                // One allocation shared by the cache entry and the
-                // response: hits hand the same `Arc` back out.
-                self.cache.admit(kind, &rect, version, ids.clone());
-            }
-        }
-        let knn_answers = self.run_knn(st, requests, &rejections);
-        let join_answers = self.run_joins(st, requests, &rejections);
-
-        requests
-            .iter()
-            .enumerate()
-            .map(|(slot, r)| {
-                if let Some(e) = rejections[slot] {
-                    return Response::Rejected(e);
-                }
-                match r {
-                    Request::Window(_) => {
-                        Response::Window(probe_answers[slot].take().unwrap_or_default())
-                    }
-                    Request::PointInWindow(_) => {
-                        Response::PointInWindow(probe_answers[slot].take().unwrap_or_default())
-                    }
-                    Request::KNearest { .. } => {
-                        Response::KNearest(knn_answers[slot].clone().unwrap_or_default())
-                    }
-                    Request::Join(_) => {
-                        Response::Join(join_answers[slot].clone().unwrap_or_default())
-                    }
-                    Request::Skyline(_) => {
-                        Response::Skyline(probe_answers[slot].take().unwrap_or_default())
-                    }
-                    Request::DominanceAgg(_) => {
-                        let enc = probe_answers[slot].take().unwrap_or_default();
-                        let (count, sum, max) = decode_agg(&enc);
-                        Response::DominanceAgg { count, sum, max }
-                    }
-                    Request::Insert(_) | Request::Delete(_) => unreachable!("writes split out"),
-                }
-            })
-            .collect()
-    }
-
-    /// Routes `probes` to overlapping shards, executes every shard's
-    /// queue in `flush_batch`-sized lockstep batches, and merges the hits
-    /// back per probe — mapped to *logical* ids (tombstoned base hits
-    /// dropped, overlay-ladder hits folded in), sorted, deduplicated.
-    fn run_probes(&self, st: &ServingState, probes: &[(usize, Rect)]) -> Vec<Vec<SegId>> {
-        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); st.shards.len()];
-        for (pi, (_, rect)) in probes.iter().enumerate() {
-            for s in self.grid.shards_overlapping(rect) {
-                per_shard[s].push(pi as u32);
-            }
-        }
-        // The per-chunk ladder catches panics raised *inside* shard work,
-        // but an armed worker-fault hook fires before a pool job's body —
-        // ahead of that ladder — and surfaces here, at the fan-out
-        // itself. Fall back to draining the shards on this thread: the
-        // machine-level pool (and its faults) still engages inside each
-        // chunk, where the ladder owns recovery.
-        let run_all = || -> Vec<Vec<(u32, Vec<SegId>)>> {
-            (0..st.shards.len())
-                .into_par_iter()
-                .map(|s| self.run_shard(st, s, &per_shard[s], probes))
-                .collect()
-        };
-        let shard_hits = catch_unwind(AssertUnwindSafe(run_all)).unwrap_or_else(|_| {
-            (0..st.shards.len())
-                .map(|s| self.run_shard(st, s, &per_shard[s], probes))
-                .collect()
-        });
-
-        let mut results: Vec<Vec<SegId>> = vec![Vec::new(); probes.len()];
-        for hits in shard_hits {
-            for (pi, ids) in hits {
-                results[pi as usize].extend(ids);
-            }
-        }
-        for ids in &mut results {
-            ids.sort_unstable();
-            ids.dedup();
-        }
-        // Base → logical: drop tombstoned hits and subtract each
-        // survivor's tombstone rank (a monotone map, so sortedness and
-        // dedup survive).
-        if !st.tombstones.is_empty() {
-            for ids in &mut results {
-                ids.retain(|&b| !st.is_tombstoned(b));
-                for id in ids.iter_mut() {
-                    *id = logical_of_base(&st.tombstones, *id);
-                }
-            }
-        }
-        // Overlay-ladder hits: every pending segment has a logical id ≥
-        // kept(), above every base logical — appending keeps the order.
-        if !st.pending.is_empty() {
-            let rects: Vec<Rect> = probes.iter().map(|&(_, q)| q).collect();
-            let kept = st.kept();
-            for (ids, extra) in results.iter_mut().zip(self.ladder_probe(st, &rects)) {
-                ids.extend(extra.into_iter().map(|l| kept + l));
-            }
-        }
-        results
-    }
-
-    /// Window hits among the pending (overlay) segments, as local ids:
-    /// one lockstep batch over the ladder tree, with a brute exact-clip
-    /// fallback when the ladder machine crashes (injected or genuine) —
-    /// answers stay bit-identical either way.
-    fn ladder_probe(&self, st: &ServingState, rects: &[Rect]) -> Vec<Vec<SegId>> {
-        if let Some(tree) = &st.ladder {
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                batch_window_query(&self.ladder_machine, tree, rects, &st.pending)
-            }));
-            if let Ok(hits) = run {
-                return hits;
-            }
-        }
-        rects
-            .iter()
-            .map(|q| {
-                (0..st.pending.len() as SegId)
-                    .filter(|&l| clip_segment_closed(&st.pending[l as usize], q).is_some())
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// The query's dominated rectangle — world min corner to the query
-    /// point (clamped so the rect stays well-formed when the point lies
-    /// below the world). No segment outside it can contribute to the
-    /// dominated set, and its bit pattern is the canonical
-    /// [`CacheKind::DominanceAgg`] cache key.
-    fn dominated_rect(&self, p: &Point) -> Rect {
-        Rect::from_coords(
-            self.world.min.x.min(p.x),
-            self.world.min.y.min(p.y),
-            p.x,
-            p.y,
-        )
-    }
-
-    /// Midpoint of a logical segment lifted to a dominance point with
-    /// its quantized-length weight.
-    fn dom_point(st: &ServingState, id: SegId) -> DomPoint {
-        let seg = st.logical_seg(id);
-        let mid = seg.midpoint();
-        DomPoint {
-            id,
-            x: mid.x,
-            y: mid.y,
-            w: dominance_weight(&seg),
-        }
-    }
-
-    /// Skyline of the candidates' midpoints via the data-parallel
-    /// sort + segmented-scan pipeline on the ladder machine, with a
-    /// brute closed-dominance fallback when the machine crashes
-    /// (injected [`scan_model::FaultSite::SkylineAbort`] or genuine) —
-    /// ids come back sorted ascending either way.
-    fn compute_skyline(&self, st: &ServingState, cands: &[SegId]) -> Vec<SegId> {
-        let points: Vec<DomPoint> = cands.iter().map(|&id| Self::dom_point(st, id)).collect();
-        let run = catch_unwind(AssertUnwindSafe(|| skyline(&self.ladder_machine, &points)));
-        let mut ids = run.unwrap_or_else(|_| brute_skyline(&points));
-        ids.sort_unstable();
-        ids
-    }
-
-    /// `(count, sum, max)` over the candidates whose midpoint lies in
-    /// the closed lower-left quadrant of `p`. The dominated set is
-    /// resolved by the filter; the scan-model [`dominance_agg`] pipeline
-    /// then aggregates it (every retained point is dominated by `p`, so
-    /// the single-query aggregate covers the whole set), with a direct
-    /// fold as the crash fallback.
-    fn compute_dominance_agg(
-        &self,
-        st: &ServingState,
-        cands: &[SegId],
-        p: &Point,
-    ) -> (u64, u64, u64) {
-        let points: Vec<DomPoint> = cands
-            .iter()
-            .map(|&id| Self::dom_point(st, id))
-            .filter(|d| d.x <= p.x && d.y <= p.y)
-            .collect();
-        if points.is_empty() {
-            return (0, 0, 0);
-        }
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            dominance_agg(&self.ladder_machine, &points, &[(p.x, p.y)])
-        }));
-        match run {
-            Ok(aggs) => (aggs[0].count, aggs[0].sum, aggs[0].max),
-            Err(_) => points
-                .iter()
-                .fold((0, 0, 0), |(c, s, m), d| (c + 1, s + d.w, m.max(d.w))),
-        }
-    }
-
-    /// Executes one shard's probe queue. Returns `(probe index, global
-    /// ids)` pairs; ids are global hits not yet deduplicated across
-    /// shards.
-    fn run_shard(
-        &self,
-        st: &ServingState,
-        s: usize,
-        queue: &[u32],
-        probes: &[(usize, Rect)],
-    ) -> Vec<(u32, Vec<SegId>)> {
-        let shard = &st.shards[s];
-        shard.counters.record_queue(queue.len());
-        let mut out = Vec::with_capacity(queue.len());
-        // `flush_batch >= 1` is a construction-time invariant
-        // (`QueryServiceConfig::validate`), so chunking cannot panic.
-        for chunk in queue.chunks(self.config.flush_batch) {
-            let rects: Vec<Rect> = chunk.iter().map(|&pi| probes[pi as usize].1).collect();
-            let hits = self.probe_chunk_recovering(st, s, &rects);
-            for (j, globals) in hits.into_iter().enumerate() {
-                out.push((chunk[j], globals));
-            }
-        }
-        out
-    }
-
-    /// One probe chunk through the recovery ladder: run on a core
-    /// snapshot (no lock held across machine work); on a caught panic
-    /// retry up to [`RETRY_LIMIT`] times, then rebuild the shard and
-    /// retry again, then degrade to the oracle. Always answers.
-    fn probe_chunk_recovering(
-        &self,
-        st: &ServingState,
-        s: usize,
-        rects: &[Rect],
-    ) -> Vec<Vec<SegId>> {
-        let shard = &st.shards[s];
-        let mut retries_left = RETRY_LIMIT;
-        let mut rebuilt = false;
-        let mut attempts = 0u32;
-        loop {
-            let core = shard.snapshot();
-            let Some(index) = core.index.clone() else {
-                return self.oracle_probe(st, s, rects);
-            };
-            let machine = core.machine.clone();
-            attempts += 1;
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                // The probe-window buffer leases from the shard machine's
-                // own scratch arena — the same pool the batch engine's
-                // `_into` primitives recycle through. (Lost, not leaked
-                // back, if this closure unwinds.)
-                let mut buf: Vec<Rect> = machine.lease();
-                buf.extend_from_slice(rects);
-                let t0 = Instant::now();
-                let hits = batch_window_query(&machine, &index.tree, &buf, &index.segs);
-                let micros = t0.elapsed().as_micros() as u64;
-                machine.recycle(buf);
-                (hits, micros)
-            }));
-            match run {
-                Ok((hits, micros)) => {
-                    shard.counters.record_flush(micros);
-                    return hits
-                        .into_iter()
-                        .map(|locals| {
-                            locals
-                                .into_iter()
-                                .map(|l| index.global_ids[l as usize])
-                                .collect()
-                        })
-                        .collect();
-                }
-                Err(payload) => {
-                    let cause = error_from_panic(s, attempts, payload.as_ref());
-                    if retries_left > 0 {
-                        retries_left -= 1;
-                        shard.retries.fetch_add(1, Ordering::Relaxed);
-                        self.push_event(RecoveryEvent {
-                            shard: s,
-                            action: RecoveryAction::Retry(RETRY_LIMIT - retries_left),
-                            error: cause,
-                        });
-                        backoff(RETRY_LIMIT - retries_left);
-                        continue;
-                    }
-                    if !rebuilt {
-                        rebuilt = true;
-                        retries_left = RETRY_LIMIT;
-                        match self.rebuild_shard(st, s) {
-                            Ok(()) => {
-                                self.push_event(RecoveryEvent {
-                                    shard: s,
-                                    action: RecoveryAction::Rebuild,
-                                    error: cause,
-                                });
-                                continue;
-                            }
-                            Err(_) => {
-                                self.degrade_shard(st, s, attempts + 1);
-                                return self.oracle_probe(st, s, rects);
-                            }
-                        }
-                    }
-                    self.degrade_shard(st, s, attempts);
-                    return self.oracle_probe(st, s, rects);
-                }
-            }
-        }
-    }
-
-    /// The degraded path: answers window probes by scanning the shard's
-    /// assigned segments with the exact closed-clip test — the same
-    /// predicate the indexed path bottoms out in, so answers are
-    /// bit-identical, just O(probes × assigned) instead of lockstep.
-    /// Pure sequential code: no machine, no pool, nothing to crash.
-    fn oracle_probe(&self, st: &ServingState, s: usize, rects: &[Rect]) -> Vec<Vec<SegId>> {
-        let shard = &st.shards[s];
-        rects
-            .iter()
-            .map(|q| {
-                shard
-                    .assigned
-                    .iter()
-                    .copied()
-                    .filter(|&id| clip_segment_closed(&st.segs[id as usize], q).is_some())
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Rebuilds the shard's machine and indexes from the service's
-    /// segment collections, then swaps the new core in under a brief
-    /// lock. Runs under `catch_unwind` itself: a crashing rebuild
-    /// reports its cause instead of unwinding further. The shard's fault
-    /// plan is reused as-is — its occurrence counters persist, so a
-    /// `once_at` fault that already fired cannot re-fire during
-    /// recovery.
-    fn rebuild_shard(&self, st: &ServingState, s: usize) -> Result<(), SpatialError> {
-        let shard = &st.shards[s];
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let machine = make_machine(&self.config, &shard.plan);
-            let index = build_shard(
-                &machine,
-                self.world,
-                shard.tile,
-                &st.segs,
-                &shard.assigned,
-                self.config.capacity,
-                self.config.max_depth,
-            );
-            machine.take_round_traces();
-            let overlay = if self.overlay_segs.is_empty() {
-                None
-            } else {
-                let idx = build_shard(
-                    &machine,
-                    self.world,
-                    shard.tile,
-                    &self.overlay_segs,
-                    &shard.overlay_assigned,
-                    self.config.capacity,
-                    self.config.max_depth,
-                );
-                machine.take_round_traces();
-                Some(Arc::new(idx))
-            };
-            (Arc::new(machine), Arc::new(index), overlay)
-        }));
-        match attempt {
-            Ok((machine, index, overlay)) => {
-                shard.rebuilds.fetch_add(1, Ordering::Relaxed);
-                let mut core = shard.lock_core();
-                core.machine = machine;
-                core.index = Some(index);
-                core.overlay = overlay;
-                // The cached join refers to the old trees; recomputing on
-                // the rebuilt (identical) trees yields identical pairs.
-                core.join = None;
-                Ok(())
-            }
-            Err(payload) => Err(error_from_panic(s, 1, payload.as_ref())),
-        }
-    }
-
-    /// Marks the shard degraded: drops its index so every subsequent
-    /// probe takes the oracle path, and records the final ladder rung.
-    fn degrade_shard(&self, st: &ServingState, s: usize, attempts: u32) {
-        let shard = &st.shards[s];
-        shard.degraded.store(true, Ordering::Relaxed);
-        {
-            let mut core = shard.lock_core();
-            core.index = None;
-            core.overlay = None;
-            core.join = None;
-        }
-        self.push_event(RecoveryEvent {
-            shard: s,
-            action: RecoveryAction::Degrade,
-            error: SpatialError::ShardUnavailable { shard: s, attempts },
-        });
-    }
-
-    /// Answers every valid k-NN request in `requests` by batched
-    /// expanding windows; other request kinds and rejected slots get
-    /// `None`.
-    fn run_knn(
-        &self,
-        st: &ServingState,
-        requests: &[Request],
-        rejections: &[Option<SpatialError>],
-    ) -> Vec<Option<Vec<(SegId, f64)>>> {
-        let mut answers: Vec<Option<Vec<(SegId, f64)>>> = vec![None; requests.len()];
-        let world = self.grid.world();
-        // Initial half-width: a quarter tile, so round one stays local.
-        let r0 = ((world.max.x - world.min.x) / self.config.shard_grid as f64 / 4.0).max(1e-9);
-        let mut pending: Vec<(usize, Point, usize, f64)> = requests
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, r)| match r {
-                Request::KNearest { p, k } if rejections[slot].is_none() => {
-                    Some((slot, *p, *k, r0))
-                }
-                _ => None,
-            })
-            .collect();
-
-        while !pending.is_empty() {
-            self.knn_rounds.fetch_add(1, Ordering::Relaxed);
-            let probes: Vec<(usize, Rect)> = pending
-                .iter()
-                .map(|&(slot, p, _, r)| {
-                    (slot, Rect::from_coords(p.x - r, p.y - r, p.x + r, p.y + r))
-                })
-                .collect();
-            let hits = self.run_probes(st, &probes);
-            let mut next = Vec::new();
-            for (&(slot, p, k, r), (ids, (_, window))) in
-                pending.iter().zip(hits.into_iter().zip(probes.iter()))
-            {
-                let mut scored: Vec<(SegId, f64)> = ids
-                    .into_iter()
-                    .map(|id| (id, st.logical_seg(id).dist2_to_point(p).sqrt()))
-                    .collect();
-                scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                // Every segment at distance ≤ r intersects the window, so
-                // a k-th best ≤ r is provably final; a window covering the
-                // whole world has seen everything. (`k == 0` never reaches
-                // here — validation rejects it — but the guard keeps the
-                // indexing panic-free regardless.)
-                let world_covered = window.min.x <= world.min.x
-                    && window.min.y <= world.min.y
-                    && window.max.x >= world.max.x
-                    && window.max.y >= world.max.y;
-                let kth_within = k > 0 && scored.len() >= k && scored[k - 1].1 <= r;
-                if world_covered || kth_within {
-                    scored.truncate(k);
-                    answers[slot] = Some(scored);
-                } else {
-                    next.push((slot, p, k, r * 2.0));
-                }
-            }
-            pending = next;
-        }
-        answers
-    }
-
-    /// Answers every valid `Join` request in `requests`; other request
-    /// kinds and rejected slots get `None`.
-    ///
-    /// Routing mirrors the window path: a join window is routed to every
-    /// shard whose tile it overlaps. Each routed shard contributes its
-    /// cached base×overlay frontier join (computed on first use), and the
-    /// router keeps only the pairs that intersect *inside* the window —
-    /// an exact filter, so a pair spanning several tiles is reported once
-    /// and out-of-window candidates never surface. This is sound and
-    /// complete: an intersection point inside the window lies in some
-    /// overlapping tile, and both segments of the pair are assigned to
-    /// that tile's shard. A degraded shard contributes the same pairs by
-    /// brute force over its assignment (the oracle form of the join).
-    fn run_joins(
-        &self,
-        st: &ServingState,
-        requests: &[Request],
-        rejections: &[Option<SpatialError>],
-    ) -> Vec<Option<Vec<(SegId, SegId)>>> {
-        let mut answers: Vec<Option<Vec<(SegId, SegId)>>> = vec![None; requests.len()];
-        let joins: Vec<(usize, Rect)> = requests
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, r)| match r {
-                Request::Join(q) if rejections[slot].is_none() => Some((slot, *q)),
-                _ => None,
-            })
-            .collect();
-        if joins.is_empty() {
-            return answers;
-        }
-        self.join_requests
-            .fetch_add(joins.len() as u64, Ordering::Relaxed);
-
-        // Warm every needed shard's join cache concurrently, then filter
-        // per request.
-        let mut needed: Vec<usize> = joins
-            .iter()
-            .flat_map(|(_, q)| self.grid.shards_overlapping(q))
-            .collect();
-        needed.sort_unstable();
-        needed.dedup();
-        // Same fallback as `run_probes`: a pre-body worker fault escapes
-        // the fan-out, not the per-shard ladder — warm sequentially then.
-        let warm = || {
-            needed.par_iter().for_each(|&s| {
-                self.shard_join(st, s);
-            })
-        };
-        if catch_unwind(AssertUnwindSafe(warm)).is_err() {
-            for &s in &needed {
-                self.shard_join(st, s);
-            }
-        }
-
-        let kept = st.kept();
-        for (slot, q) in joins {
-            let mut pairs: Vec<(SegId, SegId)> = Vec::new();
-            for s in self.grid.shards_overlapping(&q) {
-                match self.shard_join(st, s) {
-                    Some(join) => {
-                        // Cached pairs carry epoch-base ids: drop the
-                        // tombstoned ones, report survivors logically.
-                        pairs.extend(join.pairs.iter().copied().filter_map(|(a, b)| {
-                            if st.is_tombstoned(a)
-                                || !pair_intersects_in(
-                                    &st.segs[a as usize],
-                                    &self.overlay_segs[b as usize],
-                                    &q,
-                                )
-                            {
-                                return None;
-                            }
-                            Some((logical_of_base(&st.tombstones, a), b))
-                        }));
-                    }
-                    None => {
-                        // Degraded shard: the oracle join — every assigned
-                        // base×overlay pair, exact-filtered by the window.
-                        let shard = &st.shards[s];
-                        for &a in &shard.assigned {
-                            if st.is_tombstoned(a) {
-                                continue;
-                            }
-                            for &b in &shard.overlay_assigned {
-                                if pair_intersects_in(
-                                    &st.segs[a as usize],
-                                    &self.overlay_segs[b as usize],
-                                    &q,
-                                ) {
-                                    pairs.push((logical_of_base(&st.tombstones, a), b));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // Pending segments join by brute force over the overlay: the
-            // compaction threshold keeps them few, and a global pass per
-            // window needs no routing argument at all.
-            for (l, ps) in st.pending.iter().enumerate() {
-                for (b, os) in self.overlay_segs.iter().enumerate() {
-                    if pair_intersects_in(ps, os, &q) {
-                        pairs.push((kept + l as SegId, b as SegId));
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
-            answers[slot] = Some(pairs);
-        }
-        answers
-    }
-
-    /// The shard's cached base×overlay join, computing it on first use
-    /// through the recovery ladder. `None` means the shard is degraded —
-    /// the caller must fall back to the oracle join. The computation
-    /// runs on a core snapshot with no lock held; the first finished
-    /// computation wins the cache.
-    fn shard_join(&self, st: &ServingState, s: usize) -> Option<Arc<ShardJoin>> {
-        let shard = &st.shards[s];
-        {
-            let core = shard.lock_core();
-            if let Some(join) = &core.join {
-                return Some(join.clone());
-            }
-            core.index.as_ref()?;
-        }
-        let mut retries_left = RETRY_LIMIT;
-        let mut rebuilt = false;
-        let mut attempts = 0u32;
-        loop {
-            let core = shard.snapshot();
-            let index = core.index.clone()?;
-            attempts += 1;
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                compute_shard_join(&core.machine, &index, core.overlay.as_deref())
-            }));
-            let cause = match run {
-                Ok(Ok(join)) => {
-                    let join = Arc::new(join);
-                    let mut locked = shard.lock_core();
-                    if locked.join.is_none() {
-                        locked.join = Some(join);
-                    }
-                    return locked.join.clone();
-                }
-                // A typed join error (world mismatch between base and
-                // overlay trees) rides the same ladder as a panic: a
-                // rebuild reconstructs both trees over the service world.
-                Ok(Err(e)) => e,
-                Err(payload) => error_from_panic(s, attempts, payload.as_ref()),
-            };
-            if retries_left > 0 {
-                retries_left -= 1;
-                shard.retries.fetch_add(1, Ordering::Relaxed);
-                self.push_event(RecoveryEvent {
-                    shard: s,
-                    action: RecoveryAction::Retry(RETRY_LIMIT - retries_left),
-                    error: cause,
-                });
-                backoff(RETRY_LIMIT - retries_left);
-                continue;
-            }
-            if !rebuilt {
-                rebuilt = true;
-                retries_left = RETRY_LIMIT;
-                match self.rebuild_shard(st, s) {
-                    Ok(()) => {
-                        self.push_event(RecoveryEvent {
-                            shard: s,
-                            action: RecoveryAction::Rebuild,
-                            error: cause,
-                        });
-                        continue;
-                    }
-                    Err(_) => {
-                        self.degrade_shard(st, s, attempts + 1);
-                        return None;
-                    }
-                }
-            }
-            self.degrade_shard(st, s, attempts);
-            return None;
-        }
-    }
-
-    /// Applies one write request under the state write lock: the overlay
-    /// ladder absorbs the mutation (a size-1 batch through the core
-    /// update engine, with a bulk-rebuild fallback) and the new serving
-    /// state is published in one atomic swap. A write that cannot be
-    /// applied — malformed, out of world, unknown id, or a ladder that
-    /// keeps crashing — is rejected per slot and publishes nothing.
-    fn apply_write(&self, index: usize, r: &Request) -> Response {
-        if let Some(e) = validate_request(index, r) {
-            return Response::Rejected(e);
-        }
-        let mut guard = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        let st = guard.clone();
-        let response = match *r {
-            Request::Insert(seg) => {
-                if !(self.world.contains_half_open(seg.a) && self.world.contains_half_open(seg.b)) {
-                    return Response::Rejected(SpatialError::SegmentOutsideWorld { index });
-                }
-                let logical = st.live();
-                match self.ladder_apply(&st, &UpdateBatch::inserting(vec![seg])) {
-                    Ok((tree, pending)) => {
-                        *guard = Arc::new(ServingState {
-                            epoch: st.epoch,
-                            segs: st.segs.clone(),
-                            shards: st.shards.clone(),
-                            tombstones: st.tombstones.clone(),
-                            pending,
-                            ladder: Some(Arc::new(tree)),
-                        });
-                        // Invalidate *after* publishing, still under the
-                        // write lock: any reader that missed the cache at
-                        // the pre-bump version either snapshotted the old
-                        // state (its admit is refused by the bump) or
-                        // blocks here and snapshots the new one.
-                        self.cache.note_insert(&Rect::from_corners(seg.a, seg.b));
-                        Response::Inserted(logical)
-                    }
-                    Err(e) => Response::Rejected(e),
-                }
-            }
-            Request::Delete(id) => {
-                if id >= st.live() {
-                    return Response::Rejected(SpatialError::MalformedRequest {
-                        index,
-                        kind: MalformedKind::UnknownSegment,
-                    });
-                }
-                if id < st.kept() {
-                    // An epoch-base segment: tombstone it; the ladder and
-                    // pending overlay are untouched.
-                    let b = base_of_logical(&st.tombstones, id);
-                    let mut tombstones = st.tombstones.clone();
-                    let pos = tombstones.partition_point(|&t| t < b);
-                    tombstones.insert(pos, b);
-                    *guard = Arc::new(ServingState {
-                        epoch: st.epoch,
-                        segs: st.segs.clone(),
-                        shards: st.shards.clone(),
-                        tombstones,
-                        pending: st.pending.clone(),
-                        ladder: st.ladder.clone(),
-                    });
-                    // Deletes shift logical ids: flush the whole cache.
-                    self.cache.note_delete();
-                    Response::Deleted(id)
-                } else {
-                    // A pending segment: the ladder compacts it out (the
-                    // logical ids of later pending segments shift down,
-                    // matching the eager oracle's `Vec::remove`).
-                    let local = id - st.kept();
-                    match self.ladder_apply(&st, &UpdateBatch::deleting(vec![local])) {
-                        Ok((tree, pending)) => {
-                            let ladder = if pending.is_empty() {
-                                None
-                            } else {
-                                Some(Arc::new(tree))
-                            };
-                            *guard = Arc::new(ServingState {
-                                epoch: st.epoch,
-                                segs: st.segs.clone(),
-                                shards: st.shards.clone(),
-                                tombstones: st.tombstones.clone(),
-                                pending,
-                                ladder,
-                            });
-                            self.cache.note_delete();
-                            Response::Deleted(id)
-                        }
-                        Err(e) => Response::Rejected(e),
-                    }
-                }
-            }
-            _ => unreachable!("apply_write is only called for writes"),
-        };
-        drop(guard);
-        // With a pipeline attached, compaction moves off-thread: the lane
-        // workers signal the compactor after handing replies back, so a
-        // write never pays the rebuild inline.
-        if !matches!(response, Response::Rejected(_))
-            && !self.defer_compaction.load(Ordering::Relaxed)
-        {
-            self.maybe_compact();
-        }
-        response
-    }
-
-    /// The ladder tree and pending collection after applying `batch`: a
-    /// size-1 batch through the data-parallel update engine, falling
-    /// back to a bulk rebuild of the final pending set when the
-    /// incremental pass crashes (both under `catch_unwind`, so injected
-    /// ladder faults surface as typed rejections, not aborts). By the
-    /// update differential, both paths produce the same tree.
-    fn ladder_apply(
-        &self,
-        st: &ServingState,
-        batch: &UpdateBatch,
-    ) -> Result<(DpQuadtree, Vec<LineSeg>), SpatialError> {
-        let (cap, depth) = (self.config.capacity, self.config.max_depth);
-        let incremental = catch_unwind(AssertUnwindSafe(|| {
-            let mut pending = st.pending.clone();
-            let mut tree = match &st.ladder {
-                Some(t) => DpQuadtree::clone(t),
-                None => build_bucket_pmr(&self.ladder_machine, self.world, &pending, cap, depth),
-            };
-            batch_update_bucket_pmr(
-                &self.ladder_machine,
-                &mut tree,
-                &mut pending,
-                batch,
-                cap,
-                depth,
-            );
-            (tree, pending)
-        }));
-        let attempt = incremental.or_else(|_| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut pending = st.pending.clone();
-                for &d in batch.deletes.iter().rev() {
-                    pending.remove(d as usize);
-                }
-                pending.extend(batch.inserts.iter().copied());
-                let tree = build_bucket_pmr(&self.ladder_machine, self.world, &pending, cap, depth);
-                (tree, pending)
-            }))
-        });
-        // The ladder's driver traces are telemetry no stats surface
-        // reads; drain them so a long write stream cannot grow the
-        // machine's trace buffer without bound.
-        self.ladder_machine.take_round_traces();
-        attempt.map_err(|p| error_from_panic(self.grid.num_shards(), 2, p.as_ref()))
-    }
-
-    /// Compacts when the accumulated write pressure crosses the
-    /// configured threshold. A failed compaction is not retried here —
-    /// the previous epoch keeps serving and the next write re-triggers.
-    fn maybe_compact(&self) {
-        let pressure = {
-            let st = self.state_snapshot();
-            st.tombstones.len() + st.pending.len()
-        };
-        if pressure >= self.config.compact_threshold {
-            let _ = self.compact_now();
-        }
-    }
-
-    /// Merges the epoch base with the accumulated tombstones and pending
-    /// overlay into a fresh epoch: every live shard's tree absorbs its
-    /// slice of the writes through the data-parallel batch updater on a
-    /// fresh machine (so the result equals a bulk build of the final
-    /// collection — the update differential's guarantee), and serving
-    /// flips to the new state in one atomic `Arc` swap. On any crash the
-    /// swap never happens: the previous epoch keeps serving, the error
-    /// is returned typed, and a retry converges because every fault-plan
-    /// fork keeps its occurrence counters across attempts. Returns the
-    /// serving epoch number (bumped on success, also when there was
-    /// nothing to compact and the call was a no-op).
-    pub fn compact_now(&self) -> Result<u64, SpatialError> {
-        // Optimistic path: build the next epoch from a lock-free snapshot
-        // so readers (and writers) keep flowing during the rebuild. The
-        // swap only happens if the serving state is still the exact Arc
-        // we snapshotted — a write that lands mid-build fails the
-        // `ptr_eq` check and we rebuild from the fresher state. After a
-        // few lost races, fall back to building under the write lock,
-        // which cannot lose.
-        const OPTIMISTIC_ATTEMPTS: usize = 3;
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let st = self.state_snapshot();
-            if st.tombstones.is_empty() && st.pending.is_empty() {
-                return Ok(st.epoch);
-            }
-            let built = catch_unwind(AssertUnwindSafe(|| self.build_compacted_state(&st)));
-            let new_state = match built {
-                Ok(s) => s,
-                Err(payload) => {
-                    self.failed_compactions.fetch_add(1, Ordering::Relaxed);
-                    return Err(error_from_panic(
-                        self.grid.num_shards(),
-                        1,
-                        payload.as_ref(),
-                    ));
-                }
-            };
-            let mut guard = self.state.write().unwrap_or_else(PoisonError::into_inner);
-            if Arc::ptr_eq(&*guard, &st) {
-                let epoch = new_state.epoch;
-                *guard = Arc::new(new_state);
-                // Flush the hot-window cache under the same write lock
-                // that publishes the epoch: no reader can admit an
-                // answer computed against the old state at the
-                // post-swap cache version.
-                self.cache.note_epoch_swap();
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                return Ok(epoch);
-            }
-        }
-        // Pessimistic fallback: hold the write lock across the build so
-        // no concurrent write can invalidate the snapshot.
-        let mut guard = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        let st = guard.clone();
-        if st.tombstones.is_empty() && st.pending.is_empty() {
-            return Ok(st.epoch);
-        }
-        let built = catch_unwind(AssertUnwindSafe(|| self.build_compacted_state(&st)));
-        match built {
-            Ok(new_state) => {
-                let epoch = new_state.epoch;
-                *guard = Arc::new(new_state);
-                self.cache.note_epoch_swap();
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                Ok(epoch)
-            }
-            Err(payload) => {
-                self.failed_compactions.fetch_add(1, Ordering::Relaxed);
-                Err(error_from_panic(
-                    self.grid.num_shards(),
-                    1,
-                    payload.as_ref(),
-                ))
-            }
-        }
-    }
-
-    /// Builds the next epoch's full serving state. Runs inside
-    /// [`QueryService::compact_now`]'s `catch_unwind`: any panic —
-    /// injected round aborts included — discards everything built here.
-    fn build_compacted_state(&self, st: &ServingState) -> ServingState {
-        let final_segs = st.logical_collection();
-        let assignment = self.grid.assign_segments(&final_segs);
-        let pending_assignment = self.grid.assign_segments(&st.pending);
-        let kept = st.kept();
-        let mut shards = Vec::with_capacity(st.shards.len());
-        for (i, old) in st.shards.iter().enumerate() {
-            let machine = make_machine(&self.config, &old.plan);
-            let degraded = old.degraded.load(Ordering::Relaxed);
-            let core_snapshot = old.snapshot();
-            let (core, build_trace) = match (&core_snapshot.index, degraded) {
-                (Some(index), false) => {
-                    let mut tree = index.tree.clone();
-                    let mut local_segs = index.segs.clone();
-                    // Local deletes: the positions holding a tombstoned
-                    // base id. Local inserts: the pending segments whose
-                    // geometry reaches this tile (the same closed-clip
-                    // assignment predicate the bulk build uses).
-                    let deletes: Vec<SegId> = index
-                        .global_ids
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &g)| st.is_tombstoned(g))
-                        .map(|(p, _)| p as SegId)
-                        .collect();
-                    let inserts: Vec<LineSeg> = pending_assignment[i]
-                        .iter()
-                        .map(|&l| st.pending[l as usize])
-                        .collect();
-                    batch_update_bucket_pmr(
-                        &machine,
-                        &mut tree,
-                        &mut local_segs,
-                        &UpdateBatch { inserts, deletes },
-                        self.config.capacity,
-                        self.config.max_depth,
-                    );
-                    let build_trace = machine.take_round_traces();
-                    // New local→global table: surviving base ids map to
-                    // their logical ids (order-preserving), pending
-                    // arrivals append above every base logical — exactly
-                    // the ascending order `assign_segments` produces over
-                    // the final collection.
-                    let mut global_ids: Vec<SegId> = index
-                        .global_ids
-                        .iter()
-                        .filter(|&&g| !st.is_tombstoned(g))
-                        .map(|&g| logical_of_base(&st.tombstones, g))
-                        .collect();
-                    global_ids.extend(pending_assignment[i].iter().map(|&l| kept + l));
-                    debug_assert_eq!(global_ids, assignment[i], "shard {i} assignment drift");
-                    let index = ShardIndex {
-                        tile: old.tile,
-                        tree,
-                        segs: local_segs,
-                        global_ids,
-                    };
-                    (
-                        ShardCore {
-                            machine: Arc::new(machine),
-                            index: Some(Arc::new(index)),
-                            overlay: core_snapshot.overlay.clone(),
-                            join: None,
-                        },
-                        build_trace,
-                    )
-                }
-                // A degraded shard stays degraded — its new assignment
-                // keeps the oracle path correct over the new collection.
-                _ => (
-                    ShardCore {
-                        machine: Arc::new(machine),
-                        index: None,
-                        overlay: core_snapshot.overlay.clone(),
-                        join: None,
-                    },
-                    Vec::new(),
-                ),
-            };
-            shards.push(Shard {
-                tile: old.tile,
-                assigned: assignment[i].clone(),
-                overlay_assigned: old.overlay_assigned.clone(),
-                plan: old.plan.clone(),
-                counters: old.counters.carry(),
-                retries: AtomicU64::new(old.retries.load(Ordering::Relaxed)),
-                rebuilds: AtomicU64::new(old.rebuilds.load(Ordering::Relaxed)),
-                degraded: AtomicBool::new(degraded),
-                build_trace,
-                core: Mutex::new(core),
-            });
-        }
-        ServingState {
-            epoch: st.epoch + 1,
-            segs: Arc::new(final_segs),
-            shards: Arc::new(shards),
-            tombstones: Vec::new(),
-            pending: Vec::new(),
-            ladder: None,
-        }
-    }
-
-    /// A snapshot of the service counters, including every shard
-    /// machine's primitive-operation counts.
-    pub fn stats(&self) -> ServiceStats {
-        let st = self.state_snapshot();
-        ServiceStats {
-            shards: st
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let core = s.snapshot();
-                    let (arena_takes, arena_hits) = core.machine.arena_stats();
-                    ShardStats {
-                        shard: i,
-                        epoch: st.epoch,
-                        tile: s.tile,
-                        segments: s.assigned.len(),
-                        probes: s.counters.probes.load(Ordering::Relaxed),
-                        batches: s.counters.batches.load(Ordering::Relaxed),
-                        max_queue_depth: s.counters.max_queue_depth.load(Ordering::Relaxed),
-                        admitted: s.counters.admitted.load(Ordering::Relaxed),
-                        coalesced_batches: s.counters.coalesced_batches.load(Ordering::Relaxed),
-                        shed: s.counters.shed.load(Ordering::Relaxed),
-                        cache_hits: s.counters.cache_hits.load(Ordering::Relaxed),
-                        queue_wait_micros: s.counters.queue_wait_micros.load(Ordering::Relaxed),
-                        latency_histogram: std::array::from_fn(|b| {
-                            s.counters.latency[b].load(Ordering::Relaxed)
-                        }),
-                        ops: core.machine.stats(),
-                        arena_takes,
-                        arena_hits,
-                        build_trace: s.build_trace.clone(),
-                        degraded: s.degraded.load(Ordering::Relaxed),
-                        retries: s.retries.load(Ordering::Relaxed),
-                        rebuilds: s.rebuilds.load(Ordering::Relaxed),
-                        faults_injected: s.plan.total_fired(),
-                        join: core.join.as_ref().map(|j| ShardJoinStats {
-                            pairs: j.pairs.len(),
-                            rounds: j.rounds,
-                            frontier_peak: j.frontier_peak,
-                            pairs_tested: j.pairs_tested,
-                            trace: j.trace.clone(),
-                        }),
-                    }
-                })
-                .collect(),
-            requests: self.requests.load(Ordering::Relaxed),
-            knn_rounds: self.knn_rounds.load(Ordering::Relaxed),
-            join_requests: self.join_requests.load(Ordering::Relaxed),
-            epoch: st.epoch,
-            overlay_size: st.pending.len(),
-            tombstones: st.tombstones.len(),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            failed_compactions: self.failed_compactions.load(Ordering::Relaxed),
-            ladder_faults: self.ladder_plan.total_fired(),
-        }
-    }
-
-    /// Resets every counter (shard machines included). Index structures,
-    /// degradation flags and recovery history are untouched.
-    pub fn reset_stats(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.knn_rounds.store(0, Ordering::Relaxed);
-        self.join_requests.store(0, Ordering::Relaxed);
-        let st = self.state_snapshot();
-        for s in st.shards.iter() {
-            s.snapshot().machine.reset_stats();
-            s.counters.reset();
-        }
-    }
-
-    /// A snapshot of the hot-window cache counters (hits, misses,
-    /// admissions, invalidations).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Routes compaction off the writer's thread: while a
-    /// [`ServicePipeline`] is attached, `apply_write` skips its inline
-    /// [`QueryService::maybe_compact`] and the pipeline's compactor
-    /// thread runs it instead, so writes never pay a rebuild inline.
-    pub(crate) fn set_deferred_compaction(&self, on: bool) {
-        self.defer_compaction.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether accumulated write pressure has crossed the compaction
-    /// threshold — the signal a pipeline lane worker checks after each
-    /// batch to wake the background compactor.
-    pub(crate) fn wants_compaction(&self) -> bool {
-        let st = self.state_snapshot();
-        st.tombstones.len() + st.pending.len() >= self.config.compact_threshold
-    }
-
-    /// Records one shed request against the shard a lane is attributed
-    /// to (admission happens before any shard executes, so the lane's
-    /// slot stands in for the shard that would have served it).
-    pub(crate) fn note_shed(&self, shard: usize) {
-        let st = self.state_snapshot();
-        if let Some(s) = st.shards.get(shard % st.shards.len().max(1)) {
-            s.counters.shed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds one coalesced batch's admission telemetry into the shard
-    /// counters: how many requests it carried, their summed queue wait,
-    /// and the lane's high-water queue depth since the last batch.
-    pub(crate) fn note_admitted_batch(
-        &self,
-        shard: usize,
-        admitted: u64,
-        queue_wait_micros: u64,
-        depth_high: u64,
-    ) {
-        let st = self.state_snapshot();
-        if let Some(s) = st.shards.get(shard % st.shards.len().max(1)) {
-            s.counters.admitted.fetch_add(admitted, Ordering::Relaxed);
-            s.counters.coalesced_batches.fetch_add(1, Ordering::Relaxed);
-            s.counters
-                .queue_wait_micros
-                .fetch_add(queue_wait_micros, Ordering::Relaxed);
-            s.counters
-                .max_queue_depth
-                .fetch_max(depth_high, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Runs the frontier join for one shard core and maps the pairs to
-/// global ids. Split out of [`QueryService::shard_join`] so the whole
-/// computation sits inside one `catch_unwind`.
-fn compute_shard_join(
-    machine: &Machine,
-    index: &ShardIndex,
-    overlay: Option<&ShardIndex>,
-) -> Result<ShardJoin, SpatialError> {
-    let Some(overlay) = overlay else {
-        return Ok(ShardJoin::empty());
-    };
-    // Isolate the join's round trace from any traces buffered by
-    // earlier driver runs on this machine.
-    let resumed = machine.take_round_traces();
-    let outcome = frontier_join(
-        machine,
-        &index.tree,
-        &index.segs,
-        &overlay.tree,
-        &overlay.segs,
-    )?;
-    let trace = machine.take_round_traces();
-    for t in resumed {
-        machine.record_round_trace(t);
-    }
-    let pairs: Vec<(SegId, SegId)> = outcome
-        .pairs
-        .iter()
-        .map(|&(a, b)| (index.global_ids[a as usize], overlay.global_ids[b as usize]))
-        .collect();
-    Ok(ShardJoin {
-        pairs,
-        rounds: outcome.rounds,
-        frontier_peak: outcome.frontier_peak,
-        pairs_tested: outcome.pairs_tested,
-        trace,
-    })
-}
-
-/// Reference answer for a k-NN request: brute force over all segments,
-/// sorted by `(distance, id)`. Shared by the differential tests and the
-/// load driver's self-check.
-pub fn brute_knearest(segs: &[LineSeg], p: Point, k: usize) -> Vec<(SegId, f64)> {
-    let mut scored: Vec<(SegId, f64)> = segs
-        .iter()
-        .enumerate()
-        .map(|(id, s)| (id as SegId, s.dist2_to_point(p).sqrt()))
-        .collect();
-    scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    scored
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dp_workloads::{request_stream, uniform_segments, RequestMix};
-    use scan_model::FaultSite;
-
-    fn assert_sync<T: Sync + Send>() {}
-
-    #[test]
-    fn service_is_shareable_across_threads() {
-        assert_sync::<QueryService>();
-    }
-
-    fn brute_window(segs: &[LineSeg], q: &Rect) -> Vec<SegId> {
-        (0..segs.len() as SegId)
-            .filter(|&id| clip_segment_closed(&segs[id as usize], q).is_some())
-            .collect()
-    }
-
-    #[test]
-    fn mixed_batch_matches_brute_force() {
-        let data = uniform_segments(300, 64, 8, 11);
-        let svc = QueryService::build(
-            QueryServiceConfig::sequential(2),
-            data.world,
-            data.segs.clone(),
-        );
-        let reqs = request_stream(data.world, 150, RequestMix::DEFAULT, 5);
-        let out = svc.execute_batch(&reqs);
-        assert_eq!(out.len(), reqs.len());
-        for (i, (r, resp)) in reqs.iter().zip(&out).enumerate() {
-            match r {
-                Request::Window(q) => {
-                    let expected = brute_window(&data.segs, q);
-                    assert_eq!(resp.try_window(i), Ok(expected.as_slice()), "window {q}");
-                }
-                Request::PointInWindow(p) => {
-                    let expected = brute_window(&data.segs, &Rect::point(*p));
-                    assert_eq!(resp.try_point_in_window(i), Ok(expected.as_slice()));
-                }
-                Request::KNearest { p, k } => {
-                    let expected = brute_knearest(&data.segs, *p, *k);
-                    assert_eq!(resp.try_knearest(i), Ok(expected.as_slice()));
-                }
-                Request::Join(q) => {
-                    assert_eq!(resp.try_join(i), Ok([].as_slice()), "join {q}");
-                }
-                Request::Insert(_)
-                | Request::Delete(_)
-                | Request::Skyline(_)
-                | Request::DominanceAgg(_) => {
-                    unreachable!("DEFAULT mix carries no writes or dominance requests")
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn response_accessors_type_the_mismatch() {
-        let resp = Response::Window(Arc::new(vec![1, 2]));
-        assert_eq!(
-            resp.try_knearest(4),
-            Err(SpatialError::ResponseKindMismatch { index: 4 })
-        );
-        let rejected = Response::Rejected(SpatialError::MalformedRequest {
-            index: 0,
-            kind: MalformedKind::ZeroK,
-        });
-        assert_eq!(
-            rejected.try_window(0),
-            Err(SpatialError::MalformedRequest {
-                index: 0,
-                kind: MalformedKind::ZeroK,
-            })
-        );
-    }
-
-    #[test]
-    fn cache_hits_share_the_response_allocation() {
-        // Regression: cache hits used to clone the cached id vector into
-        // every response. The payload is an `Arc` now — a hit hands out
-        // the cache's own allocation, observable as pointer equality
-        // across hits.
-        let data = uniform_segments(120, 64, 8, 31);
-        let config = QueryServiceConfig {
-            compact_threshold: 1_000,
-            ..QueryServiceConfig::sequential(2)
-        };
-        let svc = Arc::new(QueryService::build(config, data.world, data.segs.clone()));
-        let pipeline = ServicePipeline::new(svc.clone(), 1, AdmissionPolicy::Block).unwrap();
-        let q = Rect::from_coords(4.0, 4.0, 40.0, 40.0);
-        let payload = |r: &Response| match r {
-            Response::Window(ids) => ids.clone(),
-            other => panic!("expected a window answer, got {other:?}"),
-        };
-        // Miss + admit, then two hits.
-        let miss = payload(&pipeline.submit_all(&[Request::Window(q)])[0]);
-        let hit1 = payload(&pipeline.submit_all(&[Request::Window(q)])[0]);
-        let hit2 = payload(&pipeline.submit_all(&[Request::Window(q)])[0]);
-        assert_eq!(*miss, *hit1);
-        assert!(
-            Arc::ptr_eq(&hit1, &hit2),
-            "cache hits must share one allocation, not clone per hit"
-        );
-        let stats = svc.cache_stats();
-        assert_eq!(stats.admitted, 1);
-        assert_eq!(stats.hits, 2);
-    }
-
-    #[test]
-    fn empty_collection_and_empty_batch() {
-        let world = Rect::from_coords(0.0, 0.0, 16.0, 16.0);
-        let svc = QueryService::build(QueryServiceConfig::sequential(2), world, Vec::new());
-        assert!(svc.execute_batch(&[]).is_empty());
-        let out = svc.execute_batch(&[
-            Request::Window(world),
-            Request::KNearest {
-                p: Point::new(1.0, 1.0),
-                k: 3,
-            },
-        ]);
-        assert_eq!(out[0], Response::Window(Arc::new(Vec::new())));
-        assert_eq!(out[1], Response::KNearest(Vec::new()));
-    }
-
-    #[test]
-    fn stats_handle_an_empty_segment_set() {
-        // Regression: the busiest-shard reduction used to be
-        // `max().unwrap()`, which panics the moment no shard has traffic
-        // to compare — the degenerate service shape (no segments, no
-        // probes executed yet) must produce stats, not a crash.
-        let world = Rect::from_coords(0.0, 0.0, 16.0, 16.0);
-        let svc = QueryService::build(QueryServiceConfig::sequential(1), world, Vec::new());
-        let stats = svc.stats();
-        assert_eq!(stats.max_shard_probes(), 0);
-        assert_eq!(stats.total_probes(), 0);
-        assert_eq!(stats.degraded_shards(), 0);
-        assert_eq!(stats.flush_latency_quantile_micros(0.5), None);
-        // And the all-shards-empty service still answers correctly.
-        let out = svc.execute_batch(&[Request::Window(world)]);
-        assert_eq!(out[0], Response::Window(Arc::new(Vec::new())));
-        assert_eq!(svc.stats().max_shard_probes(), 1);
-    }
-
-    #[test]
-    fn invalid_configs_are_typed_errors() {
-        let world = Rect::from_coords(0.0, 0.0, 16.0, 16.0);
-        let mut cfg = QueryServiceConfig::sequential(0);
-        assert!(matches!(
-            QueryService::try_build(cfg, world, Vec::new()),
-            Err(SpatialError::InvalidConfig { .. })
-        ));
-        cfg.shard_grid = 3;
-        assert!(matches!(
-            QueryService::try_build(cfg, world, Vec::new()),
-            Err(SpatialError::InvalidConfig { .. })
-        ));
-        cfg = QueryServiceConfig::sequential(2);
-        cfg.capacity = 0;
-        assert!(matches!(
-            QueryService::try_build(cfg, world, Vec::new()),
-            Err(SpatialError::InvalidConfig { .. })
-        ));
-        cfg = QueryServiceConfig::sequential(2);
-        cfg.compact_threshold = 0;
-        assert!(matches!(
-            QueryService::try_build(cfg, world, Vec::new()),
-            Err(SpatialError::InvalidConfig { .. })
-        ));
-        // Admission parameters are validated at construction, not
-        // silently clamped: a zero flush_batch and a queue bound too
-        // small to hold one flush are both typed errors.
-        cfg = QueryServiceConfig::sequential(2);
-        cfg.flush_batch = 0;
-        assert!(matches!(
-            QueryService::try_build(cfg, world, Vec::new()),
-            Err(SpatialError::InvalidConfig { .. })
-        ));
-        cfg = QueryServiceConfig::sequential(2);
-        cfg.flush_batch = 64;
-        cfg.queue_bound = 63;
-        let err = QueryService::try_build(cfg, world, Vec::new())
-            .err()
-            .expect("undersized queue_bound must not build");
-        assert!(matches!(err, SpatialError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("queue_bound"), "{err}");
-        let outside = vec![LineSeg::from_coords(1.0, 1.0, 20.0, 20.0)];
-        assert!(
-            QueryService::try_build(QueryServiceConfig::sequential(2), world, outside)
-                .err()
-                .map(|e| e.to_string())
-                .unwrap_or_default()
-                .contains("outside the service world")
-        );
-    }
-
-    #[test]
-    fn malformed_requests_are_rejected_per_slot() {
-        let data = uniform_segments(80, 64, 8, 2);
-        let svc = QueryService::build(
-            QueryServiceConfig::sequential(2),
-            data.world,
-            data.segs.clone(),
-        );
-        let nan_rect = Rect {
-            min: Point::new(f64::NAN, f64::NAN),
-            max: Point::new(f64::NAN, f64::NAN),
-        };
-        let good = Rect::from_coords(0.0, 0.0, 32.0, 32.0);
-        let out = svc.execute_batch(&[
-            Request::Window(good),
-            Request::Window(nan_rect),
-            Request::KNearest {
-                p: Point::new(3.0, 3.0),
-                k: 0,
-            },
-            Request::PointInWindow(Point::new(f64::INFINITY, 1.0)),
-            Request::Window(good),
-        ]);
-        // Rejections are typed and slot-aligned...
-        assert_eq!(
-            out[1],
-            Response::Rejected(SpatialError::MalformedRequest {
-                index: 1,
-                kind: MalformedKind::NonFiniteWindow,
-            })
-        );
-        assert_eq!(
-            out[2],
-            Response::Rejected(SpatialError::MalformedRequest {
-                index: 2,
-                kind: MalformedKind::ZeroK,
-            })
-        );
-        assert_eq!(
-            out[3],
-            Response::Rejected(SpatialError::MalformedRequest {
-                index: 3,
-                kind: MalformedKind::NonFinitePoint,
-            })
-        );
-        // ...and do not disturb their neighbours.
-        let expected = brute_window(&data.segs, &good);
-        assert_eq!(out[0].try_window(0), Ok(expected.as_slice()));
-        assert_eq!(out[4].try_window(4), Ok(expected.as_slice()));
-    }
-
-    #[test]
-    fn permanently_dead_shards_degrade_to_correct_answers() {
-        let data = uniform_segments(150, 64, 8, 13);
-        let plan = Arc::new(FaultPlan::always(FaultSite::RoundAbort));
-        let svc = QueryService::try_build_with_faults(
-            QueryServiceConfig::sequential(2),
-            data.world,
-            data.segs.clone(),
-            Vec::new(),
-            plan,
-        )
-        .expect("validation passes; builds degrade instead of erroring");
-        let stats = svc.stats();
-        assert_eq!(stats.degraded_shards(), svc.num_shards());
-        assert!(stats.total_faults_injected() > 0);
-        assert!(svc
-            .recovery_events()
-            .iter()
-            .any(|e| e.action == RecoveryAction::Degrade));
-
-        // The oracle answers are bit-identical to a healthy service's.
-        let reqs = request_stream(data.world, 60, RequestMix::DEFAULT, 17);
-        let healthy = QueryService::build(
-            QueryServiceConfig::sequential(2),
-            data.world,
-            data.segs.clone(),
-        );
-        assert_eq!(svc.execute_batch(&reqs), healthy.execute_batch(&reqs));
-    }
-
-    #[test]
-    fn stats_track_probes_and_batches() {
-        let data = uniform_segments(200, 64, 6, 3);
-        let mut cfg = QueryServiceConfig::sequential(2);
-        cfg.flush_batch = 16;
-        let svc = QueryService::build(cfg, data.world, data.segs.clone());
-        let reqs = request_stream(data.world, 100, RequestMix::WINDOW_ONLY, 9);
-        svc.execute_batch(&reqs);
-        let stats = svc.stats();
-        assert_eq!(stats.requests, 100);
-        assert!(
-            stats.total_probes() >= 100,
-            "probes {}",
-            stats.total_probes()
-        );
-        assert!(stats.max_shard_probes() > 0);
-        // flush_batch = 16 forces multi-flush queues on busy shards.
-        assert!(stats.shards.iter().any(|s| s.batches > 1));
-        for s in &stats.shards {
-            assert!(s.max_queue_depth as usize <= reqs.len());
-            let flushes: u64 = s.latency_histogram.iter().sum();
-            assert_eq!(flushes, s.batches);
-            assert!(!s.degraded);
-            assert_eq!(s.retries, 0);
-            assert_eq!(s.rebuilds, 0);
-            assert_eq!(s.faults_injected, 0);
-        }
-        assert!(stats.total_primitives() > 0);
-        assert!(stats.flush_latency_quantile_micros(0.5).is_some());
-        assert!(svc.recovery_events().is_empty());
-        svc.reset_stats();
-        let zeroed = svc.stats();
-        assert_eq!(zeroed.requests, 0);
-        assert_eq!(zeroed.total_probes(), 0);
-        assert_eq!(zeroed.total_primitives(), 0);
-    }
-
-    #[test]
-    fn join_requests_match_windowed_brute_force() {
-        use dp_spatial::join::brute_force_join_in;
-        let base = uniform_segments(200, 64, 8, 21);
-        let overlay = uniform_segments(150, 64, 8, 22);
-        let svc = QueryService::build_with_overlay(
-            QueryServiceConfig::sequential(2),
-            base.world,
-            base.segs.clone(),
-            overlay.segs.clone(),
-        );
-        let windows = [
-            base.world,
-            Rect::from_coords(0.0, 0.0, 20.0, 20.0),
-            Rect::from_coords(30.0, 30.0, 34.0, 34.0),
-            Rect::point(Point::new(32.0, 32.0)),
-        ];
-        let reqs: Vec<Request> = windows.iter().map(|&q| Request::Join(q)).collect();
-        let out = svc.execute_batch(&reqs);
-        for (i, (q, resp)) in windows.iter().zip(&out).enumerate() {
-            let pairs = resp
-                .try_join(i)
-                .unwrap_or_else(|e| panic!("join window {q}: {e}"));
-            assert_eq!(
-                pairs,
-                brute_force_join_in(&base.segs, &overlay.segs, q),
-                "join window {q}"
-            );
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.join_requests, windows.len() as u64);
-        let joined: Vec<&ShardJoinStats> = stats
-            .shards
-            .iter()
-            .filter_map(|s| s.join.as_ref())
-            .collect();
-        assert!(!joined.is_empty(), "no shard computed a join");
-        for j in joined {
-            assert_eq!(
-                j.trace.iter().filter(|t| t.nodes_split > 0).count(),
-                j.rounds
-            );
-        }
-    }
-
-    #[test]
-    fn join_without_overlay_is_empty() {
-        let data = uniform_segments(100, 64, 8, 4);
-        let svc = QueryService::build(
-            QueryServiceConfig::sequential(2),
-            data.world,
-            data.segs.clone(),
-        );
-        let out = svc.execute_batch(&[Request::Join(data.world)]);
-        assert_eq!(out[0], Response::Join(Vec::new()));
-        assert!(svc.stats().shards.iter().all(|s| s
-            .join
-            .as_ref()
-            .map(|j| j.pairs == 0)
-            .unwrap_or(true)));
-    }
-
-    #[test]
-    fn logical_id_maps_round_trip() {
-        // Tombstoned bases 1 and 4: base ids 0,2,3,5 are logical 0,1,2,3.
-        let tombs = vec![1, 4];
-        let bases = [0u32, 2, 3, 5];
-        for (logical, &b) in bases.iter().enumerate() {
-            assert_eq!(logical_of_base(&tombs, b), logical as SegId);
-            assert_eq!(base_of_logical(&tombs, logical as SegId), b);
-        }
-    }
-
-    #[test]
-    fn writes_respond_typed_and_compaction_bumps_the_epoch() {
-        let data = uniform_segments(60, 64, 8, 21);
-        let svc = QueryService::build(
-            QueryServiceConfig {
-                compact_threshold: 4,
-                ..QueryServiceConfig::sequential(2)
-            },
-            data.world,
-            data.segs.clone(),
-        );
-        let n = data.segs.len() as u32;
-        let seg = LineSeg::from_coords(5.0, 5.0, 9.0, 9.0);
-        let out = svc.execute_batch(&[
-            Request::Insert(seg),
-            Request::Delete(0),
-            Request::Delete(n - 1), // the inserted segment, shifted down one
-            Request::Delete(n - 1), // ... and after its deletion, out of range
-        ]);
-        assert_eq!(out[0], Response::Inserted(n));
-        assert_eq!(out[1], Response::Deleted(0));
-        assert_eq!(out[2], Response::Deleted(n - 1), "id shifted by delete");
-        assert_eq!(
-            out[3],
-            Response::Rejected(SpatialError::MalformedRequest {
-                index: 3,
-                kind: MalformedKind::UnknownSegment,
-            })
-        );
-        // Out-of-world inserts are rejected without mutating anything.
-        let out = svc.execute_batch(&[Request::Insert(LineSeg::from_coords(-5.0, 0.0, 3.0, 3.0))]);
-        assert_eq!(
-            out[0],
-            Response::Rejected(SpatialError::SegmentOutsideWorld { index: 0 })
-        );
-        // Three successful writes crossed compact_threshold = 4? No:
-        // pressure peaked at 1 pending + 1 tombstone = 2 before the
-        // pending delete took it back to 1 tombstone. Force one.
-        let epoch0 = svc.stats().epoch;
-        svc.compact_now().expect("compaction");
-        let stats = svc.stats();
-        assert_eq!(stats.epoch, epoch0 + 1);
-        assert_eq!(stats.compactions, 1);
-        assert_eq!((stats.overlay_size, stats.tombstones), (0, 0));
-        assert_eq!(svc.segments().len(), data.segs.len() - 1);
-        // A clean state compacts as a no-op.
-        assert_eq!(svc.compact_now(), Ok(stats.epoch));
-    }
-
-    #[test]
-    fn write_stream_matches_eager_oracle_across_epochs() {
-        let data = uniform_segments(80, 64, 8, 33);
-        let svc = QueryService::build(
-            QueryServiceConfig {
-                compact_threshold: 3,
-                ..QueryServiceConfig::sequential(2)
-            },
-            data.world,
-            data.segs.clone(),
-        );
-        let mut live = data.segs.clone();
-        let reqs = dp_workloads::request_stream_with_updates(
-            data.world,
-            200,
-            RequestMix::WITH_UPDATES,
-            17,
-            live.len(),
-        );
-        let out = svc.execute_batch(&reqs);
-        for (i, (r, resp)) in reqs.iter().zip(&out).enumerate() {
-            match r {
-                Request::Window(q) => {
-                    assert_eq!(resp.try_window(i), Ok(brute_window(&live, q).as_slice()));
-                }
-                Request::PointInWindow(p) => {
-                    let expected = brute_window(&live, &Rect::point(*p));
-                    assert_eq!(resp.try_point_in_window(i), Ok(expected.as_slice()));
-                }
-                Request::KNearest { p, k } => {
-                    let expected = brute_knearest(&live, *p, *k);
-                    assert_eq!(resp.try_knearest(i), Ok(expected.as_slice()));
-                }
-                Request::Join(_) | Request::Skyline(_) | Request::DominanceAgg(_) => {
-                    unreachable!("WITH_UPDATES carries no joins or dominance requests")
-                }
-                Request::Insert(seg) => {
-                    assert_eq!(resp.try_inserted(i), Ok(live.len() as SegId));
-                    live.push(*seg);
-                }
-                Request::Delete(id) => {
-                    assert_eq!(resp.try_deleted(i), Ok(*id));
-                    live.remove(*id as usize);
-                }
-            }
-        }
-        let stats = svc.stats();
-        assert!(stats.compactions > 0, "threshold 3 must have compacted");
-        assert_eq!(stats.epoch, stats.compactions);
-        assert_eq!(svc.segments(), live);
-    }
-
-    #[test]
-    fn knn_crosses_shard_boundaries() {
-        // Nearest neighbours of a point hugging a tile corner live in
-        // other tiles; expanding windows must find them.
-        let world = Rect::from_coords(0.0, 0.0, 64.0, 64.0);
-        let segs = vec![
-            LineSeg::from_coords(40.0, 40.0, 41.0, 41.0), // far, same tile as p? no: NE region
-            LineSeg::from_coords(33.0, 33.0, 34.0, 33.0), // just across the centre
-            LineSeg::from_coords(1.0, 1.0, 2.0, 2.0),     // same tile as p, far away
-        ];
-        let svc = QueryService::build(QueryServiceConfig::sequential(2), world, segs.clone());
-        let p = Point::new(31.0, 31.0);
-        let out = svc.execute_batch(&[Request::KNearest { p, k: 2 }]);
-        assert_eq!(out[0], Response::KNearest(brute_knearest(&segs, p, 2)));
-        assert!(svc.stats().knn_rounds >= 1);
-    }
-}
+pub use state::QueryService;
+pub use stats::{ServiceStats, ShardJoinStats, ShardStats, LATENCY_BUCKETS};

@@ -48,23 +48,19 @@
 //! bit or truncates the encoded stream at a deterministic offset, and
 //! the differential suite asserts the reader refuses every such file.
 
-use crate::{
-    make_machine, QueryService, QueryServiceConfig, RecoveryAction, RecoveryEvent, ServingState,
-    Shard, ShardCore, ShardCounters, WindowCache,
-};
+use crate::state::{ServingState, Shard};
+use crate::{QueryService, QueryServiceConfig, RecoveryAction, RecoveryEvent};
 use dp_geom::{LineSeg, Rect};
-use dp_spatial::quadtree::DpQuadtree;
 use dp_spatial::shard::{ShardGrid, ShardIndex};
 use dp_spatial::snapshot::{
     ids_from_payload, ids_payload, quadtree_from_payload, quadtree_payload, segs_from_payload,
     segs_payload, u64s_from_payload, u64s_payload, write_snapshot_atomic, SnapshotFamily,
     SnapshotReader, SnapshotWriter,
 };
-use dp_spatial::{SegId, SpatialError};
+use dp_spatial::SpatialError;
 use scan_model::{soa, FaultPlan};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 /// Service snapshot section tags. Disjoint from the single-tree tags in
 /// [`dp_spatial::snapshot::tags`] (all < 16) so a mixed-up payload can
@@ -104,32 +100,24 @@ fn rect_from_payload(payload: &[u8]) -> Result<Rect, SpatialError> {
     Ok(Rect::from_coords(vals[0], vals[1], vals[2], vals[3]))
 }
 
-/// Everything [`QueryService::try_restore_or_build`] needs to stand a
-/// service back up, decoded and cross-validated but not yet wired to
-/// machines.
-struct DecodedService {
-    epoch: u64,
-    segs: Vec<LineSeg>,
-    tombstones: Vec<SegId>,
-    pending: Vec<LineSeg>,
-    ladder: Option<DpQuadtree>,
-    shards: Vec<(Vec<SegId>, DpQuadtree)>,
-}
-
 fn malformed(reason: &'static str) -> SpatialError {
     SpatialError::SnapshotMalformed { reason }
 }
 
-/// Decodes and cross-validates a service snapshot against the build
-/// request it must satisfy: the config echo (everything that shapes the
-/// trees), the world, and the recomputed shard assignment all have to
-/// agree, or the caller falls back to a cold build.
+/// Decodes a service snapshot into the serving state it persisted,
+/// cross-validated against the build request it must satisfy: the config
+/// echo (everything that shapes the trees), the world, and the recomputed
+/// shard assignment all have to agree, or the caller falls back to a cold
+/// build. Shards get fresh machines and counters, forked from `plan`
+/// exactly as a cold build forks it (fault determinism is
+/// restart-invariant); every tree is the snapshot's, verbatim.
 fn decode_service(
     bytes: &[u8],
     config: &QueryServiceConfig,
     world: Rect,
-    grid: ShardGrid,
-) -> Result<DecodedService, SpatialError> {
+    plan: &FaultPlan,
+) -> Result<ServingState, SpatialError> {
+    let grid = ShardGrid::new(world, config.shard_grid);
     let reader = SnapshotReader::parse(bytes)?;
     if reader.family() != SnapshotFamily::Service {
         return Err(malformed("not a service snapshot"));
@@ -183,22 +171,25 @@ fn decode_service(
     // have, and it guarantees routing stays exact after a warm restart.
     let assignment = grid.assign_segments(&segs);
     let mut shards = Vec::with_capacity(grid.num_shards());
-    for (i, expected) in assignment.iter().enumerate() {
+    for (i, expected) in assignment.into_iter().enumerate() {
         let ids = ids_from_payload(reader.expect(shard_base + 2 * i, tags::SHARD_IDS)?)?;
-        if &ids != expected {
+        if ids != expected {
             return Err(malformed("shard id table disagrees with the assignment"));
         }
         let tree = quadtree_from_payload(reader.expect(shard_base + 2 * i + 1, tags::SHARD_TREE)?)?;
-        shards.push((ids, tree));
+        let index = ShardIndex {
+            tile: grid.tile_of(i),
+            tree,
+            segs: ids.iter().map(|&g| segs[g as usize]).collect(),
+            global_ids: ids,
+        };
+        let plan = Arc::new(plan.fork(i as u64));
+        let shard = Shard::new(config, index.tile, expected, Vec::new(), plan);
+        shard.lock_core().index = Some(Arc::new(index));
+        shards.push(shard);
     }
-    Ok(DecodedService {
-        epoch,
-        segs,
-        tombstones,
-        pending,
-        ladder,
-        shards,
-    })
+    let state = ServingState::new(epoch, Arc::new(segs), shards);
+    Ok(state.with_overlay(tombstones, pending, ladder.map(Arc::new)))
 }
 
 impl QueryService {
@@ -243,7 +234,7 @@ impl QueryService {
                 u64::from(has_ladder),
             ]),
         );
-        w.section(tags::WORLD, &rect_payload(&self.world));
+        w.section(tags::WORLD, &rect_payload(&self.grid.world()));
         w.section(tags::BASE_SEGS, &segs_payload(&st.segs));
         w.section(tags::TOMBSTONES, &ids_payload(&st.tombstones));
         w.section(tags::PENDING, &segs_payload(&st.pending));
@@ -281,75 +272,6 @@ impl QueryService {
         write_snapshot_atomic(path, &bytes)
     }
 
-    /// Stands a service up from a decoded snapshot: fresh machines and
-    /// counters (forked from `plan` exactly as a cold build forks it, so
-    /// fault determinism is restart-invariant), every tree taken from
-    /// the snapshot verbatim.
-    fn from_decoded(
-        config: QueryServiceConfig,
-        world: Rect,
-        grid: ShardGrid,
-        plan: &Arc<FaultPlan>,
-        decoded: DecodedService,
-    ) -> QueryService {
-        let segs = Arc::new(decoded.segs);
-        let mut shards = Vec::with_capacity(decoded.shards.len());
-        for (i, (global_ids, tree)) in decoded.shards.into_iter().enumerate() {
-            let shard_plan = Arc::new(plan.fork(i as u64));
-            let machine = make_machine(&config, &shard_plan);
-            let local_segs: Vec<LineSeg> = global_ids.iter().map(|&g| segs[g as usize]).collect();
-            let index = ShardIndex {
-                tile: grid.tile_of(i),
-                tree,
-                segs: local_segs,
-                global_ids: global_ids.clone(),
-            };
-            shards.push(Shard {
-                tile: grid.tile_of(i),
-                assigned: global_ids,
-                overlay_assigned: Vec::new(),
-                plan: shard_plan,
-                counters: ShardCounters::new(),
-                retries: AtomicU64::new(0),
-                rebuilds: AtomicU64::new(0),
-                degraded: AtomicBool::new(false),
-                build_trace: Vec::new(),
-                core: Mutex::new(ShardCore {
-                    machine: Arc::new(machine),
-                    index: Some(Arc::new(index)),
-                    overlay: None,
-                    join: None,
-                }),
-            });
-        }
-        let ladder_plan = Arc::new(plan.fork(grid.num_shards() as u64));
-        let ladder_machine = make_machine(&config, &ladder_plan);
-        QueryService {
-            config,
-            grid,
-            world,
-            state: RwLock::new(Arc::new(ServingState {
-                epoch: decoded.epoch,
-                segs,
-                shards: Arc::new(shards),
-                tombstones: decoded.tombstones,
-                pending: decoded.pending,
-                ladder: decoded.ladder.map(Arc::new),
-            })),
-            overlay_segs: Vec::new(),
-            ladder_plan,
-            ladder_machine,
-            requests: AtomicU64::new(0),
-            knn_rounds: AtomicU64::new(0),
-            join_requests: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            failed_compactions: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-            cache: WindowCache::new(config.cache_capacity),
-            defer_compaction: AtomicBool::new(false),
-        }
-    }
-
     /// The warm-restart rung of the recovery ladder: restore the service
     /// from the snapshot at `path` if it exists, parses, and agrees with
     /// this build request; otherwise cold-build from `segs` exactly as
@@ -370,10 +292,9 @@ impl QueryService {
         path: &Path,
     ) -> Result<(QueryService, bool), SpatialError> {
         config.validate()?;
-        let grid = ShardGrid::new(world, config.shard_grid);
         let attempt = if overlay.is_empty() {
             match std::fs::read(path) {
-                Ok(bytes) => decode_service(&bytes, &config, world, grid),
+                Ok(bytes) => decode_service(&bytes, &config, world, &plan),
                 Err(_) => Err(malformed("snapshot file is missing or unreadable")),
             }
         } else {
@@ -382,10 +303,11 @@ impl QueryService {
             ))
         };
         match attempt {
-            Ok(decoded) => Ok((
-                QueryService::from_decoded(config, world, grid, &plan, decoded),
-                true,
-            )),
+            Ok(state) => {
+                let svc =
+                    QueryService::assemble(config, world, &plan, state, Vec::new(), Vec::new());
+                Ok((svc, true))
+            }
             Err(cause) => {
                 let svc = QueryService::try_build_with_faults(config, world, segs, overlay, plan)?;
                 svc.push_event(RecoveryEvent {
@@ -403,6 +325,7 @@ impl QueryService {
 mod tests {
     use super::*;
     use crate::Response;
+    use dp_spatial::SegId;
     use dp_workloads::{request_stream, uniform_segments, Request, RequestMix};
     use scan_model::FaultSite;
 
