@@ -8,8 +8,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dp_bench::{planar_at, uniform_at, WORLD};
+use dp_spatial::baseline::build_pm1_unfused;
 use dp_spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial::pm1::{build_pm1, build_pm1_unfused};
+use dp_spatial::pm1::build_pm1;
 use dp_workloads::square_world;
 use scan_model::Machine;
 use std::hint::black_box;

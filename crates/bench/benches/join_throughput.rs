@@ -5,8 +5,9 @@
 //! reports base-layer segments per second so sizes are comparable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dp_spatial::baseline::spatial_join;
 use dp_spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial::join::{brute_force_join, frontier_join, spatial_join};
+use dp_spatial::join::{brute_force_join, frontier_join};
 use dp_workloads::uniform_segments;
 use scan_model::{Backend, Machine};
 use std::hint::black_box;

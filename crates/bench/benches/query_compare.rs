@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_bench::{query_windows, roads_approx, uniform_at, WORLD};
 use dp_geom::Point;
 use dp_spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial::join::{brute_force_join, spatial_join};
+use dp_spatial::join::{brute_force_join, frontier_join};
 use dp_spatial::pm1::build_pm1;
 use dp_spatial::rsplit::RtreeSplitAlgorithm;
 use dp_spatial::rtree::build_rtree;
@@ -115,7 +115,7 @@ fn bench_spatial_join(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("quadtree_join", roads.len()),
         &0,
-        |b, _| b.iter(|| black_box(spatial_join(&ta, &roads.segs, &tb, &rivers.segs))),
+        |b, _| b.iter(|| black_box(frontier_join(&machine, &ta, &roads.segs, &tb, &rivers.segs))),
     );
     group.bench_with_input(
         BenchmarkId::new("brute_force_join", roads.len()),

@@ -48,10 +48,11 @@
 
 use dp_bench::{planar_at, uniform_at, WORLD};
 use dp_service::{AdmissionPolicy, QueryService, QueryServiceConfig, ServicePipeline};
+use dp_spatial::baseline::{build_pm1_unfused, spatial_join};
 use dp_spatial::bucket_pmr::build_bucket_pmr;
 use dp_spatial::dominance::{dominance_agg, dominance_weight, skyline, DomPoint};
-use dp_spatial::join::{frontier_join, spatial_join};
-use dp_spatial::pm1::{build_pm1, build_pm1_unfused};
+use dp_spatial::join::frontier_join;
+use dp_spatial::pm1::build_pm1;
 use dp_spatial::update::{batch_update_bucket_pmr, UpdateBatch};
 use dp_workloads::{request_stream, skew_hot_windows, square_world, Request, RequestMix};
 use scan_model::{Backend, FaultPlan, Machine, RoundTrace, StatsSnapshot};

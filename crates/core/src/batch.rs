@@ -1,30 +1,107 @@
-//! Batch (data-parallel) query execution over an assembled quadtree.
+//! Batch (data-parallel) query execution over an assembled quadtree,
+//! and the one lockstep descent the crate walks a built tree with.
 //!
 //! The paper's primitives exist to support data-parallel *operations*,
 //! not just builds — its conclusion points at the companion spatial-join
 //! and query papers (\[Hoel94a\], \[Hoel94b\]). This module runs **many
 //! window queries simultaneously** in the scan model: the frontier of
-//! (query, node) pairs is a flat vector of lanes, and one descent round
-//! is
+//! (query, node) pairs is a flat vector of lanes, and one descent level
+//! is **one flat-map** (`descend_level`):
 //!
-//! 1. retire lanes whose node is a leaf (collect its q-edges), using the
-//!    *deletion* primitive (Sec. 4.3) to compact the frontier;
-//! 2. expand every remaining lane to its four children with two *cloning*
-//!    passes (Sec. 4.1) — each pass doubles the lane adjacently, so rank
-//!    arithmetic assigns each copy a distinct quadrant;
-//! 3. prune lanes whose child block misses their query window (deletion
-//!    again).
+//! 1. a lane whose node is a leaf *lands* — its q-edges join the query's
+//!    candidates — and has arity 0, so it vanishes from the frontier;
+//! 2. a lane over an internal node has arity "how many of its four child
+//!    blocks meet the window" (one elementwise map), and
+//!    [`Machine::flat_map_into`] lays the copies out — one room-making
+//!    scan, one permutation — while its child closure steps copy `r` to
+//!    the `r`-th child that meets the window.
 //!
-//! All queries advance in lockstep; per level the work is O(frontier)
-//! with a constant number of primitive operations — the natural
-//! object-space parallelization of query processing.
+//! Children that miss the window are never materialized, so there is
+//! nothing to prune afterwards (the cloning of Sec. 4.1 and the deletion
+//! of Sec. 4.3 are the arities ≥ 1 and 0 of the same layout). All queries
+//! advance in lockstep; per level the work is O(frontier) with a constant
+//! number of primitive operations — the natural object-space
+//! parallelization of query processing. Insert routing
+//! ([`crate::update::batch_update`] phase 3) is the same descent with a
+//! different `reaches` predicate.
 
 use crate::error::SpatialError;
 use crate::quadtree::{DpQuadtree, QtNode};
 use crate::SegId;
 use dp_geom::Rect;
-use scan_model::ops::Sum;
-use scan_model::{Machine, ScanKind, Segments};
+use scan_model::{Machine, Segments};
+
+/// One frontier lane of a lockstep descent: `(payload, node index, node
+/// block)`. The payload names what is descending — a query, an insert.
+pub(crate) type Lane = (u32, u32, Rect);
+
+/// One level of a lockstep descent over `tree`: every leaf lane is handed
+/// to `land(payload, node index, leaf lines)` and vanishes; every
+/// internal lane fans out to exactly the children `reaches(payload,
+/// &child_block)` admits, in quadrant order. Returns whether any lane is
+/// left to descend further; a level with nothing but leaf lanes issues no
+/// primitive beyond the landing pass.
+///
+/// Counts no round and checks no fault site — both belong to the caller's
+/// loop.
+pub(crate) fn descend_level<L, R>(
+    machine: &Machine,
+    tree: &DpQuadtree,
+    lanes: &mut Vec<Lane>,
+    mut land: L,
+    reaches: R,
+) -> bool
+where
+    L: FnMut(u32, usize, &[SegId]),
+    R: Fn(u32, &Rect) -> bool + Sync,
+{
+    machine.note_elementwise();
+    let mut any_internal = false;
+    for &(payload, node, _) in lanes.iter() {
+        match tree.node(node as usize) {
+            QtNode::Leaf { lines } => land(payload, node as usize, lines),
+            QtNode::Internal { .. } => any_internal = true,
+        }
+    }
+    if !any_internal {
+        lanes.clear();
+        return false;
+    }
+
+    let mut arity: Vec<u32> = machine.lease();
+    machine.map_into(
+        lanes,
+        |(payload, node, rect)| match tree.node(node as usize) {
+            QtNode::Leaf { .. } => 0,
+            QtNode::Internal { .. } => {
+                let quads = rect.quadrants();
+                quads.iter().filter(|q| reaches(payload, q)).count() as u32
+            }
+        },
+        &mut arity,
+    );
+    let mut next: Vec<Lane> = machine.lease();
+    machine.flat_map_into(
+        &Segments::single(lanes.len()),
+        lanes,
+        &arity,
+        |(payload, node, rect), rank| {
+            let QtNode::Internal { children } = tree.node(node as usize) else {
+                unreachable!("leaf lanes have arity 0");
+            };
+            let quads = rect.quadrants();
+            let q = (0..4)
+                .filter(|&q| reaches(payload, &quads[q]))
+                .nth(rank as usize)
+                .expect("rank addresses an admitted child");
+            (payload, children[q] as u32, quads[q])
+        },
+        &mut next,
+    );
+    machine.recycle(arity);
+    machine.recycle(std::mem::replace(lanes, next));
+    !lanes.is_empty()
+}
 
 /// Runs all `queries` against `tree` simultaneously; returns, per query,
 /// the deduplicated sorted ids whose segments intersect the query window
@@ -86,119 +163,31 @@ pub fn batch_window_candidates(
         return results;
     }
 
-    // Frontier lanes: (query id, node index, node rect).
-    let mut lane_query: Vec<u32> = Vec::new();
-    let mut lane_node: Vec<u32> = Vec::new();
-    let mut lane_rect: Vec<Rect> = Vec::new();
+    // Every window that meets the world starts at the root.
     machine.note_elementwise();
-    for (q, window) in queries.iter().enumerate() {
-        if tree.world().intersects(window) {
-            lane_query.push(q as u32);
-            lane_node.push(0);
-            lane_rect.push(tree.world());
-        }
-    }
+    let world = tree.world();
+    let mut lanes: Vec<Lane> = machine.lease();
+    lanes.extend(
+        (0..queries.len() as u32)
+            .filter(|&q| world.intersects(&queries[q as usize]))
+            .map(|q| (q, 0, world)),
+    );
 
-    while !lane_query.is_empty() {
-        let seg = Segments::single(lane_query.len());
-
-        // Retire leaf lanes: their node contents join the result sets.
-        let mut at_leaf: Vec<bool> = machine.lease();
-        machine.map_into(
-            &lane_node,
-            |n| matches!(tree.node(n as usize), QtNode::Leaf { .. }),
-            &mut at_leaf,
-        );
-        machine.note_elementwise();
-        for i in 0..lane_query.len() {
-            if at_leaf[i] {
-                if let QtNode::Leaf { lines } = tree.node(lane_node[i] as usize) {
-                    results[lane_query[i] as usize].extend_from_slice(lines);
-                }
-            }
-        }
-        let keep = machine.delete_layout(&seg, &at_leaf);
-        machine.recycle(at_leaf);
-        machine.apply_in_place(&mut lane_query, &keep);
-        machine.apply_in_place(&mut lane_node, &keep);
-        machine.apply_in_place(&mut lane_rect, &keep);
-        if lane_query.is_empty() {
-            break;
-        }
-
-        // Expand to the four children: two adjacent-cloning passes make
-        // four adjacent copies of every lane; the copy's rank mod 4 names
-        // its quadrant.
-        let seg = Segments::single(lane_query.len());
-        let mut all: Vec<bool> = machine.lease();
-        all.resize(lane_query.len(), true);
-        let double = machine.clone_layout(&seg, &all);
-        machine.recycle(all);
-        machine.apply_in_place(&mut lane_query, &double);
-        machine.apply_in_place(&mut lane_node, &double);
-        machine.apply_in_place(&mut lane_rect, &double);
-        let seg = double.seg;
-        let mut all: Vec<bool> = machine.lease();
-        all.resize(lane_query.len(), true);
-        let quad = machine.clone_layout(&seg, &all);
-        machine.recycle(all);
-        machine.apply_in_place(&mut lane_query, &quad);
-        machine.apply_in_place(&mut lane_node, &quad);
-        machine.apply_in_place(&mut lane_rect, &quad);
-
-        // Rank within each 4-group via an unsegmented exclusive scan.
-        let mut ones: Vec<u64> = machine.lease();
-        ones.resize(lane_query.len(), 1);
-        let mut rank: Vec<u64> = machine.lease();
-        machine.scan_into(
-            &ones,
-            &Segments::single(lane_query.len()),
-            Sum,
-            scan_model::Direction::Up,
-            ScanKind::Exclusive,
-            &mut rank,
-        );
-        machine.recycle(ones);
-
-        // Each copy steps to its quadrant child.
-        machine.note_elementwise();
-        let mut child_node: Vec<u32> = machine.lease();
-        child_node.resize(lane_query.len(), 0);
-        let mut child_rect: Vec<Rect> = machine.lease();
-        child_rect.resize(lane_query.len(), Rect::empty());
-        let mut misses: Vec<bool> = machine.lease();
-        misses.resize(lane_query.len(), false);
-        for i in 0..lane_query.len() {
-            let quadrant = (rank[i] % 4) as usize;
-            match tree.node(lane_node[i] as usize) {
-                QtNode::Internal { children } => {
-                    let rects = lane_rect[i].quadrants();
-                    child_node[i] = children[quadrant] as u32;
-                    child_rect[i] = rects[quadrant];
-                    misses[i] = !child_rect[i].intersects(&queries[lane_query[i] as usize]);
-                }
-                QtNode::Leaf { .. } => unreachable!("leaf lanes were retired"),
-            }
-        }
-        machine.recycle(rank);
-
-        // Prune the copies whose child block misses the window.
-        let seg = Segments::single(lane_query.len());
-        let keep = machine.delete_layout(&seg, &misses);
-        machine.recycle(misses);
-        machine.recycle(std::mem::replace(&mut lane_node, child_node));
-        machine.recycle(std::mem::replace(&mut lane_rect, child_rect));
-        machine.apply_in_place(&mut lane_query, &keep);
-        machine.apply_in_place(&mut lane_node, &keep);
-        machine.apply_in_place(&mut lane_rect, &keep);
-
-        // One descent level completed: all surviving lanes stepped one
-        // node deeper in lockstep, with a constant number of primitives
-        // issued above. Recorded so `Machine::stats` exposes the paper's
-        // O(tree height) round bound for batch queries, exactly as
-        // `run_quad_build` does for builds.
+    // One level completed per fan-out: all surviving lanes stepped one
+    // node deeper in lockstep with a constant number of primitives,
+    // recorded so `Machine::stats` exposes the paper's O(tree height)
+    // round bound for batch queries, exactly as `run_quad_build` does for
+    // builds.
+    while descend_level(
+        machine,
+        tree,
+        &mut lanes,
+        |q, _, lines| results[q as usize].extend_from_slice(lines),
+        |q, child| child.intersects(&queries[q as usize]),
+    ) {
         machine.bump_rounds();
     }
+    machine.recycle(lanes);
 
     for ids in &mut results {
         ids.sort_unstable();
@@ -222,6 +211,10 @@ mod tests {
         vec![
             Machine::sequential(),
             Machine::new(Backend::Parallel).with_par_threshold(1),
+            // Tiny blocks: every level crosses many block boundaries.
+            Machine::new(Backend::Parallel)
+                .with_par_threshold(1)
+                .with_block_bytes(4 * std::mem::size_of::<u64>()),
         ]
     }
 
@@ -233,6 +226,113 @@ mod tests {
                 LineSeg::from_coords(x, y, (x + 3.0).min(63.0), (y + 2.0).min(63.0))
             })
             .collect()
+    }
+
+    /// Walks `descend_level` to the end from `payloads` root lanes and
+    /// returns the frontier after every level plus everything landed, as
+    /// `(payload, node index)` in landing order.
+    fn descend<R>(
+        m: &Machine,
+        tree: &DpQuadtree,
+        payloads: u32,
+        reaches: R,
+    ) -> (Vec<Vec<Lane>>, Vec<(u32, usize)>)
+    where
+        R: Fn(u32, &Rect) -> bool + Sync,
+    {
+        let mut lanes: Vec<Lane> = (0..payloads).map(|p| (p, 0, tree.world())).collect();
+        let (mut levels, mut landed) = (Vec::new(), Vec::new());
+        while descend_level(
+            m,
+            tree,
+            &mut lanes,
+            |p, node, lines| {
+                assert_eq!(
+                    tree.node(node),
+                    &QtNode::Leaf {
+                        lines: lines.to_vec()
+                    }
+                );
+                landed.push((p, node));
+            },
+            &reaches,
+        ) {
+            levels.push(lanes.clone());
+        }
+        assert!(lanes.is_empty(), "a finished descent leaves no lane");
+        (levels, landed)
+    }
+
+    /// The level step on its own, driven by synthetic `reaches`
+    /// predicates: every child, no child, exactly one child.
+    #[test]
+    fn level_step_fans_out_to_exactly_the_admitted_children() {
+        let segs = dataset();
+        let probe = dp_geom::Point::new(20.5, 11.5);
+        let mut reference: Option<[Vec<Vec<Lane>>; 2]> = None;
+        for m in machines() {
+            let tree = build_bucket_pmr(&m, world(), &segs, 2, 8);
+            let stats = tree.stats();
+            assert!(stats.height >= 3, "tree too shallow: {stats:?}");
+
+            // All four children: the frontier is the whole tree level by
+            // level, children adjacent in quadrant order under their
+            // parent, and every leaf lands once per payload.
+            let (all, landed) = descend(&m, &tree, 3, |_, _| true);
+            assert_eq!(all.len(), stats.height);
+            let root_quads = world().quadrants();
+            let QtNode::Internal { children } = tree.node(0) else {
+                panic!("root must be internal");
+            };
+            let first: Vec<Lane> = (0..3u32)
+                .flat_map(|p| (0..4).map(move |q| (p, q)))
+                .map(|(p, q)| (p, children[q] as u32, root_quads[q]))
+                .collect();
+            assert_eq!(all[0], first);
+            assert_eq!(landed.len(), 3 * stats.leaves);
+            for p in 0..3u32 {
+                let mut nodes: Vec<usize> = landed
+                    .iter()
+                    .filter(|&&(lp, _)| lp == p)
+                    .map(|&(_, node)| node)
+                    .collect();
+                nodes.sort_unstable();
+                nodes.dedup();
+                assert_eq!(nodes.len(), stats.leaves, "payload {p} missed a leaf");
+            }
+
+            // No child: the root lane has arity 0, so nothing descends
+            // and nothing lands.
+            let (none, landed) = descend(&m, &tree, 3, |_, _| false);
+            assert!(none.is_empty());
+            assert!(landed.is_empty());
+
+            // Exactly one child (the one holding `probe`, half-open): one
+            // lane per payload follows the root-to-leaf path of a point
+            // query; payload 1 admits nothing and dies at the root.
+            let (one, landed) = descend(&m, &tree, 3, |p, child| {
+                p != 1 && child.contains_half_open(probe)
+            });
+            for level in &one {
+                assert_eq!(level.len(), 2);
+                assert!(level.iter().all(|(_, _, r)| r.contains_half_open(probe)));
+                assert_eq!(level[0].0, 0);
+                assert_eq!(level[1].0, 2);
+                assert_eq!(level[0].1, level[1].1);
+            }
+            assert_eq!(landed.len(), 2);
+            assert_eq!(landed[0].1, landed[1].1);
+            let QtNode::Leaf { lines } = tree.node(landed[0].1) else {
+                panic!("landed on an internal node");
+            };
+            let mut lines = lines.clone();
+            lines.sort_unstable();
+            assert_eq!(lines, tree.point_query(probe));
+
+            // The three machines walk identical frontiers.
+            let got = [all, one];
+            assert_eq!(reference.get_or_insert_with(|| got.clone()), &got);
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@
 use crate::SegId;
 use dp_geom::LineSeg;
 use scan_model::ops::Max;
-use scan_model::{Direction, FaultSite, FusedOp, Machine, RoundTrace, ScanKind, Segments};
+use scan_model::{Direction, FaultSite, FusedOp, Machine, ScanKind, Segments};
 use std::time::Instant;
 
 /// One input point for the dominance pipelines: an id the caller can map
@@ -149,23 +149,14 @@ pub fn skyline(machine: &Machine, points: &[DomPoint]) -> Vec<SegId> {
     // 0/1 make it the paper's "concentrate").
     let (out, _layout) = machine.flat_map(&all, &ids_s, &counts, |id, _rank| id);
 
-    let delta = machine.stats().since(&before);
-    machine.record_round_trace(RoundTrace {
-        round: 0,
-        active_elements: n,
-        active_nodes: groups.num_segments(),
-        nodes_split: 0,
-        scans: delta.scans,
-        scan_passes: delta.scan_passes,
-        elementwise: delta.elementwise,
-        permutes: delta.permutes,
-        arena_high_water_bytes: machine.arena_high_water_bytes(),
-        wall_nanos: started.elapsed().as_nanos() as u64,
-        blocked_passes: delta.blocked_passes,
-        bytes_moved: delta.bytes_moved,
-        inplace_reuses: delta.inplace_reuses,
-        block_bytes: machine.block_bytes(),
-    });
+    machine.record_round_trace(machine.round_trace_since(
+        &before,
+        started,
+        0,
+        n,
+        groups.num_segments(),
+        0,
+    ));
     out
 }
 
@@ -303,23 +294,14 @@ pub fn dominance_agg(
         machine.zip_map_in_place(&mut acc_max, &m_max, |a, d| a.max(d));
 
         machine.bump_rounds();
-        let delta = machine.stats().since(&before);
-        machine.record_round_trace(RoundTrace {
-            round: l.trailing_zeros() as usize,
-            active_elements: n,
-            active_nodes: pairs.num_segments(),
-            nodes_split: 0,
-            scans: delta.scans,
-            scan_passes: delta.scan_passes,
-            elementwise: delta.elementwise,
-            permutes: delta.permutes,
-            arena_high_water_bytes: machine.arena_high_water_bytes(),
-            wall_nanos: started.elapsed().as_nanos() as u64,
-            blocked_passes: delta.blocked_passes,
-            bytes_moved: delta.bytes_moved,
-            inplace_reuses: delta.inplace_reuses,
-            block_bytes: machine.block_bytes(),
-        });
+        machine.record_round_trace(machine.round_trace_since(
+            &before,
+            started,
+            l.trailing_zeros() as usize,
+            n,
+            pairs.num_segments(),
+            0,
+        ));
         l *= 2;
     }
 

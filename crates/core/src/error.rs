@@ -4,8 +4,8 @@
 //! violations: `spatial_join` panicked on mismatched worlds while
 //! `batch_window_query` silently clipped out-of-world windows. The
 //! checked entry points ([`crate::join::frontier_join`],
-//! [`crate::join::try_spatial_join`],
-//! [`crate::batch::try_batch_window_query`]) unify both behind one
+//! [`crate::batch::try_batch_window_query`]; the join's oracle,
+//! [`crate::baseline::try_spatial_join`], likewise) unify both behind one
 //! `Result`-returning surface with this error type; the panicking and
 //! clipping variants remain for callers that have already validated
 //! their inputs.

@@ -5,37 +5,38 @@
 //! Because both quadtrees regularly decompose the *same* space, their
 //! blocks align: matching block pairs either coincide or nest, so a join
 //! never needs the expensive processor reorderings that the R-tree's
-//! overlapping nodes would force (paper Fig. 12). Two implementations
-//! share that observation:
+//! overlapping nodes would force (paper Fig. 12).
 //!
-//! * [`spatial_join`] / [`try_spatial_join`] — the sequential recursive
-//!   co-traversal, kept as the oracle;
-//! * [`frontier_join`] — the **breadth-first, data-parallel frontier
-//!   join**: the frontier is a flat vector of candidate block pairs
-//!   `(node_a, node_b)`, and each round — one [`JoinPolicy`] step on the
-//!   shared [`RoundDriver`] — advances *every* pair one level in lockstep
-//!   using the paper's own primitives:
+//! [`frontier_join`] is the **breadth-first, data-parallel frontier
+//! join**: the frontier is a flat vector of candidate block pairs
+//! `(node_a, node_b)`, and each round — one [`JoinPolicy`] step on the
+//! shared [`RoundDriver`] — advances *every* pair one level in lockstep
+//! using the paper's own primitives:
 //!
-//!   1. retiring leaf×leaf pairs test their segment cross-products with
-//!      one elementwise pass writing miss flags, and *concentrate* the
-//!      intersecting pairs in place with the deletion primitive
-//!      (Figs. 17–18) — the match count is the compacted length, so no
-//!      counting scan rides along;
-//!   2. surviving ambiguous pairs fan out ×4 against the finer side's
-//!      children via [`Machine::fanout_layout`] — the generalized
-//!      *cloning* of Figs. 13–14 (a coarser leaf block is cloned
-//!      unchanged against each child of the finer internal block);
-//!   3. dead children (an empty-leaf side) are deleted, and one
-//!      *unshuffle* (Figs. 15–16) packs still-ambiguous pairs apart from
-//!      the ready leaf×leaf pairs entering the next round.
+//! 1. retiring leaf×leaf pairs test their segment cross-products in one
+//!    sweep that writes only the intersecting pairs — the deletion
+//!    primitive's "keep where the flag is clear" (Figs. 17–18) applied as
+//!    the lanes are created, so no counting scan rides along;
+//! 2. one [`Machine::flat_map_into`] both drops the retired pairs (arity
+//!    0) and fans every ambiguous pair out ×4 (arity 4) against the finer
+//!    side's children — the generalized *cloning* of Figs. 13–14 (a
+//!    coarser leaf block is cloned unchanged against each child of the
+//!    finer internal block) — and one grouped elementwise sweep steps
+//!    each quadruple to its children and classifies them;
+//! 3. dead children (an empty-leaf side) are deleted, and one *unshuffle*
+//!    (Figs. 15–16) packs still-ambiguous pairs apart from the ready
+//!    leaf×leaf pairs entering the next round.
 //!
-//!   Every frontier vector moves through arena-backed `_into` variants
-//!   ([`Machine::lease`] / [`Machine::recycle`]), so rounds reuse scratch
-//!   instead of reallocating, and every round records a
-//!   [`scan_model::RoundTrace`] with its op-counter deltas. Each round
-//!   issues a *constant* number of primitive operations and strictly
-//!   deepens every non-leaf side, so rounds ≤ max(height(a), height(b)) —
-//!   the paper's O(tree height) bound with O(1) primitives per round.
+//! Every frontier vector moves through arena-backed `_into` variants
+//! ([`Machine::lease`] / [`Machine::recycle`]), so rounds reuse scratch
+//! instead of reallocating, and every round records a
+//! [`scan_model::RoundTrace`] with its op-counter deltas. Each round
+//! issues a *constant* number of primitive operations and strictly
+//! deepens every non-leaf side, so rounds ≤ max(height(a), height(b)) —
+//! the paper's O(tree height) bound with O(1) primitives per round.
+//!
+//! The sequential recursive co-traversal this replaced is the join's
+//! oracle, [`crate::baseline::spatial_join`].
 
 use crate::error::SpatialError;
 use crate::quadtree::{DpQuadtree, QtNode};
@@ -43,90 +44,6 @@ use crate::round_driver::{RoundAdvance, RoundDriver, SplitPolicy};
 use crate::SegId;
 use dp_geom::{clip_segment_closed, segments_intersect, LineSeg, Rect};
 use scan_model::{Machine, Segments};
-
-/// All intersecting pairs `(id_a, id_b)` between the segment sets indexed
-/// by `a` and `b`, sorted and deduplicated.
-///
-/// # Panics
-///
-/// Panics if the two trees cover different worlds; see
-/// [`try_spatial_join`] for the checked variant.
-pub fn spatial_join(
-    a: &DpQuadtree,
-    segs_a: &[LineSeg],
-    b: &DpQuadtree,
-    segs_b: &[LineSeg],
-) -> Vec<(SegId, SegId)> {
-    match try_spatial_join(a, segs_a, b, segs_b) {
-        Ok(pairs) => pairs,
-        Err(e) => panic!("spatial join requires both quadtrees to cover the same world: {e}"),
-    }
-}
-
-/// Checked [`spatial_join`]: the sequential recursive co-traversal,
-/// returning [`SpatialError::WorldMismatch`] instead of panicking when
-/// the trees cover different worlds.
-pub fn try_spatial_join(
-    a: &DpQuadtree,
-    segs_a: &[LineSeg],
-    b: &DpQuadtree,
-    segs_b: &[LineSeg],
-) -> Result<Vec<(SegId, SegId)>, SpatialError> {
-    if a.world() != b.world() {
-        return Err(SpatialError::WorldMismatch {
-            left: a.world(),
-            right: b.world(),
-        });
-    }
-    let mut pairs = Vec::new();
-    join_rec(a, 0, b, 0, segs_a, segs_b, &mut pairs);
-    pairs.sort_unstable();
-    pairs.dedup();
-    Ok(pairs)
-}
-
-fn join_rec(
-    a: &DpQuadtree,
-    na: usize,
-    b: &DpQuadtree,
-    nb: usize,
-    segs_a: &[LineSeg],
-    segs_b: &[LineSeg],
-    out: &mut Vec<(SegId, SegId)>,
-) {
-    match (a.node(na), b.node(nb)) {
-        (QtNode::Leaf { lines: la }, QtNode::Leaf { lines: lb }) => {
-            for &ia in la {
-                for &ib in lb {
-                    if segments_intersect(&segs_a[ia as usize], &segs_b[ib as usize]) {
-                        out.push((ia, ib));
-                    }
-                }
-            }
-        }
-        (QtNode::Internal { children }, QtNode::Leaf { lines }) => {
-            if lines.is_empty() {
-                return;
-            }
-            for &c in children {
-                join_rec(a, c, b, nb, segs_a, segs_b, out);
-            }
-        }
-        (QtNode::Leaf { lines }, QtNode::Internal { children }) => {
-            if lines.is_empty() {
-                return;
-            }
-            for &c in children {
-                join_rec(a, na, b, c, segs_a, segs_b, out);
-            }
-        }
-        (QtNode::Internal { children: ca }, QtNode::Internal { children: cb }) => {
-            for q in 0..4 {
-                join_rec(a, ca[q], b, cb[q], segs_a, segs_b, out);
-            }
-        }
-    }
-}
 
 /// Brute-force reference join (all-pairs), for validation and as the
 /// baseline in the join benchmarks.
@@ -180,7 +97,8 @@ pub fn brute_force_join_in(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinOutcome {
     /// Intersecting pairs `(id_a, id_b)`, sorted and deduplicated —
-    /// bit-identical to [`spatial_join`] on the same inputs.
+    /// bit-identical to [`crate::baseline::spatial_join`] on the same
+    /// inputs.
     pub pairs: Vec<(SegId, SegId)>,
     /// Frontier-expansion rounds the driver completed (≤ max tree
     /// height).
@@ -339,33 +257,37 @@ impl SplitPolicy for JoinPolicy<'_> {
     }
 
     fn partition(&mut self, machine: &Machine, want: &[bool]) {
-        // 1. Concentrate the frontier: delete retired lanes (Figs. 17–18)
-        //    in place. Every survivor is ambiguous, so the class lane is
-        //    rebuilt wholesale by the child step below.
+        // 1. One layout for "concentrate" and "expand": a retired lane
+        //    has arity 0 (deletion, Figs. 17–18), an ambiguous one arity
+        //    4 (generalized cloning, Figs. 13–14). Every copy carries its
+        //    parent pair; the sweep below steps each to its child.
         let seg = Segments::single(self.nab.len());
-        let mut retire: Vec<bool> = machine.lease();
-        machine.map_into(want, |w| !w, &mut retire);
-        let layout = machine.delete_layout(&seg, &retire);
-        machine.recycle(retire);
-        machine.apply_in_place(&mut self.nab, &layout);
+        let mut arity: Vec<u32> = machine.lease();
+        machine.map_into(want, |w| if w { 4 } else { 0 }, &mut arity);
+        let mut fanned: Vec<(u32, u32)> = machine.lease();
+        machine.flat_map_into(
+            &seg,
+            &self.nab,
+            &arity,
+            |parents, _rank| parents,
+            &mut fanned,
+        );
+        machine.recycle(arity);
+        machine.recycle(std::mem::replace(&mut self.nab, fanned));
 
-        // 2. Fan every ambiguous pair out ×4 (generalized cloning,
-        //    Figs. 13–14): a coarser leaf block is cloned unchanged
-        //    against each child of the finer internal block.
-        let seg = Segments::single(self.nab.len());
-        let mut four: Vec<u32> = machine.lease();
-        four.resize(self.nab.len(), 4);
-        let fan = machine.fanout_layout(&seg, &four);
-        machine.recycle(four);
-        machine.apply_in_place(&mut self.nab, &fan);
-
-        // 3. One elementwise child-and-classify step. After a uniform ×4
-        //    fanout, lanes 4k..4k+4 share one parent pair, so each
-        //    group's parent nodes are loaded once; copy rank r names the
-        //    quadrant — an internal side descends to children[r], a leaf
-        //    side stays put (aligned decompositions keep blocks nested).
-        //    Classifying here, while the child nodes are warm, is what
-        //    lets the next round's decide skip the tree entirely.
+        // 2. One elementwise child-and-classify step, deliberately *not*
+        //    the shared `batch::descend_level`: that step would fan out
+        //    to live children only, which means classifying every child
+        //    in the arity pass and again in the child pass (a prototype
+        //    read +3 % on the whole join, EXPERIMENTS E44). The uniform ×4
+        //    group is what this code buys instead — lanes 4k..4k+4 share
+        //    one parent pair, so each group's parent nodes are loaded
+        //    once; copy rank r names the quadrant — an internal side
+        //    descends to children[r], a leaf side stays put (aligned
+        //    decompositions keep blocks nested: a coarser leaf block is
+        //    cloned unchanged against each child of the finer internal
+        //    block). Classifying here, while the child nodes are warm,
+        //    is what lets the next round's decide skip the tree entirely.
         machine.note_elementwise();
         self.class.clear();
         self.class.reserve(self.nab.len());
@@ -400,7 +322,7 @@ impl SplitPolicy for JoinPolicy<'_> {
             }
         }
 
-        // 4. Drop dead children, then unshuffle (Figs. 15–16) so
+        // 3. Drop dead children, then unshuffle (Figs. 15–16) so
         //    still-ambiguous pairs pack apart from ready leaf×leaf pairs —
         //    the class lane rides along through both reorderings.
         machine.note_elementwise();
@@ -432,8 +354,8 @@ impl SplitPolicy for JoinPolicy<'_> {
 }
 
 /// The breadth-first, data-parallel frontier join. Produces the same
-/// sorted, deduplicated pair set as [`try_spatial_join`], plus round
-/// telemetry; runs on either machine backend.
+/// sorted, deduplicated pair set as [`crate::baseline::try_spatial_join`],
+/// plus round telemetry; runs on either machine backend.
 pub fn frontier_join(
     machine: &Machine,
     a: &DpQuadtree,
@@ -470,6 +392,7 @@ pub fn frontier_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{spatial_join, try_spatial_join};
     use crate::bucket_pmr::build_bucket_pmr;
     use dp_geom::Rect;
     use scan_model::{Backend, Machine};

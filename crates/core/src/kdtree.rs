@@ -8,9 +8,9 @@
 //! The build inserts all points simultaneously: active nodes are
 //! contiguous segments of the point processor vector; per round every
 //! oversized node is median-split along the alternating axis with one
-//! segmented sort plus rank arithmetic, and the halves are packed with an
-//! unshuffle — O(log n) rounds, one sort each, exactly the structure of
-//! Blelloch's build.
+//! segmented sort — the sorted order already packs each node's halves, so
+//! no rank lane and no unshuffle follow — O(log n) rounds, one sort each,
+//! exactly the structure of Blelloch's build.
 
 use crate::SegId;
 use dp_geom::{Point, Rect};
@@ -98,7 +98,7 @@ pub fn build_kdtree(machine: &Machine, points: &[Point], leaf_capacity: usize) -
         }
 
         // Median split along the alternating axis: one segmented sort by
-        // the per-lane coordinate, then rank threshold.
+        // the per-lane coordinate; the median is the middle sorted lane.
         let keys: Vec<f64> = {
             machine.note_elementwise();
             (0..lane_id.len())
@@ -115,7 +115,6 @@ pub fn build_kdtree(machine: &Machine, points: &[Point], leaf_capacity: usize) -
         let order = machine.segmented_sort_perm(&seg, &keys, |a, b| a.total_cmp(b));
         lane_id = machine.gather(&lane_id, &order);
         let sorted_keys = machine.gather(&keys, &order);
-        let ranks = machine.rank_in_segment(&seg);
 
         // Finalize non-splitting nodes, subdivide the rest.
         let mut new_lengths = Vec::new();
@@ -148,7 +147,6 @@ pub fn build_kdtree(machine: &Machine, points: &[Point], leaf_capacity: usize) -
             new_node_of.push(right);
             new_depth_of.push(depth_of[s] + 1);
             new_depth_of.push(depth_of[s] + 1);
-            let _ = ranks; // ranks define the halves; the sort already packed them
         }
 
         // Compact the lanes of splitting nodes (the sorted order already

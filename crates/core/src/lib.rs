@@ -25,11 +25,18 @@
 //! [`scan_model::Machine::stats`].
 //!
 //! Beyond construction, [`batch::batch_window_query`] answers many window
-//! queries in one lockstep descent, and [`join::frontier_join`] computes
-//! the spatial join of two aligned quadtrees breadth-first over a vector
-//! of candidate block pairs — the join, like the builds, is a policy on
-//! the instrumented [`round_driver::RoundDriver`], which records a
+//! queries in one lockstep descent — every level one
+//! [`scan_model::Machine::flat_map_into`], the same level step
+//! [`update::batch_update`] routes its inserts with — and
+//! [`join::frontier_join`] computes the spatial join of two aligned
+//! quadtrees breadth-first over a vector of candidate block pairs — the
+//! join, like the builds, is a policy on the instrumented
+//! [`round_driver::RoundDriver`], which records a
 //! [`scan_model::RoundTrace`] per round.
+//!
+//! Each operation has one exported path. What those paths replaced — the
+//! unfused PM₁ decision, the sequential recursive join — lives in
+//! [`baseline`], for tests and benches to compare against.
 //!
 //! ## Quick example
 //!
@@ -50,6 +57,7 @@
 //! assert_eq!(hits, vec![0, 1, 2]);
 //! ```
 
+pub mod baseline;
 pub mod batch;
 pub mod bucket_pmr;
 pub mod dominance;

@@ -21,7 +21,6 @@
 use crate::lineproc::{run_quad_build, LineProcSet};
 use crate::quadtree::DpQuadtree;
 use dp_geom::{LineSeg, Rect};
-use scan_model::ops::{Max, Min};
 use scan_model::{Direction, FusedOp, Machine, ScanKind};
 
 /// Per-node outcome of the PM₁ split decision, exposed for tests and the
@@ -57,10 +56,10 @@ impl Pm1Verdict {
     /// Classifies one node from the Figs. 20–22 quantities arriving at its
     /// segment head: the extreme per-lane endpoint counts, whether the
     /// in-node endpoint MBB is degenerate (a point), and the node's line
-    /// count. This is the single verdict chain shared by the fused
-    /// ([`pm1_verdicts`]) and unfused ([`pm1_verdicts_unfused`]) decision
-    /// paths — they differ only in how the quantities are produced, so the
-    /// two paths cannot drift.
+    /// count. This is the single verdict chain shared by [`pm1_verdicts`]
+    /// and its seven-scan oracle
+    /// ([`crate::baseline::pm1_verdicts_unfused`]) — they differ only in
+    /// how the quantities are produced, so the two cannot drift.
     pub fn classify(max_eps: i64, min_eps: i64, mbb_degenerate: bool, lines: u64) -> Pm1Verdict {
         if max_eps == 2 {
             Pm1Verdict::SplitTwoEndpoints
@@ -90,16 +89,16 @@ impl Pm1Verdict {
 /// inclusive scans run as a single [`Machine::scan_lanes`] pass. The
 /// endpoint counts and line counts are carried as `f64` lanes — their
 /// values are small integers, exact in `f64` — so every lane shares one
-/// element type. Verdicts are bit-identical to [`pm1_verdicts_unfused`]
-/// (asserted by the fused-complexity differential test), which keeps the
-/// original seven-scan composition for comparison benchmarks.
+/// element type. Verdicts are bit-identical to the original seven-scan
+/// composition kept as [`crate::baseline::pm1_verdicts_unfused`]
+/// (asserted by the fused-complexity differential test).
 pub fn pm1_verdicts(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<Pm1Verdict> {
     let seg = &state.seg;
     let n = seg.len();
     // One fused elementwise pass fills all six distinct scan inputs
     // (counted as one elementwise op; the paper's Figs. 20-21 count the
     // EPs and per-lane-box derivations as elementwise steps). Parallel on
-    // the parallel backend, like the maps of the unfused form.
+    // the parallel backend.
     let mut ins: [Vec<f64>; 6] = std::array::from_fn(|_| machine.lease());
     machine.fill_lanes_into(
         n,
@@ -172,87 +171,9 @@ pub fn pm1_verdicts(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) ->
     verdicts
 }
 
-/// The original unfused PM₁ decision: seven independent scans composed
-/// one at a time. Retained as the baseline for the fusion benchmarks and
-/// the bit-identity differential test.
-pub fn pm1_verdicts_unfused(
-    machine: &Machine,
-    state: &LineProcSet,
-    segs: &[LineSeg],
-) -> Vec<Pm1Verdict> {
-    let seg = &state.seg;
-    // Per-lane endpoint counts (EPs field of Fig. 20). Vertex membership
-    // is *closed*: a vertex on a block boundary counts in every touching
-    // block, matching Samet's closed-block convention — otherwise two
-    // q-edges meeting at a vertex that falls exactly on a block border
-    // would render the bordering block unsatisfiable (two vertexless
-    // q-edges) at every depth.
-    let eps: Vec<i64> = machine.zip_map(&state.line, &state.rect, |id, r| {
-        segs[id as usize].count_endpoints_where(|p| r.contains(p)) as i64
-    });
-    // Downward inclusive scans: node extremes arrive at the segment head
-    // (the "first line in each segment group" of Fig. 20).
-    let max_eps = machine.down_scan_seg(&eps, seg, Max, ScanKind::Inclusive);
-    let min_eps = machine.down_scan_seg(&eps, seg, Min, ScanKind::Inclusive);
-
-    // Endpoint minimum bounding boxes (Fig. 21): per-lane boxes of the
-    // in-node endpoints, combined with four min/max scans. Lanes with no
-    // in-node endpoint contribute the empty box (infinite identities).
-    let lane_boxes: Vec<(f64, f64, f64, f64)> =
-        machine.zip_map(&state.line, &state.rect, |id, r| {
-            let s = &segs[id as usize];
-            let mut bx = (
-                f64::INFINITY,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::NEG_INFINITY,
-            );
-            for p in [s.a, s.b] {
-                if r.contains(p) {
-                    bx.0 = bx.0.min(p.x);
-                    bx.1 = bx.1.min(p.y);
-                    bx.2 = bx.2.max(p.x);
-                    bx.3 = bx.3.max(p.y);
-                }
-            }
-            bx
-        });
-    let xs_min: Vec<f64> = machine.map(&lane_boxes, |b| b.0);
-    let ys_min: Vec<f64> = machine.map(&lane_boxes, |b| b.1);
-    let xs_max: Vec<f64> = machine.map(&lane_boxes, |b| b.2);
-    let ys_max: Vec<f64> = machine.map(&lane_boxes, |b| b.3);
-    let mbb_min_x = machine.down_scan_seg(&xs_min, seg, Min, ScanKind::Inclusive);
-    let mbb_min_y = machine.down_scan_seg(&ys_min, seg, Min, ScanKind::Inclusive);
-    let mbb_max_x = machine.down_scan_seg(&xs_max, seg, Max, ScanKind::Inclusive);
-    let mbb_max_y = machine.down_scan_seg(&ys_max, seg, Max, ScanKind::Inclusive);
-
-    // Line counts (Fig. 22 / Fig. 19 capacity scan).
-    let counts = machine.segment_counts(seg);
-
-    // Elementwise verdict at each node (segment head reads).
-    machine.note_elementwise();
-    seg.starts()
-        .iter()
-        .enumerate()
-        .map(|(s, &head)| {
-            let degenerate =
-                mbb_min_x[head] == mbb_max_x[head] && mbb_min_y[head] == mbb_max_y[head];
-            Pm1Verdict::classify(max_eps[head], min_eps[head], degenerate, counts[s])
-        })
-        .collect()
-}
-
 /// The boolean split decision used by the build driver.
 pub fn pm1_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<bool> {
     pm1_verdicts(machine, state, segs)
-        .into_iter()
-        .map(Pm1Verdict::must_split)
-        .collect()
-}
-
-/// Unfused variant of [`pm1_decision`], for the fusion baseline.
-pub fn pm1_decision_unfused(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<bool> {
-    pm1_verdicts_unfused(machine, state, segs)
         .into_iter()
         .map(Pm1Verdict::must_split)
         .collect()
@@ -269,21 +190,6 @@ pub fn pm1_decision_unfused(machine: &Machine, state: &LineProcSet, segs: &[Line
 /// Panics if any segment endpoint lies outside the half-open `world`.
 pub fn build_pm1(machine: &Machine, world: Rect, segs: &[LineSeg], max_depth: usize) -> DpQuadtree {
     let mut decide = pm1_decision;
-    let out = run_quad_build(machine, world, segs, max_depth, &mut decide);
-    DpQuadtree::from_outcome(world, out)
-}
-
-/// [`build_pm1`] driven by the unfused decision — the before-fusion
-/// baseline for the complexity test and the criterion benchmarks. Builds
-/// a tree bit-identical to the fused build; only the machine's op-count
-/// profile (scan passes, fused-lane savings) differs.
-pub fn build_pm1_unfused(
-    machine: &Machine,
-    world: Rect,
-    segs: &[LineSeg],
-    max_depth: usize,
-) -> DpQuadtree {
-    let mut decide = pm1_decision_unfused;
     let out = run_quad_build(machine, world, segs, max_depth, &mut decide);
     DpQuadtree::from_outcome(world, out)
 }

@@ -72,8 +72,6 @@ pub fn build_region_quadtree(
     black_pixels: &[(u32, u32)],
 ) -> RegionQuadtree {
     assert!(order <= 31, "image order {order} too large");
-    let n_side = 1u64 << order;
-    let _ = n_side;
 
     // Lane per pixel: Morton code (one elementwise op), then sort.
     let mut codes: Vec<u64> = machine.map(black_pixels, |(x, y)| {

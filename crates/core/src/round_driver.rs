@@ -27,15 +27,16 @@
 //! why rounds are reported by `advance` rather than assumed by the driver.
 //!
 //! The driver is also the single instrumentation point: every step records
-//! a [`RoundTrace`] on the machine — frontier shape, nodes split, the
-//! physical-counter delta across the step, the arena high-water mark and
-//! wall time — with no effect on the operation counters themselves (the
-//! differential tests assert exact counter values across the refactor).
+//! a [`scan_model::RoundTrace`] on the machine — frontier shape, nodes
+//! split, the physical-counter delta across the step, the arena high-water
+//! mark and wall time — with no effect on the operation counters
+//! themselves (the differential tests assert exact counter values across
+//! the refactor).
 //! The loop is resumable: [`RoundDriver::step`] is public, so a caller can
 //! interleave its own work between rounds; [`RoundDriver::run`] is the
 //! plain run-to-completion wrapper the builders use.
 
-use scan_model::{Machine, RoundTrace};
+use scan_model::Machine;
 use std::time::Instant;
 
 /// What a policy reports at the end of one driver step.
@@ -101,7 +102,7 @@ impl RoundDriver {
     }
 
     /// Executes one `decide → emit → partition → advance` step and records
-    /// its [`RoundTrace`]. Callers must stop once the returned
+    /// its [`scan_model::RoundTrace`]. Callers must stop once the returned
     /// [`RoundAdvance::finished`] is `true`.
     pub fn step(&mut self, machine: &Machine, policy: &mut dyn SplitPolicy) -> RoundAdvance {
         // Fault site: a plan can abort the build at the top of any step,
@@ -127,23 +128,14 @@ impl RoundDriver {
             machine.bump_rounds();
         }
 
-        let delta = machine.stats().since(&before);
-        machine.record_round_trace(RoundTrace {
-            round: self.steps,
+        machine.record_round_trace(machine.round_trace_since(
+            &before,
+            started,
+            self.steps,
             active_elements,
             active_nodes,
             nodes_split,
-            scans: delta.scans,
-            scan_passes: delta.scan_passes,
-            elementwise: delta.elementwise,
-            permutes: delta.permutes,
-            arena_high_water_bytes: machine.arena_high_water_bytes(),
-            wall_nanos: started.elapsed().as_nanos() as u64,
-            blocked_passes: delta.blocked_passes,
-            bytes_moved: delta.bytes_moved,
-            inplace_reuses: delta.inplace_reuses,
-            block_bytes: machine.block_bytes(),
-        });
+        ));
         self.steps += 1;
         advance
     }

@@ -23,11 +23,11 @@
 //!    gather compacts all leaves simultaneously and one elementwise pass
 //!    remaps the survivors.
 //! 3. **Insert routing** — the new segments descend the existing tree in
-//!    lockstep, one level per round: a lane landing on a leaf retires
-//!    into that leaf's record, a lane over an internal node fans out to
-//!    its crossing children via the ×4 [`Machine::fanout_layout`] kernel
-//!    (the generalized cloning of Sec. 4.1), with the copy *rank*
-//!    selecting the r-th crossing child elementwise. Membership uses the
+//!    lockstep, one level per round, on the crate's one descent step
+//!    (`batch::descend_level`, the same flat-map the batch window query
+//!    walks): a lane landing on a leaf retires into that leaf's record, a
+//!    lane over an internal node fans out to exactly its crossing
+//!    children (the generalized cloning of Sec. 4.1). Membership uses the
 //!    same [`seg_in_block`] predicate as the bulk build's node split, so
 //!    routed q-edges land exactly where a bulk build would place them.
 //! 4. **Merge sweep** — underflowing regions collapse. The sweep is
@@ -57,6 +57,7 @@
 //! likewise accumulates newly truncated leaves. Both are telemetry, not
 //! part of the bulk-equivalence contract.
 
+use crate::batch::{descend_level, Lane};
 use crate::lineproc::{ActiveNode, LeafRecord, LineProcSet, QuadSplitPolicy, SplitDecision};
 use crate::quadtree::{DpQuadtree, QtNode};
 use crate::round_driver::{RoundAdvance, RoundDriver, SplitPolicy};
@@ -461,66 +462,30 @@ pub fn batch_update(
         }
     }
 
-    // ---- Phase 3: insert routing via the ×4 fanout kernel. ----
+    // ---- Phase 3: insert routing, the lockstep descent of `batch`. ----
     if !batch.inserts.is_empty() {
-        let mut lane_ins: Vec<u32> = (0..batch.inserts.len() as u32).collect();
-        let mut lane_node: Vec<usize> = vec![0; lane_ins.len()];
-        let mut lane_rect: Vec<Rect> = vec![world; lane_ins.len()];
+        let mut lanes: Vec<Lane> = (0..batch.inserts.len() as u32)
+            .map(|j| (j, 0, world))
+            .collect();
         loop {
-            // The routing descent is lockstep like the driver's rounds:
-            // the same abort site, one level per round.
+            // Lockstep like the driver's rounds: the same abort site at
+            // the top of every level, the terminating one included.
             machine.check_fault(FaultSite::RoundAbort);
-            machine.note_elementwise();
-            let mut copies: Vec<u32> = Vec::with_capacity(lane_ins.len());
-            for i in 0..lane_ins.len() {
-                match tree.node(lane_node[i]) {
-                    QtNode::Leaf { .. } => {
-                        // Landed: retire the lane into the leaf's record.
-                        let ri = rec_of_node[&lane_node[i]];
-                        recs[ri].lines.push((kept as SegId) + lane_ins[i]);
-                        recs[ri].changed = true;
-                        copies.push(0);
-                    }
-                    QtNode::Internal { .. } => {
-                        let s = &batch.inserts[lane_ins[i] as usize];
-                        let quads = lane_rect[i].quadrants();
-                        copies.push(quads.iter().filter(|q| seg_in_block(s, q)).count() as u32);
-                    }
-                }
-            }
-            if copies.iter().all(|&c| c == 0) {
+            let descending = descend_level(
+                machine,
+                tree,
+                &mut lanes,
+                |j, node, _| {
+                    // Landed: retire the lane into the leaf's record.
+                    let rec = &mut recs[rec_of_node[&node]];
+                    rec.lines.push(kept as SegId + j);
+                    rec.changed = true;
+                },
+                |j, child| seg_in_block(&batch.inserts[j as usize], child),
+            );
+            if !descending {
                 break;
             }
-            let layout = machine.fanout_layout(&Segments::single(lane_ins.len()), &copies);
-            let next_ins = machine.apply(&lane_ins, &layout);
-            let mut next_node = machine.apply(&lane_node, &layout);
-            let mut next_rect = machine.apply(&lane_rect, &layout);
-            // Copy rank r addresses the r-th crossing child, elementwise.
-            machine.note_elementwise();
-            for i in 0..next_ins.len() {
-                let s = &batch.inserts[next_ins[i] as usize];
-                let quads = next_rect[i].quadrants();
-                let QtNode::Internal { children } = tree.node(next_node[i]) else {
-                    unreachable!("fanned-out lanes sit on internal nodes");
-                };
-                let mut r = layout.rank[i];
-                let mut chosen = None;
-                for (qi, quad) in quads.iter().enumerate() {
-                    if seg_in_block(s, quad) {
-                        if r == 0 {
-                            chosen = Some(qi);
-                            break;
-                        }
-                        r -= 1;
-                    }
-                }
-                let qi = chosen.expect("rank addresses a crossing child");
-                next_node[i] = children[qi];
-                next_rect[i] = quads[qi];
-            }
-            lane_ins = next_ins;
-            lane_node = next_node;
-            lane_rect = next_rect;
             machine.bump_rounds();
         }
     }

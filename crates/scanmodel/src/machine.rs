@@ -25,6 +25,7 @@ use crate::vector::Segments;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Default minimum vector length before the parallel backend engages;
 /// below this a primitive runs inline even on the parallel backend.
@@ -372,6 +373,39 @@ impl Machine {
     // ------------------------------------------------------------------
     // Round traces
     // ------------------------------------------------------------------
+
+    /// The [`RoundTrace`] of a step that began at `started` with the
+    /// counters at `before`: the counter delta since then, the wall time,
+    /// and the machine's arena high-water mark and block budget as of
+    /// now. The one place a trace row is assembled — the round driver and
+    /// the dominance rounds both record through it.
+    pub fn round_trace_since(
+        &self,
+        before: &StatsSnapshot,
+        started: Instant,
+        round: usize,
+        active_elements: usize,
+        active_nodes: usize,
+        nodes_split: usize,
+    ) -> RoundTrace {
+        let delta = self.stats().since(before);
+        RoundTrace {
+            round,
+            active_elements,
+            active_nodes,
+            nodes_split,
+            scans: delta.scans,
+            scan_passes: delta.scan_passes,
+            elementwise: delta.elementwise,
+            permutes: delta.permutes,
+            arena_high_water_bytes: self.arena_high_water_bytes(),
+            wall_nanos: started.elapsed().as_nanos() as u64,
+            blocked_passes: delta.blocked_passes,
+            bytes_moved: delta.bytes_moved,
+            inplace_reuses: delta.inplace_reuses,
+            block_bytes: self.block_bytes(),
+        }
+    }
 
     /// Appends one [`RoundTrace`] record (drops it silently once
     /// [`MAX_ROUND_TRACES`] records are buffered). Purely observational:

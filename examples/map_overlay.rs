@@ -1,13 +1,14 @@
 //! Map overlay: the GIS scenario that motivated the paper's primitives —
 //! find every crossing between a road network and a river network by
-//! building one bucket PMR quadtree per layer and co-traversing them
-//! (the spatial join of [Hoel93/Hoel94a], the paper's conclusion).
+//! building one bucket PMR quadtree per layer and joining them breadth-
+//! first, every candidate block pair one level per round (the spatial
+//! join of [Hoel93/Hoel94a], the paper's conclusion).
 //!
 //! Run with: `cargo run --release --example map_overlay`
 
 use dp_spatial_suite::geom::LineSeg;
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial_suite::spatial::join::{brute_force_join, spatial_join};
+use dp_spatial_suite::spatial::join::{brute_force_join, frontier_join};
 use dp_spatial_suite::spatial::stats::measure_build;
 use dp_spatial_suite::workloads::{road_network, uniform_segments};
 use scan_model::Machine;
@@ -46,8 +47,10 @@ fn main() {
     );
 
     let t = Instant::now();
-    let crossings = spatial_join(&road_tree, &roads.segs, &river_tree, &rivers.segs);
+    let join = frontier_join(&machine, &road_tree, &roads.segs, &river_tree, &rivers.segs)
+        .expect("both layers were generated over one world");
     let join_time = t.elapsed();
+    let crossings = join.pairs;
 
     let t = Instant::now();
     let brute = brute_force_join(&roads.segs, &rivers.segs);
@@ -55,8 +58,9 @@ fn main() {
 
     assert_eq!(crossings, brute, "join must match the all-pairs reference");
     println!(
-        "\ncrossings found: {}   (quadtree join {:?} vs brute force {:?})",
+        "\ncrossings found: {}   (frontier join, {} rounds, {:?} vs brute force {:?})",
         crossings.len(),
+        join.rounds,
         join_time,
         brute_time
     );

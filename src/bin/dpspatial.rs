@@ -16,7 +16,7 @@
 
 use dp_spatial_suite::geom::{LineSeg, Point, Rect};
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial_suite::spatial::join::spatial_join;
+use dp_spatial_suite::spatial::join::frontier_join;
 use dp_spatial_suite::spatial::pm1::build_pm1;
 use dp_spatial_suite::spatial::pm_family::{build_pm2, build_pm3};
 use dp_spatial_suite::spatial::rsplit::RtreeSplitAlgorithm;
@@ -344,7 +344,9 @@ fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
     let machine = Machine::parallel();
     let ta = build_bucket_pmr(&machine, world, &a, capacity, 12);
     let tb = build_bucket_pmr(&machine, world, &b, capacity, 12);
-    let pairs = spatial_join(&ta, &a, &tb, &b);
+    let pairs = frontier_join(&machine, &ta, &a, &tb, &b)
+        .map_err(|e| e.to_string())?
+        .pairs;
     println!("{} intersecting pairs", pairs.len());
     use std::io::Write;
     let stdout = std::io::stdout();

@@ -6,11 +6,10 @@
 //! pass-count profile.
 
 use dp_geom::{LineSeg, Rect};
+use dp_spatial::baseline::{build_pm1_unfused, pm1_verdicts_unfused};
 use dp_spatial::bucket_pmr::build_bucket_pmr;
 use dp_spatial::lineproc::{run_quad_build, LineProcSet};
-use dp_spatial::pm1::{
-    build_pm1, build_pm1_unfused, pm1_verdicts, pm1_verdicts_unfused, Pm1Verdict,
-};
+use dp_spatial::pm1::{build_pm1, pm1_verdicts, Pm1Verdict};
 use scan_model::{Backend, Machine};
 
 fn world() -> Rect {

@@ -7,10 +7,9 @@
 //! an n-independent constant number of scan-model primitives.
 
 use dp_spatial_suite::geom::LineSeg;
+use dp_spatial_suite::spatial::baseline::try_spatial_join;
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial_suite::spatial::join::{
-    brute_force_join, frontier_join, try_spatial_join, JoinOutcome,
-};
+use dp_spatial_suite::spatial::join::{brute_force_join, frontier_join, JoinOutcome};
 use dp_spatial_suite::spatial::quadtree::DpQuadtree;
 use dp_spatial_suite::workloads::{
     clustered_segments, paper_dataset, paper_world, polygon_rings, road_network, uniform_segments,
@@ -131,6 +130,9 @@ fn traced_join(n: usize, m: &Machine) -> (JoinOutcome, Vec<RoundTrace>, DpQuadtr
     (out, trace, ta, tb)
 }
 
+/// Primitives of one expanding join round.
+const SPLIT_ROUND: (u64, u64, u64, u64) = (4, 4, 17, 7);
+
 /// The paper's complexity claim, checked through op-counter deltas: each
 /// join round costs a constant number of scan-model primitives —
 /// independent of both the frontier width and the collection size — and
@@ -184,6 +186,17 @@ fn join_rounds_cost_constant_primitives() {
         assert_eq!(
             profiles[0], profiles[1],
             "per-round primitive profiles depend on n"
+        );
+        // And the constant itself, `(scans, scan passes, elementwise,
+        // permutes)`: an expanding round lays its frontier out three
+        // times — retired-and-fanned-out in one layout, dead children,
+        // the ready/ambiguous unshuffle. With "delete retired" and "×4
+        // fan-out" as two layouts (commit a0be818) the row read
+        // (5, 5, 18, 9).
+        assert_eq!(
+            profiles[0],
+            vec![SPLIT_ROUND],
+            "a split round's primitive mix"
         );
     }
 }

@@ -6,8 +6,9 @@
 
 use dp_spatial_suite::geom::{Point, Rect};
 use dp_spatial_suite::seq;
+use dp_spatial_suite::spatial::baseline::spatial_join;
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial_suite::spatial::join::{brute_force_join, spatial_join};
+use dp_spatial_suite::spatial::join::brute_force_join;
 use dp_spatial_suite::spatial::pm1::build_pm1;
 use dp_spatial_suite::spatial::rsplit::RtreeSplitAlgorithm;
 use dp_spatial_suite::spatial::rtree::build_rtree;

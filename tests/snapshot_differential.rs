@@ -29,8 +29,9 @@
 //! `REGEN_SNAPSHOT_FIXTURES=1 cargo test --test snapshot_differential`.
 
 use dp_service::{QueryService, QueryServiceConfig, RecoveryAction, Response};
+use dp_spatial::baseline::build_pm1_unfused;
 use dp_spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial::pm1::{build_pm1, build_pm1_unfused};
+use dp_spatial::pm1::build_pm1;
 use dp_spatial::pm_family::{build_pm2, build_pm3};
 use dp_spatial::rsplit::RtreeSplitAlgorithm;
 use dp_spatial::rtree::build_rtree;
