@@ -41,9 +41,16 @@ pub fn pm1_verdicts_unfused(
     // q-edges meeting at a vertex that falls exactly on a block border
     // would render the bordering block unsatisfiable (two vertexless
     // q-edges) at every depth.
-    let eps: Vec<i64> = machine.zip_map(&state.line, &state.rect, |id, r| {
-        segs[id as usize].count_endpoints_where(|p| r.contains(p)) as i64
-    });
+    let mut eps: Vec<i64> = Vec::new();
+    machine.seg_map_lanes_into(
+        &state.line,
+        seg,
+        |node, id| {
+            let r = &state.nodes[node].rect;
+            [segs[id as usize].count_endpoints_where(|p| r.contains(p)) as i64]
+        },
+        std::array::from_mut(&mut eps),
+    );
     // Downward inclusive scans: node extremes arrive at the segment head
     // (the "first line in each segment group" of Fig. 20).
     let max_eps = machine.down_scan_seg(&eps, seg, Max, ScanKind::Inclusive);
@@ -52,9 +59,13 @@ pub fn pm1_verdicts_unfused(
     // Endpoint minimum bounding boxes (Fig. 21): per-lane boxes of the
     // in-node endpoints, combined with four min/max scans. Lanes with no
     // in-node endpoint contribute the empty box (infinite identities).
-    let lane_boxes: Vec<(f64, f64, f64, f64)> =
-        machine.zip_map(&state.line, &state.rect, |id, r| {
+    let mut lane_boxes: Vec<(f64, f64, f64, f64)> = Vec::new();
+    machine.seg_map_lanes_into(
+        &state.line,
+        seg,
+        |node, id| {
             let s = &segs[id as usize];
+            let r = &state.nodes[node].rect;
             let mut bx = (
                 f64::INFINITY,
                 f64::INFINITY,
@@ -69,8 +80,10 @@ pub fn pm1_verdicts_unfused(
                     bx.3 = bx.3.max(p.y);
                 }
             }
-            bx
-        });
+            [bx]
+        },
+        std::array::from_mut(&mut lane_boxes),
+    );
     let xs_min: Vec<f64> = machine.map(&lane_boxes, |b| b.0);
     let ys_min: Vec<f64> = machine.map(&lane_boxes, |b| b.1);
     let xs_max: Vec<f64> = machine.map(&lane_boxes, |b| b.2);

@@ -97,27 +97,35 @@ mod tests {
     fn matches_sequential_bucket_pmr_shape() {
         // The defining property of the bucket PMR quadtree is that bulk
         // and incremental construction agree: the shape depends only on
-        // the final segment set.
+        // the final segment set. The coincident inputs subdivide to the
+        // depth bound wherever they pass — entries grow ≈ 4× per two
+        // levels there, so they stay shallow.
+        let identical = vec![LineSeg::from_coords(0.5, 1.0, 6.5, 3.0); 4];
+        let on_a_cut_line: Vec<LineSeg> = (0..6)
+            .map(|k| LineSeg::from_coords(f64::from(k), 4.0, f64::from(k) + 1.5, 4.0))
+            .collect();
+        let inputs = [(bundle(), 6), (identical, 8), (on_a_cut_line, 8)];
         for m in machines() {
-            let segs = bundle();
-            let par = build_bucket_pmr(&m, world(), &segs, 2, 6);
-            let seq = seq_spatial::bucket_pmr::BucketPmrTree::build(world(), &segs, 2, 6);
-            // Compare leaf signatures: (depth, sorted ids, block corner).
-            let mut sig_par = Vec::new();
-            par.for_each_leaf(|rect, depth, ids| {
-                if !ids.is_empty() {
-                    let mut ids = ids.to_vec();
-                    ids.sort_unstable();
-                    sig_par.push((depth, ids, (rect.min.x.to_bits(), rect.min.y.to_bits())));
-                }
-            });
-            sig_par.sort();
-            let sig_seq: Vec<_> = seq
-                .shape_signature()
-                .into_iter()
-                .filter(|(_, ids, _)| !ids.is_empty())
-                .collect();
-            assert_eq!(sig_par, sig_seq);
+            for (segs, depth) in &inputs {
+                let par = build_bucket_pmr(&m, world(), segs, 2, *depth);
+                let seq = seq_spatial::bucket_pmr::BucketPmrTree::build(world(), segs, 2, *depth);
+                // Compare leaf signatures: (depth, sorted ids, block corner).
+                let mut sig_par = Vec::new();
+                par.for_each_leaf(|rect, depth, ids| {
+                    if !ids.is_empty() {
+                        let mut ids = ids.to_vec();
+                        ids.sort_unstable();
+                        sig_par.push((depth, ids, (rect.min.x.to_bits(), rect.min.y.to_bits())));
+                    }
+                });
+                sig_par.sort();
+                let sig_seq: Vec<_> = seq
+                    .shape_signature()
+                    .into_iter()
+                    .filter(|(_, ids, _)| !ids.is_empty())
+                    .collect();
+                assert_eq!(sig_par, sig_seq, "{segs:?}");
+            }
         }
     }
 

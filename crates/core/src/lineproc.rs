@@ -4,9 +4,14 @@
 //! each *(line, node)* pair: the line's identifier plus "the size and
 //! position of the node that it resides in" (paper Sec. 4.6). Processors
 //! belonging to the same node form a contiguous *segment* of the linear
-//! processor ordering. [`LineProcSet`] is that state: parallel lanes plus
-//! a [`Segments`] descriptor plus the per-node bookkeeping (block path and
-//! rectangle) that the final tree assembly needs.
+//! processor ordering. [`LineProcSet`] is that state with the
+//! duplication taken out: **a block per node, not per lane**. A lane
+//! carries only its line id; the node's path and rectangle are stored
+//! once, in the per-node list aligned with the [`Segments`] descriptor,
+//! and an elementwise step that needs a lane's block reads it from there
+//! by segment index ([`Machine::seg_map_lanes_into`]). The block is
+//! constant within a segment, so nothing the paper's formulation computes
+//! changes — only what each round has to move.
 //!
 //! [`run_quad_build`] is the generic iterative build entry point of
 //! Sections 5.1–5.2. The round loop itself lives in the unified
@@ -16,12 +21,13 @@
 //! bucket PMR quadtree, which differ only in their *split decision*
 //! closure. Per round: the decision marks nodes, finished nodes retire
 //! their lanes into leaf records, and the remaining nodes subdivide via
-//! the two-stage node split of Section 4.6 ([`crate::split`]).
+//! the two-stage node split of Section 4.6 ([`crate::split`]), whose
+//! first cut also drops the retired lanes.
 
 use crate::round_driver::{RoundAdvance, RoundDriver, SplitPolicy};
 use crate::split::split_active_nodes;
 use crate::SegId;
-use dp_geom::{LineSeg, NodePath, Rect};
+use dp_geom::{seg_in_block, LineSeg, NodePath, Rect};
 use scan_model::{Machine, Segments};
 
 /// An active (still subdividing) quadtree node.
@@ -36,15 +42,13 @@ pub struct ActiveNode {
 /// The per-lane and per-node state of an in-progress quadtree build.
 #[derive(Debug, Clone)]
 pub struct LineProcSet {
-    /// Per lane: the line's identifier.
+    /// Per lane: the line's identifier — the only thing a lane carries.
     pub line: Vec<SegId>,
-    /// Per lane: the block rectangle of the node the lane resides in
-    /// (duplicated per lane, exactly as in the paper's formulation, so the
-    /// split stages are purely elementwise).
-    pub rect: Vec<Rect>,
     /// Lanes grouped by node.
     pub seg: Segments,
-    /// Active nodes, aligned with the segments of `seg`.
+    /// Active nodes, aligned with the segments of `seg`. A lane's block is
+    /// its segment's node's [`ActiveNode::rect`], read through
+    /// [`Machine::seg_map_lanes_into`].
     pub nodes: Vec<ActiveNode>,
 }
 
@@ -64,7 +68,6 @@ impl LineProcSet {
         let n = segs.len();
         LineProcSet {
             line: (0..n as SegId).collect(),
-            rect: vec![world; n],
             seg: Segments::single(n),
             nodes: if n == 0 {
                 Vec::new()
@@ -88,16 +91,23 @@ impl LineProcSet {
     }
 
     /// Internal consistency check (debug aid): segment count matches node
-    /// count, every lane's rect matches its node's rect.
-    pub fn validate(&self) {
+    /// count, and every lane's line belongs to its node's block
+    /// ([`seg_in_block`]) — the invariant the node split's clip-free
+    /// classification ([`crate::split::classify_cut`]) starts from. The
+    /// split preserves it; a frontier assembled by hand must establish it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state is inconsistent.
+    pub fn validate(&self, segs: &[LineSeg]) {
         assert_eq!(self.seg.num_segments(), self.nodes.len());
         assert_eq!(self.seg.len(), self.line.len());
-        assert_eq!(self.seg.len(), self.rect.len());
         for (s, r) in self.seg.ranges().enumerate() {
             for i in r {
-                assert_eq!(
-                    self.rect[i], self.nodes[s].rect,
-                    "lane {i} rect does not match node {s}"
+                assert!(
+                    seg_in_block(&segs[self.line[i] as usize], &self.nodes[s].rect),
+                    "lane {i}: line {} does not belong to node {s}'s block",
+                    self.line[i]
                 );
             }
         }
@@ -160,26 +170,17 @@ impl<'d, 'c, 's> QuadSplitPolicy<'d, 'c, 's> {
         max_depth: usize,
         decide: &'d mut SplitDecision<'c>,
     ) -> Option<Self> {
-        let state = LineProcSet::initial(world, segs);
-        if state.nodes.is_empty() {
-            return None;
-        }
-        Some(QuadSplitPolicy {
-            segs,
-            max_depth,
-            decide,
-            state,
-            leaves: Vec::new(),
-            truncated: 0,
-        })
+        Self::from_frontier(LineProcSet::initial(world, segs), segs, max_depth, decide)
     }
 
     /// A policy resuming from an arbitrary pre-populated frontier instead
     /// of the single root — the split-repair pass of the batch updater
     /// ([`crate::update`]) seeds it with the leaf blocks whose line sets
     /// changed, each node carrying its *absolute* root-to-block path, so
-    /// the retired records drop straight into the existing tree. Returns
-    /// `None` when the frontier holds no nodes.
+    /// the retired records drop straight into the existing tree. Every
+    /// lane's line must belong to its node's block (debug builds check it:
+    /// [`LineProcSet::validate`]). Returns `None` when the frontier holds no
+    /// nodes.
     pub fn from_frontier(
         state: LineProcSet,
         segs: &'s [LineSeg],
@@ -188,6 +189,9 @@ impl<'d, 'c, 's> QuadSplitPolicy<'d, 'c, 's> {
     ) -> Option<Self> {
         if state.nodes.is_empty() {
             return None;
+        }
+        if cfg!(debug_assertions) {
+            state.validate(segs);
         }
         Some(QuadSplitPolicy {
             segs,
@@ -251,47 +255,9 @@ impl SplitPolicy for QuadSplitPolicy<'_, '_, '_> {
     }
 
     fn partition(&mut self, machine: &Machine, want: &[bool]) {
-        // Remove retired lanes in-model: flag lanes of finished segments
-        // and compact with the deletion primitive (Sec. 4.3 mechanics).
-        let lane_finished: Vec<bool> = {
-            // Broadcast the per-node flag across its lanes (the paper
-            // would place the flag at the segment head and copy-scan it;
-            // the per-node loop is the same one-op broadcast).
-            let mut per_lane = vec![false; self.state.seg.len()];
-            for (s, r) in self.state.seg.ranges().enumerate() {
-                if !want[s] {
-                    per_lane[r].fill(true);
-                }
-            }
-            per_lane
-        };
-        let layout = machine.delete_layout(&self.state.seg, &lane_finished);
-        // The deletion gather is strictly increasing, so the lane vectors
-        // close ranks in place — no second buffer per vector.
-        let mut line = std::mem::take(&mut self.state.line);
-        machine.apply_in_place(&mut line, &layout);
-        let mut rect = std::mem::take(&mut self.state.rect);
-        machine.apply_in_place(&mut rect, &layout);
-        let kept_nodes: Vec<ActiveNode> = self
-            .state
-            .nodes
-            .iter()
-            .zip(want.iter())
-            .filter(|(_, &w)| w)
-            .map(|(n, _)| *n)
-            .collect();
-        // The layout's output descriptor is the kept nodes' segments: a
-        // retired node's lanes all vanish, and its segment with them.
-        debug_assert_eq!(layout.seg.num_segments(), kept_nodes.len());
-        let compacted = LineProcSet {
-            line,
-            rect,
-            seg: layout.seg,
-            nodes: kept_nodes,
-        };
-
-        // Subdivide every remaining node (Sec. 4.6, two stages).
-        self.state = split_active_nodes(machine, compacted, self.segs);
+        // Subdivide every splitting node (Sec. 4.6, two cuts); the first
+        // cut's layout also drops the lanes of the nodes `emit` retired.
+        split_active_nodes(machine, &mut self.state, want, self.segs);
     }
 
     fn advance(&mut self, _machine: &Machine, split_any: bool) -> RoundAdvance {
@@ -343,7 +309,7 @@ mod tests {
             LineSeg::from_coords(5.0, 5.0, 6.0, 6.0),
         ];
         let s = LineProcSet::initial(world(), &segs);
-        s.validate();
+        s.validate(&segs);
         assert_eq!(s.len(), 2);
         assert_eq!(s.nodes.len(), 1);
         assert_eq!(s.nodes[0].path, NodePath::ROOT);

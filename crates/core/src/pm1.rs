@@ -4,7 +4,8 @@
 //! scans over the line processor set:
 //!
 //! 1. each lane counts its line's endpoints inside the node (`EPs`: 0, 1
-//!    or 2) — one elementwise op;
+//!    or 2) — one elementwise op, the lane reading its node's block by
+//!    segment index rather than from a per-lane copy;
 //! 2. downward inclusive `max`/`min` scans give each node the extreme
 //!    endpoint counts among its lines (Fig. 20);
 //! 3. `max = 2`, or `max = 1 ∧ min = 0` ⇒ **split**;
@@ -85,7 +86,9 @@ impl Pm1Verdict {
 ///
 /// This is the **fused** form: the seven per-lane inputs of Figs. 20–22
 /// (endpoint counts, four MBB extents, a count lane) are produced in one
-/// elementwise pass into arena-leased buffers, then all seven downward
+/// segment-aware elementwise pass ([`Machine::seg_map_lanes_into`]: a
+/// lane's block is its node's, not a per-lane copy) into arena-leased
+/// buffers, then all seven downward
 /// inclusive scans run as a single [`Machine::scan_lanes`] pass. The
 /// endpoint counts and line counts are carried as `f64` lanes — their
 /// values are small integers, exact in `f64` — so every lane shares one
@@ -94,17 +97,17 @@ impl Pm1Verdict {
 /// (asserted by the fused-complexity differential test).
 pub fn pm1_verdicts(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<Pm1Verdict> {
     let seg = &state.seg;
-    let n = seg.len();
     // One fused elementwise pass fills all six distinct scan inputs
     // (counted as one elementwise op; the paper's Figs. 20-21 count the
-    // EPs and per-lane-box derivations as elementwise steps). Parallel on
-    // the parallel backend.
+    // EPs and per-lane-box derivations as elementwise steps), each lane
+    // reading its block from its node. Parallel on the parallel backend.
     let mut ins: [Vec<f64>; 6] = std::array::from_fn(|_| machine.lease());
-    machine.fill_lanes_into(
-        n,
-        |i| {
-            let s = &segs[state.line[i] as usize];
-            let r = &state.rect[i];
+    machine.seg_map_lanes_into(
+        &state.line,
+        seg,
+        |node, id| {
+            let s = &segs[id as usize];
+            let r = &state.nodes[node].rect;
             let mut cnt = 0u32;
             let mut bx = (
                 f64::INFINITY,
@@ -239,7 +242,6 @@ mod tests {
             let node = world().quadrants()[2]; // [0,4)x[0,4)
             let st2 = LineProcSet {
                 line: vec![0, 1],
-                rect: vec![node, node],
                 seg: scan_model::Segments::single(2),
                 nodes: vec![crate::lineproc::ActiveNode {
                     path: dp_geom::NodePath::ROOT.child(dp_geom::Quadrant::SW),
@@ -259,7 +261,6 @@ mod tests {
             ];
             let st3 = LineProcSet {
                 line: vec![0, 1],
-                rect: vec![node, node],
                 seg: scan_model::Segments::single(2),
                 nodes: st2.nodes.clone(),
             };
@@ -279,7 +280,6 @@ mod tests {
             ];
             let node_ne = world().quadrants()[1]; // [4,8)x[4,8)
             let mk = |lines: Vec<u32>| LineProcSet {
-                rect: vec![node_ne; lines.len()],
                 seg: scan_model::Segments::single(lines.len()),
                 line: lines,
                 nodes: vec![crate::lineproc::ActiveNode {

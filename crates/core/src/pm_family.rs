@@ -76,33 +76,40 @@ pub fn pm2_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) ->
 /// membership, matching PM₁.
 pub fn pm3_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<bool> {
     let seg = &state.seg;
-    let lane_boxes: Vec<(f64, f64, f64, f64)> =
-        machine.zip_map(&state.line, &state.rect, |id, r| {
+    // Per-lane box of the in-node endpoints, one extent per lane vector,
+    // each lane reading its block from its node.
+    let mut extents: [Vec<f64>; 4] = Default::default();
+    machine.seg_map_lanes_into(
+        &state.line,
+        seg,
+        |node, id| {
             let s = &segs[id as usize];
-            let mut bx = (
+            let r = &state.nodes[node].rect;
+            let mut bx = [
                 f64::INFINITY,
                 f64::INFINITY,
                 f64::NEG_INFINITY,
                 f64::NEG_INFINITY,
-            );
+            ];
             for p in [s.a, s.b] {
                 if r.contains(p) {
-                    bx.0 = bx.0.min(p.x);
-                    bx.1 = bx.1.min(p.y);
-                    bx.2 = bx.2.max(p.x);
-                    bx.3 = bx.3.max(p.y);
+                    bx = [
+                        bx[0].min(p.x),
+                        bx[1].min(p.y),
+                        bx[2].max(p.x),
+                        bx[3].max(p.y),
+                    ];
                 }
             }
             bx
-        });
-    let xs_min: Vec<f64> = machine.map(&lane_boxes, |b| b.0);
-    let ys_min: Vec<f64> = machine.map(&lane_boxes, |b| b.1);
-    let xs_max: Vec<f64> = machine.map(&lane_boxes, |b| b.2);
-    let ys_max: Vec<f64> = machine.map(&lane_boxes, |b| b.3);
-    let lo_x = machine.down_scan_seg(&xs_min, seg, Min, ScanKind::Inclusive);
-    let lo_y = machine.down_scan_seg(&ys_min, seg, Min, ScanKind::Inclusive);
-    let hi_x = machine.down_scan_seg(&xs_max, seg, Max, ScanKind::Inclusive);
-    let hi_y = machine.down_scan_seg(&ys_max, seg, Max, ScanKind::Inclusive);
+        },
+        &mut extents,
+    );
+    let [xs_min, ys_min, xs_max, ys_max] = &extents;
+    let lo_x = machine.down_scan_seg(xs_min, seg, Min, ScanKind::Inclusive);
+    let lo_y = machine.down_scan_seg(ys_min, seg, Min, ScanKind::Inclusive);
+    let hi_x = machine.down_scan_seg(xs_max, seg, Max, ScanKind::Inclusive);
+    let hi_y = machine.down_scan_seg(ys_max, seg, Max, ScanKind::Inclusive);
     machine.note_elementwise();
     seg.starts()
         .iter()

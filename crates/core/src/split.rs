@@ -3,22 +3,185 @@
 //! Splitting is a two-stage process: the node is first cut along the
 //! horizontal centre line into its top and bottom halves, then each half
 //! is cut along the vertical centre line, yielding four equal quadrants.
-//! Each stage is the same three-step dance, executed for *all* splitting
-//! nodes simultaneously:
+//! Each stage — one *cut* — is the same three-step dance, executed for
+//! *all* splitting nodes simultaneously:
 //!
-//! 1. every lane decides elementwise whether its line **crosses the split
-//!    axis** within the node (it then belongs to both halves and must be
-//!    *cloned* — paper Fig. 24);
-//! 2. a **cloning** operation (Sec. 4.1) replicates the crossing lanes;
+//! 1. every lane decides elementwise which halves of its node its line
+//!    belongs to (a line that **crosses the split axis** within the node
+//!    belongs to both and must be *cloned* — paper Fig. 24);
+//! 2. one gather-form layout replicates each lane once per half it
+//!    belongs to — the **cloning** operation (Sec. 4.1) — and, in the
+//!    same layout, gives the lanes of nodes that are *not* splitting
+//!    arity zero, so retiring a finished node costs no layout of its own;
 //! 3. every lane classifies itself to one side (originals of a cloned
 //!    pair take the first side, the clones the second — Fig. 25), and an
 //!    **unshuffle** (Sec. 4.2) packs each node's lanes into the two new
 //!    contiguous segments (Figs. 26–28).
+//!
+//! **The block lives on the node, not on the lane.** A lane carries only
+//! its line id; the block it is cut against is read from the per-node
+//! table through the segment-aware elementwise pass
+//! ([`Machine::seg_map_lanes_into`]), and the child blocks are written
+//! per node where the child lists are built. One cut therefore moves the
+//! 4-byte line lane and a 1-byte [`CutSide`] lane, nothing else.
+//!
+//! **Most lanes never reach a clip.** A lane is known to belong to its
+//! block, so the only open question per cut is the one new constraint —
+//! the cut line. [`classify_cut`] answers it with Liang–Barsky's own
+//! tests on that single constraint, division-free; only the lanes it
+//! cannot settle (the straddlers, and the handful of degenerate touches)
+//! run the two [`seg_in_block`](dp_geom::seg_in_block) clips. The result
+//! is the clips' result on every lane — see [`classify_cut`] for the
+//! argument and `tests/split_differential.rs` for the evidence.
 
 use crate::lineproc::{ActiveNode, LineProcSet};
 use crate::SegId;
-use dp_geom::{seg_in_block, LineSeg, NodePath, Quadrant, Rect};
+use dp_geom::{LineSeg, NodePath, Quadrant, Rect};
 use scan_model::{Machine, Segments};
+
+/// The coordinate a cut divides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CutAxis {
+    /// Stage 1: the horizontal line `y = cy`; first half top, second
+    /// bottom.
+    Y,
+    /// Stage 2: the vertical line `x = cx`; first half left, second right.
+    X,
+}
+
+impl CutAxis {
+    /// The first and second halves of `block` under this cut.
+    pub fn halves(self, block: &Rect) -> (Rect, Rect) {
+        let (min, max, c) = (block.min, block.max, block.center());
+        match self {
+            CutAxis::Y => (
+                Rect::from_coords(min.x, c.y, max.x, max.y), // top
+                Rect::from_coords(min.x, min.y, max.x, c.y), // bottom
+            ),
+            CutAxis::X => (
+                Rect::from_coords(min.x, min.y, c.x, max.y), // left
+                Rect::from_coords(c.x, min.y, max.x, max.y), // right
+            ),
+        }
+    }
+}
+
+/// Which halves of its block's cut a lane belongs to. Doubles as the
+/// lane's *arity* under the cut's one layout (`u32::from`): one copy per
+/// half, none for the lane of a node that is not splitting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CutSide(u8);
+
+impl CutSide {
+    /// The lane's node is retiring this round: the lane vanishes.
+    pub const RETIRED: CutSide = CutSide(0);
+    /// The first half only.
+    pub const FIRST: CutSide = CutSide(1);
+    /// The second half only.
+    pub const SECOND: CutSide = CutSide(2);
+    /// Both halves: the lane is cloned.
+    pub const BOTH: CutSide = CutSide(3);
+}
+
+impl From<CutSide> for u32 {
+    fn from(side: CutSide) -> u32 {
+        u32::from(side.0 & 1) + u32::from(side.0 >> 1)
+    }
+}
+
+/// Liang–Barsky's verdict on one constraint `p·t ≤ q` when the constraint
+/// alone kills the segment: parallel and outside, entering past `t = 1`,
+/// or leaving before `t = 0`. Division-free: `q / p > 1 ⇔ q < p` for
+/// `p < 0` and `q / p < 0 ⇔ q < 0` for `p > 0`, exactly, in IEEE
+/// arithmetic (a correctly rounded quotient of distinct same-sign floats
+/// never rounds to 1).
+fn cut_rejects(p: f64, q: f64) -> bool {
+    (p >= 0.0 && q < 0.0) || (p < 0.0 && q < p)
+}
+
+/// Liang–Barsky's verdict on one constraint when it can neither reject
+/// nor move `t0` / `t1` off whatever the other constraints left in
+/// `[0, 1]`: parallel and inside, entering at `t ≤ 0`, or leaving at
+/// `t ≥ 1`.
+fn cut_non_binding(p: f64, q: f64) -> bool {
+    (p <= 0.0 && q >= 0.0) || (p > 0.0 && q >= p)
+}
+
+/// Decides, **without clipping**, which single half of `block` under
+/// `axis` the segment belongs to — or returns `None` when that takes the
+/// clips. Precondition: `seg_in_block(seg, block)` (every lane of a
+/// [`LineProcSet`] satisfies it; [`LineProcSet::validate`] asserts it).
+///
+/// A half differs from its block in one constraint: the cut line
+/// replaces the block's far edge on the cut axis. With `a`, `d = b − a`
+/// the segment's origin and direction on that axis — the same `d` the
+/// clip computes — the two halves' new constraints are `(−d, a − cut)`
+/// (coordinate ≥ cut) and `(d, cut − a)` (coordinate ≤ cut).
+///
+/// * If the new constraint **rejects** (`p ≥ 0 ∧ q < 0`, or
+///   `p < 0 ∧ q < p`: the clip's `t = q / p` tests, undivided), the clip to
+///   that half returns `None` whatever the other three constraints say —
+///   or, when `q / p` underflows to `−0`, a single point at `a`, which
+///   the constraint's own `q < 0` places outside the half. Not a member.
+/// * If the new constraint is **non-binding** (`p ≤ 0 ∧ q ≥ 0`, or
+///   `p > 0 ∧ q ≥ p`), so is the edge it replaced (the edge lies farther
+///   out, and both tests are monotone in `q`), so the clip to the half
+///   runs through exactly the states of the clip to the block and returns
+///   the same sub-segment.
+///   The block's verdict was *member*; the half's is the same unless that
+///   sub-segment is a single touch point, which must then lie half-open
+///   inside the *half*. Every point the clip can compute lies, on the cut
+///   axis, between `a` and `a + d` (rounding is monotone and `t ∈ [0, 1]`),
+///   so comparing those two against the cut settles that too.
+///
+/// "Non-binding on one side, rejected on the other, and both computed
+/// extremes on the non-binding side" therefore decides the lane exactly
+/// as the two clips would. Anything else — a true straddler, an endpoint
+/// on the cut line, a segment collinear with it — is `None`.
+///
+/// The shorter test `min(a, b) > cut` is **not** equivalent: the clip
+/// never sees `b`, only `a + t·(b − a)`, and off an integer grid the
+/// rounded `b − a` can reach the cut when `b` does not (DESIGN §20).
+pub fn classify_cut(seg: &LineSeg, block: &Rect, axis: CutAxis) -> Option<CutSide> {
+    let c = block.center();
+    // `upper` / `lower`: the half on the high / low side of the cut.
+    let (a, b, cut, upper, lower) = match axis {
+        CutAxis::Y => (seg.a.y, seg.b.y, c.y, CutSide::FIRST, CutSide::SECOND),
+        CutAxis::X => (seg.a.x, seg.b.x, c.x, CutSide::SECOND, CutSide::FIRST),
+    };
+    let d = b - a;
+    let far = a + d;
+    let (up_q, low_q) = (a - cut, cut - a);
+    if cut_non_binding(-d, up_q) && cut_rejects(d, low_q) && a.min(far) >= cut {
+        Some(upper)
+    } else if cut_non_binding(d, low_q) && cut_rejects(-d, up_q) && a.max(far) < cut {
+        Some(lower)
+    } else {
+        None
+    }
+}
+
+/// The straddler path: the two clips of paper Fig. 24, for the lanes
+/// [`classify_cut`] leaves open. A lane neither clip claims (no such
+/// member of a block is known; debug builds assert there is none) stays
+/// in the first half, never vanishes.
+fn clip_to_halves(seg: &LineSeg, block: &Rect, axis: CutAxis) -> CutSide {
+    let (first, second) = axis.halves(block);
+    let side = u8::from(dp_geom::seg_in_block(seg, &first))
+        | u8::from(dp_geom::seg_in_block(seg, &second)) << 1;
+    debug_assert!(
+        side != 0,
+        "every lane must belong to at least one half of its own block"
+    );
+    CutSide(side.max(CutSide::FIRST.0))
+}
+
+/// The halves of `block` under `axis` that `seg` belongs to, given that it
+/// belongs to `block`: [`classify_cut`] where that decides, the clips
+/// otherwise. Never [`CutSide::RETIRED`].
+pub fn cut_sides(seg: &LineSeg, block: &Rect, axis: CutAxis) -> CutSide {
+    classify_cut(seg, block, axis).unwrap_or_else(|| clip_to_halves(seg, block, axis))
+}
 
 /// A node midway through the split: one half of a splitting block.
 #[derive(Debug, Clone, Copy)]
@@ -29,215 +192,152 @@ struct HalfNode {
     bottom: bool,
 }
 
-/// The top and bottom halves of a block (stage 1 cut).
-fn halves_y(r: &Rect) -> (Rect, Rect) {
-    let cy = r.center().y;
-    (
-        Rect::from_coords(r.min.x, cy, r.max.x, r.max.y), // top
-        Rect::from_coords(r.min.x, r.min.y, r.max.x, cy), // bottom
-    )
-}
-
-/// The left and right halves of a block (stage 2 cut).
-fn halves_x(r: &Rect) -> (Rect, Rect) {
-    let cx = r.center().x;
-    (
-        Rect::from_coords(r.min.x, r.min.y, cx, r.max.y), // left
-        Rect::from_coords(cx, r.min.y, r.max.x, r.max.y), // right
-    )
-}
-
-/// One split stage over every active segment at once.
-///
-/// `first_of` / `second_of` produce the two candidate child rectangles of
-/// a lane's current block; lanes whose lines belong to both are cloned.
-/// Returns the reordered lane vectors, the per-input-segment
-/// `(first_count, second_count)` pair, and the new per-lane child rects.
-struct StageOut {
-    line: Vec<SegId>,
-    rect: Vec<Rect>,
-    /// Per input segment: lanes in the first and second halves.
-    counts: Vec<(usize, usize)>,
-}
-
-fn split_stage(
+/// One cut over every segment at once. `block_of(s)` is the block segment
+/// `s` is cut in, or `None` when its node is not splitting and its lanes
+/// retire. Returns the reordered line lane and, per *surviving* input
+/// segment in order, its `(first, second)` lane counts.
+fn split_stage<B>(
     machine: &Machine,
     mut line: Vec<SegId>,
-    mut rect: Vec<Rect>,
     seg: &Segments,
     segs: &[LineSeg],
-    halves: fn(&Rect) -> (Rect, Rect),
-) -> StageOut {
+    axis: CutAxis,
+    block_of: B,
+) -> (Vec<SegId>, Vec<(usize, usize)>)
+where
+    B: Fn(usize) -> Option<Rect> + Sync,
+{
     // Step 1 (elementwise): membership in each half; crossing lanes are
-    // members of both (paper Fig. 24's `clone` flag). The two leased
-    // intermediates are recycled before the stage returns; the lane
-    // vectors themselves are reordered in place / through the ping-pong
-    // slab, so the stage's peak footprint is the lanes plus one slab.
-    let mut membership: Vec<(bool, bool)> = machine.lease();
-    machine.zip_map_into(
+    // members of both (paper Fig. 24's `clone` flag).
+    let mut side: Vec<CutSide> = machine.lease();
+    machine.seg_map_lanes_into(
         &line,
-        &rect,
-        |id, r| {
-            let (first, second) = halves(&r);
-            let s = &segs[id as usize];
-            (seg_in_block(s, &first), seg_in_block(s, &second))
+        seg,
+        |s, id| {
+            [block_of(s).map_or(CutSide::RETIRED, |block| {
+                cut_sides(&segs[id as usize], &block, axis)
+            })]
         },
-        &mut membership,
-    );
-    let mut clone_flags: Vec<bool> = machine.lease();
-    machine.map_into(&membership, |(a, b)| a && b, &mut clone_flags);
-    debug_assert!(
-        membership.iter().all(|&(a, b)| a || b),
-        "every lane must belong to at least one half of its own block"
+        std::array::from_mut(&mut side),
     );
 
-    // Step 2: clone the crossing lanes (Sec. 4.1) — the gather is
-    // monotone, so the lane vectors grow in place.
-    let layout = machine.clone_layout(seg, &clone_flags);
+    // Step 2: one layout clones the crossing lanes (Sec. 4.1) and drops
+    // the retiring ones — the membership code is the arity. Each copy
+    // then takes its side (Fig. 25): of a cloned pair the original takes
+    // the first half and the clone the second; single lanes follow their
+    // membership.
+    let layout = machine.fanout_layout(seg, &side);
     machine.apply_in_place(&mut line, &layout);
-    machine.apply_in_place(&mut rect, &layout);
-    let mut c_membership: Vec<(bool, bool)> = machine.lease();
-    machine.apply_into(&membership, &layout, &mut c_membership);
-    machine.recycle(membership);
-    machine.recycle(clone_flags);
-
-    // Step 3: classify each lane (Fig. 25): of a cloned pair the original
-    // takes the first half and the clone the second; non-crossing lanes
-    // follow their membership. A lane crosses exactly when it belongs to
-    // both halves, so the cloned membership pair already carries the
-    // crossing bit.
-    machine.note_elementwise();
     let mut class: Vec<bool> = machine.lease();
-    class.extend(
-        c_membership
-            .iter()
-            .zip(layout.rank.iter())
-            .map(|(&(a, b), &rank)| if a && b { rank == 1 } else { b }),
+    machine.apply_map_into(
+        &side,
+        &layout,
+        |side, rank| {
+            if side == CutSide::BOTH {
+                rank == 1
+            } else {
+                side == CutSide::SECOND
+            }
+        },
+        &mut class,
     );
-    machine.recycle(c_membership);
+    machine.recycle(side);
 
-    // Unshuffle into [first | second] within each segment (Sec. 4.2),
-    // ping-ponging the lane ids through one leased slab. The other two
-    // lane vectors need no permutation at all:
-    //
-    // * `rect` is segment-constant — every lane of a node carries the
-    //   node's block, and the unshuffle permutes lanes only within
-    //   their segment — so the permutation is the identity on its
-    //   values (and its slab would be the largest buffer of the whole
-    //   build);
-    // * `class` is the unshuffle *key*: after the pack each segment
-    //   reads as `first_count` falses then `second_count` trues, which
-    //   one elementwise pass reconstitutes straight from the layout's
-    //   per-segment counts.
+    // Step 3: unshuffle into [first | second] within each segment
+    // (Sec. 4.2), ping-ponging the line ids through one leased slab.
     let un = machine.unshuffle_layout(&layout.seg, &class);
     machine.apply_unshuffle_swap(&mut line, &un);
-    machine.note_elementwise();
-    class.clear();
-    for &(n_first, n_second) in &un.counts {
-        class.extend(std::iter::repeat(false).take(n_first));
-        class.extend(std::iter::repeat(true).take(n_second));
-    }
-
-    // Update every lane's block to its half (elementwise in place — each
-    // lane knows its side from the packed class bit).
-    machine.zip_map_in_place(&mut rect, &class, |r, c| {
-        let (first, second) = halves(&r);
-        if c {
-            second
-        } else {
-            first
-        }
-    });
     machine.recycle(class);
-
-    StageOut {
-        line,
-        rect,
-        counts: un.counts,
-    }
+    (line, un.counts)
 }
 
-/// Splits every active node into its four quadrants (paper Sec. 4.6).
+/// How many child lists a cut's `(first, second)` counts leave non-empty:
+/// the exact length of the next node list, so the per-node vectors are
+/// allocated once at their final size (at n = 10⁵ a doubled guess is a
+/// 30 MB allocation a round).
+fn occupied_sides(counts: &[(usize, usize)]) -> usize {
+    counts
+        .iter()
+        .map(|&(first, second)| usize::from(first > 0) + usize::from(second > 0))
+        .sum()
+}
+
+/// Splits every active node with `want[s]` set into its four quadrants
+/// (paper Sec. 4.6) and drops the lanes of the others (the caller has
+/// already emitted them as leaves), in place.
 ///
 /// Children that receive no lanes become implicit empty leaves (they are
 /// not represented in the new state; the assembly in [`crate::quadtree`]
 /// materializes them). The new active node list is ordered NW, NE, SW, SE
 /// within each parent.
-pub fn split_active_nodes(machine: &Machine, state: LineProcSet, segs: &[LineSeg]) -> LineProcSet {
-    if state.nodes.is_empty() {
-        return state;
-    }
+///
+/// # Panics
+///
+/// Panics if `want.len()` is not the number of active nodes.
+pub fn split_active_nodes(
+    machine: &Machine,
+    state: &mut LineProcSet,
+    want: &[bool],
+    segs: &[LineSeg],
+) {
+    assert_eq!(want.len(), state.nodes.len(), "one flag per active node");
 
     // ---- Stage 1: horizontal cut into top / bottom halves. ----
-    // The lane vectors are reordered in place (clone, unshuffle) rather
-    // than copied into fresh leases, so the stage's footprint is the
-    // lanes themselves plus one ping-pong slab.
-    let LineProcSet {
-        line: old_line,
-        rect: old_rect,
-        seg: old_seg,
-        nodes: old_nodes,
-    } = state;
-    let stage1 = split_stage(machine, old_line, old_rect, &old_seg, segs, halves_y);
-    let mut half_nodes: Vec<HalfNode> = Vec::with_capacity(old_nodes.len() * 2);
-    let mut half_lengths: Vec<usize> = Vec::with_capacity(old_nodes.len() * 2);
-    for (node, &(n_top, n_bottom)) in old_nodes.iter().zip(stage1.counts.iter()) {
-        let (top, bottom) = halves_y(&node.rect);
-        if n_top > 0 {
-            half_nodes.push(HalfNode {
-                parent: node.path,
-                rect: top,
-                bottom: false,
-            });
-            half_lengths.push(n_top);
-        }
-        if n_bottom > 0 {
-            half_nodes.push(HalfNode {
-                parent: node.path,
-                rect: bottom,
-                bottom: true,
-            });
-            half_lengths.push(n_bottom);
+    let line = std::mem::take(&mut state.line);
+    let old_nodes = &state.nodes;
+    let (line, counts) = split_stage(machine, line, &state.seg, segs, CutAxis::Y, |s| {
+        want[s].then(|| old_nodes[s].rect)
+    });
+    let splitting = old_nodes.iter().zip(want).filter(|(_, &w)| w);
+    let occupied = occupied_sides(&counts);
+    let mut half_nodes: Vec<HalfNode> = Vec::with_capacity(occupied);
+    let mut half_lengths: Vec<usize> = Vec::with_capacity(occupied);
+    for ((node, _), &(n_top, n_bottom)) in splitting.zip(&counts) {
+        let (top, bottom) = CutAxis::Y.halves(&node.rect);
+        for (rect, bottom, n) in [(top, false, n_top), (bottom, true, n_bottom)] {
+            if n > 0 {
+                half_nodes.push(HalfNode {
+                    parent: node.path,
+                    rect,
+                    bottom,
+                });
+                half_lengths.push(n);
+            }
         }
     }
     let half_seg = Segments::from_lengths(&half_lengths).expect("non-empty halves only");
 
     // ---- Stage 2: vertical cut of each half into left / right. ----
-    let stage2 = split_stage(machine, stage1.line, stage1.rect, &half_seg, segs, halves_x);
-    let mut nodes: Vec<ActiveNode> = Vec::with_capacity(half_nodes.len() * 2);
-    let mut lengths: Vec<usize> = Vec::with_capacity(half_nodes.len() * 2);
-    for (half, &(n_left, n_right)) in half_nodes.iter().zip(stage2.counts.iter()) {
-        let (left, right) = halves_x(&half.rect);
+    let (line, counts) = split_stage(machine, line, &half_seg, segs, CutAxis::X, |s| {
+        Some(half_nodes[s].rect)
+    });
+    let occupied = occupied_sides(&counts);
+    let mut nodes: Vec<ActiveNode> = Vec::with_capacity(occupied);
+    let mut lengths: Vec<usize> = Vec::with_capacity(occupied);
+    for (half, &(n_left, n_right)) in half_nodes.iter().zip(&counts) {
+        let (left, right) = CutAxis::X.halves(&half.rect);
         let (q_left, q_right) = if half.bottom {
             (Quadrant::SW, Quadrant::SE)
         } else {
             (Quadrant::NW, Quadrant::NE)
         };
-        if n_left > 0 {
-            nodes.push(ActiveNode {
-                path: half.parent.child(q_left),
-                rect: left,
-            });
-            lengths.push(n_left);
-        }
-        if n_right > 0 {
-            nodes.push(ActiveNode {
-                path: half.parent.child(q_right),
-                rect: right,
-            });
-            lengths.push(n_right);
+        for (rect, quadrant, n) in [(left, q_left, n_left), (right, q_right, n_right)] {
+            if n > 0 {
+                nodes.push(ActiveNode {
+                    path: half.parent.child(quadrant),
+                    rect,
+                });
+                lengths.push(n);
+            }
         }
     }
-    let seg = Segments::from_lengths(&lengths).expect("non-empty children only");
 
-    let out = LineProcSet {
-        line: stage2.line,
-        rect: stage2.rect,
-        seg,
+    *state = LineProcSet {
+        line,
+        seg: Segments::from_lengths(&lengths).expect("non-empty children only"),
         nodes,
     };
-    debug_assert_eq!(out.seg.num_segments(), out.nodes.len());
-    out
+    debug_assert_eq!(state.seg.num_segments(), state.nodes.len());
 }
 
 #[cfg(test)]
@@ -256,6 +356,13 @@ mod tests {
         ]
     }
 
+    /// One split of the root node over `segs`.
+    fn split_root(m: &Machine, segs: &[LineSeg]) -> LineProcSet {
+        let mut state = LineProcSet::initial(world(), segs);
+        split_active_nodes(m, &mut state, &[true], segs);
+        state
+    }
+
     /// Paper Figs. 23–28 in miniature: one node, five lines, two of which
     /// cross the horizontal axis and one of which also crosses the
     /// vertical axis.
@@ -269,9 +376,8 @@ mod tests {
                 LineSeg::from_coords(5.0, 1.0, 6.0, 2.0), // SE only
                 LineSeg::from_coords(1.0, 5.0, 6.0, 5.0), // top, crosses x=4
             ];
-            let state = LineProcSet::initial(world(), &segs);
-            let out = split_active_nodes(&m, state, &segs);
-            out.validate();
+            let out = split_root(&m, &segs);
+            out.validate(&segs);
             // Quadrant contents by membership ground truth.
             let mut by_quad: Vec<Vec<SegId>> = vec![Vec::new(); 4];
             for (s, r) in out.seg.ranges().enumerate() {
@@ -296,8 +402,7 @@ mod tests {
                 LineSeg::from_coords(1.0, 5.0, 2.0, 6.0),
                 LineSeg::from_coords(2.0, 5.0, 3.0, 7.0),
             ];
-            let state = LineProcSet::initial(world(), &segs);
-            let out = split_active_nodes(&m, state, &segs);
+            let out = split_root(&m, &segs);
             assert_eq!(out.nodes.len(), 1);
             assert_eq!(out.nodes[0].path.quadrant_in_parent(), Some(Quadrant::NW));
             assert_eq!(out.line, vec![0, 1]);
@@ -305,24 +410,33 @@ mod tests {
     }
 
     #[test]
-    fn lane_rects_match_child_blocks() {
+    fn lanes_belong_to_their_child_blocks() {
         for m in machines() {
             let segs = vec![
                 LineSeg::from_coords(1.0, 1.0, 6.0, 6.0), // crosses everything
                 LineSeg::from_coords(5.0, 6.0, 7.0, 7.0),
             ];
-            let state = LineProcSet::initial(world(), &segs);
-            let out = split_active_nodes(&m, state, &segs);
-            out.validate();
-            // Every lane's line must belong to its (new) block.
-            for (s, r) in out.seg.ranges().enumerate() {
-                for i in r {
-                    assert!(seg_in_block(
-                        &segs[out.line[i] as usize],
-                        &out.nodes[s].rect
-                    ));
-                }
-            }
+            // `validate` asserts every lane's line belongs to its (new)
+            // block.
+            split_root(&m, &segs).validate(&segs);
+        }
+    }
+
+    #[test]
+    fn retiring_nodes_vanish_in_the_first_cut() {
+        for m in machines() {
+            // Two nodes after one split (NW and SE); retire NW, split SE.
+            let segs = vec![
+                LineSeg::from_coords(1.0, 5.0, 2.0, 6.0), // NW
+                LineSeg::from_coords(5.0, 1.0, 5.5, 1.5), // SE, its SW child
+                LineSeg::from_coords(6.5, 2.5, 7.0, 3.0), // SE, its NE child
+            ];
+            let mut state = split_root(&m, &segs);
+            assert_eq!(state.nodes.len(), 2);
+            split_active_nodes(&m, &mut state, &[false, true], &segs);
+            state.validate(&segs);
+            assert_eq!(state.line, vec![2, 1]);
+            assert!(state.nodes.iter().all(|n| n.path.depth() == 2));
         }
     }
 
@@ -333,8 +447,7 @@ mod tests {
             // centre; with half-open point membership it must appear in
             // the blocks it has positive length in.
             let segs = vec![LineSeg::from_coords(1.0, 1.0, 6.0, 6.0)];
-            let state = LineProcSet::initial(world(), &segs);
-            let out = split_active_nodes(&m, state, &segs);
+            let out = split_root(&m, &segs);
             let quads: Vec<Quadrant> = out
                 .nodes
                 .iter()
@@ -355,8 +468,8 @@ mod tests {
             .collect();
         let seq_m = Machine::sequential();
         let par_m = Machine::new(Backend::Parallel).with_par_threshold(1);
-        let a = split_active_nodes(&seq_m, LineProcSet::initial(world(), &segs), &segs);
-        let b = split_active_nodes(&par_m, LineProcSet::initial(world(), &segs), &segs);
+        let a = split_root(&seq_m, &segs);
+        let b = split_root(&par_m, &segs);
         assert_eq!(a.line, b.line);
         assert_eq!(a.seg, b.seg);
         assert_eq!(a.nodes.len(), b.nodes.len());

@@ -233,10 +233,6 @@ impl SplitPolicy for MergeSweepPolicy<'_, '_, '_, '_> {
                 .iter()
                 .flat_map(|&c| self.unions[c].iter().copied())
                 .collect();
-            let rect: Vec<Rect> = occupied
-                .iter()
-                .flat_map(|&c| std::iter::repeat(self.frontier[c].rect).take(self.unions[c].len()))
-                .collect();
             let nodes: Vec<ActiveNode> = occupied
                 .iter()
                 .map(|&c| ActiveNode {
@@ -246,7 +242,6 @@ impl SplitPolicy for MergeSweepPolicy<'_, '_, '_, '_> {
                 .collect();
             let state = LineProcSet {
                 line,
-                rect,
                 seg: Segments::from_lengths(&lengths)
                     .expect("occupied candidates have non-empty unions"),
                 nodes,
@@ -529,10 +524,6 @@ pub fn batch_update(
             .iter()
             .flat_map(|&ri| recs[ri].lines.iter().copied())
             .collect();
-        let rect: Vec<Rect> = repair
-            .iter()
-            .flat_map(|&ri| std::iter::repeat(recs[ri].rect).take(recs[ri].lines.len()))
-            .collect();
         let nodes: Vec<ActiveNode> = repair
             .iter()
             .map(|&ri| ActiveNode {
@@ -542,7 +533,6 @@ pub fn batch_update(
             .collect();
         let state = LineProcSet {
             line,
-            rect,
             seg: Segments::from_lengths(&lengths).expect("repair records are non-empty"),
             nodes,
         };

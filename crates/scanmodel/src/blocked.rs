@@ -133,7 +133,15 @@ fn calibrate_block_bytes() -> usize {
 /// Converts a block byte budget into a per-`T` element count, floored at
 /// [`MIN_BLOCK_ELEMS`].
 pub fn block_elems<T>(block_bytes: usize) -> usize {
-    (block_bytes / std::mem::size_of::<T>().max(1)).max(MIN_BLOCK_ELEMS)
+    block_elems_of(block_bytes, std::mem::size_of::<T>())
+}
+
+/// [`block_elems`] for a pass whose widest lane is `lane_bytes` wide. An
+/// elementwise pass is sized by the widest lane it reads *or* writes: a
+/// byte-wide output computed from wider inputs would otherwise get blocks
+/// eight times too long and run on one worker.
+pub(crate) fn block_elems_of(block_bytes: usize, lane_bytes: usize) -> usize {
+    (block_bytes / lane_bytes.max(1)).max(MIN_BLOCK_ELEMS)
 }
 
 /// Walks `0..n` block by block: `block`-sized blocks dealt to the pool

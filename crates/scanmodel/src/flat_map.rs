@@ -39,7 +39,7 @@
 //! caller's choice.
 
 use crate::blocked;
-use crate::machine::{fit_exact, Machine};
+use crate::machine::{fit_exact, widest, Machine};
 use crate::ops::Element;
 use crate::scatter::SyncPtr;
 use crate::vector::Segments;
@@ -166,14 +166,19 @@ impl Machine {
     /// adjacent and stamped with their rank so a downstream elementwise
     /// step can address "the r-th child" directly. One cloning's cost for
     /// any fan-out width, where composing adjacent clonings would take
-    /// `log₂(max fan-out)` of them.
+    /// `log₂(max fan-out)` of them. The counts lane is any lane that
+    /// converts to a count — a `u32` lane, or a narrower code whose
+    /// `Into<u32>` *is* its arity, which spares the caller a widened copy.
     ///
     /// # Panics
     ///
     /// Panics if `copies.len() != seg.len()`.
-    pub fn fanout_layout(&self, seg: &Segments, copies: &[u32]) -> Layout {
+    pub fn fanout_layout<C>(&self, seg: &Segments, copies: &[C]) -> Layout
+    where
+        C: Copy + Into<u32> + Sync,
+    {
         seg.expect_lane("fan-out", copies.len());
-        self.layout_with(seg, |i| copies[i])
+        self.layout_with(seg, |i| copies[i].into())
     }
 
     /// Deletes duplicates from a *sorted* vector of keys: every lane equal
@@ -432,7 +437,8 @@ impl Machine {
             rayon::fault_checkpoint();
         }
         let (src, rank) = (&layout.src_lane, &layout.rank);
-        self.for_each_block_of([&mut out.spare_capacity_mut()[..n]], |lo, [block]| {
+        let spare = &mut out.spare_capacity_mut()[..n];
+        self.for_each_block_of(widest::<T, U>(), [spare], |lo, [block]| {
             for (k, slot) in block.iter_mut().enumerate() {
                 slot.write(f(data[src[lo + k]], rank[lo + k]));
             }
@@ -628,7 +634,7 @@ mod tests {
         for m in machines() {
             let data = vec![10u32, 20, 30];
             let seg = Segments::single(3);
-            let layout = m.fanout_layout(&seg, &[4, 4, 4]);
+            let layout = m.fanout_layout(&seg, &[4u32, 4, 4]);
             assert_eq!(layout.len(), 12);
             let out = m.apply(&data, &layout);
             assert_eq!(out, vec![10, 10, 10, 10, 20, 20, 20, 20, 30, 30, 30, 30]);
@@ -642,7 +648,7 @@ mod tests {
         for m in machines() {
             let data = vec!['a', 'b', 'c', 'd'];
             let seg = Segments::single(4);
-            let layout = m.fanout_layout(&seg, &[2, 0, 1, 3]);
+            let layout = m.fanout_layout(&seg, &[2u32, 0, 1, 3]);
             let out = m.apply(&data, &layout);
             assert_eq!(out, vec!['a', 'a', 'c', 'd', 'd', 'd']);
             assert_eq!(layout.rank, vec![0, 1, 0, 0, 1, 2]);
@@ -653,7 +659,7 @@ mod tests {
     fn copies_join_source_segment() {
         for m in machines() {
             let seg = Segments::from_lengths(&[2, 1]).unwrap();
-            let layout = m.fanout_layout(&seg, &[1, 2, 2]);
+            let layout = m.fanout_layout(&seg, &[1u32, 2, 2]);
             assert_eq!(layout.seg.lengths(), vec![3, 2]);
             assert_eq!(layout.src_lane, vec![0, 1, 1, 2, 2]);
             assert_eq!(layout.counts, vec![3, 2]);
@@ -664,7 +670,7 @@ mod tests {
     fn vanished_segment_is_dropped() {
         for m in machines() {
             let seg = Segments::from_lengths(&[1, 1, 1]).unwrap();
-            let layout = m.fanout_layout(&seg, &[2, 0, 1]);
+            let layout = m.fanout_layout(&seg, &[2u32, 0, 1]);
             assert_eq!(layout.seg.lengths(), vec![2, 1]);
             assert_eq!(layout.counts, vec![2, 0, 1]);
         }
@@ -674,7 +680,7 @@ mod tests {
     fn zero_everything_is_empty() {
         for m in machines() {
             let seg = Segments::from_lengths(&[2]).unwrap();
-            let layout = m.fanout_layout(&seg, &[0, 0]);
+            let layout = m.fanout_layout(&seg, &[0u32, 0]);
             assert!(layout.is_empty());
             assert_eq!(layout.seg.len(), 0);
             let out = m.apply(&[1u8, 2], &layout);
@@ -687,7 +693,7 @@ mod tests {
         for m in machines() {
             let data = vec![7i64, 8, 9];
             let seg = Segments::from_lengths(&[1, 2]).unwrap();
-            let layout = m.fanout_layout(&seg, &[1, 1, 1]);
+            let layout = m.fanout_layout(&seg, &[1u32, 1, 1]);
             assert_eq!(m.apply(&data, &layout), data);
             assert_eq!(layout.seg, seg);
             assert_eq!(layout.rank, vec![0, 0, 0]);
@@ -701,7 +707,7 @@ mod tests {
         for m in machines() {
             let data: Vec<u32> = (0..9).collect();
             let seg = Segments::single(9);
-            let fan = m.apply(&data, &m.fanout_layout(&seg, &[4; 9]));
+            let fan = m.apply(&data, &m.fanout_layout(&seg, &[4u32; 9]));
             let all = vec![true; 9];
             let double = m.clone_layout(&seg, &all);
             let once = m.apply(&data, &double);

@@ -34,6 +34,13 @@ use std::time::Instant;
 /// smaller vectors amortize it.
 pub const PAR_THRESHOLD: usize = 2048;
 
+/// Fewest lanes a blocked elementwise walk deals to one worker: below
+/// two of these a walk stays on the caller. Measured on the quadtree
+/// builds, whose passes range from a byte copy to two clips per lane:
+/// dealing a 3,000-segment PM₁ build's passes to two workers costs it
+/// 12 %, keeping a 20,000-segment bucket-PMR build's on one costs 40 %.
+pub const MIN_WORKER_SHARE: usize = 4 * PAR_THRESHOLD;
+
 /// Execution backend for primitive operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
@@ -128,6 +135,12 @@ impl StatsSnapshot {
             inplace_reuses: self.inplace_reuses - earlier.inplace_reuses,
         }
     }
+}
+
+/// Width in bytes of the wider of two lane types: what an elementwise
+/// pass reading one and writing the other is blocked by.
+pub(crate) fn widest<A, B>() -> usize {
+    std::mem::size_of::<A>().max(std::mem::size_of::<B>())
 }
 
 /// Exact-fit reservation for a reused output buffer: clear it and, if its
@@ -307,14 +320,26 @@ impl Machine {
     /// aligned blocks and hands `body` each block's first lane and its `K`
     /// sub-slices — disjoint cache blocks on the pool once the parallel
     /// backend engages, the whole buffers in one inline call otherwise.
+    /// `lane_bytes` is the width of the widest lane `body` touches, read
+    /// or written ([`widest`]): the written buffers alone undersize the
+    /// blocks of a narrow output computed from wider inputs. And a block
+    /// never exceeds an even share of the lanes per worker (down to
+    /// [`MIN_WORKER_SHARE`]): an elementwise body revisits nothing, so
+    /// the cache budget is only an upper bound, and a pass that fits one
+    /// budget-sized block would otherwise run on one worker however much
+    /// it computes per lane.
     /// (`T` may be `MaybeUninit<_>`: a fill writes a vector's spare
     /// capacity and sets its length afterwards.)
     ///
     /// # Panics
     ///
     /// Panics if the buffers differ in length.
-    pub(crate) fn for_each_block_of<T, F, const K: usize>(&self, lanes: [&mut [T]; K], body: F)
-    where
+    pub(crate) fn for_each_block_of<T, F, const K: usize>(
+        &self,
+        lane_bytes: usize,
+        lanes: [&mut [T]; K],
+        body: F,
+    ) where
         T: Send,
         F: Fn(usize, [&mut [T]; K]) + Sync,
     {
@@ -324,7 +349,9 @@ impl Machine {
             "elementwise: output buffers differ in length"
         );
         let bases = lanes.map(|lane| SyncPtr(lane.as_mut_ptr()));
-        blocked::for_each_block(self.use_par(n), n, self.block_elems::<T>(), |lo, hi| {
+        let share = n.div_ceil(self.threads).max(MIN_WORKER_SHARE);
+        let block = blocked::block_elems_of(self.block_bytes, lane_bytes).min(share);
+        blocked::for_each_block(self.use_par(n), n, block, |lo, hi| {
             // SAFETY: blocks are disjoint, so every sub-slice is handed to
             // exactly one worker, and `lo..hi` lies within each buffer
             // (all `n` long, exclusively borrowed for this call).
@@ -826,7 +853,7 @@ impl Machine {
         self.count_elementwise();
         self.count_bytes_moved(std::mem::size_of_val(data));
         self.count_inplace_reuse();
-        self.for_each_block_of([data], |_, [block]| {
+        self.for_each_block_of(std::mem::size_of::<T>(), [data], |_, [block]| {
             for x in block {
                 *x = f(*x);
             }
@@ -858,7 +885,7 @@ impl Machine {
         self.count_elementwise();
         self.count_bytes_moved(std::mem::size_of_val(data));
         self.count_inplace_reuse();
-        self.for_each_block_of([data], |lo, [block]| {
+        self.for_each_block_of(widest::<T, B>(), [data], |lo, [block]| {
             for (x, &y) in block.iter_mut().zip(&other[lo..]) {
                 *x = f(*x, y);
             }
@@ -869,13 +896,78 @@ impl Machine {
     /// and writes its K results into K caller-provided buffers (cleared
     /// first) in a single pass — the elementwise analogue of
     /// [`Machine::scan_lanes_into`], for steps that derive several scan
-    /// input lanes from one shared computation (e.g. the PM₁ decision's
-    /// endpoint count plus four bounding-box extents). Counts as one
-    /// elementwise operation.
+    /// input lanes from one shared computation (e.g. the R-tree sweep's
+    /// four bounding-box extents). Counts as one elementwise operation.
     pub fn fill_lanes_into<T, F, const K: usize>(&self, n: usize, f: F, outs: &mut [Vec<T>; K])
     where
-        T: Element + Default,
+        T: Element,
         F: Fn(usize) -> [T; K] + Sync,
+    {
+        self.fill_blocks(n, std::mem::size_of::<T>(), outs, |lo, mut blocks| {
+            for k in 0..blocks[0].len() {
+                for (block, v) in blocks.iter_mut().zip(f(lo + k)) {
+                    block[k].write(v);
+                }
+            }
+        });
+    }
+
+    /// Segment-aware fused elementwise map: lane `i` of the K outputs
+    /// (cleared first) is `f(s, data[i])`, where `s` is the index of the
+    /// segment lane `i` lies in — so a step whose per-lane computation
+    /// depends on per-*segment* state (the quadtree builds' node block)
+    /// reads that state from an `s`-indexed table instead of carrying a
+    /// copy of it in every lane. The walk resolves its segment once per
+    /// block ([`Segments::segment_of`]) and then advances along the
+    /// segment starts, so the index costs no per-lane search and no
+    /// materialized id vector. Counts as one elementwise operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != seg.len()`.
+    pub fn seg_map_lanes_into<A, T, F, const K: usize>(
+        &self,
+        data: &[A],
+        seg: &Segments,
+        f: F,
+        outs: &mut [Vec<T>; K],
+    ) where
+        A: Element,
+        T: Element,
+        F: Fn(usize, A) -> [T; K] + Sync,
+    {
+        seg.expect_lane("segment map", data.len());
+        let starts = seg.starts();
+        self.fill_blocks(data.len(), widest::<A, T>(), outs, |lo, mut blocks| {
+            let hi = lo + blocks[0].len();
+            let mut s = seg.segment_of(lo);
+            let mut at = lo;
+            while at < hi {
+                let run_end = starts.get(s + 1).map_or(hi, |&next| next.min(hi));
+                for i in at..run_end {
+                    for (block, v) in blocks.iter_mut().zip(f(s, data[i])) {
+                        block[i - lo].write(v);
+                    }
+                }
+                at = run_end;
+                s += 1;
+            }
+        });
+    }
+
+    /// The frame the multi-lane fills share: one elementwise op and its
+    /// bytes, exact-fit reservation of the K buffers, the blocked walk
+    /// over their spare capacity (`body` must initialize every slot it is
+    /// handed), then the lengths.
+    fn fill_blocks<T, B, const K: usize>(
+        &self,
+        n: usize,
+        lane_bytes: usize,
+        outs: &mut [Vec<T>; K],
+        body: B,
+    ) where
+        T: Element,
+        B: Fn(usize, [&mut [std::mem::MaybeUninit<T>]; K]) + Sync,
     {
         self.count_elementwise();
         for out in outs.iter() {
@@ -888,16 +980,10 @@ impl Machine {
         let mut each = outs.iter_mut();
         let spare =
             std::array::from_fn(|_| &mut each.next().expect("K buffers").spare_capacity_mut()[..n]);
-        self.for_each_block_of::<_, _, K>(spare, |lo, mut blocks| {
-            for k in 0..blocks[0].len() {
-                for (block, v) in blocks.iter_mut().zip(f(lo + k)) {
-                    block[k].write(v);
-                }
-            }
-        });
+        self.for_each_block_of::<_, _, K>(lane_bytes, spare, body);
         for out in outs.iter_mut() {
-            // SAFETY: the walk above initialized lanes `0..n` of every
-            // buffer's spare capacity.
+            // SAFETY: `body` initialized lanes `0..n` of every buffer's
+            // spare capacity (its contract above).
             unsafe { out.set_len(n) };
         }
     }
@@ -1047,6 +1133,68 @@ mod tests {
         Machine::parallel()
             .with_par_threshold(1)
             .zip_map(&[1i64], &[1i64, 2], |x, y| x + y);
+    }
+
+    /// The segment-aware map hands every lane its segment's index on
+    /// every backend and block size, blocks that start mid-segment and
+    /// segments that span several blocks included, and is one elementwise
+    /// op.
+    #[test]
+    fn seg_map_lanes_sees_each_lanes_segment() {
+        let lengths = [1usize, 130, 1, 1, 70, 300, 2];
+        let seg = Segments::from_lengths(&lengths).unwrap();
+        let data: Vec<u32> = (0..seg.len() as u32).collect();
+        let want: Vec<(usize, u32)> = seg.segment_ids().into_iter().zip(data.clone()).collect();
+        for m in [
+            Machine::sequential(),
+            Machine::parallel().with_par_threshold(1),
+            Machine::parallel()
+                .with_par_threshold(1)
+                .with_block_bytes(64 * 4),
+        ] {
+            let mut out: Vec<(usize, u32)> = Vec::new();
+            m.seg_map_lanes_into(&data, &seg, |s, v| [(s, v)], std::array::from_mut(&mut out));
+            assert_eq!(out, want);
+            let ops = m.stats();
+            assert_eq!((ops.elementwise, ops.total_primitives()), (1, 1));
+            assert_eq!(
+                ops.bytes_moved as usize,
+                seg.len() * std::mem::size_of::<(usize, u32)>()
+            );
+        }
+        let mut out: [Vec<u8>; 1] = [vec![7]];
+        Machine::sequential().seg_map_lanes_into(
+            &[] as &[u32],
+            &Segments::single(0),
+            |_, _| [0],
+            &mut out,
+        );
+        assert!(out[0].is_empty());
+    }
+
+    /// A byte-wide output is blocked by the widest lane the pass touches
+    /// and by the workers' even share, not by its own width: with
+    /// `DP_BLOCK = 524288` a `u8` lane alone would make 200k lanes one
+    /// block and leave the pass on one worker.
+    #[test]
+    fn byte_output_pass_is_dealt_to_more_than_one_block() {
+        use std::sync::atomic::AtomicUsize;
+        let m = Machine::parallel().with_block_bytes(524_288);
+        let n = 200_000usize;
+        let data: Vec<u32> = (0..n as u32).collect();
+        let mut out = vec![0u8; n];
+        let blocks = AtomicUsize::new(0);
+        let widest_lane = widest::<u32, u8>();
+        m.for_each_block_of(widest_lane, [&mut out[..]], |lo, [block]| {
+            blocks.fetch_add(1, Ordering::Relaxed);
+            for (k, slot) in block.iter_mut().enumerate() {
+                *slot = data[lo + k] as u8;
+            }
+        });
+        assert!(blocks.load(Ordering::Relaxed) >= 2);
+        assert!(out.iter().zip(&data).all(|(&o, &d)| o == d as u8));
+        // Sized by the output alone it would have been a single block.
+        assert!(blocked::block_elems::<u8>(m.block_bytes()) >= n);
     }
 
     #[test]

@@ -325,6 +325,17 @@ proptest! {
                 m.recycle(lane);
             }
 
+            // Segment-aware fill: each lane sees its own value and the
+            // index of the segment it lies in.
+            let ids = seg.segment_ids();
+            let mut lanes: [Vec<i64>; 2] = [m.lease(), m.lease()];
+            m.seg_map_lanes_into(&data, &seg, |s, v| [s as i64, v ^ s as i64], &mut lanes);
+            prop_assert_eq!(&lanes[0], &ids.iter().map(|&s| s as i64).collect::<Vec<_>>());
+            prop_assert_eq!(&lanes[1], &m.zip_map(&data, &ids, |v, s| v ^ s as i64));
+            for lane in lanes {
+                m.recycle(lane);
+            }
+
             // Pseudo-random permutation for permute/gather.
             let n = data.len();
             let mut index: Vec<usize> = (0..n).collect();
