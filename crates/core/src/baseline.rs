@@ -124,8 +124,7 @@ pub fn build_pm1_unfused(
             .map(Pm1Verdict::must_split)
             .collect()
     };
-    let out = run_quad_build(machine, world, segs, max_depth, &mut decide);
-    DpQuadtree::from_outcome(world, out)
+    run_quad_build(machine, world, segs, max_depth, &mut decide)
 }
 
 /// All intersecting pairs `(id_a, id_b)` between the segment sets indexed
@@ -192,7 +191,7 @@ fn join_rec(
             if lines.is_empty() {
                 return;
             }
-            for &c in children {
+            for c in children {
                 join_rec(a, c, b, nb, segs_a, segs_b, out);
             }
         }
@@ -200,7 +199,7 @@ fn join_rec(
             if lines.is_empty() {
                 return;
             }
-            for &c in children {
+            for c in children {
                 join_rec(a, na, b, c, segs_a, segs_b, out);
             }
         }

@@ -247,12 +247,7 @@ mod tests {
             tree,
             &mut lanes,
             |p, node, lines| {
-                assert_eq!(
-                    tree.node(node),
-                    &QtNode::Leaf {
-                        lines: lines.to_vec()
-                    }
-                );
+                assert_eq!(tree.node(node), QtNode::Leaf { lines });
                 landed.push((p, node));
             },
             &reaches,
@@ -325,7 +320,7 @@ mod tests {
             let QtNode::Leaf { lines } = tree.node(landed[0].1) else {
                 panic!("landed on an internal node");
             };
-            let mut lines = lines.clone();
+            let mut lines = lines.to_vec();
             lines.sort_unstable();
             assert_eq!(lines, tree.point_query(probe));
 

@@ -47,8 +47,7 @@ pub fn build_bucket_pmr(
     assert!(capacity >= 1, "bucket capacity must be at least 1");
     let mut decide =
         |m: &Machine, st: &LineProcSet, _segs: &[LineSeg]| bucket_pmr_decision(m, st, capacity);
-    let out = run_quad_build(machine, world, segs, max_depth, &mut decide);
-    DpQuadtree::from_outcome(world, out)
+    run_quad_build(machine, world, segs, max_depth, &mut decide)
 }
 
 #[cfg(test)]

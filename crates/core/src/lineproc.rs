@@ -19,11 +19,14 @@
 //! [`QuadSplitPolicy`] — the quadtree-family
 //! [`crate::round_driver::SplitPolicy`] shared by PM₁, PM₂, PM₃ and the
 //! bucket PMR quadtree, which differ only in their *split decision*
-//! closure. Per round: the decision marks nodes, finished nodes retire
-//! their lanes into leaf records, and the remaining nodes subdivide via
-//! the two-stage node split of Section 4.6 ([`crate::split`]), whose
-//! first cut also drops the retired lanes.
+//! closure. Per round: the decision marks nodes, finished nodes retire —
+//! **the retired segments of the lane vector are the tree's leaves**, so
+//! retiring one is a single copy of its lanes onto the end of the tree's
+//! id vector ([`QuadtreeAssembler::place`]) — and the remaining nodes
+//! subdivide via the two-stage node split of Section 4.6
+//! ([`crate::split`]), whose first cut also drops the retired lanes.
 
+use crate::quadtree::{DpQuadtree, QuadtreeAssembler};
 use crate::round_driver::{RoundAdvance, RoundDriver, SplitPolicy};
 use crate::split::split_active_nodes;
 use crate::SegId;
@@ -114,40 +117,13 @@ impl LineProcSet {
     }
 }
 
-/// A finished (leaf) block emitted by the build driver.
-#[derive(Debug, Clone)]
-pub struct LeafRecord {
-    /// Root-to-leaf quadrant path.
-    pub path: NodePath,
-    /// Block rectangle.
-    pub rect: Rect,
-    /// Lines passing through the block (its q-edges), in lane order.
-    pub lines: Vec<SegId>,
-}
-
-/// Result of a quadtree build: the leaf blocks plus round accounting.
-#[derive(Debug, Clone)]
-pub struct QuadBuildOutcome {
-    /// All non-empty leaf blocks. (Empty leaves are implicit: every
-    /// internal node has exactly four children; the assembly in
-    /// [`crate::quadtree`] materializes the missing ones as empty.)
-    pub leaves: Vec<LeafRecord>,
-    /// Number of subdivision rounds executed (the paper's O(log n) stage
-    /// count).
-    pub rounds: usize,
-    /// Leaves that were cut off by the depth bound while their split
-    /// criterion still wanted subdivision (e.g. the over-capacity
-    /// max-resolution bucket of paper Fig. 38).
-    pub truncated: usize,
-}
-
 /// The structure-specific split decision: given the machine and the
 /// current state, return one flag per active node — `true` to subdivide.
 /// The driver overrides the flag to `false` at the depth bound.
 pub type SplitDecision<'a> = dyn FnMut(&Machine, &LineProcSet, &[LineSeg]) -> Vec<bool> + 'a;
 
 /// The quadtree-family [`SplitPolicy`]: owns the frontier [`LineProcSet`]
-/// and the emitted leaves, defers the per-node split verdict to a
+/// and the tree under assembly, defers the per-node split verdict to a
 /// structure-specific [`SplitDecision`] closure (PM₁ vertex test, bucket
 /// PMR capacity test, ...), and partitions via the two-stage node split of
 /// paper Sec. 4.6. One driver step is one subdivision round.
@@ -156,36 +132,44 @@ pub struct QuadSplitPolicy<'d, 'c, 's> {
     max_depth: usize,
     decide: &'d mut SplitDecision<'c>,
     state: LineProcSet,
-    leaves: Vec<LeafRecord>,
+    out: QuadtreeAssembler,
     truncated: usize,
 }
 
 impl<'d, 'c, 's> QuadSplitPolicy<'d, 'c, 's> {
-    /// A policy over the initial single-root frontier. Returns `None` for
-    /// empty input, where there is no frontier to drive (the build is
-    /// trivially zero leaves, zero rounds).
+    /// A policy over the initial single-root frontier, assembling a fresh
+    /// tree. Returns `None` for empty input, where there is no frontier to
+    /// drive (the build is trivially zero leaves, zero rounds).
     pub fn new(
         world: Rect,
         segs: &'s [LineSeg],
         max_depth: usize,
         decide: &'d mut SplitDecision<'c>,
     ) -> Option<Self> {
-        Self::from_frontier(LineProcSet::initial(world, segs), segs, max_depth, decide)
+        Self::from_frontier(
+            LineProcSet::initial(world, segs),
+            segs,
+            max_depth,
+            decide,
+            QuadtreeAssembler::new(world),
+        )
     }
 
     /// A policy resuming from an arbitrary pre-populated frontier instead
     /// of the single root — the split-repair pass of the batch updater
     /// ([`crate::update`]) seeds it with the leaf blocks whose line sets
-    /// changed, each node carrying its *absolute* root-to-block path, so
-    /// the retired records drop straight into the existing tree. Every
+    /// changed, each node carrying its *absolute* root-to-block path, and
+    /// hands over `out` with the untouched leaves already placed, so the
+    /// retired blocks drop straight into the tree beside them. Every
     /// lane's line must belong to its node's block (debug builds check it:
-    /// [`LineProcSet::validate`]). Returns `None` when the frontier holds no
-    /// nodes.
+    /// [`LineProcSet::validate`]). Returns `None` (dropping `out`) when the
+    /// frontier holds no nodes.
     pub fn from_frontier(
         state: LineProcSet,
         segs: &'s [LineSeg],
         max_depth: usize,
         decide: &'d mut SplitDecision<'c>,
+        out: QuadtreeAssembler,
     ) -> Option<Self> {
         if state.nodes.is_empty() {
             return None;
@@ -198,19 +182,16 @@ impl<'d, 'c, 's> QuadSplitPolicy<'d, 'c, 's> {
             max_depth,
             decide,
             state,
-            leaves: Vec::new(),
+            out,
             truncated: 0,
         })
     }
 
-    /// Consumes the policy into the build outcome (`rounds` comes from the
-    /// driver).
-    pub fn into_outcome(self, rounds: usize) -> QuadBuildOutcome {
-        QuadBuildOutcome {
-            leaves: self.leaves,
-            rounds,
-            truncated: self.truncated,
-        }
+    /// Consumes the policy into the tree under assembly and the number of
+    /// leaves the depth bound cut off while they still wanted to split
+    /// (e.g. the over-capacity max-resolution bucket of paper Fig. 38).
+    pub fn into_parts(self) -> (QuadtreeAssembler, usize) {
+        (self.out, self.truncated)
     }
 }
 
@@ -242,14 +223,11 @@ impl SplitPolicy for QuadSplitPolicy<'_, '_, '_> {
     }
 
     fn emit(&mut self, _machine: &Machine, want: &[bool]) {
-        // Retire finished nodes as leaves.
+        // Retire finished nodes: their lanes, as they lie, are the leaf.
         for (s, r) in self.state.seg.ranges().enumerate() {
             if !want[s] {
-                self.leaves.push(LeafRecord {
-                    path: self.state.nodes[s].path,
-                    rect: self.state.nodes[s].rect,
-                    lines: self.state.line[r].to_vec(),
-                });
+                self.out
+                    .place(self.state.nodes[s].path, &self.state.line[r]);
             }
         }
     }
@@ -273,24 +251,22 @@ impl SplitPolicy for QuadSplitPolicy<'_, '_, '_> {
 ///
 /// Each round: decide which nodes split; retire the rest as leaves; apply
 /// the two-stage node split (Sec. 4.6) to the remainder. `max_depth`
-/// bounds subdivision.
+/// bounds subdivision. The one emission path shared by every
+/// quadtree-family builder (PM₁ fused and unfused, PM₂, PM₃, bucket PMR).
 pub fn run_quad_build(
     machine: &Machine,
     world: Rect,
     segs: &[LineSeg],
     max_depth: usize,
     decide: &mut SplitDecision<'_>,
-) -> QuadBuildOutcome {
+) -> DpQuadtree {
     match QuadSplitPolicy::new(world, segs, max_depth, decide) {
         Some(mut policy) => {
             let rounds = RoundDriver::run(machine, &mut policy);
-            policy.into_outcome(rounds)
+            let (out, truncated) = policy.into_parts();
+            out.finish(rounds, truncated)
         }
-        None => QuadBuildOutcome {
-            leaves: Vec::new(),
-            rounds: 0,
-            truncated: 0,
-        },
+        None => QuadtreeAssembler::new(world).finish(0, 0),
     }
 }
 
@@ -321,8 +297,9 @@ mod tests {
         let mut decide =
             |_: &Machine, _: &LineProcSet, _: &[LineSeg]| -> Vec<bool> { unreachable!() };
         let out = run_quad_build(&m, world(), &[], 5, &mut decide);
-        assert!(out.leaves.is_empty());
-        assert_eq!(out.rounds, 0);
+        assert_eq!(out.num_nodes(), 1);
+        out.for_each_leaf(|_, _, lines| assert!(lines.is_empty()));
+        assert_eq!(out.rounds(), 0);
     }
 
     #[test]
@@ -331,10 +308,11 @@ mod tests {
         let m = Machine::sequential();
         let mut decide = |_: &Machine, st: &LineProcSet, _: &[LineSeg]| vec![false; st.nodes.len()];
         let out = run_quad_build(&m, world(), &segs, 5, &mut decide);
-        assert_eq!(out.leaves.len(), 1);
-        assert_eq!(out.leaves[0].path, NodePath::ROOT);
-        assert_eq!(out.leaves[0].lines, vec![0]);
-        assert_eq!(out.rounds, 0);
+        assert_eq!(out.num_nodes(), 1);
+        out.for_each_leaf(|rect, depth, lines| {
+            assert_eq!((*rect, depth, lines), (world(), 0, &[0][..]));
+        });
+        assert_eq!(out.rounds(), 0);
     }
 
     #[test]
@@ -346,15 +324,15 @@ mod tests {
         let m = Machine::sequential();
         let mut decide = |_: &Machine, st: &LineProcSet, _: &[LineSeg]| vec![true; st.nodes.len()];
         let out = run_quad_build(&m, world(), &segs, 3, &mut decide);
-        assert!(out.truncated > 0);
-        assert!(out.leaves.iter().all(|l| l.path.depth() as usize <= 3));
-        assert_eq!(out.rounds, 3);
-        // Every leaf's lines actually pass through the leaf's block.
-        for leaf in &out.leaves {
-            for &id in &leaf.lines {
-                assert!(dp_geom::seg_in_block(&segs[id as usize], &leaf.rect));
+        assert!(out.truncated() > 0);
+        assert_eq!(out.rounds(), 3);
+        out.for_each_leaf(|rect, depth, lines| {
+            assert!(depth <= 3);
+            // Every leaf's lines actually pass through the leaf's block.
+            for &id in lines {
+                assert!(dp_geom::seg_in_block(&segs[id as usize], rect));
             }
-        }
+        });
     }
 
     #[test]

@@ -193,8 +193,7 @@ pub fn pm1_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) ->
 /// Panics if any segment endpoint lies outside the half-open `world`.
 pub fn build_pm1(machine: &Machine, world: Rect, segs: &[LineSeg], max_depth: usize) -> DpQuadtree {
     let mut decide = pm1_decision;
-    let out = run_quad_build(machine, world, segs, max_depth, &mut decide);
-    DpQuadtree::from_outcome(world, out)
+    run_quad_build(machine, world, segs, max_depth, &mut decide)
 }
 
 #[cfg(test)]

@@ -127,8 +127,7 @@ pub fn pm3_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) ->
 /// Panics if any segment endpoint lies outside the half-open `world`.
 pub fn build_pm2(machine: &Machine, world: Rect, segs: &[LineSeg], max_depth: usize) -> DpQuadtree {
     let mut decide = pm2_decision;
-    let out = run_quad_build(machine, world, segs, max_depth, &mut decide);
-    DpQuadtree::from_outcome(world, out)
+    run_quad_build(machine, world, segs, max_depth, &mut decide)
 }
 
 /// Builds a PM₃ quadtree with all lines inserted simultaneously.
@@ -138,8 +137,7 @@ pub fn build_pm2(machine: &Machine, world: Rect, segs: &[LineSeg], max_depth: us
 /// Panics if any segment endpoint lies outside the half-open `world`.
 pub fn build_pm3(machine: &Machine, world: Rect, segs: &[LineSeg], max_depth: usize) -> DpQuadtree {
     let mut decide = pm3_decision;
-    let out = run_quad_build(machine, world, segs, max_depth, &mut decide);
-    DpQuadtree::from_outcome(world, out)
+    run_quad_build(machine, world, segs, max_depth, &mut decide)
 }
 
 #[cfg(test)]

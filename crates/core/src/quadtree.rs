@@ -1,20 +1,28 @@
-//! Assembly of a pointer quadtree from the leaf records of a
-//! data-parallel build, plus the query surface.
+//! The built quadtree — two flat vectors — the assembler that fills them
+//! from a data-parallel build, and the query surface.
 //!
-//! The build driver ([`crate::lineproc::run_quad_build`]) emits non-empty
-//! leaf blocks identified by root-to-leaf quadrant paths. [`DpQuadtree`]
-//! materializes the full tree: every internal node has exactly four
-//! children, with children that received no lines becoming empty leaves
-//! (the PM₁ quadtree creates empty blocks eagerly — paper Sec. 2.1 and
-//! Fig. 2's "eleven of which are empty").
+//! The paper's build ends with the line processor set grouped by node
+//! (Sec. 5.1, Fig. 33): one segmented vector. **The retired segments of
+//! the lane vector are the tree's leaves**: when the build driver
+//! ([`crate::lineproc::run_quad_build`]) retires a node, its lanes are
+//! appended to the tree's one id vector and the leaf records only where
+//! they start and how many there are. [`DpQuadtree`] is `nodes` — one
+//! 16-byte slot per node — plus `ids`; no node owns a `Vec`.
+//!
+//! [`QuadtreeAssembler`] materializes the full tree around the non-empty
+//! leaves it is handed: every internal node has exactly four children,
+//! with children that received no lines becoming empty leaves (the PM₁
+//! quadtree creates empty blocks eagerly — paper Sec. 2.1 and Fig. 2's
+//! "eleven of which are empty").
 
-use crate::lineproc::LeafRecord;
 use crate::SegId;
-use dp_geom::{LineSeg, Point, Rect};
+use dp_geom::morton::MAX_DEPTH;
+use dp_geom::{LineSeg, NodePath, Point, Rect};
 
-/// A node of the assembled quadtree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QtNode {
+/// A node of the built quadtree, as [`DpQuadtree::node`] hands it out: a
+/// by-value view into the tree's two vectors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QtNode<'a> {
     /// Internal node; children in NW, NE, SW, SE order.
     Internal {
         /// Child indices.
@@ -23,20 +31,83 @@ pub enum QtNode {
     /// Leaf block with the ids of the lines passing through it.
     Leaf {
         /// Line ids (q-edges of the block).
-        lines: Vec<SegId>,
+        lines: &'a [SegId],
     },
 }
 
-/// A quadtree assembled from data-parallel build output.
-#[derive(Debug, Clone, PartialEq)]
+/// A stored node, four `u32` words: an internal node's child indexes, or
+/// `[LEAF, start, len, 0]` for a leaf holding `ids[start..start + len]`.
+/// The tag costs no fifth word because no node index is ever [`LEAF`] —
+/// the assembler and the decoder both refuse a node count that large.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot([u32; 4]);
+
+/// First word of a leaf [`Slot`]; never a valid child index.
+const LEAF: u32 = u32::MAX;
+
+/// Most nodes a tree can hold (so every node index is below [`LEAF`]).
+pub(crate) const MAX_NODES: usize = LEAF as usize;
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 16);
+
+/// What a [`Slot`]'s four words say.
+#[derive(Clone, Copy)]
+enum Kind {
+    Internal([u32; 4]),
+    Leaf { start: u32, len: u32 },
+}
+
+impl Slot {
+    const EMPTY_LEAF: Slot = Slot::leaf(0, 0);
+
+    /// An internal node. Every child index must be below [`MAX_NODES`].
+    pub(crate) const fn internal(children: [u32; 4]) -> Slot {
+        Slot(children)
+    }
+
+    /// A leaf holding `ids[start..start + len]`.
+    pub(crate) const fn leaf(start: u32, len: u32) -> Slot {
+        Slot([LEAF, start, len, 0])
+    }
+
+    fn kind(self) -> Kind {
+        let Slot(words) = self;
+        if words[0] == LEAF {
+            Kind::Leaf {
+                start: words[1],
+                len: words[2],
+            }
+        } else {
+            Kind::Internal(words)
+        }
+    }
+}
+
+/// A quadtree built by a data-parallel build: a node vector and one id
+/// vector the leaves point into.
+///
+/// Equality compares node views, not the vectors: an assembled tree lays
+/// `ids` out in placement order and a decoded one in node order.
+#[derive(Debug, Clone)]
 pub struct DpQuadtree {
     world: Rect,
-    nodes: Vec<QtNode>,
+    nodes: Vec<Slot>,
+    ids: Vec<SegId>,
     rounds: usize,
     truncated: usize,
 }
 
-/// Structure statistics of an assembled quadtree.
+impl PartialEq for DpQuadtree {
+    fn eq(&self, other: &Self) -> bool {
+        self.world == other.world
+            && self.rounds == other.rounds
+            && self.truncated == other.truncated
+            && self.nodes.len() == other.nodes.len()
+            && (0..self.nodes.len()).all(|i| self.node(i) == other.node(i))
+    }
+}
+
+/// Structure statistics of a built quadtree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QtStats {
     /// Total nodes.
@@ -53,66 +124,101 @@ pub struct QtStats {
     pub max_leaf_occupancy: usize,
 }
 
-impl DpQuadtree {
-    /// Assembles the tree from build output.
+/// Builds a [`DpQuadtree`] from its non-empty leaves, one
+/// [`place`](Self::place) per leaf: the path says where the block sits,
+/// the ids are copied once onto the end of the tree's id vector.
+///
+/// Node numbering is a function of the placement sequence alone: a
+/// placement walks its path from the root and, wherever it meets an empty
+/// leaf above its target, turns it into an internal node whose four
+/// children take the next four indexes. The assembler skips the part of
+/// that walk it already knows — it resumes from the deepest node the
+/// previous path also passed, which lies above everything the walk could
+/// still allocate — so a build that retires blocks in lane order descends
+/// about one level per leaf, and any other order is merely slower.
+#[derive(Debug, Clone)]
+pub struct QuadtreeAssembler {
+    tree: DpQuadtree,
+    /// The previous placement's path, and the node index at each depth
+    /// along it (`trail[0]` is the root).
+    prev: NodePath,
+    trail: [u32; MAX_DEPTH as usize + 1],
+}
+
+impl QuadtreeAssembler {
+    /// An assembler holding the one-node tree: an empty root leaf.
+    pub fn new(world: Rect) -> Self {
+        QuadtreeAssembler {
+            tree: DpQuadtree::from_raw_parts(world, vec![Slot::EMPTY_LEAF], Vec::new(), 0, 0),
+            prev: NodePath::ROOT,
+            trail: [0; MAX_DEPTH as usize + 1],
+        }
+    }
+
+    /// Places the leaf block at `path` with the ids of the lines passing
+    /// through it.
     ///
     /// # Panics
     ///
-    /// Panics if two leaf records overlap (one is an ancestor of another)
-    /// — that would indicate a build-driver bug.
-    pub fn assemble(world: Rect, leaves: Vec<LeafRecord>, rounds: usize, truncated: usize) -> Self {
-        let mut tree = DpQuadtree {
-            world,
-            nodes: vec![QtNode::Leaf { lines: Vec::new() }],
-            rounds,
-            truncated,
-        };
-        for leaf in leaves {
-            tree.place_leaf(leaf);
-        }
-        tree
-    }
-
-    /// Assembles the tree from a [`crate::lineproc::run_quad_build`]
-    /// outcome — the one emission path shared by every quadtree-family
-    /// builder (PM₁ fused and unfused, PM₂, PM₃, bucket PMR).
-    pub fn from_outcome(world: Rect, outcome: crate::lineproc::QuadBuildOutcome) -> Self {
-        DpQuadtree::assemble(world, outcome.leaves, outcome.rounds, outcome.truncated)
-    }
-
-    fn place_leaf(&mut self, leaf: LeafRecord) {
-        let mut at = 0usize;
-        for q in leaf.path.quadrants() {
+    /// Panics if the block overlaps one placed earlier (same block, an
+    /// ancestor or a descendant) — that would indicate a build-driver bug —
+    /// or if the tree outgrows its 32-bit node indexes and id offsets.
+    pub fn place(&mut self, path: NodePath, lines: &[SegId]) {
+        // Nodes above the shared depth are internal since the previous
+        // placement walked through them, so a walk from the root would pass
+        // them without a check or an allocation.
+        let DpQuadtree { nodes, ids, .. } = &mut self.tree;
+        let shared = path.shared_depth(&self.prev);
+        let mut at = self.trail[shared];
+        for level in shared..path.depth() as usize {
             // Ensure `at` is internal, then descend.
-            let children = match &self.nodes[at] {
-                QtNode::Internal { children } => *children,
-                QtNode::Leaf { lines } => {
+            let children = match nodes[at as usize].kind() {
+                Kind::Internal(children) => children,
+                Kind::Leaf { len, .. } => {
                     assert!(
-                        lines.is_empty(),
+                        len == 0,
                         "leaf record descends through an occupied leaf (overlapping records)"
                     );
-                    let base = self.nodes.len();
-                    for _ in 0..4 {
-                        self.nodes.push(QtNode::Leaf { lines: Vec::new() });
-                    }
+                    let base = u32::try_from(nodes.len())
+                        .ok()
+                        .filter(|&base| base <= LEAF - 4)
+                        .expect("quadtree outgrew its 32-bit node indexes");
+                    nodes.extend([Slot::EMPTY_LEAF; 4]);
                     let children = [base, base + 1, base + 2, base + 3];
-                    self.nodes[at] = QtNode::Internal { children };
+                    nodes[at as usize] = Slot::internal(children);
                     children
                 }
             };
-            at = children[q.index()];
+            at = children[path.quadrant_at(level).index()];
+            self.trail[level + 1] = at;
         }
-        match &mut self.nodes[at] {
-            QtNode::Leaf { lines } => {
-                assert!(lines.is_empty(), "two leaf records target the same block");
-                *lines = leaf.lines;
-            }
-            QtNode::Internal { .. } => {
+        self.prev = path;
+        match nodes[at as usize].kind() {
+            Kind::Leaf { len, .. } => assert!(len == 0, "two leaf records target the same block"),
+            Kind::Internal(_) => {
                 panic!("leaf record targets an internal node (overlapping records)")
             }
         }
+        let start = u32::try_from(ids.len()).expect("quadtree outgrew its 32-bit id offsets");
+        let len = u32::try_from(lines.len()).expect("leaf holds more ids than a 32-bit length");
+        ids.extend_from_slice(lines);
+        nodes[at as usize] = Slot::leaf(start, len);
     }
 
+    /// The finished tree, stamped with the build's round accounting.
+    pub fn finish(self, rounds: usize, truncated: usize) -> DpQuadtree {
+        let mut tree = self.tree;
+        // The tree outlives the build by the life of the index: hand back
+        // the doubling slack.
+        tree.nodes.shrink_to_fit();
+        tree.ids.shrink_to_fit();
+        tree.rounds = rounds;
+        tree.truncated = truncated;
+        tree
+    }
+}
+
+impl DpQuadtree {
     /// The world rectangle.
     pub fn world(&self) -> Rect {
         self.world
@@ -129,9 +235,16 @@ impl DpQuadtree {
         self.truncated
     }
 
-    /// Borrow a node (index 0 is the root).
-    pub fn node(&self, i: usize) -> &QtNode {
-        &self.nodes[i]
+    /// A view of node `i` (index 0 is the root).
+    pub fn node(&self, i: usize) -> QtNode<'_> {
+        match self.nodes[i].kind() {
+            Kind::Leaf { start, len } => QtNode::Leaf {
+                lines: &self.ids[start as usize..][..len as usize],
+            },
+            Kind::Internal(children) => QtNode::Internal {
+                children: children.map(|c| c as usize),
+            },
+        }
     }
 
     /// Total node count (internal + leaves).
@@ -139,20 +252,40 @@ impl DpQuadtree {
         self.nodes.len()
     }
 
-    /// Reassembles a tree from raw parts — the snapshot codec's decode
-    /// path. The caller (same crate) is responsible for structural
-    /// validity; queries on a malformed node vector may panic on an
-    /// out-of-range child index, which is why the codec bounds-checks
-    /// child indexes before calling this.
+    /// A tree from raw parts — the snapshot codec's decode path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a child index is not a node or a leaf's id range does not
+    /// lie inside `ids`, so [`DpQuadtree::node`] cannot walk out of either
+    /// vector. The codec reports both as typed errors before it gets here.
     pub(crate) fn from_raw_parts(
         world: Rect,
-        nodes: Vec<QtNode>,
+        nodes: Vec<Slot>,
+        ids: Vec<SegId>,
         rounds: usize,
         truncated: usize,
     ) -> Self {
+        assert!(
+            (1..=MAX_NODES).contains(&nodes.len()),
+            "quadtree node count out of range"
+        );
+        for slot in &nodes {
+            match slot.kind() {
+                Kind::Leaf { start, len } => assert!(
+                    start as usize + len as usize <= ids.len(),
+                    "leaf id range outside the id vector"
+                ),
+                Kind::Internal(children) => assert!(
+                    children.iter().all(|&c| (c as usize) < nodes.len()),
+                    "child index outside the node vector"
+                ),
+            }
+        }
         DpQuadtree {
             world,
             nodes,
+            ids,
             rounds,
             truncated,
         }
@@ -167,7 +300,7 @@ impl DpQuadtree {
             if !rect.intersects(query) {
                 continue;
             }
-            match &self.nodes[idx] {
+            match self.node(idx) {
                 QtNode::Leaf { lines } => out.extend_from_slice(lines),
                 QtNode::Internal { children } => {
                     let quads = rect.quadrants();
@@ -200,9 +333,9 @@ impl DpQuadtree {
         let mut idx = 0usize;
         let mut rect = self.world;
         loop {
-            match &self.nodes[idx] {
+            match self.node(idx) {
                 QtNode::Leaf { lines } => {
-                    let mut v = lines.clone();
+                    let mut v = lines.to_vec();
                     v.sort_unstable();
                     return v;
                 }
@@ -257,7 +390,7 @@ impl DpQuadtree {
                     break;
                 }
             }
-            match &self.nodes[item.node] {
+            match self.node(item.node) {
                 QtNode::Leaf { lines } => {
                     for &id in lines {
                         let d = segs[id as usize].dist2_to_point(p).sqrt();
@@ -285,7 +418,7 @@ impl DpQuadtree {
     pub fn for_each_leaf<F: FnMut(&Rect, usize, &[SegId])>(&self, mut f: F) {
         let mut stack = vec![(0usize, self.world, 0usize)];
         while let Some((idx, rect, depth)) = stack.pop() {
-            match &self.nodes[idx] {
+            match self.node(idx) {
                 QtNode::Leaf { lines } => f(&rect, depth, lines),
                 QtNode::Internal { children } => {
                     let quads = rect.quadrants();
@@ -319,19 +452,23 @@ impl DpQuadtree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_geom::{NodePath, Quadrant};
+    use dp_geom::Quadrant;
 
     fn world() -> Rect {
         Rect::from_coords(0.0, 0.0, 8.0, 8.0)
     }
 
-    fn leaf(path: NodePath, rect: Rect, lines: Vec<SegId>) -> LeafRecord {
-        LeafRecord { path, rect, lines }
+    fn tree_of(leaves: &[(NodePath, &[SegId])], rounds: usize) -> DpQuadtree {
+        let mut out = QuadtreeAssembler::new(world());
+        for &(path, lines) in leaves {
+            out.place(path, lines);
+        }
+        out.finish(rounds, 0)
     }
 
     #[test]
     fn assemble_empty() {
-        let t = DpQuadtree::assemble(world(), Vec::new(), 0, 0);
+        let t = tree_of(&[], 0);
         let s = t.stats();
         assert_eq!(s.nodes, 1);
         assert_eq!(s.leaves, 1);
@@ -341,17 +478,7 @@ mod tests {
 
     #[test]
     fn assemble_fills_empty_siblings() {
-        let quads = world().quadrants();
-        let t = DpQuadtree::assemble(
-            world(),
-            vec![leaf(
-                NodePath::ROOT.child(Quadrant::NW),
-                quads[0],
-                vec![0, 1],
-            )],
-            1,
-            0,
-        );
+        let t = tree_of(&[(NodePath::ROOT.child(Quadrant::NW), &[0, 1])], 1);
         let s = t.stats();
         assert_eq!(s.nodes, 5);
         assert_eq!(s.leaves, 4);
@@ -364,8 +491,7 @@ mod tests {
     #[test]
     fn deep_leaf_creates_skeleton() {
         let path = NodePath::ROOT.child(Quadrant::SE).child(Quadrant::NE);
-        let rect = world().quadrants()[3].quadrants()[1];
-        let t = DpQuadtree::assemble(world(), vec![leaf(path, rect, vec![7])], 2, 0);
+        let t = tree_of(&[(path, &[7])], 2);
         let s = t.stats();
         assert_eq!(s.height, 2);
         assert_eq!(s.leaves, 7); // 3 empties at depth 1 + 4 at depth 2
@@ -373,32 +499,76 @@ mod tests {
     }
 
     #[test]
+    fn root_leaf_takes_every_line() {
+        let t = tree_of(&[(NodePath::ROOT, &[2, 0, 1])], 0);
+        assert_eq!(t.num_nodes(), 1);
+        assert_eq!(t.node(0), QtNode::Leaf { lines: &[2, 0, 1] });
+    }
+
+    #[test]
     #[should_panic(expected = "overlapping records")]
     fn overlapping_records_rejected() {
-        let quads = world().quadrants();
         let nw = NodePath::ROOT.child(Quadrant::NW);
-        DpQuadtree::assemble(
-            world(),
+        tree_of(&[(nw, &[0]), (nw.child(Quadrant::NE), &[1])], 1);
+    }
+
+    #[test]
+    fn equality_ignores_id_layout() {
+        // The same tree with its two leaves' ids stored in either order.
+        let nodes = |a: Slot, b: Slot| {
             vec![
-                leaf(nw, quads[0], vec![0]),
-                leaf(nw.child(Quadrant::NE), quads[0].quadrants()[1], vec![1]),
-            ],
+                Slot::internal([1, 2, 3, 4]),
+                a,
+                Slot::EMPTY_LEAF,
+                b,
+                Slot::EMPTY_LEAF,
+            ]
+        };
+        let x = DpQuadtree::from_raw_parts(
+            world(),
+            nodes(Slot::leaf(0, 2), Slot::leaf(2, 1)),
+            vec![5, 6, 9],
             1,
             0,
         );
+        let y = DpQuadtree::from_raw_parts(
+            world(),
+            nodes(Slot::leaf(1, 2), Slot::leaf(0, 1)),
+            vec![9, 5, 6],
+            1,
+            0,
+        );
+        assert_eq!(x, y);
+        let z = DpQuadtree::from_raw_parts(
+            world(),
+            nodes(Slot::leaf(1, 2), Slot::leaf(0, 1)),
+            vec![9, 5, 7],
+            1,
+            0,
+        );
+        assert_ne!(x, z);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf id range outside the id vector")]
+    fn raw_parts_reject_a_leaf_range_past_the_ids() {
+        DpQuadtree::from_raw_parts(world(), vec![Slot::leaf(1, 2)], vec![0, 1], 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "child index outside the node vector")]
+    fn raw_parts_reject_a_dangling_child() {
+        DpQuadtree::from_raw_parts(world(), vec![Slot::internal([0, 0, 0, 1])], vec![], 0, 0);
     }
 
     #[test]
     fn window_candidates_dedup_across_blocks() {
-        let quads = world().quadrants();
-        let t = DpQuadtree::assemble(
-            world(),
-            vec![
-                leaf(NodePath::ROOT.child(Quadrant::SW), quads[2], vec![3]),
-                leaf(NodePath::ROOT.child(Quadrant::SE), quads[3], vec![3, 4]),
+        let t = tree_of(
+            &[
+                (NodePath::ROOT.child(Quadrant::SW), &[3]),
+                (NodePath::ROOT.child(Quadrant::SE), &[3, 4]),
             ],
             1,
-            0,
         );
         assert_eq!(t.window_candidates(&world()), vec![3, 4]);
     }
@@ -409,15 +579,12 @@ mod tests {
             LineSeg::from_coords(1.0, 1.0, 2.0, 1.0),
             LineSeg::from_coords(6.0, 6.0, 7.0, 6.0),
         ];
-        let quads = world().quadrants();
-        let t = DpQuadtree::assemble(
-            world(),
-            vec![
-                leaf(NodePath::ROOT.child(Quadrant::SW), quads[2], vec![0]),
-                leaf(NodePath::ROOT.child(Quadrant::NE), quads[1], vec![1]),
+        let t = tree_of(
+            &[
+                (NodePath::ROOT.child(Quadrant::SW), &[0]),
+                (NodePath::ROOT.child(Quadrant::NE), &[1]),
             ],
             1,
-            0,
         );
         let (id, d) = t.nearest(Point::new(1.0, 2.0), &segs).unwrap();
         assert_eq!(id, 0);

@@ -32,7 +32,7 @@
 //! section the way it kills every build round.
 
 use crate::error::SpatialError;
-use crate::quadtree::{DpQuadtree, QtNode};
+use crate::quadtree::{DpQuadtree, QtNode, Slot, MAX_NODES};
 use crate::rtree::DpRTree;
 use crate::SegId;
 use dp_geom::{LineSeg, Point, Rect};
@@ -485,10 +485,15 @@ impl<'a> Cur<'a> {
     /// bytes each — the validate-before-allocate rule.
     fn count(&mut self, min_elem_size: usize) -> Result<usize, SpatialError> {
         let n = usize::try_from(self.u64()?).map_err(|_| MALFORMED)?;
-        if n.checked_mul(min_elem_size.max(1)).ok_or(MALFORMED)? > self.b.len() - self.at {
+        if n.checked_mul(min_elem_size.max(1)).ok_or(MALFORMED)? > self.left() {
             return Err(MALFORMED);
         }
         Ok(n)
+    }
+
+    /// Bytes not yet consumed.
+    fn left(&self) -> usize {
+        self.b.len() - self.at
     }
 
     fn f64(&mut self) -> Result<f64, SpatialError> {
@@ -613,9 +618,11 @@ pub fn quadtree_payload(tree: &DpQuadtree) -> Vec<u8> {
     buf.extend_from_slice(&(n as u64).to_le_bytes());
     for i in 0..n {
         match tree.node(i) {
+            // Node indexes and leaf lengths are stored as `u32`, so the
+            // narrowing casts below lose nothing.
             QtNode::Internal { children } => {
                 buf.push(0);
-                for &c in children {
+                for c in children {
                     buf.extend_from_slice(&(c as u32).to_le_bytes());
                 }
             }
@@ -629,47 +636,70 @@ pub fn quadtree_payload(tree: &DpQuadtree) -> Vec<u8> {
     buf
 }
 
-/// Inverse of [`quadtree_payload`]. Child indexes are bounds-checked
-/// against the node count so queries on the result cannot walk out of
-/// the node vector.
+/// Inverse of [`quadtree_payload`], decoding into the tree's two flat
+/// vectors. Validate-before-allocate: the node count is checked against
+/// the bytes left (a node is at least a tag and a leaf length) and against
+/// the tree's 32-bit indexes before the node vector is reserved, the id
+/// vector is reserved for no more ids than the bytes left could hold, and
+/// a leaf's length is checked against the bytes left before its ids are
+/// read. Child indexes are bounds-checked against the node count so
+/// queries on the result cannot walk out of the node vector.
 pub fn quadtree_from_payload(payload: &[u8]) -> Result<DpQuadtree, SpatialError> {
+    /// Wire size of the smallest node: an empty leaf.
+    const MIN_NODE: usize = 5;
     let mut cur = Cur::new(payload);
     let world = get_rect(&mut cur)?;
     let rounds = usize::try_from(cur.u64()?).map_err(|_| MALFORMED)?;
     let truncated = usize::try_from(cur.u64()?).map_err(|_| MALFORMED)?;
-    let n = cur.count(1)?;
+    let n = cur.count(MIN_NODE)?;
     if n == 0 {
         return Err(SpatialError::SnapshotMalformed {
             reason: "quadtree with zero nodes",
         });
     }
+    if n > MAX_NODES {
+        return Err(SpatialError::SnapshotMalformed {
+            reason: "quadtree node count exceeds its 32-bit indexes",
+        });
+    }
     let mut nodes = Vec::with_capacity(n);
+    let mut ids: Vec<SegId> = Vec::with_capacity((cur.left() - n * MIN_NODE) / 4);
     for _ in 0..n {
         match cur.u8()? {
             0 => {
-                let mut children = [0usize; 4];
+                let mut children = [0u32; 4];
                 for c in &mut children {
-                    let idx = cur.u32()? as usize;
-                    if idx >= n {
+                    *c = cur.u32()?;
+                    if *c as usize >= n {
                         return Err(SpatialError::SnapshotMalformed {
                             reason: "quadtree child index out of range",
                         });
                     }
-                    *c = idx;
                 }
-                nodes.push(QtNode::Internal { children });
+                nodes.push(Slot::internal(children));
             }
             1 => {
-                let len = cur.u32()? as usize;
-                nodes.push(QtNode::Leaf {
-                    lines: cur.u32s(len)?,
-                });
+                let len = cur.u32()?;
+                let bytes = cur.bytes((len as usize).checked_mul(4).ok_or(MALFORMED)?)?;
+                let start =
+                    u32::try_from(ids.len()).map_err(|_| SpatialError::SnapshotMalformed {
+                        reason: "quadtree id total exceeds its 32-bit offsets",
+                    })?;
+                ids.extend(
+                    bytes
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)"))),
+                );
+                nodes.push(Slot::leaf(start, len));
             }
             _ => return Err(MALFORMED),
         }
     }
     cur.done()?;
-    Ok(DpQuadtree::from_raw_parts(world, nodes, rounds, truncated))
+    ids.shrink_to_fit();
+    Ok(DpQuadtree::from_raw_parts(
+        world, nodes, ids, rounds, truncated,
+    ))
 }
 
 /// Encodes a packed R-tree: order, rounds, the two per-lane lanes, then

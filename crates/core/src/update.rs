@@ -58,8 +58,8 @@
 //! part of the bulk-equivalence contract.
 
 use crate::batch::{descend_level, Lane};
-use crate::lineproc::{ActiveNode, LeafRecord, LineProcSet, QuadSplitPolicy, SplitDecision};
-use crate::quadtree::{DpQuadtree, QtNode};
+use crate::lineproc::{ActiveNode, LineProcSet, QuadSplitPolicy, SplitDecision};
+use crate::quadtree::{DpQuadtree, QtNode, QuadtreeAssembler};
 use crate::round_driver::{RoundAdvance, RoundDriver, SplitPolicy};
 use crate::SegId;
 use dp_geom::{seg_in_block, LineSeg, NodePath, Quadrant, Rect};
@@ -274,7 +274,7 @@ impl SplitPolicy for MergeSweepPolicy<'_, '_, '_, '_> {
             let quads = cand.rect.quadrants();
             let mut groups: [Vec<usize>; 4] = Default::default();
             for &ri in &cand.members {
-                let q = self.recs[ri].path.quadrants()[depth];
+                let q = self.recs[ri].path.quadrant_at(depth);
                 groups[q.index()].push(ri);
             }
             for (qi, group) in groups.into_iter().enumerate() {
@@ -406,7 +406,7 @@ pub fn batch_update(
                 recs.push(Rec {
                     path,
                     rect,
-                    lines: lines.clone(),
+                    lines: lines.to_vec(),
                     changed: false,
                     dead: false,
                 });
@@ -511,13 +511,21 @@ pub fn batch_update(
         collapsed = policy.collapsed;
     }
 
-    // ---- Phase 5: split repair over the changed leaves. ----
+    // ---- Reassemble: every surviving leaf that needs no repair goes into
+    // the new tree first, then phase 5 retires its blocks beside them. ----
     let repair: Vec<usize> = (0..recs.len())
         .filter(|&ri| !recs[ri].dead && recs[ri].changed && !recs[ri].lines.is_empty())
         .collect();
+    let mut out = QuadtreeAssembler::new(world);
+    for r in &recs {
+        if !r.dead && !r.changed && !r.lines.is_empty() {
+            out.place(r.path, &r.lines);
+        }
+    }
+
+    // ---- Phase 5: split repair over the changed leaves. ----
     let mut split_rounds = 0;
     let mut new_truncated = 0;
-    let mut repaired: Vec<LeafRecord> = Vec::new();
     if !repair.is_empty() {
         let lengths: Vec<usize> = repair.iter().map(|&ri| recs[ri].lines.len()).collect();
         let line: Vec<SegId> = repair
@@ -536,31 +544,12 @@ pub fn batch_update(
             seg: Segments::from_lengths(&lengths).expect("repair records are non-empty"),
             nodes,
         };
-        let mut policy = QuadSplitPolicy::from_frontier(state, segs, max_depth, decide)
+        let mut policy = QuadSplitPolicy::from_frontier(state, segs, max_depth, decide, out)
             .expect("repair frontier is non-empty");
         split_rounds = RoundDriver::run(machine, &mut policy);
-        let out = policy.into_outcome(split_rounds);
-        new_truncated = out.truncated;
-        repaired = out.leaves;
-        for &ri in &repair {
-            recs[ri].dead = true;
-        }
+        (out, new_truncated) = policy.into_parts();
     }
-
-    // ---- Reassemble. ----
-    let mut final_leaves: Vec<LeafRecord> = recs
-        .into_iter()
-        .filter(|r| !r.dead && !r.lines.is_empty())
-        .map(|r| LeafRecord {
-            path: r.path,
-            rect: r.rect,
-            lines: r.lines,
-        })
-        .collect();
-    final_leaves.extend(repaired);
-    *tree = DpQuadtree::assemble(
-        world,
-        final_leaves,
+    *tree = out.finish(
         tree.rounds() + merge_rounds + split_rounds,
         tree.truncated() + new_truncated,
     );
@@ -866,15 +855,13 @@ mod tests {
                 let mut segs = vec![bundle()[0], bundle()[1], bundle()[4]];
                 let mut decide =
                     |mm: &Machine, st: &LineProcSet, ss: &[LineSeg]| decision(mm, st, ss);
-                let built = crate::lineproc::run_quad_build(&m, world(), &segs, 6, &mut decide);
-                let mut t = DpQuadtree::from_outcome(world(), built);
+                let mut t = crate::lineproc::run_quad_build(&m, world(), &segs, 6, &mut decide);
                 let batch = UpdateBatch {
                     inserts: vec![bundle()[2], bundle()[3]],
                     deletes: vec![0],
                 };
                 batch_update(&m, &mut t, &mut segs, &batch, 6, &mut decide);
-                let bulk_out = crate::lineproc::run_quad_build(&m, world(), &segs, 6, &mut decide);
-                let bulk = DpQuadtree::from_outcome(world(), bulk_out);
+                let bulk = crate::lineproc::run_quad_build(&m, world(), &segs, 6, &mut decide);
                 assert_eq!(signature(&t), signature(&bulk), "family {name}");
             }
         }

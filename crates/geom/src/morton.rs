@@ -109,14 +109,43 @@ impl NodePath {
         }
     }
 
+    /// The quadrant the path takes out of its depth-`level` ancestor
+    /// (`level == 0` is the step out of the root) — one shift, no
+    /// allocation; what a descent along the path reads per level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level >= self.depth()`: the path takes no step there.
+    pub fn quadrant_at(&self, level: usize) -> Quadrant {
+        assert!(
+            level < self.depth as usize,
+            "level {level} past the end of a depth-{} path",
+            self.depth
+        );
+        let shift = 2 * (self.depth as usize - 1 - level);
+        Quadrant::from_index(((self.bits >> shift) & 3) as usize)
+    }
+
     /// The sequence of quadrants from the root to this node.
     pub fn quadrants(&self) -> Vec<Quadrant> {
-        (0..self.depth)
-            .map(|level| {
-                let shift = 2 * (self.depth - 1 - level);
-                Quadrant::from_index(((self.bits >> shift) & 3) as usize)
-            })
+        (0..self.depth as usize)
+            .map(|level| self.quadrant_at(level))
             .collect()
+    }
+
+    /// Number of leading levels on which `self` and `other` take the same
+    /// quadrant — the depth of their deepest common ancestor.
+    pub fn shared_depth(&self, other: &NodePath) -> usize {
+        // Aligned paths occupy the low 2·MAX_DEPTH = 62 bits, so two of the
+        // XOR's leading zeros belong to no level.
+        let same = ((self.aligned() ^ other.aligned()).leading_zeros() as usize - 2) / 2;
+        same.min(self.depth as usize).min(other.depth as usize)
+    }
+
+    /// Path bits shifted up as if the path were [`MAX_DEPTH`] deep, so the
+    /// same level sits at the same bits in every path.
+    fn aligned(&self) -> u64 {
+        self.bits << (2 * (MAX_DEPTH - self.depth) as u32)
     }
 
     /// `true` when `self` is an ancestor of `other` (or equal to it).
@@ -129,8 +158,7 @@ impl NodePath {
     /// sort NW < NE < SW < SE): path bits shifted to the top, depth as the
     /// low-order tiebreak.
     pub fn preorder_key(&self) -> u128 {
-        let aligned = (self.bits as u128) << (2 * (MAX_DEPTH - self.depth) as u32);
-        (aligned << 8) | self.depth as u128
+        ((self.aligned() as u128) << 8) | self.depth as u128
     }
 }
 
@@ -214,6 +242,55 @@ mod tests {
         let gp = p.parent().unwrap().parent().unwrap();
         assert_eq!(gp.quadrants(), vec![Quadrant::NE]);
         assert_eq!(NodePath::ROOT.parent(), None);
+    }
+
+    #[test]
+    fn quadrant_at_reads_each_level() {
+        let mut p = NodePath::ROOT;
+        let steps: Vec<Quadrant> = (0..MAX_DEPTH as usize)
+            .map(|i| Quadrant::from_index((i * 7 + 3) % 4))
+            .collect();
+        for (level, &q) in steps.iter().enumerate() {
+            p = p.child(q);
+            assert_eq!(p.quadrant_at(level), q);
+            assert_eq!(p.quadrants(), steps[..=level]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end")]
+    fn quadrant_at_rejects_levels_below_the_node() {
+        NodePath::ROOT.child(Quadrant::SE).quadrant_at(1);
+    }
+
+    #[test]
+    fn shared_depth_is_the_common_ancestor() {
+        let a = NodePath::ROOT.child(Quadrant::NE).child(Quadrant::SW);
+        let b = a.child(Quadrant::NW).child(Quadrant::SE);
+        let c = a.child(Quadrant::SE);
+        assert_eq!(NodePath::ROOT.shared_depth(&b), 0);
+        assert_eq!(a.shared_depth(&a), 2);
+        assert_eq!(a.shared_depth(&b), 2);
+        assert_eq!(b.shared_depth(&a), 2);
+        assert_eq!(b.shared_depth(&c), 2);
+        // NW steps are zero bits: equal aligned bits must not read as a
+        // shared level past the shallower path's depth.
+        let nw = NodePath::ROOT.child(Quadrant::NW);
+        assert_eq!(nw.shared_depth(&nw.child(Quadrant::NW)), 1);
+        assert_eq!(
+            NodePath::ROOT
+                .child(Quadrant::SE)
+                .shared_depth(&NodePath::ROOT.child(Quadrant::NW)),
+            0
+        );
+        // Full-depth paths: every one of the 62 bits is a level.
+        let mut deep = NodePath::ROOT;
+        for _ in 0..MAX_DEPTH {
+            deep = deep.child(Quadrant::SE);
+        }
+        assert_eq!(deep.shared_depth(&deep), MAX_DEPTH as usize);
+        let sib = deep.parent().unwrap().child(Quadrant::SW);
+        assert_eq!(deep.shared_depth(&sib), MAX_DEPTH as usize - 1);
     }
 
     #[test]

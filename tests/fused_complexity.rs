@@ -126,9 +126,9 @@ fn fused_and_unfused_verdicts_agree_on_every_round() {
         };
         let out = run_quad_build(&m, world(), &segs, 8, &mut decide);
         assert!(
-            out.rounds >= 2,
+            out.rounds() >= 2,
             "need a multi-round build, got {}",
-            out.rounds
+            out.rounds()
         );
         assert!(
             checked > segs.len(),

@@ -645,7 +645,9 @@ fn validate_rejects_a_lane_outside_its_block() {
 #[should_panic(expected = "does not belong to node")]
 fn a_policy_refuses_a_frontier_that_breaks_the_invariant() {
     use dp_spatial::lineproc::QuadSplitPolicy;
+    use dp_spatial::quadtree::QuadtreeAssembler;
     let (state, segs) = misplaced_frontier();
     let mut decide = |_: &Machine, st: &LineProcSet, _: &[LineSeg]| vec![true; st.nodes.len()];
-    QuadSplitPolicy::from_frontier(state, &segs, 4, &mut decide);
+    let out = QuadtreeAssembler::new(world64());
+    QuadSplitPolicy::from_frontier(state, &segs, 4, &mut decide, out);
 }
