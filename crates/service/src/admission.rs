@@ -1,18 +1,28 @@
-//! The pipelined admission layer: bounded per-lane queues, micro-batch
-//! coalescing workers, reply slots, and background compaction.
+//! The pipelined admission layer: bounded per-lane queues,
+//! work-conserving lane workers, reply slots, and background compaction.
 //!
 //! [`QueryService::execute_batch`] welds request arrival to round
 //! execution: the caller hands over a whole batch and blocks until the
 //! last response. [`ServicePipeline`] decouples the two. Arriving
 //! requests are routed to a *lane* (by default one per shard, keyed by
-//! the first shard the request's geometry overlaps, so a coalesced
-//! micro-batch mostly probes a single shard), enqueued on a bounded
-//! MPSC queue, and answered through a [`Ticket`] — a condvar-backed
-//! reply slot, no async runtime. A worker thread per lane coalesces
-//! arrivals into micro-batches under the [`Coalescer`] policy (flush on
-//! size `flush_batch` OR a latency deadline) and executes each batch
-//! through the unchanged lockstep core, so full batches keep the
-//! per-level primitive amortisation the paper's primitives exist for.
+//! the first shard the request's geometry overlaps, so a micro-batch
+//! mostly probes a single shard), enqueued on a bounded MPSC queue, and
+//! answered through a [`Ticket`] — a condvar-backed reply slot, no async
+//! runtime. A worker thread per lane executes micro-batches through the
+//! unchanged lockstep core.
+//!
+//! ## Batching policy
+//!
+//! A free worker takes whatever is queued, up to `flush_batch`, and parks
+//! only on an empty queue. There is no timer and no minimum batch: the
+//! coalescing window is the service time of the previous batch. An idle
+//! lane therefore serves a lone request at once, and a lane with backlog
+//! finds a full queue and hands the engine full batches — the per-level
+//! primitive amortisation the paper's primitives exist for shows up
+//! exactly when there is load to amortise over. A coalescing deadline
+//! could only ever add latency: it made a free worker sleep on requests
+//! it already held, and once a lane's backlog outlasted the deadline (or
+//! reached the size trigger) the worker never waited on it anyway.
 //!
 //! A full lane applies the configured [`AdmissionPolicy`]: backpressure
 //! (block the submitter) or load shedding (immediate typed
@@ -33,23 +43,24 @@
 //! differential suite pins; with more lanes, cross-lane order is
 //! scheduling-dependent while per-lane order and write atomicity still
 //! hold.
+//!
+//! ## Shutdown
+//!
+//! The shutdown flag is a field of the state the lane mutex guards,
+//! beside the queue: a worker reads it under the lock it parks with, and
+//! `Drop` sets it under that lock before notifying, so the wake-up
+//! cannot fall between the check and the park. An idle worker sits in a
+//! plain `Condvar::wait` — an idle service takes no timer wake-ups.
 
-use crate::coalesce::{Coalescer, FlushDecision};
 use crate::shed::{Admission, AdmissionPolicy};
 use crate::{families, QueryService, Response};
 use dp_spatial::SpatialError;
 use dp_workloads::Request;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long an idle worker sleeps between shutdown checks when its lane
-/// is empty. Latency is unaffected — every enqueue notifies the lane's
-/// condvar — this only bounds how stale a shutdown flag can go
-/// unnoticed.
-const IDLE_POLL: Duration = Duration::from_millis(5);
 
 /// A condvar-backed future for one response: the worker fulfils it, the
 /// submitter blocks on [`Ticket::wait`]. No async runtime anywhere.
@@ -257,10 +268,19 @@ struct Envelope {
     enqueued: Instant,
 }
 
+/// What a lane's mutex guards.
+#[derive(Default)]
+struct LaneState {
+    queue: Vec<Envelope>,
+    /// Set once by the pipeline's `Drop`: the worker drains what is
+    /// queued and exits instead of parking.
+    shutdown: bool,
+}
+
 /// One admission lane: a bounded MPSC queue plus the condvars that make
 /// it blocking on both ends.
 struct Lane {
-    queue: Mutex<Vec<Envelope>>,
+    state: Mutex<LaneState>,
     /// Wakes the lane worker on enqueue (and on shutdown).
     nonempty: Condvar,
     /// Wakes blocked submitters when the worker drains.
@@ -270,12 +290,11 @@ struct Lane {
     /// it into the shard counters — the *steady-state admission depth*
     /// that `ShardStats::max_queue_depth` now reports.
     max_depth: AtomicU64,
-    shutdown: AtomicBool,
 }
 
 impl Lane {
-    fn lock(&self) -> MutexGuard<'_, Vec<Envelope>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, LaneState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -330,8 +349,8 @@ impl ServicePipeline {
         ServicePipeline::new(service, lanes, policy)
     }
 
-    /// A pipeline with `lanes` admission lanes. Queue bound, flush size
-    /// and coalescing deadline come from the service's validated
+    /// A pipeline with `lanes` admission lanes. Queue bound and flush
+    /// size come from the service's validated
     /// [`QueryServiceConfig`](crate::QueryServiceConfig).
     pub fn new(
         service: Arc<QueryService>,
@@ -343,17 +362,15 @@ impl ServicePipeline {
                 reason: "a pipeline needs at least one admission lane",
             });
         }
-        let config = *service.config();
-        let coalescer = Coalescer::new(config.flush_batch, config.coalesce_deadline_micros);
+        let bound = service.config().queue_bound;
         let lanes: Vec<Arc<Lane>> = (0..lanes)
             .map(|_| {
                 Arc::new(Lane {
-                    queue: Mutex::new(Vec::new()),
+                    state: Mutex::new(LaneState::default()),
                     nonempty: Condvar::new(),
                     space: Condvar::new(),
-                    bound: config.queue_bound,
+                    bound,
                     max_depth: AtomicU64::new(0),
-                    shutdown: AtomicBool::new(false),
                 })
             })
             .collect();
@@ -382,9 +399,7 @@ impl ServicePipeline {
                 let lane = lane.clone();
                 let shared = compactor_shared.clone();
                 let shard_slot = i % num_shards;
-                std::thread::spawn(move || {
-                    worker_loop(&service, &lane, coalescer, shard_slot, &shared)
-                })
+                std::thread::spawn(move || worker_loop(&service, &lane, shard_slot, &shared))
             })
             .collect();
         Ok(ServicePipeline {
@@ -438,19 +453,19 @@ impl ServicePipeline {
         let lane_idx = self.lane_of(&request);
         let lane = &self.lanes[lane_idx];
         let submitted = Instant::now();
-        let mut queue = lane.lock();
+        let mut state = lane.lock();
         loop {
-            match self.policy.admit(lane_idx, queue.len(), lane.bound) {
+            match self.policy.admit(lane_idx, state.queue.len(), lane.bound) {
                 Admission::Enqueue => {
                     let slot = ReplySlot::empty();
-                    queue.push(Envelope {
+                    state.queue.push(Envelope {
                         request,
                         slot: ReplyHandle::Single(slot.clone()),
                         enqueued: submitted,
                     });
                     lane.max_depth
-                        .fetch_max(queue.len() as u64, Ordering::Relaxed);
-                    drop(queue);
+                        .fetch_max(state.queue.len() as u64, Ordering::Relaxed);
+                    drop(state);
                     lane.nonempty.notify_one();
                     return Ticket {
                         slot,
@@ -459,13 +474,13 @@ impl ServicePipeline {
                     };
                 }
                 Admission::Block => {
-                    queue = lane
+                    state = lane
                         .space
-                        .wait(queue)
+                        .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
                 Admission::Shed(e) => {
-                    drop(queue);
+                    drop(state);
                     self.shed_total.fetch_add(1, Ordering::Relaxed);
                     self.service.note_shed(lane_idx % self.service.num_shards());
                     return Ticket {
@@ -505,13 +520,13 @@ impl ServicePipeline {
             let lane = &self.lanes[lane_idx];
             let mut shed_fills: Vec<(usize, Response)> = Vec::new();
             {
-                let mut queue = lane.lock();
+                let mut state = lane.lock();
                 let mut enqueued = Instant::now();
                 'items: for (index, request) in items {
                     loop {
-                        match self.policy.admit(lane_idx, queue.len(), lane.bound) {
+                        match self.policy.admit(lane_idx, state.queue.len(), lane.bound) {
                             Admission::Enqueue => {
-                                queue.push(Envelope {
+                                state.queue.push(Envelope {
                                     request,
                                     slot: ReplyHandle::Group {
                                         group: group.clone(),
@@ -527,9 +542,9 @@ impl ServicePipeline {
                                 // requests just pushed, and the queue
                                 // only drains through it.
                                 lane.nonempty.notify_one();
-                                queue = lane
+                                state = lane
                                     .space
-                                    .wait(queue)
+                                    .wait(state)
                                     .unwrap_or_else(PoisonError::into_inner);
                                 enqueued = Instant::now();
                             }
@@ -541,7 +556,7 @@ impl ServicePipeline {
                     }
                 }
                 lane.max_depth
-                    .fetch_max(queue.len() as u64, Ordering::Relaxed);
+                    .fetch_max(state.queue.len() as u64, Ordering::Relaxed);
             }
             lane.nonempty.notify_one();
             if !shed_fills.is_empty() {
@@ -572,7 +587,7 @@ impl ServicePipeline {
 impl Drop for ServicePipeline {
     fn drop(&mut self) {
         for lane in &self.lanes {
-            lane.shutdown.store(true, Ordering::Release);
+            lane.lock().shutdown = true;
             lane.nonempty.notify_all();
             // Unblock any submitter still waiting for space; its
             // re-check happens against a draining queue.
@@ -591,41 +606,28 @@ impl Drop for ServicePipeline {
     }
 }
 
-/// The lane worker: coalesce, flush, execute, fulfil — forever.
+/// The lane worker: take what is queued, execute, fulfil — until the
+/// lane is shut down *and* drained.
 fn worker_loop(
     service: &QueryService,
     lane: &Lane,
-    coalescer: Coalescer,
     shard_slot: usize,
     compactor: &CompactorShared,
 ) {
     loop {
         let batch: Vec<Envelope> = {
-            let mut queue = lane.lock();
-            loop {
-                if lane.shutdown.load(Ordering::Acquire) {
-                    if queue.is_empty() {
-                        return;
-                    }
-                    break; // final flushes: drain everything left
+            let mut state = lane.lock();
+            while state.queue.is_empty() {
+                if state.shutdown {
+                    return;
                 }
-                let decision = match queue.first() {
-                    None => FlushDecision::Empty,
-                    Some(front) => coalescer.decide(queue.len(), front.enqueued.elapsed()),
-                };
-                let wait_for = match decision {
-                    FlushDecision::Size | FlushDecision::Deadline => break,
-                    FlushDecision::Wait(remaining) => remaining,
-                    FlushDecision::Empty => IDLE_POLL,
-                };
-                let (guard, _) = lane
+                state = lane
                     .nonempty
-                    .wait_timeout(queue, wait_for)
+                    .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
             }
-            let take = queue.len().min(coalescer.flush_batch);
-            queue.drain(..take).collect()
+            let take = state.queue.len().min(service.config.flush_batch);
+            state.queue.drain(..take).collect()
         };
         lane.space.notify_all();
 
@@ -895,7 +897,6 @@ mod tests {
         let svc = Arc::new(QueryService::build(
             QueryServiceConfig {
                 flush_batch: 8,
-                coalesce_deadline_micros: 200_000,
                 queue_bound: 8,
                 ..QueryServiceConfig::sequential(2)
             },
@@ -919,45 +920,192 @@ mod tests {
         assert_eq!(pipeline.shed(), shed as u64);
     }
 
-    #[test]
-    fn full_lanes_shed_with_typed_overload() {
-        let data = uniform_segments(100, 64, 8, 43);
-        // A long coalescing deadline parks the worker in its wait (the
-        // buffer stays under flush_batch), so a fast submit burst
-        // reliably overruns the tiny bound.
+    /// A one-shard service behind a one-lane pipeline, for the tests
+    /// that need the worker provably out of the way.
+    fn one_lane(
+        seed: u64,
+        queue_bound: usize,
+        policy: AdmissionPolicy,
+    ) -> (Arc<QueryService>, ServicePipeline) {
+        let data = uniform_segments(100, 64, 8, seed);
         let svc = Arc::new(QueryService::build(
             QueryServiceConfig {
-                flush_batch: 8,
-                coalesce_deadline_micros: 200_000,
-                queue_bound: 8,
-                ..QueryServiceConfig::sequential(2)
+                flush_batch: FLUSH,
+                queue_bound,
+                compact_threshold: 1_000,
+                ..QueryServiceConfig::sequential(1)
             },
             data.world,
             data.segs,
         ));
-        let pipeline = ServicePipeline::new(svc.clone(), 1, AdmissionPolicy::Shed).unwrap();
+        let pipeline = ServicePipeline::new(svc.clone(), 1, policy).unwrap();
+        (svc, pipeline)
+    }
+
+    const FLUSH: usize = 8;
+
+    /// Runs `backlog` while the lane worker is stalled inside a batch of
+    /// exactly one request, whose ticket comes back with `backlog`'s
+    /// result. The stall is by construction, not by timing: this thread
+    /// holds the only shard's core lock, submits one window read and
+    /// spins until the lane queue is empty — the worker owns the request
+    /// and cannot get past `on_shard`'s core snapshot, so it cannot come
+    /// back for more until the guard drops here. (The state lock would
+    /// stall it a step earlier, but a shed `submit` reads the state for
+    /// its shard counter and would deadlock behind this thread's guard.)
+    fn with_stalled_worker<T>(
+        svc: &QueryService,
+        pipeline: &ServicePipeline,
+        backlog: impl FnOnce() -> T,
+    ) -> (Ticket, T) {
+        let st = svc.state_snapshot();
+        let core = st.shards[0].lock_core();
+        let first = pipeline.submit(Request::Window(svc.grid().world()));
+        while !pipeline.lanes[0].lock().queue.is_empty() {
+            std::thread::yield_now();
+        }
+        let out = backlog();
+        drop(core);
+        (first, out)
+    }
+
+    fn admission_counts(svc: &QueryService) -> (u64, u64, u64) {
+        let shards = svc.stats().shards;
+        (
+            shards.iter().map(|s| s.admitted).sum(),
+            shards.iter().map(|s| s.coalesced_batches).sum(),
+            shards.iter().map(|s| s.shed).sum(),
+        )
+    }
+
+    #[test]
+    fn full_lanes_shed_with_typed_overload() {
+        const OVER: usize = 5;
+        let (svc, pipeline) = one_lane(43, FLUSH, AdmissionPolicy::Shed);
         let world = svc.grid().world();
-        let tickets: Vec<Ticket> = (0..256)
-            .map(|_| pipeline.submit(Request::Window(world)))
-            .collect();
-        let mut shed = 0usize;
-        let mut answered = 0usize;
-        for t in tickets {
+        let (first, tickets) = with_stalled_worker(&svc, &pipeline, || {
+            let tickets: Vec<Ticket> = (0..FLUSH + OVER)
+                .map(|_| pipeline.submit(Request::Window(world)))
+                .collect();
+            // Nothing drains while the worker is stalled: the bound's
+            // worth is queued, the rest is already refused.
+            assert_eq!(pipeline.shed(), OVER as u64);
+            tickets
+        });
+        assert!(matches!(first.wait(), Response::Window(_)));
+        for (i, t) in tickets.into_iter().enumerate() {
             match t.wait() {
-                Response::Rejected(SpatialError::Overloaded { lane, .. }) => {
-                    assert_eq!(lane, 0);
-                    shed += 1;
+                Response::Window(_) if i < FLUSH => {}
+                Response::Rejected(SpatialError::Overloaded { lane, depth }) if i >= FLUSH => {
+                    assert_eq!((lane, depth), (0, FLUSH));
                 }
-                Response::Window(_) => answered += 1,
-                other => panic!("unexpected response {other:?}"),
+                other => panic!("request {i}: unexpected response {other:?}"),
             }
         }
-        assert_eq!(shed + answered, 256);
-        // flush_batch 8 = bound 8: the burst of 256 cannot all fit.
-        assert!(shed > 0, "a 256-burst against a bound of 8 must shed");
-        assert_eq!(pipeline.shed(), shed as u64);
-        let stats = svc.stats();
-        let counted: u64 = stats.shards.iter().map(|s| s.shed).sum();
-        assert_eq!(counted, shed as u64);
+        assert_eq!(pipeline.submitted(), (1 + FLUSH + OVER) as u64);
+        drop(pipeline); // joins the worker: its last batch is counted
+        assert_eq!(
+            admission_counts(&svc),
+            (1 + FLUSH as u64, 2, OVER as u64),
+            "(admitted, batches, shed)"
+        );
+    }
+
+    #[test]
+    fn backlog_behind_a_busy_worker_forms_one_batch_in_fifo_order() {
+        let (svc, pipeline) = one_lane(46, FLUSH, AdmissionPolicy::Block);
+        let world = svc.grid().world();
+        let twin = QueryService::build(*svc.config(), world, svc.segments());
+        // k < flush_batch reads and writes, each observing the ones
+        // before it: any reordering or split would change an answer.
+        let seg = dp_geom::LineSeg::from_coords(3.0, 3.0, 9.0, 5.0);
+        let p = dp_geom::Point::new(4.0, 4.0);
+        let backlog = [
+            Request::Insert(seg),
+            Request::Window(world),
+            Request::Delete(0),
+            Request::KNearest { p, k: 3 },
+            Request::Delete(99),
+            Request::PointInWindow(p),
+        ];
+        assert!(backlog.len() < FLUSH);
+        let (first, tickets) = with_stalled_worker(&svc, &pipeline, || {
+            backlog.map(|r| pipeline.submit(r)).into_iter()
+        });
+        let served: Vec<Response> = std::iter::once(first)
+            .chain(tickets)
+            .map(Ticket::wait)
+            .collect();
+        let mut eager = vec![Request::Window(world)];
+        eager.extend(backlog);
+        assert_eq!(served, twin.execute_batch(&eager));
+        drop(pipeline);
+        assert_eq!(
+            admission_counts(&svc),
+            (1 + backlog.len() as u64, 2, 0),
+            "(admitted, batches, shed)"
+        );
+    }
+
+    #[test]
+    fn a_free_worker_takes_at_most_flush_batch() {
+        let k = 2 * FLUSH + 3;
+        let (svc, pipeline) = one_lane(47, 4 * FLUSH, AdmissionPolicy::Block);
+        let reqs = vec![Request::Window(svc.grid().world()); k];
+        // The bulk door, because members of one group that complete in
+        // the same micro-batch share one completion instant: the batch
+        // sizes can be read back exactly.
+        let (first, group) = with_stalled_worker(&svc, &pipeline, || pipeline.submit_batch(&reqs));
+        let (_, first_done) = first.wait_timed();
+        let done: Vec<Instant> = group.wait_all_timed().into_iter().map(|(_, t)| t).collect();
+        assert!(done.iter().all(|t| *t > first_done));
+        assert!(done.windows(2).all(|w| w[0] <= w[1]), "FIFO across batches");
+        let batch_starts: Vec<usize> = (0..k)
+            .filter(|&i| i == 0 || done[i] != done[i - 1])
+            .collect();
+        assert_eq!(batch_starts, [0, FLUSH, 2 * FLUSH]);
+        drop(pipeline);
+        assert_eq!(
+            admission_counts(&svc),
+            (1 + k as u64, 4, 0),
+            "(admitted, batches, shed)"
+        );
+    }
+
+    #[test]
+    fn drop_wakes_every_worker_idle_or_loaded() {
+        // A lost wake-up hangs rather than fails, so the cycles run
+        // beside a wall-clock guard.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            let svc = small_service(1_000);
+            let world = svc.grid().world();
+            let two_lanes =
+                || ServicePipeline::new(svc.clone(), 2, AdmissionPolicy::Block).unwrap();
+            for _ in 0..500 {
+                drop(two_lanes());
+            }
+            for _ in 0..200 {
+                let pipeline = two_lanes();
+                let tickets: Vec<Ticket> = (0..6)
+                    .map(|_| pipeline.submit(Request::Window(world)))
+                    .collect();
+                drop(pipeline);
+                // The workers are joined: nothing is left to wait for.
+                for t in tickets {
+                    assert!(t.wait_until(Some(Instant::now())).is_some());
+                }
+            }
+            let _ = done_tx.send(());
+        });
+        let guard = done_rx.recv_timeout(Duration::from_secs(120));
+        assert_ne!(
+            guard,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "a lane worker slept through its pipeline's drop"
+        );
+        cycles
+            .join()
+            .expect("a dropped pipeline left a ticket unanswered");
     }
 }

@@ -737,14 +737,12 @@ fn open_loop_run(args: &Args, data: &Dataset, rate: f64) {
     let pipeline = ServicePipeline::new(Arc::clone(&service), lanes, args.policy)
         .unwrap_or_else(|e| panic!("pipeline rejected: {e}"));
     println!(
-        "open loop: {} arrivals at {:.0} req/s over {} lanes, {:?} policy, \
-         flush {} / deadline {} µs",
+        "open loop: {} arrivals at {:.0} req/s over {} lanes, {:?} policy, flush {}",
         sched.arrivals.len(),
         rate,
         pipeline.num_lanes(),
         args.policy,
         args.flush,
-        QueryServiceConfig::default().coalesce_deadline_micros,
     );
     service.reset_stats();
 

@@ -1,76 +1,13 @@
-//! Micro-batch coalescing policy and the fixed-bucket latency histogram.
+//! The fixed-bucket latency histogram.
 //!
-//! The admission layer (see [`crate::admission`]) buffers arriving
-//! requests per lane and hands the batch engine *micro-batches*: large
-//! enough to amortise the per-level primitive cost of a lockstep descent
-//! over many lanes (the whole point of the paper's batch primitives),
-//! small enough that the oldest buffered request never waits past a
-//! latency deadline. The flush decision itself is pure — a function of
-//! the buffer size, the configured size trigger, and the age of the
-//! oldest buffered request — so it is unit-testable without threads and
-//! identical across worker schedulings.
-//!
-//! The histogram is the workspace's own fixed-bucket implementation (the
-//! build is offline; no hdrhistogram dependency): power-of-two
-//! microsecond buckets, constant memory, mergeable, with quantile
-//! lookups that report the bucket upper bound — exactly the shape the
-//! per-shard flush histograms already used, promoted to a reusable type
-//! for the open-loop driver's p50/p99/p999 SLO reporting.
+//! The workspace's own implementation (the build is offline; no
+//! hdrhistogram dependency): power-of-two microsecond buckets, constant
+//! memory, mergeable, with quantile lookups that report the bucket upper
+//! bound — the shape of the per-shard flush histograms
+//! ([`ShardStats::latency_histogram`](crate::ShardStats)), as a reusable
+//! type for the open-loop driver's p50/p99/p999 SLO reporting.
 
 use std::time::Duration;
-
-/// Why (or whether) a coalescing buffer should flush now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushDecision {
-    /// The buffer reached the size trigger: flush immediately.
-    Size,
-    /// The oldest buffered request reached its latency deadline: flush
-    /// what is there.
-    Deadline,
-    /// Keep coalescing; the payload is how long the worker may wait for
-    /// more arrivals before the deadline forces a flush.
-    Wait(Duration),
-    /// Nothing is buffered; the worker should block for arrivals.
-    Empty,
-}
-
-/// The micro-batch coalescing policy: flush on size `flush_batch` OR
-/// when the oldest buffered request has waited `deadline`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Coalescer {
-    /// Size trigger: a buffer holding this many requests flushes
-    /// immediately (also the upper bound handed to one lockstep batch).
-    pub flush_batch: usize,
-    /// Latency trigger: the oldest buffered request never waits longer
-    /// than this before its batch is handed to the engine.
-    pub deadline: Duration,
-}
-
-impl Coalescer {
-    /// A policy from the service configuration's `flush_batch` and
-    /// `coalesce_deadline_micros`.
-    pub fn new(flush_batch: usize, deadline_micros: u64) -> Self {
-        Coalescer {
-            flush_batch: flush_batch.max(1),
-            deadline: Duration::from_micros(deadline_micros),
-        }
-    }
-
-    /// The flush decision for a buffer of `buffered` requests whose
-    /// oldest member has waited `oldest_wait`.
-    pub fn decide(&self, buffered: usize, oldest_wait: Duration) -> FlushDecision {
-        if buffered == 0 {
-            return FlushDecision::Empty;
-        }
-        if buffered >= self.flush_batch {
-            return FlushDecision::Size;
-        }
-        if oldest_wait >= self.deadline {
-            return FlushDecision::Deadline;
-        }
-        FlushDecision::Wait(self.deadline - oldest_wait)
-    }
-}
 
 /// Number of power-of-two microsecond buckets ([`LatencyHistogram`]).
 /// Bucket 31 absorbs everything from ~18 minutes up, far beyond any
@@ -205,44 +142,6 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coalescer_flushes_on_size() {
-        let c = Coalescer::new(8, 1_000);
-        assert_eq!(c.decide(8, Duration::ZERO), FlushDecision::Size);
-        assert_eq!(c.decide(9, Duration::ZERO), FlushDecision::Size);
-    }
-
-    #[test]
-    fn coalescer_flushes_on_deadline() {
-        let c = Coalescer::new(8, 1_000);
-        assert_eq!(
-            c.decide(3, Duration::from_micros(1_000)),
-            FlushDecision::Deadline
-        );
-        assert_eq!(
-            c.decide(1, Duration::from_micros(5_000)),
-            FlushDecision::Deadline
-        );
-    }
-
-    #[test]
-    fn coalescer_waits_out_the_remaining_deadline() {
-        let c = Coalescer::new(8, 1_000);
-        match c.decide(3, Duration::from_micros(400)) {
-            FlushDecision::Wait(d) => assert_eq!(d, Duration::from_micros(600)),
-            other => panic!("expected Wait, got {other:?}"),
-        }
-        assert_eq!(c.decide(0, Duration::ZERO), FlushDecision::Empty);
-    }
-
-    #[test]
-    fn zero_flush_batch_is_clamped_to_one() {
-        // Defensive only: QueryServiceConfig::validate rejects 0 before a
-        // Coalescer is ever built from it.
-        let c = Coalescer::new(0, 100);
-        assert_eq!(c.decide(1, Duration::ZERO), FlushDecision::Size);
-    }
 
     #[test]
     fn histogram_quantiles_bound_the_samples() {

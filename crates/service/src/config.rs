@@ -1,4 +1,4 @@
-//! The ten knobs of a [`QueryService`](crate::QueryService), and the
+//! The nine knobs of a [`QueryService`](crate::QueryService), and the
 //! one place machines are made from them.
 
 use dp_spatial::SpatialError;
@@ -11,9 +11,12 @@ pub struct QueryServiceConfig {
     /// Tiles per world side; the service runs `shard_grid²` shards. Must
     /// be a positive power of two.
     pub shard_grid: u32,
-    /// Maximum probes executed per per-shard lockstep batch. Larger
-    /// batches amortise the per-level primitive cost over more lanes;
-    /// smaller batches bound per-flush latency.
+    /// The one batching parameter, a cap: the most requests a free
+    /// [`ServicePipeline`](crate::ServicePipeline) lane worker takes from
+    /// its queue at once, and the most probes a shard executes as one
+    /// lockstep batch. Larger batches amortise the per-level primitive
+    /// cost over more lanes; smaller batches bound per-flush latency.
+    /// Nothing waits for a batch to fill.
     pub flush_batch: usize,
     /// Backend of every shard's [`Machine`].
     pub backend: Backend,
@@ -27,10 +30,6 @@ pub struct QueryServiceConfig {
     /// Write pressure (accumulated tombstones + pending overlay inserts)
     /// at which a compaction merges base and overlay into a fresh epoch.
     pub compact_threshold: usize,
-    /// Admission-lane coalescing deadline: the oldest request buffered
-    /// by a [`ServicePipeline`](crate::ServicePipeline) lane waits at most this long before its
-    /// micro-batch is flushed, full or not.
-    pub coalesce_deadline_micros: u64,
     /// Bound of each admission lane's queue; a full lane applies the
     /// pipeline's [`AdmissionPolicy`](crate::AdmissionPolicy) (backpressure or shedding). Must
     /// be at least `flush_batch` so one full micro-batch fits.
@@ -50,7 +49,6 @@ impl Default for QueryServiceConfig {
             capacity: 8,
             max_depth: 16,
             compact_threshold: 256,
-            coalesce_deadline_micros: 200,
             queue_bound: 4096,
             cache_capacity: 1024,
         }

@@ -81,11 +81,12 @@
 //! `execute_batch` welds arrival to execution: the caller blocks for the
 //! whole batch. For sustained serving, wrap the service in a
 //! [`ServicePipeline`] (module [`admission`]): bounded per-lane queues
-//! decouple arrival from round execution, workers coalesce arrivals into
-//! micro-batches ([`coalesce`]), full lanes apply backpressure or typed
-//! load shedding ([`shed`]), hot windows answer from a write-versioned
-//! result cache ([`cache`]), and epoch compaction moves to a background
-//! thread. The lockstep execution core underneath is unchanged — the
+//! decouple arrival from round execution, a free lane worker takes
+//! whatever is queued (up to `flush_batch`) as one micro-batch, full
+//! lanes apply backpressure or typed load shedding ([`shed`]), hot
+//! windows answer from a write-versioned result cache ([`cache`]), and
+//! epoch compaction moves to a background thread. The lockstep
+//! execution core underneath is unchanged — the
 //! differential suites run the same streams through both paths.
 //!
 //! ## Module map
@@ -102,7 +103,8 @@
 //! | `reads` | the executor: read runs, routed probes, k-NN rounds, joins | [`QueryService::execute_batch`], lane workers |
 //! | `writes` | the overlay ladder, one publish path, compaction | the executor, the background compactor |
 //! | `stats` | counter block, [`ServiceStats`] views | callers, [`admission`] |
-//! | [`admission`], [`coalesce`], [`shed`], [`cache`], [`snapshot`] | the pipelined front end, its policies, the hot-window cache, persistence | as before |
+//! | [`admission`], [`shed`], [`cache`], [`snapshot`] | the pipelined front end, its full-lane policy, the hot-window cache, persistence | as before |
+//! | [`coalesce`] | [`LatencyHistogram`] | `stats`, the load driver |
 
 pub mod admission;
 pub mod cache;
@@ -120,7 +122,7 @@ mod writes;
 
 pub use admission::{BatchTicket, ServicePipeline, Ticket};
 pub use cache::{CacheKind, CacheLookup, CacheStats, WindowCache};
-pub use coalesce::{Coalescer, FlushDecision, LatencyHistogram, HISTOGRAM_BUCKETS};
+pub use coalesce::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use config::QueryServiceConfig;
 pub use reads::brute_knearest;
 pub use recovery::{RecoveryAction, RecoveryEvent, RETRY_LIMIT};

@@ -145,8 +145,17 @@ impl QueryService {
                 per_shard[s].push(pi as u32);
             }
         }
-        let shard_hits = fan_out(st.shards.len(), |s| {
-            self.run_shard(st, s, &per_shard[s], rects)
+        // Only shards with work go to the pool: a run of cache hits (or
+        // of k-NN and rejected plans) issues no pool call, one busy
+        // shard runs inline on this thread.
+        let busy: Vec<(usize, Vec<u32>)> = per_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, queue)| !queue.is_empty())
+            .collect();
+        let shard_hits = fan_out(busy.len(), |i| {
+            let (s, queue) = &busy[i];
+            self.run_shard(st, *s, queue, rects)
         });
 
         let mut results: Vec<Vec<SegId>> = vec![Vec::new(); rects.len()];
@@ -505,6 +514,54 @@ mod tests {
         let stats = svc.cache_stats();
         assert_eq!(stats.admitted, 1);
         assert_eq!(stats.hits, 2);
+    }
+
+    fn pipelined(seed: u64) -> (Arc<QueryService>, ServicePipeline) {
+        let data = uniform_segments(150, 64, 8, seed);
+        let svc = Arc::new(QueryService::build(
+            QueryServiceConfig::sequential(2),
+            data.world,
+            data.segs,
+        ));
+        let pipeline = ServicePipeline::new(svc.clone(), 1, AdmissionPolicy::Block).unwrap();
+        (svc, pipeline)
+    }
+
+    fn probes_executed(svc: &QueryService) -> u64 {
+        svc.stats().shards.iter().map(|s| s.probes).sum()
+    }
+
+    #[test]
+    fn a_batch_of_cache_hits_reaches_no_shard_and_answers_like_the_direct_path() {
+        let (svc, pipeline) = pipelined(32);
+        let reqs = [
+            Request::Window(Rect::from_coords(4.0, 4.0, 40.0, 40.0)),
+            Request::PointInWindow(Point::new(20.0, 20.0)),
+            Request::Window(Rect::from_coords(30.0, 2.0, 62.0, 34.0)),
+        ];
+        let cold = pipeline.submit_all(&reqs);
+        let probes = probes_executed(&svc);
+        let warm = pipeline.submit_all(&reqs);
+        assert_eq!(svc.cache_stats().hits, reqs.len() as u64);
+        assert_eq!(probes_executed(&svc), probes, "a hit is not routed");
+        assert_eq!(warm, cold);
+        assert_eq!(warm, svc.execute_batch(&reqs));
+    }
+
+    #[test]
+    fn a_read_run_without_probes_answers_like_the_direct_path() {
+        let (svc, pipeline) = pipelined(33);
+        let p = Point::new(31.0, 31.0);
+        let reqs = [
+            Request::KNearest { p, k: 4 },
+            Request::PointInWindow(Point::new(f64::NAN, 1.0)),
+            Request::KNearest { p, k: 0 },
+        ];
+        let served = pipeline.submit_all(&reqs);
+        assert!(matches!(served[0], Response::KNearest(ref found) if found.len() == 4));
+        assert!(matches!(served[1], Response::Rejected(_)));
+        assert!(matches!(served[2], Response::Rejected(_)));
+        assert_eq!(served, svc.execute_batch(&reqs));
     }
 
     #[test]

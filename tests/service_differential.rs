@@ -388,7 +388,6 @@ fn pipelined_serving_matches_eager_oracle_on_mixed_streams() {
         let config = QueryServiceConfig {
             compact_threshold: 8, // several background compactions
             flush_batch: 16,      // several coalesced flushes per stream
-            coalesce_deadline_micros: 200,
             ..QueryServiceConfig::sequential(2)
         };
         let svc = std::sync::Arc::new(QueryService::build(config, data.world, data.segs.clone()));
@@ -458,7 +457,6 @@ fn shed_serving_matches_oracle_on_admitted_subsequence() {
     let config = QueryServiceConfig {
         flush_batch: 8,
         queue_bound: 8,
-        coalesce_deadline_micros: 50_000, // park the worker: force sheds
         compact_threshold: 16,
         ..QueryServiceConfig::sequential(2)
     };
@@ -547,7 +545,6 @@ fn pipelined_dominance_streams_match_eager_oracle() {
                 backend,
                 compact_threshold: 8, // several background compactions
                 flush_batch: 16,
-                coalesce_deadline_micros: 200,
                 ..QueryServiceConfig::default()
             };
             let svc =
@@ -673,7 +670,6 @@ proptest! {
         let data = uniform_segments(80, 64, 8, 113);
         let config = QueryServiceConfig {
             flush_batch: 4,
-            coalesce_deadline_micros: 100,
             compact_threshold: 1_000, // writes stay in the overlay
             ..QueryServiceConfig::sequential(2)
         };
@@ -738,7 +734,6 @@ proptest! {
         let data = uniform_segments(80, 64, 8, 127);
         let config = QueryServiceConfig {
             flush_batch: 4,
-            coalesce_deadline_micros: 100,
             compact_threshold: 1_000, // writes stay in the overlay
             ..QueryServiceConfig::sequential(2)
         };
