@@ -3,17 +3,27 @@
 //! paper's complexity claims predict.
 //!
 //! Run with: `cargo run --release -p dp-bench --bin exp_tables [all|rounds|threshold|rtree|query|backend]`
+//!
+//! `exp_tables probe-floor [seed]` (not part of `all`) prints the
+//! small-batch floor of the query path on a serve-shaped shard tree —
+//! EXPERIMENTS E48.
 
 use dp_bench::{
     planar_at, query_windows, render_table, roads_approx, uniform_at, SIZE_LADDER, WORLD,
 };
+use dp_geom::{clip_segment_closed, seg_meets_rect, LineSeg, Rect};
+use dp_service::{QueryService, QueryServiceConfig};
+use dp_spatial::batch::batch_window_query;
 use dp_spatial::bucket_pmr::build_bucket_pmr;
 use dp_spatial::pm1::build_pm1;
+use dp_spatial::quadtree::{DpQuadtree, QtNode};
 use dp_spatial::rsplit::RtreeSplitAlgorithm;
 use dp_spatial::rtree::{build_rtree, pack_rtree_hilbert};
+use dp_spatial::shard::{build_shard, ShardGrid};
 use dp_spatial::stats::measure_build;
-use dp_workloads::square_world;
-use scan_model::Machine;
+use dp_workloads::{request_stream, square_world, uniform_segments, Request, RequestMix};
+use scan_model::{Machine, Segments};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
@@ -24,6 +34,12 @@ fn main() {
         "rtree" => rtree_quality_table(),
         "query" => query_table(),
         "backend" => backend_table(),
+        "probe-floor" => {
+            let seed = std::env::args().nth(2).map_or(1995, |s| {
+                s.parse().expect("probe-floor: the seed must be an integer")
+            });
+            probe_floor_tables(seed)
+        }
         _ => {
             rounds_tables();
             threshold_table();
@@ -362,6 +378,302 @@ fn backend_table() {
                 "rtree build",
                 "rtree nodes"
             ],
+            &rows
+        )
+    );
+}
+
+// ---------------------------------------------------------------------
+// E48: the small-batch floor of the query path
+// ---------------------------------------------------------------------
+
+fn median(samples: &mut [f64]) -> f64 {
+    assert!(!samples.is_empty(), "median of no samples");
+    samples.sort_unstable_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Median over `reps` samples of the nanoseconds one call of `f` takes,
+/// each sample the mean of `calls` back-to-back calls.
+fn ns_per_call(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                f();
+            }
+            start.elapsed().as_nanos() as f64 / calls as f64
+        })
+        .collect();
+    median(&mut samples)
+}
+
+fn micros(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_nanos() as f64 / 1e3
+}
+
+/// The pointer walk of `DpQuadtree::window_candidates` without its sort:
+/// `(nodes visited, ids landed)`, the ids appended to `landed`.
+fn pointer_walk(tree: &DpQuadtree, window: &Rect, landed: &mut Vec<u32>) -> usize {
+    let mut visited = 0;
+    let mut stack = vec![(0usize, tree.world())];
+    while let Some((idx, rect)) = stack.pop() {
+        if !rect.intersects(window) {
+            continue;
+        }
+        visited += 1;
+        match tree.node(idx) {
+            QtNode::Leaf { lines } => landed.extend_from_slice(lines),
+            QtNode::Internal { children } => {
+                let quads = rect.quadrants();
+                for q in 0..4 {
+                    stack.push((children[q], quads[q]));
+                }
+            }
+        }
+    }
+    visited
+}
+
+/// E48: what the query path costs when there is nothing to amortise over
+/// — on `dpbench serve_uniform`'s shape (20,000 uniform segments, world
+/// 1,024, a 2 × 2 shard grid, bucket capacity 8, depth 16, the default
+/// request mix) and through the public API only, no library
+/// instrumentation, so it can be carried to another commit to compare.
+/// Four tables: primitive fixed
+/// cost at n = 1, the phases of one window probe, the lockstep batch
+/// against a loop of pointer descents by batch size, and one request at
+/// a time through `execute_batch` by request kind.
+fn probe_floor_tables(seed: u64) {
+    let data = uniform_segments(20_000, 1024, 16, seed);
+    let config = QueryServiceConfig {
+        shard_grid: 2,
+        ..QueryServiceConfig::default()
+    };
+    let grid = ShardGrid::new(data.world, config.shard_grid);
+    let machine = Machine::parallel();
+    let assigned = grid.assign_segments(&data.segs);
+    let shard = build_shard(
+        &machine,
+        data.world,
+        grid.tile_of(0),
+        &data.segs,
+        &assigned[0],
+        config.capacity,
+        config.max_depth,
+    );
+    let (tree, segs) = (&shard.tree, &shard.segs);
+    let stats = tree.stats();
+    println!(
+        "\nprobe-floor: seed {seed}, shard 0 of 2 x 2: {} segments, {} leaves, height {}, {} rayon threads",
+        segs.len(),
+        stats.leaves,
+        stats.height,
+        rayon::current_num_threads()
+    );
+    let requests = request_stream(data.world, 6_000, RequestMix::DEFAULT, seed ^ 0x5eed);
+    // The windows the service would route to this shard.
+    let windows: Vec<Rect> = requests
+        .iter()
+        .filter_map(|r| match r {
+            Request::Window(w) if w.intersects(&shard.tile) => Some(*w),
+            _ => None,
+        })
+        .collect();
+
+    // ---- (1) fixed cost of one primitive at n = 1 ----
+    let one = [7u64];
+    let counts = [1u32];
+    let seg = Segments::single(1);
+    let mut out: Vec<u64> = Vec::new();
+    let mut rows = Vec::new();
+    let mut fixed = |name: &str, f: &mut dyn FnMut()| {
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.0}", ns_per_call(21, 20_000, &mut *f)),
+        ]);
+    };
+    fixed("lease + recycle", &mut || {
+        let buf: Vec<u64> = machine.lease();
+        machine.recycle(black_box(buf));
+    });
+    fixed("note_elementwise", &mut || machine.note_elementwise());
+    fixed("bump_rounds", &mut || machine.bump_rounds());
+    fixed("map_into", &mut || {
+        machine.map_into(black_box(&one), |x| x + 1, &mut out);
+    });
+    fixed("flat_map_into", &mut || {
+        machine.flat_map_into(
+            &seg,
+            black_box(&one),
+            &counts,
+            |x, r| x + u64::from(r),
+            &mut out,
+        );
+    });
+    print!(
+        "{}",
+        render_table(
+            "E48a: fixed cost of one primitive at n = 1",
+            &["primitive", "ns/call"],
+            &rows
+        )
+    );
+
+    // ---- (2) the phases of one window probe ----
+    let (mut walk, mut dedup, mut clip, mut accept, mut lockstep) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut visited, mut landed_n, mut distinct_n, mut hits_n) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    // Distinct candidates the filter accepts on an endpoint alone: per
+    // window, and over all windows.
+    let (mut accepted_share, mut accepted, mut candidates) = (Vec::new(), 0usize, 0usize);
+    let mut landed: Vec<u32> = Vec::new();
+    for window in &windows {
+        // Best of three: a phase is tens of microseconds and the box
+        // disturbs a run only upwards.
+        let best = |f: &mut dyn FnMut()| (0..3).map(|_| micros(&mut *f)).fold(f64::MAX, f64::min);
+        let mut nodes = 0;
+        walk.push(best(&mut || {
+            landed.clear();
+            nodes = pointer_walk(tree, window, &mut landed);
+        }));
+        let mut distinct: Vec<u32> = Vec::new();
+        dedup.push(best(&mut || {
+            distinct.clone_from(&landed);
+            distinct.sort_unstable();
+            distinct.dedup();
+        }));
+        let mut hits = 0;
+        let mut filter = |meets: &dyn Fn(&LineSeg, &Rect) -> bool| {
+            best(&mut || {
+                hits = black_box(&distinct)
+                    .iter()
+                    .filter(|&&id| meets(&segs[id as usize], window))
+                    .count();
+            })
+        };
+        clip.push(filter(&|s, w| clip_segment_closed(s, w).is_some()));
+        accept.push(filter(&seg_meets_rect));
+        lockstep.push(best(&mut || {
+            black_box(batch_window_query(
+                &machine,
+                tree,
+                std::slice::from_ref(window),
+                segs,
+            ));
+        }));
+        let inside = |id: &&u32| {
+            let seg = &segs[**id as usize];
+            window.contains(seg.a) || window.contains(seg.b)
+        };
+        let by_endpoint = distinct.iter().filter(inside).count();
+        if !distinct.is_empty() {
+            accepted_share.push(by_endpoint as f64 / distinct.len() as f64);
+        }
+        accepted += by_endpoint;
+        candidates += distinct.len();
+        visited.push(nodes as f64);
+        landed_n.push(landed.len() as f64);
+        distinct_n.push(distinct.len() as f64);
+        hits_n.push(hits as f64);
+    }
+    let rows: Vec<Vec<String>> = [
+        ("pointer walk (no sort)", &mut walk),
+        ("sort + dedup", &mut dedup),
+        ("clip filter", &mut clip),
+        ("endpoint-accept filter", &mut accept),
+        ("batch_window_query, b = 1", &mut lockstep),
+    ]
+    .into_iter()
+    .map(|(name, us)| vec![name.to_string(), format!("{:.1}", median(us))])
+    .collect();
+    print!(
+        "{}",
+        render_table(
+            &format!(
+                "E48b: one window probe, medians of {} windows — {} nodes visited, {} ids landed, {} distinct, {} hits; an endpoint inside the window accepts {:.0} % of the distinct ({:.0} % over all windows)",
+                windows.len(),
+                median(&mut visited),
+                median(&mut landed_n),
+                median(&mut distinct_n),
+                median(&mut hits_n),
+                100.0 * median(&mut accepted_share),
+                100.0 * accepted as f64 / candidates.max(1) as f64
+            ),
+            &["phase", "us"],
+            &rows
+        )
+    );
+
+    // ---- (3) lockstep batch against a loop of pointer descents ----
+    let mut rows = Vec::new();
+    for batch in [1usize, 2, 4, 16, 64, 512] {
+        let per_probe = |f: &mut dyn FnMut(&[Rect])| {
+            let mut samples: Vec<f64> = (0..5)
+                .map(|_| micros(|| windows.chunks(batch).for_each(&mut *f)) / windows.len() as f64)
+                .collect();
+            median(&mut samples)
+        };
+        let lock = per_probe(&mut |chunk| {
+            black_box(batch_window_query(&machine, tree, chunk, segs));
+        });
+        let pointer = per_probe(&mut |chunk| {
+            for window in chunk {
+                black_box(tree.window_query(window, segs));
+            }
+        });
+        rows.push(vec![
+            batch.to_string(),
+            format!("{lock:.1}"),
+            format!("{pointer:.1}"),
+            format!("{:.2}", pointer / lock),
+        ]);
+    }
+    print!(
+        "{}",
+        render_table(
+            "E48c: lockstep batch vs a loop of DpQuadtree::window_query, us per probe",
+            &["batch", "lockstep", "pointer loop", "pointer / lockstep"],
+            &rows
+        )
+    );
+
+    // ---- (4) one request at a time through the service ----
+    let service = QueryService::build(config, data.world, data.segs.clone());
+    let (mut window_us, mut point_us, mut knn_us) = (Vec::new(), Vec::new(), Vec::new());
+    for request in &requests {
+        let us = micros(|| {
+            black_box(service.execute_batch(std::slice::from_ref(request)));
+        });
+        match request {
+            Request::Window(_) => window_us.push(us),
+            Request::PointInWindow(_) => point_us.push(us),
+            Request::KNearest { .. } => knn_us.push(us),
+            _ => {}
+        }
+    }
+    let rows: Vec<Vec<String>> = [
+        ("window", &mut window_us),
+        ("point", &mut point_us),
+        ("k-nearest", &mut knn_us),
+    ]
+    .into_iter()
+    .map(|(kind, us)| {
+        vec![
+            kind.to_string(),
+            us.len().to_string(),
+            format!("{:.1}", median(us)),
+        ]
+    })
+    .collect();
+    print!(
+        "{}",
+        render_table(
+            "E48d: execute_batch(&[r]), one request at a time, median us by kind",
+            &["kind", "requests", "us"],
             &rows
         )
     );

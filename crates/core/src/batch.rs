@@ -10,30 +10,74 @@
 //!
 //! 1. a lane whose node is a leaf *lands* — its q-edges join the query's
 //!    candidates — and has arity 0, so it vanishes from the frontier;
-//! 2. a lane over an internal node has arity "how many of its four child
-//!    blocks meet the window" (one elementwise map), and
-//!    [`Machine::flat_map_into`] lays the copies out — one room-making
-//!    scan, one permutation — while its child closure steps copy `r` to
-//!    the `r`-th child that meets the window.
+//! 2. a lane over an internal node is classified **once**: one
+//!    elementwise map tests its four child blocks against the window and
+//!    emits a one-byte `ChildMask` (bit q = child q admitted) whose
+//!    population count is the lane's arity;
+//! 3. [`Machine::flat_map_coded_into`] sends every copy straight to its
+//!    slot — one room-making scan, one permutation, no gather index —
+//!    and its child closure steps copy `r` to the child of the mask's
+//!    `r`-th set bit, computing that one quadrant ([`Rect::quadrant`])
+//!    and nothing else.
 //!
 //! Children that miss the window are never materialized, so there is
 //! nothing to prune afterwards (the cloning of Sec. 4.1 and the deletion
-//! of Sec. 4.3 are the arities ≥ 1 and 0 of the same layout). All queries
-//! advance in lockstep; per level the work is O(frontier) with a constant
-//! number of primitive operations — the natural object-space
+//! of Sec. 4.3 are the arities ≥ 1 and 0 of the same flat-map). All
+//! queries advance in lockstep; per level the work is O(frontier) with a
+//! constant number of primitive operations — the natural object-space
 //! parallelization of query processing. Insert routing
 //! ([`crate::update::batch_update`] phase 3) is the same descent with a
 //! different `reaches` predicate.
+//!
+//! A segment is stored in every leaf it crosses, so a window's landed
+//! candidates arrive duplicated (2.5× on the serving workloads). The
+//! paper's duplicate deletion (Sec. 4.3) presumes a sorted ordering; ids
+//! are a dense universe, so here the ordering comes for free from
+//! **mark-and-pack** (`pack_distinct`): each landed id sets its bit in a
+//! two-level bitmap leased from the machine's arena, and one walk of the
+//! set bits — ascending by construction — clears them, applies the exact
+//! filter [`dp_geom::seg_meets_rect`] and packs the survivors:
+//! O(candidates + n/4096) per query, where sort + dedup + a clip per
+//! survivor was O(c log c) + c clips. The pointer descent
+//! ([`DpQuadtree::window_query`]), the service's degraded-mode scan and
+//! the benchmark's brute force deliberately keep `sort` + `dedup` +
+//! `clip_segment_closed`: they are the independent oracles this path is
+//! tested against.
 
 use crate::error::SpatialError;
 use crate::quadtree::{DpQuadtree, QtNode};
 use crate::SegId;
 use dp_geom::Rect;
-use scan_model::{Machine, Segments};
+use scan_model::Machine;
 
 /// One frontier lane of a lockstep descent: `(payload, node index, node
 /// block)`. The payload names what is descending — a query, an insert.
 pub(crate) type Lane = (u32, u32, Rect);
+
+/// Which of an internal node's four children a lane descends to: bit `q`
+/// set = child `q` (NW, NE, SW, SE) admitted. Zero for a leaf lane. The
+/// arity lane of the level's flat-map — its `Into<u32>` is the number of
+/// copies — and the code every copy reads its quadrant from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChildMask(u8);
+
+impl From<ChildMask> for u32 {
+    fn from(mask: ChildMask) -> u32 {
+        mask.0.count_ones()
+    }
+}
+
+impl ChildMask {
+    /// The quadrant of the `rank`-th admitted child.
+    fn nth(self, rank: u32) -> usize {
+        let mut bits = self.0;
+        for _ in 0..rank {
+            bits &= bits - 1;
+        }
+        debug_assert!(bits != 0, "rank addresses an admitted child");
+        bits.trailing_zeros() as usize
+    }
+}
 
 /// One level of a lockstep descent over `tree`: every leaf lane is handed
 /// to `land(payload, node index, leaf lines)` and vanishes; every
@@ -41,6 +85,10 @@ pub(crate) type Lane = (u32, u32, Rect);
 /// &child_block)` admits, in quadrant order. Returns whether any lane is
 /// left to descend further; a level with nothing but leaf lanes issues no
 /// primitive beyond the landing pass.
+///
+/// `reaches` is evaluated once per child block of every internal lane —
+/// four times a lane, in quadrant order, never again for the copies — and
+/// `land` once per leaf lane, in frontier order.
 ///
 /// Counts no round and checks no fault site — both belong to the caller's
 /// loop.
@@ -68,37 +116,33 @@ where
         return false;
     }
 
-    let mut arity: Vec<u32> = machine.lease();
+    let mut masks: Vec<ChildMask> = machine.lease();
     machine.map_into(
         lanes,
         |(payload, node, rect)| match tree.node(node as usize) {
-            QtNode::Leaf { .. } => 0,
+            QtNode::Leaf { .. } => ChildMask(0),
             QtNode::Internal { .. } => {
                 let quads = rect.quadrants();
-                quads.iter().filter(|q| reaches(payload, q)).count() as u32
+                let admitted = (0..4).filter(|&q| reaches(payload, &quads[q]));
+                ChildMask(admitted.fold(0, |bits, q| bits | 1 << q))
             }
         },
-        &mut arity,
+        &mut masks,
     );
     let mut next: Vec<Lane> = machine.lease();
-    machine.flat_map_into(
-        &Segments::single(lanes.len()),
+    machine.flat_map_coded_into(
         lanes,
-        &arity,
-        |(payload, node, rect), rank| {
+        &masks,
+        |(payload, node, rect), mask, rank| {
             let QtNode::Internal { children } = tree.node(node as usize) else {
                 unreachable!("leaf lanes have arity 0");
             };
-            let quads = rect.quadrants();
-            let q = (0..4)
-                .filter(|&q| reaches(payload, &quads[q]))
-                .nth(rank as usize)
-                .expect("rank addresses an admitted child");
-            (payload, children[q] as u32, quads[q])
+            let q = mask.nth(rank);
+            (payload, children[q] as u32, rect.quadrant(q))
         },
         &mut next,
     );
-    machine.recycle(arity);
+    machine.recycle(masks);
     machine.recycle(std::mem::replace(lanes, next));
     !lanes.is_empty()
 }
@@ -113,19 +157,12 @@ pub fn batch_window_query(
     queries: &[Rect],
     segs: &[dp_geom::LineSeg],
 ) -> Vec<Vec<SegId>> {
-    let candidates = batch_window_candidates(machine, tree, queries);
+    let mut results = land_candidates(machine, tree, queries);
     machine.note_elementwise();
-    candidates
-        .into_iter()
-        .enumerate()
-        .map(|(q, ids)| {
-            ids.into_iter()
-                .filter(|&id| {
-                    dp_geom::clip_segment_closed(&segs[id as usize], &queries[q]).is_some()
-                })
-                .collect()
-        })
-        .collect()
+    pack_distinct(machine, &mut results, segs.len(), |q, id| {
+        dp_geom::seg_meets_rect(&segs[id as usize], &queries[q])
+    });
+    results
 }
 
 /// Checked [`batch_window_query`]: rejects any window that reaches
@@ -158,6 +195,17 @@ pub fn batch_window_candidates(
     tree: &DpQuadtree,
     queries: &[Rect],
 ) -> Vec<Vec<SegId>> {
+    let mut results = land_candidates(machine, tree, queries);
+    let landed = results.iter().flatten();
+    let universe = landed.max().map_or(0, |&largest| largest as usize + 1);
+    pack_distinct(machine, &mut results, universe, |_, _| true);
+    results
+}
+
+/// The lockstep descent of all `queries`: per query, the ids of every
+/// leaf its window reaches, in landing order — a segment once per leaf
+/// that stores it.
+fn land_candidates(machine: &Machine, tree: &DpQuadtree, queries: &[Rect]) -> Vec<Vec<SegId>> {
     let mut results: Vec<Vec<SegId>> = vec![Vec::new(); queries.len()];
     if queries.is_empty() {
         return results;
@@ -188,12 +236,63 @@ pub fn batch_window_candidates(
         machine.bump_rounds();
     }
     machine.recycle(lanes);
-
-    for ids in &mut results {
-        ids.sort_unstable();
-        ids.dedup();
-    }
     results
+}
+
+/// Mark-and-pack duplicate deletion: rewrites every query's id list —
+/// ids below `universe`, in any order, duplicated — as its distinct ids
+/// in ascending order, keeping id only if `keep(query, id)`.
+///
+/// The marks are a two-level bitmap over `0..universe` leased from the
+/// machine's arena: one bit per id in 64-bit words, and one summary bit
+/// per word. A query sets the bits of its ids, then walks the set summary
+/// bits and under each the set id bits — ascending, each id once —
+/// clearing every word it visits, so the bitmap is all-zero again for the
+/// next query and a query with `c` ids costs O(c + universe / 4096), not
+/// the O(universe / 64) of a flat bitmap or the O(c log c) of a sort.
+///
+/// # Panics
+///
+/// Panics if an id's bit lies outside the bitmap. (An id in the slack of
+/// the last word — at or above `universe`, below the next multiple of 64
+/// — is marked like any other and reaches `keep`.)
+fn pack_distinct<K>(machine: &Machine, lists: &mut [Vec<SegId>], universe: usize, keep: K)
+where
+    K: Fn(usize, SegId) -> bool,
+{
+    let nwords = universe.div_ceil(64);
+    let nsummary = nwords.div_ceil(64);
+    let mut bitmap: Vec<u64> = machine.lease();
+    bitmap.resize(nsummary + nwords, 0);
+    let (summary, words) = bitmap.split_at_mut(nsummary);
+    for (q, ids) in lists.iter_mut().enumerate() {
+        for &id in ids.iter() {
+            let w = id as usize / 64;
+            words[w] |= 1 << (id % 64);
+            summary[w / 64] |= 1 << (w % 64);
+        }
+        ids.clear();
+        for (s, group) in summary.iter_mut().enumerate() {
+            let mut live_words = std::mem::take(group);
+            while live_words != 0 {
+                let w = s * 64 + live_words.trailing_zeros() as usize;
+                live_words &= live_words - 1;
+                let mut live_ids = std::mem::take(&mut words[w]);
+                while live_ids != 0 {
+                    let id = (w * 64) as SegId + live_ids.trailing_zeros();
+                    live_ids &= live_ids - 1;
+                    if keep(q, id) {
+                        ids.push(id);
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            summary.iter().chain(words.iter()).all(|&word| word == 0),
+            "query {q} left marks behind"
+        );
+    }
+    machine.recycle(bitmap);
 }
 
 #[cfg(test)]
@@ -328,6 +427,69 @@ mod tests {
             let got = [all, one];
             assert_eq!(reference.get_or_insert_with(|| got.clone()), &got);
         }
+    }
+
+    /// `pack_distinct` against sort + dedup + filter.
+    fn assert_packs(m: &Machine, lists: &[Vec<SegId>], universe: usize, what: &str) {
+        let keep = |q: usize, id: SegId| (id as usize + q) % 3 != 0;
+        let want: Vec<Vec<SegId>> = lists
+            .iter()
+            .enumerate()
+            .map(|(q, ids)| {
+                let mut ids = ids.clone();
+                ids.sort_unstable();
+                ids.dedup();
+                ids.retain(|&id| keep(q, id));
+                ids
+            })
+            .collect();
+        let mut got = lists.to_vec();
+        pack_distinct(m, &mut got, universe, keep);
+        assert_eq!(got, want, "{what}");
+        let mut all = lists.to_vec();
+        pack_distinct(m, &mut all, universe, |_, _| true);
+        for (ids, raw) in all.iter().zip(lists) {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{what}: order");
+            let kept = |id: &SegId| ids.binary_search(id).is_ok();
+            assert!(raw.iter().all(kept), "{what}: keep-all");
+        }
+    }
+
+    /// Mark-and-pack at the seams of its two levels — the first and last
+    /// bit of an id word (0, 63, 64), of a summary word (4095, 4096), the
+    /// last id of a universe that fills neither — with every id
+    /// duplicated, several queries sharing one bitmap (each must find it
+    /// all-zero: `pack_distinct` asserts it after every query in this
+    /// build), and two different batches back to back on one machine, the
+    /// second on the recycled bitmap.
+    #[test]
+    fn mark_and_pack_matches_sort_dedup_filter_at_word_seams() {
+        for m in machines() {
+            for n in [1usize, 63, 64, 65, 4095, 4096, 4097, 5000, 8192, 10_007] {
+                let last = n as SegId - 1;
+                let seams: Vec<SegId> = [0, 1, 62, 63, 64, 65, 127, 128, 4094, 4095, 4096, 4097]
+                    .into_iter()
+                    .chain([last / 2, last.saturating_sub(1), last])
+                    .filter(|&id| id <= last)
+                    .collect();
+                let doubled: Vec<SegId> = seams.iter().rev().chain(&seams).copied().collect();
+                let strided: Vec<SegId> = (0..n as SegId).rev().step_by(7).collect();
+                let dense: Vec<SegId> = (0..n as SegId).flat_map(|id| [id, id, id]).collect();
+                let first = [doubled.clone(), Vec::new(), strided, vec![last; 5]];
+                assert_packs(&m, &first, n, &format!("n={n} first"));
+                let second = [dense, doubled, vec![0]];
+                assert_packs(&m, &second, n, &format!("n={n} second"));
+            }
+            // No queries, and an empty universe nothing can land in.
+            assert_packs(&m, &[], 100, "no lists");
+            assert_packs(&m, &[Vec::new(), Vec::new()], 0, "empty universe");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn mark_and_pack_refuses_an_id_outside_the_bitmap() {
+        pack_distinct(&Machine::sequential(), &mut [vec![64]], 64, |_, _| true);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! after Sroka & Tyszkiewicz (PAPERS.md): aggregation over dominated
 //! points falls out of exactly the primitives this repo already has —
 //! sort, segmented scan, zip, and the variable-arity flat-map
-//! ([`scan_model::Machine::flat_map`]) that generalizes the paper's
+//! ([`scan_model::Machine::flat_map_into`]) that generalizes the paper's
 //! cloning kernel.
 //!
 //! ## Semantics
@@ -147,7 +147,8 @@ pub fn skyline(machine: &Machine, points: &[DomPoint]) -> Vec<SegId> {
 
     // Compact the surviving ids with the generalized flat-map (counts of
     // 0/1 make it the paper's "concentrate").
-    let (out, _layout) = machine.flat_map(&all, &ids_s, &counts, |id, _rank| id);
+    let mut out = Vec::new();
+    machine.flat_map_into(&all, &ids_s, &counts, |id, _rank| id, &mut out);
 
     machine.record_round_trace(machine.round_trace_since(
         &before,

@@ -17,7 +17,7 @@
 //!    sweep that writes only the intersecting pairs — the deletion
 //!    primitive's "keep where the flag is clear" (Figs. 17–18) applied as
 //!    the lanes are created, so no counting scan rides along;
-//! 2. one [`Machine::flat_map_into`] both drops the retired pairs (arity
+//! 2. one [`Machine::flat_map_coded_into`] both drops the retired pairs (arity
 //!    0) and fans every ambiguous pair out ×4 (arity 4) against the finer
 //!    side's children — the generalized *cloning* of Figs. 13–14 (a
 //!    coarser leaf block is cloned unchanged against each child of the
@@ -261,29 +261,24 @@ impl SplitPolicy for JoinPolicy<'_> {
         //    has arity 0 (deletion, Figs. 17–18), an ambiguous one arity
         //    4 (generalized cloning, Figs. 13–14). Every copy carries its
         //    parent pair; the sweep below steps each to its child.
-        let seg = Segments::single(self.nab.len());
         let mut arity: Vec<u32> = machine.lease();
         machine.map_into(want, |w| if w { 4 } else { 0 }, &mut arity);
         let mut fanned: Vec<(u32, u32)> = machine.lease();
-        machine.flat_map_into(
-            &seg,
-            &self.nab,
-            &arity,
-            |parents, _rank| parents,
-            &mut fanned,
-        );
+        machine.flat_map_coded_into(&self.nab, &arity, |parents, _, _| parents, &mut fanned);
         machine.recycle(arity);
         machine.recycle(std::mem::replace(&mut self.nab, fanned));
 
         // 2. One elementwise child-and-classify step, deliberately *not*
-        //    the shared `batch::descend_level`: that step would fan out
-        //    to live children only, which means classifying every child
-        //    in the arity pass and again in the child pass (a prototype
-        //    read +3 % on the whole join, EXPERIMENTS E44). The uniform ×4
-        //    group is what this code buys instead — lanes 4k..4k+4 share
-        //    one parent pair, so each group's parent nodes are loaded
-        //    once; copy rank r names the quadrant — an internal side
-        //    descends to children[r], a leaf side stays put (aligned
+        //    the shared `batch::descend_level`: when this was measured
+        //    that step fanned out to live children by classifying every
+        //    child in the arity pass and again in the child pass (a
+        //    prototype read +3 % on the whole join, EXPERIMENTS E44; the
+        //    level step classifies once since, so a live-children arity
+        //    is open again — ROADMAP item 4). The uniform ×4 group is
+        //    what this code buys instead — lanes 4k..4k+4 share one
+        //    parent pair, so each group's parent nodes are loaded once;
+        //    copy rank r names the quadrant — an internal side descends
+        //    to children[r], a leaf side stays put (aligned
         //    decompositions keep blocks nested: a coarser leaf block is
         //    cloned unchanged against each child of the finer internal
         //    block). Classifying here, while the child nodes are warm,

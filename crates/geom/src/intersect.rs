@@ -16,6 +16,16 @@
 //! mispredict. The node split got its speed from *not calling* the clip
 //! on lanes the cut constraint alone decides (`dp_spatial::split`,
 //! EXPERIMENTS E45), not from a cheaper clip.
+//!
+//! Where an early accept *does* pay is the window filter,
+//! [`seg_meets_rect`]: the candidates of a window query are the q-edges
+//! of the leaves the window reaches, and on the serving workloads 84 %
+//! of the median window's distinct candidates (97 % over all windows)
+//! have an endpoint inside the window — the accept branch is the
+//! predictable one, and the filter went 6.4 → 2.9 µs for the median
+//! window's 260 candidates (EXPERIMENTS E48). The same test that
+//! mispredicts at a coin-flip node split is nearly free when one outcome
+//! dominates.
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -74,6 +84,43 @@ pub fn clip_segment_closed(seg: &LineSeg, rect: &Rect) -> Option<LineSeg> {
     let p0 = seg.a + d * t0;
     let p1 = seg.a + d * t1;
     Some(LineSeg::new(p0, p1))
+}
+
+/// Does `seg` meet the **closed** rectangle `rect`? Equal to
+/// `clip_segment_closed(seg, rect).is_some()` for every input, decided
+/// without the clip when an endpoint lies in the rectangle — the exact
+/// filter of a window query, whose candidates mostly do.
+///
+/// The early accept is exact, not approximate. `Rect::contains` is false
+/// for an empty rectangle, so that case falls through to the clip (which
+/// answers `None`); a zero-length segment is answered by the same
+/// `contains(seg.a)` the clip uses. Otherwise let `d = seg.b − seg.a` and
+/// take each of the clip's four constraints `p·t ≤ q` as the clip computes
+/// it, in `f64`. Rounding is monotone — `x ≤ y` implies `fl(x − z) ≤
+/// fl(y − z)` and, for `d > 0`, `fl(x / d) ≤ fl(y / d)` — and `0` and `1`
+/// are representable, which is all the argument uses:
+///
+/// * **`seg.a` inside** — every `q` is `fl(a − min)` or `fl(max − a)` of
+///   a coordinate with `min ≤ a ≤ max`, hence `q ≥ 0`. A parallel
+///   constraint (`p = 0`) rejects only on `q < 0`. A lower bound (`p < 0`)
+///   is `t = fl(q / p) ≤ 0` and an upper bound (`p > 0`) is `t ≥ 0`, so
+///   `t0` stays `0`, `t1` never drops below `0`, and neither rejection
+///   (`t > t1`, `t < t0`) nor the closing `t0 > t1` can fire: the
+///   constraints all hold at `t = 0`.
+/// * **`seg.b` inside** — on the x axis with `d.x > 0` the lower bound is
+///   `fl(fl(min.x − a.x) / d.x)` where `min.x ≤ b.x` gives
+///   `fl(min.x − a.x) ≤ fl(b.x − a.x) = d.x`, a quotient `≤ 1`; the upper
+///   bound is `fl(fl(max.x − a.x) / d.x)` with `fl(max.x − a.x) ≥ d.x`, a
+///   quotient `≥ 1`. With `d.x < 0` the roles swap, and `d.x = 0` means
+///   `a.x = b.x` (a difference of distinct floats is never zero), which is
+///   inside. The y axis is the same. Every lower bound is `≤ 1` and every
+///   upper bound `≥ 1`, so `t0 ≤ 1 ≤ t1` throughout: the constraints all
+///   hold at `t = 1`.
+///
+/// (A NaN quotient — differences that overflow to infinities — compares
+/// false in every rejection, so the clip accepts there too.)
+pub fn seg_meets_rect(seg: &LineSeg, rect: &Rect) -> bool {
+    rect.contains(seg.a) || rect.contains(seg.b) || clip_segment_closed(seg, rect).is_some()
 }
 
 /// Block membership: does `seg` belong to the quadtree block `rect`?
@@ -188,6 +235,32 @@ mod tests {
         assert!(clip_segment_closed(&inside, &rect).is_some());
         let outside = s(9.0, 9.0, 9.0, 9.0);
         assert!(clip_segment_closed(&outside, &rect).is_none());
+    }
+
+    #[test]
+    fn meets_rect_agrees_with_the_clip() {
+        let rect = r(0.0, 0.0, 4.0, 4.0);
+        let cases = [
+            s(1.0, 1.0, 2.0, 2.0),     // both endpoints inside
+            s(1.0, 1.0, 9.0, 9.0),     // first endpoint inside
+            s(-3.0, 2.0, 4.0, 4.0),    // second endpoint on a corner
+            s(-2.0, 1.0, 6.0, 1.0),    // crosses, no endpoint inside
+            s(3.0, 5.0, 5.0, 3.0),     // touches the corner (4, 4)
+            s(5.0, 0.0, 5.0, 4.0),     // parallel to an edge, outside
+            s(4.0, -1.0, 4.0, 5.0),    // along an edge's line
+            s(9.0, 9.0, 9.0, 9.0),     // a point outside
+            s(4.0, 0.0, 4.0, 0.0),     // a point on a corner
+            s(-2.0, -1.0, -1.0, -2.0), // misses
+        ];
+        for seg in cases {
+            for window in [rect, Rect::point(Point::new(4.0, 4.0)), Rect::empty()] {
+                assert_eq!(
+                    seg_meets_rect(&seg, &window),
+                    clip_segment_closed(&seg, &window).is_some(),
+                    "{seg:?} vs {window}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod point;
 pub mod rect;
 pub mod segment;
 
-pub use intersect::{clip_segment_closed, seg_in_block, segments_intersect};
+pub use intersect::{clip_segment_closed, seg_in_block, seg_meets_rect, segments_intersect};
 pub use morton::{hilbert_d, z_order, NodePath, Quadrant};
 pub use point::Point;
 pub use rect::Rect;

@@ -195,6 +195,23 @@ impl Rect {
         ]
     }
 
+    /// Quadrant `q` of [`Rect::quadrants`] alone, for a caller that steps
+    /// to one child: the same corners, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q >= 4`.
+    pub fn quadrant(&self, q: usize) -> Rect {
+        let c = self.center();
+        match q {
+            0 => Rect::from_coords(self.min.x, c.y, c.x, self.max.y), // NW
+            1 => Rect::from_coords(c.x, c.y, self.max.x, self.max.y), // NE
+            2 => Rect::from_coords(self.min.x, self.min.y, c.x, c.y), // SW
+            3 => Rect::from_coords(c.x, self.min.y, self.max.x, c.y), // SE
+            _ => panic!("quadrant {q} of four"),
+        }
+    }
+
     /// Minimum squared distance from `p` to this rectangle (zero when
     /// inside); the pruning bound for nearest-neighbour searches.
     pub fn dist2_to_point(&self, p: Point) -> f64 {
@@ -239,6 +256,16 @@ mod tests {
         assert!(!a.contains_half_open(boundary));
         let inside = Point::new(0.0, 0.0);
         assert!(a.contains_half_open(inside));
+    }
+
+    #[test]
+    fn one_quadrant_is_that_quadrant_of_the_four() {
+        for a in [r(0.0, 0.0, 8.0, 8.0), r(-3.0, 0.1, 0.7, 5.5)] {
+            let quads = a.quadrants();
+            for (q, quad) in quads.iter().enumerate() {
+                assert_eq!(a.quadrant(q), *quad);
+            }
+        }
     }
 
     #[test]

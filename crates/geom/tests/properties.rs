@@ -2,7 +2,9 @@
 //! arithmetic, clipping/membership coherence on the integer grid, and
 //! symmetry of the intersection predicates.
 
-use dp_geom::{clip_segment_closed, seg_in_block, segments_intersect, LineSeg, Point, Rect};
+use dp_geom::{
+    clip_segment_closed, seg_in_block, seg_meets_rect, segments_intersect, LineSeg, Point, Rect,
+};
 use proptest::prelude::*;
 
 const W: i32 = 64;
@@ -28,7 +30,98 @@ fn rects() -> impl Strategy<Value = Rect> {
     })
 }
 
+/// The neighbouring `f64` of a finite `x`, one ulp up or down.
+fn nudge(x: f64, up: bool) -> f64 {
+    if x == 0.0 {
+        let tiny = f64::from_bits(1);
+        return if up { tiny } else { -tiny };
+    }
+    let away_from_zero = (x > 0.0) == up;
+    let bits = x.to_bits();
+    f64::from_bits(if away_from_zero { bits + 1 } else { bits - 1 })
+}
+
+/// Windows of every shape the filter can be handed: grid and off-grid
+/// boxes, a point, a horizontal and a vertical line, and the empty
+/// rectangle.
+fn filter_windows() -> impl Strategy<Value = Rect> {
+    (0u8..7, 0..W, 0..W, 1..W, 1..W, 0.0f64..1.0, 0.0f64..1.0).prop_map(
+        |(kind, x, y, w, h, fx, fy)| {
+            let (x, y, w, h) = (x as f64, y as f64, w as f64, h as f64);
+            match kind {
+                0 => Rect::empty(),
+                1 => Rect::point(Point::new(x, y)),
+                2 => Rect::from_coords(x, y, x + w, y),
+                3 => Rect::from_coords(x, y, x, y + h),
+                // Off the grid: corners that are not dyadic.
+                4 => Rect::from_coords(x + fx / 3.0, y + fy / 7.0, x + w + fx, y + h + fy),
+                _ => Rect::from_coords(x, y, x + w, y + h),
+            }
+        },
+    )
+}
+
+/// One coordinate of a segment endpoint, biased to where the early accept
+/// and the clip could disagree: on the grid, off it, exactly on the
+/// window's low or high edge on that axis, and one ulp to either side of
+/// an edge. (Against the empty rectangle the edge kinds are infinite and
+/// their nudges NaN; the predicates still have to agree.)
+fn coord(kind: u8, grid: i32, frac: f64, lo: f64, hi: f64) -> f64 {
+    match kind {
+        0 => grid as f64,
+        1 => grid as f64 + frac / 3.0,
+        2 => lo,
+        3 => hi,
+        4 => nudge(lo, false),
+        5 => nudge(hi, true),
+        6 => nudge(lo, true),
+        _ => nudge(hi, false),
+    }
+}
+
+type RawPoint = (u8, u8, i32, i32, f64, f64);
+
+fn raw_points() -> impl Strategy<Value = RawPoint> {
+    (
+        0u8..8,
+        0u8..8,
+        -4..W + 4,
+        -4..W + 4,
+        0.0f64..1.0,
+        0.0f64..1.0,
+    )
+}
+
+fn point_near(window: &Rect, (kx, ky, gx, gy, fx, fy): RawPoint) -> Point {
+    Point::new(
+        coord(kx, gx, fx, window.min.x, window.max.x),
+        coord(ky, gy, fy, window.min.y, window.max.y),
+    )
+}
+
 proptest! {
+    /// The window filter's predicate is the closed clip's verdict, for
+    /// grid and off-grid segments and windows, zero-length segments,
+    /// point / line / empty windows, endpoints exactly on an edge or a
+    /// corner, segments collinear with an edge, and endpoints one ulp
+    /// inside or outside an edge.
+    #[test]
+    fn meets_rect_is_the_closed_clip(
+        window in filter_windows(),
+        ends in prop::collection::vec((raw_points(), raw_points(), 0u8..8), 1..48),
+    ) {
+        for (a, b, zero_length) in ends {
+            let a = point_near(&window, a);
+            let b = if zero_length == 0 { a } else { point_near(&window, b) };
+            let seg = LineSeg::new(a, b);
+            prop_assert_eq!(
+                seg_meets_rect(&seg, &window),
+                clip_segment_closed(&seg, &window).is_some(),
+                "{:?} vs {}", seg, window
+            );
+        }
+    }
+
     /// Rectangle algebra: union is commutative and contains both
     /// operands; intersection is contained in both; areas are consistent.
     #[test]

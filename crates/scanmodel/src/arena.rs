@@ -23,10 +23,12 @@
 //!
 //! The arena is deliberately not thread-safe — each shard owns one behind
 //! its own lock, which matches the one-arena-per-shard usage and keeps
-//! `take`/`put` allocation-free in the steady state.
+//! `take`/`put` allocation-free in the steady state: the pooled vectors
+//! sit unboxed in one typed pool per element type, and the only erased
+//! object is the pool itself, created the first time its type is
+//! returned.
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
 
 /// Floor for the retained-byte cap: [`ScratchArena::decay`] never shrinks
 /// the cap below this, so small workloads always keep their buffers.
@@ -35,19 +37,60 @@ pub const MIN_CAP_BYTES: usize = 1 << 20; // 1 MiB
 /// Initial retained-byte cap for a fresh arena.
 pub const DEFAULT_CAP_BYTES: usize = 256 << 20; // 256 MiB
 
-/// One pooled buffer plus the bytes its capacity pins.
-#[derive(Debug)]
-struct Pooled {
-    buf: Box<dyn Any + Send>,
-    bytes: usize,
-    tname: &'static str,
+/// The pooled buffers of one element type, a LIFO stack: the front has
+/// sat idle longest.
+struct TypedPool<T> {
+    bufs: Vec<Vec<T>>,
+}
+
+/// Bytes a buffer's capacity pins.
+fn pinned_bytes<T>(buf: &Vec<T>) -> usize {
+    buf.capacity() * std::mem::size_of::<T>()
+}
+
+/// What eviction, the counters and the log need of a pool without
+/// knowing its element type.
+trait Pool: Send {
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Number of pooled buffers.
+    fn len(&self) -> usize;
+    /// Bytes pinned by the buffer that has sat idle longest.
+    fn oldest_bytes(&self) -> Option<usize>;
+    /// Drops the buffer that has sat idle longest.
+    fn evict_oldest(&mut self);
+    /// `(bytes, element type name)` of every pooled buffer.
+    fn sizes(&self) -> Vec<(usize, &'static str)>;
+}
+
+impl<T: Send + 'static> Pool for TypedPool<T> {
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn len(&self) -> usize {
+        self.bufs.len()
+    }
+
+    fn oldest_bytes(&self) -> Option<usize> {
+        self.bufs.first().map(pinned_bytes)
+    }
+
+    fn evict_oldest(&mut self) {
+        self.bufs.remove(0);
+    }
+
+    fn sizes(&self) -> Vec<(usize, &'static str)> {
+        let tname = std::any::type_name::<T>();
+        self.bufs.iter().map(|b| (pinned_bytes(b), tname)).collect()
+    }
 }
 
 /// A type-keyed pool of reusable `Vec<T>` scratch buffers with a decaying
 /// retained-byte cap.
-#[derive(Debug)]
 pub struct ScratchArena {
-    pools: HashMap<TypeId, Vec<Pooled>>,
+    /// One pool per element type that was ever returned, found by a scan:
+    /// an algorithm cycles a handful of lane types.
+    pools: Vec<(TypeId, Box<dyn Pool>)>,
     takes: u64,
     hits: u64,
     /// Bytes currently pinned by pooled (idle) buffers.
@@ -72,10 +115,23 @@ pub struct ScratchArena {
     evictions: u64,
 }
 
+impl std::fmt::Debug for ScratchArena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScratchArena")
+            .field("pooled", &self.pooled())
+            .field("retained_bytes", &self.retained_bytes)
+            .field("leased_bytes", &self.leased_bytes)
+            .field("high_water_bytes", &self.high_water_bytes)
+            .field("cap_bytes", &self.cap_bytes)
+            .field("evictions", &self.evictions)
+            .finish_non_exhaustive()
+    }
+}
+
 impl Default for ScratchArena {
     fn default() -> Self {
         ScratchArena {
-            pools: HashMap::new(),
+            pools: Vec::new(),
             takes: 0,
             hits: 0,
             retained_bytes: 0,
@@ -98,21 +154,28 @@ impl ScratchArena {
     /// returned buffer when one is pooled.
     pub fn take<T: Send + 'static>(&mut self) -> Vec<T> {
         self.takes += 1;
-        if let Some(pool) = self.pools.get_mut(&TypeId::of::<Vec<T>>()) {
-            if let Some(entry) = pool.pop() {
-                self.hits += 1;
-                // The capacity moves from idle to leased; the footprint
-                // (retained + leased) is unchanged.
-                self.retained_bytes -= entry.bytes;
-                self.leased_bytes += entry.bytes;
-                self.epoch_used_bytes += entry.bytes;
-                return *entry
-                    .buf
-                    .downcast::<Vec<T>>()
-                    .expect("pool keyed by TypeId");
-            }
-        }
-        Vec::new()
+        let Some(buf) = self.pool_of::<T>().and_then(|pool| pool.bufs.pop()) else {
+            return Vec::new();
+        };
+        self.hits += 1;
+        // The capacity moves from idle to leased; the footprint
+        // (retained + leased) is unchanged.
+        let bytes = pinned_bytes(&buf);
+        self.retained_bytes -= bytes;
+        self.leased_bytes += bytes;
+        self.epoch_used_bytes += bytes;
+        buf
+    }
+
+    /// The pool of element type `T`, if a `Vec<T>` was ever returned.
+    fn pool_of<T: Send + 'static>(&mut self) -> Option<&mut TypedPool<T>> {
+        let key = TypeId::of::<T>();
+        let (_, pool) = self.pools.iter_mut().find(|(id, _)| *id == key)?;
+        Some(
+            pool.as_any_mut()
+                .downcast_mut()
+                .expect("pool keyed by TypeId"),
+        )
     }
 
     /// Returns a buffer to the pool. The contents are cleared; the
@@ -123,7 +186,7 @@ impl ScratchArena {
     /// dropped outright.
     pub fn put<T: Send + 'static>(&mut self, mut buf: Vec<T>) {
         buf.clear();
-        let bytes = buf.capacity() * std::mem::size_of::<T>();
+        let bytes = pinned_bytes(&buf);
         // An incoming buffer first settles an outstanding lease of the
         // same size: in the ping-pong idiom (take a slab, swap it with a
         // caller buffer, put the swapped-out buffer) the returned bytes
@@ -140,11 +203,8 @@ impl ScratchArena {
         self.retained_bytes += bytes;
         let foot = self.retained_bytes + self.leased_bytes;
         if foot > self.high_water_bytes && std::env::var_os("DP_ARENA_LOG").is_some() {
-            let mut sizes: Vec<(usize, &str)> = self
-                .pools
-                .values()
-                .flat_map(|p| p.iter().map(|e| (e.bytes, e.tname)))
-                .collect();
+            let mut sizes: Vec<(usize, &str)> =
+                self.pools.iter().flat_map(|(_, p)| p.sizes()).collect();
             sizes.sort_unstable_by(|a, b| b.cmp(a));
             eprintln!(
                 "arena hw {} -> {} (retained {} leased {} incoming {} {}) pooled: {:?}",
@@ -158,14 +218,11 @@ impl ScratchArena {
             );
         }
         self.high_water_bytes = self.high_water_bytes.max(foot);
-        self.pools
-            .entry(TypeId::of::<Vec<T>>())
-            .or_default()
-            .push(Pooled {
-                buf: Box::new(buf),
-                bytes,
-                tname: std::any::type_name::<T>(),
-            });
+        if self.pool_of::<T>().is_none() {
+            let empty = TypedPool::<T> { bufs: Vec::new() };
+            self.pools.push((TypeId::of::<T>(), Box::new(empty)));
+        }
+        self.pool_of().expect("created above").bufs.push(buf);
     }
 
     /// End-of-round maintenance: relax the retained-byte cap toward twice
@@ -198,21 +255,19 @@ impl ScratchArena {
         while self.retained_bytes > target {
             let victim = self
                 .pools
-                .iter()
-                .filter(|(_, pool)| !pool.is_empty())
-                .max_by_key(|(_, pool)| pool[0].bytes)
-                .map(|(key, _)| *key);
-            let Some(key) = victim else { break };
-            let pool = self.pools.get_mut(&key).expect("victim pool exists");
-            let entry = pool.remove(0);
-            self.retained_bytes -= entry.bytes;
+                .iter_mut()
+                .filter_map(|(_, pool)| Some((pool.oldest_bytes()?, pool)))
+                .max_by_key(|(bytes, _)| *bytes);
+            let Some((bytes, pool)) = victim else { break };
+            pool.evict_oldest();
+            self.retained_bytes -= bytes;
             self.evictions += 1;
         }
     }
 
     /// Number of buffers currently pooled (across all types).
     pub fn pooled(&self) -> usize {
-        self.pools.values().map(Vec::len).sum()
+        self.pools.iter().map(|(_, pool)| pool.len()).sum()
     }
 
     /// Bytes currently pinned by pooled buffers.

@@ -1,5 +1,6 @@
-//! The one counts→layout kernel and the one apply: cloning, deletion,
-//! duplicate deletion and fan-out as arities of a single flat-map.
+//! The one counts→layout kernel, the one apply, and the flat-map that
+//! needs neither: cloning, deletion, duplicate deletion and fan-out as
+//! arities of a single computation.
 //!
 //! The paper's reordering primitives — *cloning* (Sec. 4.1, Fig. 14) and
 //! *duplicate deletion* (Sec. 4.3, Fig. 18) — are each "one scan, a
@@ -10,21 +11,42 @@
 //! `1 + flag`, deletion is `1 − flag`, the frontier algorithms' ×k
 //! fan-out is a counts lane, and a general flat-map mixes all three
 //! (Sroka & Tyszkiewicz: sort + scan + zip + flat-map is the whole
-//! vocabulary). [`Machine::clone_layout`], [`Machine::delete_layout`],
-//! [`Machine::fanout_layout`] and [`Machine::delete_duplicates`] are thin
-//! named wrappers that supply the arity; all of them produce one
-//! [`Layout`] and charge the paper's count for a single cloning — one
-//! scan, two elementwise ops, one permutation — for any arity.
+//! vocabulary).
 //!
-//! The kernel has the same block-reduce → carry → block-apply structure
-//! as the scan walk ([`crate::blocked`]): phase 1 reduces each input
-//! block to its arity total (the block total of the room-making scan,
-//! carried like a scan carry, so no widened or offset vector is ever
-//! materialized) and to the one other cross-block dependency, the
-//! *vanished-segment-head* flag — a segment head whose lane has arity 0
-//! defers its boundary to the next surviving lane; phase 3 lets every
-//! block write its disjoint output span. On the sequential backend the
-//! same body runs as one block, inline.
+//! It comes in two forms that share one frame (`Frame`: block-reduce →
+//! carry → block-apply, the structure of the scan walk in
+//! [`crate::blocked`]). Phase 1 reduces each input block to its arity
+//! total — the block total of the room-making scan, carried like a scan
+//! carry, so no widened or offset vector is ever materialized; phase 3
+//! lets every block write its disjoint output span. On the sequential
+//! backend the same bodies run as one block, inline.
+//!
+//! * **Push form** — [`Machine::flat_map_into`] and its coded entry
+//!   [`Machine::flat_map_coded_into`]: Fig. 14 read literally, "scan the
+//!   arities, then each element *goes* to its offset". The apply phase
+//!   writes `f(value, code, rank)` for every copy straight into its
+//!   block's output span, so a flat-map with **one output vector never
+//!   materializes its layout** — no index per output lane is built, read
+//!   back or freed (Gu, Obeya & Shun's pack without an index). The batch
+//!   descent, the frontier join's fan-out and the skyline's compaction are
+//!   this form.
+//! * **Gather form** — [`Machine::clone_layout`],
+//!   [`Machine::delete_layout`], [`Machine::fanout_layout`] and
+//!   [`Machine::delete_duplicates`], thin named wrappers that supply the
+//!   arity and produce one [`Layout`]. It is for **one layout applied to
+//!   several vectors** — the split rounds reorder every lane vector of a
+//!   frontier by the same layout — and for callers that read the expanded
+//!   segment descriptor. Besides the arity total, its phase 1 carries the
+//!   one other cross-block dependency, the *vanished-segment-head* flag: a
+//!   segment head whose lane has arity 0 defers its boundary to the next
+//!   surviving lane.
+//!
+//! Either form is charged the paper's count for a single cloning — one
+//! scan, two elementwise ops, one permutation — for any arity, and the
+//! push form adds what [`Machine::apply_map_into`] charges (one
+//! permutation, one elementwise op), so a caller that moves from
+//! `fanout_layout` + `apply_map_into` to `flat_map_into` changes no
+//! counter.
 //!
 //! The layout is gather-form ([`Layout::src_lane`]), so applying it to the
 //! several parallel vectors of a frontier costs one permutation per
@@ -60,8 +82,7 @@ enum Motion {
 }
 
 /// A gather-form reordering: the result of [`Machine::clone_layout`],
-/// [`Machine::delete_layout`], [`Machine::fanout_layout`] and
-/// [`Machine::flat_map`].
+/// [`Machine::delete_layout`] and [`Machine::fanout_layout`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     /// For each output lane, the input lane it is a copy of. Copies of a
@@ -106,6 +127,51 @@ impl Layout {
             "apply: data has {data_len} lanes but the layout was computed for {}",
             self.input_len
         );
+    }
+}
+
+/// The block-reduce → carry → block-apply frame both flat-map forms run
+/// in: which lanes make a block and whether the blocks go to the pool.
+/// A form supplies its phase-1 summary, folds the (few) summaries into
+/// per-block seeds itself — what is carried differs between the forms —
+/// and supplies its phase-3 body. [`Machine::fanout_frame`] builds it.
+struct Frame {
+    pool: bool,
+    n: usize,
+    block: usize,
+}
+
+impl Frame {
+    /// Phase 1 (block-reduce): `summarize(lo, hi)` of every block, in
+    /// block order.
+    fn reduce<S, R>(&self, summarize: R) -> Vec<S>
+    where
+        S: Send,
+        R: Fn(usize, usize) -> S + Sync,
+    {
+        let nblocks = self.n.div_ceil(self.block);
+        let mut sums: Vec<S> = Vec::with_capacity(nblocks);
+        let base = SyncPtr(sums.as_mut_ptr());
+        blocked::for_each_block(self.pool, self.n, self.block, |lo, hi| {
+            // SAFETY: `lo / block` is a unique block index per call and
+            // below `nblocks`, the capacity reserved above.
+            unsafe { base.get().add(lo / self.block).write(summarize(lo, hi)) };
+        });
+        // SAFETY: the walk visited every block once, so slots
+        // `0..nblocks` are initialized.
+        unsafe { sums.set_len(nblocks) };
+        sums
+    }
+
+    /// Phase 3 (block-apply): `write(b, lo, hi)` for every block `b`,
+    /// which indexes what phase 2 carried into it.
+    fn apply<W>(&self, write: W)
+    where
+        W: Fn(usize, usize, usize) + Sync,
+    {
+        blocked::for_each_block(self.pool, self.n, self.block, |lo, hi| {
+            write(lo / self.block, lo, hi)
+        });
     }
 }
 
@@ -203,17 +269,12 @@ impl Machine {
         (self.apply(data, &layout), layout)
     }
 
-    /// The one counts→layout kernel: lane `i` of the input is replicated
-    /// `arity(i)` times. Charged as Fig. 14's single cloning whatever the
-    /// arities: the indicator elementwise op, the room-making scan, the
+    /// Charges one cloning (Fig. 14) over `n` input lanes, whatever the
+    /// arities — the indicator elementwise op, the room-making scan, the
     /// position/rank elementwise op and the scatter, plus the bytes the
-    /// two `u64` vectors of the composed form would have carried — the
-    /// same on both backends.
-    fn layout_with<A>(&self, seg: &Segments, arity: A) -> Layout
-    where
-        A: Fn(usize) -> u32 + Sync,
-    {
-        let n = seg.len();
+    /// two `u64` vectors of the composed form would have carried, the
+    /// same on both backends — and fixes the frame the kernel runs in.
+    fn fanout_frame(&self, n: usize) -> Frame {
         self.count_elementwise();
         self.count_scan();
         self.count_elementwise();
@@ -229,14 +290,22 @@ impl Machine {
         } else {
             n.max(1)
         };
-        let nblocks = n.div_ceil(block);
+        Frame { pool, n, block }
+    }
+
+    /// The one counts→layout kernel: lane `i` of the input is replicated
+    /// `arity(i)` times. One cloning's cost ([`Machine::fanout_frame`]).
+    fn layout_with<A>(&self, seg: &Segments, arity: A) -> Layout
+    where
+        A: Fn(usize) -> u32 + Sync,
+    {
+        let n = seg.len();
+        let frame = self.fanout_frame(n);
         let heads = seg.flags();
 
         // Phase 1 (block-reduce): each block's arity total, pending-head
         // summary and arity range.
-        let mut summaries = vec![BlockSummary::default(); nblocks];
-        let sums = SyncPtr(summaries.as_mut_ptr());
-        blocked::for_each_block(pool, n, block, |lo, hi| {
+        let summaries = frame.reduce(|lo, hi| {
             let mut s = BlockSummary::default();
             for (i, &head) in (lo..).zip(&heads[lo..hi]) {
                 let c = arity(i);
@@ -248,14 +317,12 @@ impl Machine {
                 s.any_zero |= c == 0;
                 s.any_multi |= c > 1;
             }
-            // SAFETY: `lo / block` is a unique block index per call and
-            // the summaries vec was sized to `nblocks`.
-            unsafe { sums.get().add(lo / block).write(s) };
+            s
         });
 
         // Phase 2 (carry): exclusive fold over the (few) blocks — each
         // block's first output slot and carried-in pending flag.
-        let mut seeds = Vec::with_capacity(nblocks);
+        let mut seeds = Vec::with_capacity(summaries.len());
         let (mut out_len, mut pending) = (0usize, false);
         let (mut any_zero, mut any_multi) = (false, false);
         for s in &summaries {
@@ -278,8 +345,8 @@ impl Machine {
         let rank_base = SyncPtr(rank.as_mut_ptr());
         let flag_base = SyncPtr(flags_out.as_mut_ptr());
         let first_slot = SyncPtr(counts.as_mut_ptr());
-        blocked::for_each_block(pool, n, block, |lo, hi| {
-            let (mut at, mut pending) = seeds[lo / block];
+        frame.apply(|b, lo, hi| {
+            let (mut at, mut pending) = seeds[b];
             let mut s = seg.starts().partition_point(|&start| start < lo);
             for (i, &head) in (lo..).zip(&heads[lo..hi]) {
                 if head {
@@ -427,6 +494,26 @@ impl Machine {
     {
         layout.check_input(data.len());
         let n = layout.len();
+        self.begin_map_apply(out, n);
+        let (src, rank) = (&layout.src_lane, &layout.rank);
+        let spare = &mut out.spare_capacity_mut()[..n];
+        self.for_each_block_of(widest::<T, U>(), [spare], |lo, [block]| {
+            for (k, slot) in block.iter_mut().enumerate() {
+                slot.write(f(data[src[lo + k]], rank[lo + k]));
+            }
+        });
+        // SAFETY: the walk above initialized lanes `0..n` of the spare
+        // capacity `begin_map_apply` reserved.
+        unsafe { out.set_len(n) };
+    }
+
+    /// What a fused-map apply of `n` output lanes is charged — one
+    /// permutation, one elementwise op, the output's bytes, a blocked
+    /// pass and fault checkpoint once `n` engages the pool — and the
+    /// exact-fit reservation of `out` (cleared). Shared by the gather
+    /// form's [`Machine::apply_map_into`] and the push form's apply phase,
+    /// so the two charge alike.
+    fn begin_map_apply<U>(&self, out: &mut Vec<U>, n: usize) {
         self.count_permute();
         self.count_elementwise();
         self.note_alloc_avoided(out.capacity(), n);
@@ -436,46 +523,94 @@ impl Machine {
             self.count_blocked_pass();
             rayon::fault_checkpoint();
         }
-        let (src, rank) = (&layout.src_lane, &layout.rank);
-        let spare = &mut out.spare_capacity_mut()[..n];
-        self.for_each_block_of(widest::<T, U>(), [spare], |lo, [block]| {
-            for (k, slot) in block.iter_mut().enumerate() {
-                slot.write(f(data[src[lo + k]], rank[lo + k]));
-            }
-        });
-        // SAFETY: the walk above initialized lanes `0..n` of the spare
-        // capacity `fit_exact` reserved.
-        unsafe { out.set_len(n) };
     }
 
-    /// One-call flat-map: computes the layout for `counts` and applies
-    /// `f(value, rank)` to `data` through it. Returns the output vector
-    /// and the layout (for reordering further parallel vectors and for
-    /// the expanded segment descriptor).
+    /// Push-form flat-map over a **code lane**: lane `i` is replicated
+    /// `codes[i].into()` times and output lane `j`, the `rank`-th copy of
+    /// lane `i`, is `f(data[i], codes[i], rank)`, written into `out`
+    /// (cleared first) — lease `out` from the machine's arena and the
+    /// call allocates nothing proportional to its lanes. The code is
+    /// whatever the caller's arity pass already computed (a `u32` count,
+    /// or a narrower code whose `Into<u32>` *is* its arity, such as a
+    /// bitmask of admitted children) and is handed to `f`, so `f` does
+    /// not compute it a second time for every copy.
+    ///
+    /// No [`Layout`] is built: the apply phase of the frame writes each
+    /// copy straight to its slot. Charged exactly as
+    /// [`Machine::fanout_layout`] followed by [`Machine::apply_map_into`]
+    /// (the latter only when the output is non-empty).
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != seg.len()` or `data.len() != seg.len()`.
-    pub fn flat_map<T, U, F>(
-        &self,
-        seg: &Segments,
-        data: &[T],
-        counts: &[u32],
-        f: F,
-    ) -> (Vec<U>, Layout)
+    /// Panics if `codes.len() != data.len()`.
+    pub fn flat_map_coded_into<T, C, U, F>(&self, data: &[T], codes: &[C], f: F, out: &mut Vec<U>)
     where
         T: Element,
+        C: Element + Into<u32>,
         U: Element,
-        F: Fn(T, u32) -> U + Send + Sync,
+        F: Fn(T, C, u32) -> U + Send + Sync,
     {
-        let mut out = Vec::new();
-        let layout = self.flat_map_into(seg, data, counts, f, &mut out);
-        (out, layout)
+        assert_eq!(
+            codes.len(),
+            data.len(),
+            "flat-map: code lane has {} lanes but the data {}",
+            codes.len(),
+            data.len()
+        );
+        let frame = self.fanout_frame(data.len());
+
+        // Phase 1 (block-reduce) and phase 2 (carry, in place): each
+        // block's arity total becomes its first output slot.
+        let mut seeds = frame.reduce(|lo, hi| {
+            let arities = codes[lo..hi].iter().map(|&c| c.into() as usize);
+            arities.sum::<usize>()
+        });
+        let mut out_len = 0usize;
+        for seed in &mut seeds {
+            out_len += std::mem::replace(seed, out_len);
+        }
+        if out_len == 0 {
+            out.clear();
+            return;
+        }
+
+        // Phase 3 (block-apply): every copy goes to its slot.
+        self.begin_map_apply(out, out_len);
+        let base = SyncPtr(out.as_mut_ptr());
+        frame.apply(|b, lo, hi| {
+            let end = seeds.get(b + 1).copied().unwrap_or(out_len);
+            let mut at = seeds[b];
+            for (&value, &code) in data[lo..hi].iter().zip(&codes[lo..hi]) {
+                let copies: u32 = code.into();
+                // Holds whenever `Into<u32>` is a function of the code; a
+                // conversion that answers differently in phase 3 than in
+                // phase 1 must not write outside its block's span.
+                assert!(copies as usize <= end - at, "flat-map: arity changed");
+                for rank in 0..copies {
+                    // SAFETY: `at < end` by the assert above; input
+                    // blocks are disjoint and so are their output spans
+                    // `seeds[b]..end` (the seeds are a prefix sum of the
+                    // block totals), so each slot is written by exactly
+                    // one worker, within the `out_len` slots
+                    // `begin_map_apply` reserved.
+                    unsafe { base.get().add(at).write(f(value, code, rank)) };
+                    at += 1;
+                }
+            }
+            assert_eq!(at, end, "flat-map: arity changed");
+        });
+        // SAFETY: every block wrote its whole span `seeds[b]..end` (the
+        // closing assert), and the spans tile `0..out_len`.
+        unsafe { out.set_len(out_len) };
     }
 
-    /// [`Machine::flat_map`] into a caller-provided buffer (cleared
-    /// first) — the arena-backed variant: lease `out` from the machine's
-    /// arena and the apply pass allocates nothing.
+    /// One-call flat-map over a counts lane: lane `i` of the segmented
+    /// vector `data` is replicated `counts[i]` times and copy `rank` of it
+    /// becomes `f(data[i], rank)` in `out` (cleared first). A thin wrapper
+    /// over [`Machine::flat_map_coded_into`]; the descriptor is only
+    /// checked against the lanes — copies join their source lane's
+    /// segment, and a caller that needs the expanded descriptor takes the
+    /// gather form ([`Machine::fanout_layout`]).
     ///
     /// # Panics
     ///
@@ -487,20 +622,13 @@ impl Machine {
         counts: &[u32],
         f: F,
         out: &mut Vec<U>,
-    ) -> Layout
-    where
+    ) where
         T: Element,
         U: Element,
         F: Fn(T, u32) -> U + Send + Sync,
     {
         seg.expect_lane("flat-map", data.len());
-        let layout = self.fanout_layout(seg, counts);
-        if layout.is_empty() {
-            out.clear();
-        } else {
-            self.apply_map_into(data, &layout, f, out);
-        }
-        layout
+        self.flat_map_coded_into(data, counts, |value, _, rank| f(value, rank), out);
     }
 }
 
@@ -840,19 +968,41 @@ mod tests {
         }
     }
 
+    /// The push form writes what the gather form gathers. (Counters and
+    /// the edge sizes are `tests/properties.rs`'s.)
     #[test]
     fn flat_map_one_call_matches_composition() {
         for m in machines() {
             let (seg, counts) = random_case(100, 7);
             let data: Vec<u32> = (0..100u32).collect();
-            let (out, layout) = m.flat_map(&seg, &data, &counts, |v, r| v + r);
-            let want: Vec<u32> = layout
-                .src_lane
-                .iter()
-                .zip(layout.rank.iter())
-                .map(|(&s, &r)| data[s] + r)
-                .collect();
+            let layout = m.fanout_layout(&seg, &counts);
+            let mut want = Vec::new();
+            m.apply_map_into(&data, &layout, |v, r| v + r, &mut want);
+            let mut out = Vec::new();
+            m.flat_map_into(&seg, &data, &counts, |v, r| v + r, &mut out);
             assert_eq!(out, want);
+        }
+    }
+
+    /// The coded entry hands `f` each lane's code beside its rank.
+    #[test]
+    fn flat_map_coded_passes_the_code_to_every_copy() {
+        for m in machines() {
+            let data = vec!['a', 'b', 'c', 'd', 'e'];
+            let codes = [2u8, 0, 1, 3, 0];
+            let mut out = Vec::new();
+            m.flat_map_coded_into(&data, &codes, |v, c, r| (v, c, r), &mut out);
+            assert_eq!(
+                out,
+                vec![
+                    ('a', 2, 0),
+                    ('a', 2, 1),
+                    ('c', 1, 0),
+                    ('d', 3, 0),
+                    ('d', 3, 1),
+                    ('d', 3, 2)
+                ]
+            );
         }
     }
 
@@ -860,10 +1010,17 @@ mod tests {
     fn flat_map_empty_output() {
         for m in machines() {
             let seg = Segments::from_lengths(&[2]).unwrap();
-            let (out, layout) = m.flat_map(&seg, &[5u8, 6], &[0, 0], |v, _| v);
+            let mut out = vec![1u8];
+            m.flat_map_into(&seg, &[5u8, 6], &[0, 0], |v, _| v, &mut out);
             assert!(out.is_empty());
-            assert!(layout.is_empty());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "code lane has 2 lanes but the data 3")]
+    fn flat_map_coded_rejects_a_short_code_lane() {
+        let m = Machine::sequential();
+        m.flat_map_coded_into(&[1u8, 2, 3], &[1u32, 1], |v, _, _| v, &mut Vec::new());
     }
 
     #[test]
@@ -872,10 +1029,10 @@ mod tests {
         let (seg, counts) = random_case(64, 11);
         let data: Vec<u64> = (0..64).collect();
         let mut out: Vec<u64> = m.lease();
-        let _ = m.flat_map_into(&seg, &data, &counts, |v, r| v + r as u64, &mut out);
+        m.flat_map_into(&seg, &data, &counts, |v, r| v + r as u64, &mut out);
         let cap = out.capacity();
         let before = m.stats();
-        let _ = m.flat_map_into(&seg, &data, &counts, |v, r| v + r as u64, &mut out);
+        m.flat_map_into(&seg, &data, &counts, |v, r| v + r as u64, &mut out);
         let d = m.stats().since(&before);
         assert!(out.capacity() >= cap);
         assert!(d.allocs_avoided >= 1, "warm apply buffer was not reused");

@@ -37,10 +37,13 @@
 //!   arity `1 + flag`;
 //! * [`Machine::delete_layout`] / [`Machine::delete_duplicates`] —
 //!   *duplicate deletion* / *concentrate* (Sec. 4.3), arity `1 − flag`;
-//! * [`Machine::fanout_layout`] / [`Machine::flat_map`] — a counts lane:
-//!   the pair expansion of the batch query descent and the spatial join,
-//!   and the variable-arity flat-map the dominance/skyline pipelines
-//!   compact and expand with;
+//! * [`Machine::fanout_layout`] — a counts lane, for one layout applied
+//!   to several vectors;
+//! * [`Machine::flat_map_into`] / [`Machine::flat_map_coded_into`] — the
+//!   same kernel in push form, for one output vector: every copy goes
+//!   straight to its slot and no layout is built. The pair expansion of
+//!   the batch query descent and the spatial join, and the variable-arity
+//!   flat-map the dominance/skyline pipelines compact with;
 //! * [`Machine::apply`], [`Machine::apply_into`],
 //!   [`Machine::apply_in_place`], [`Machine::apply_map_into`] — the one
 //!   apply, by destination; the in-place sweep direction is read off the

@@ -525,3 +525,95 @@ proptest! {
         }
     }
 }
+
+/// The three machines every kernel differential runs on: the sequential
+/// reference, the pool from the first lane, and the pool with blocks so
+/// small that every input crosses many block boundaries.
+fn three_machines() -> [Machine; 3] {
+    [
+        Machine::new(Backend::Sequential),
+        Machine::new(Backend::Parallel).with_par_threshold(1),
+        Machine::new(Backend::Parallel)
+            .with_par_threshold(1)
+            .with_block_bytes(4 * std::mem::size_of::<u64>()),
+    ]
+}
+
+/// Push-form `flat_map_into` against the gather form it replaced in the
+/// one-output callers — `fanout_layout` then `apply_map_into` — on one
+/// machine: same output, same paper-level and physical counters.
+fn assert_push_matches_gather(m: &Machine, lens: &[usize], counts: &[u32], what: &str) {
+    let n = counts.len();
+    let seg = if n == 0 {
+        Segments::single(0)
+    } else {
+        Segments::from_lengths(lens).unwrap()
+    };
+    let data: Vec<u64> = (0..n as u64).map(|i| i * 31 + 5).collect();
+    let f = |v: u64, r: u32| v * 8 + u64::from(r);
+
+    let before = m.stats();
+    let layout = m.fanout_layout(&seg, counts);
+    let mut want: Vec<u64> = Vec::new();
+    if !layout.is_empty() {
+        m.apply_map_into(&data, &layout, f, &mut want);
+    }
+    let gather = m.stats().since(&before);
+
+    let before = m.stats();
+    let mut got: Vec<u64> = Vec::new();
+    m.flat_map_into(&seg, &data, counts, f, &mut got);
+    let push = m.stats().since(&before);
+
+    assert_eq!(got, want, "{what}: output");
+    let counters = |d: &scan_model::StatsSnapshot| {
+        (
+            d.scans,
+            d.elementwise,
+            d.permutes,
+            d.scan_passes,
+            d.blocked_passes,
+            d.bytes_moved,
+        )
+    };
+    assert_eq!(counters(&push), counters(&gather), "{what}: counters");
+    assert_eq!(push.sorts + push.inplace_reuses, 0, "{what}");
+}
+
+/// The edges by hand: no lanes, one lane of every arity, nothing
+/// survives, everything quadruples, and a run of copies that straddles
+/// the tiny machine's four-lane output blocks.
+#[test]
+fn push_flat_map_matches_gather_form_at_the_edges() {
+    for m in three_machines() {
+        assert_push_matches_gather(&m, &[], &[], "n = 0");
+        for c in 0..=4 {
+            assert_push_matches_gather(&m, &[1], &[c], "n = 1");
+        }
+        assert_push_matches_gather(&m, &[3, 6], &[0; 9], "all zero");
+        assert_push_matches_gather(&m, &[9], &[4; 9], "all four");
+        // Lane 3 is the last of the first input block; its four copies
+        // land on output slots 3..7, across an output block boundary.
+        assert_push_matches_gather(&m, &[2, 5], &[1, 1, 1, 4, 0, 4, 4], "straddle");
+        assert_push_matches_gather(&m, &[4, 4], &[0, 0, 0, 0, 4, 0, 0, 1], "empty block");
+    }
+}
+
+proptest! {
+    /// Random arities 0..=4 over random segment shapes, all three
+    /// machines.
+    #[test]
+    fn push_flat_map_matches_gather_form(
+        counts in prop::collection::vec(0u32..5, 1..200),
+        cut in 1usize..17,
+    ) {
+        let n = counts.len();
+        let mut lens = vec![cut; n / cut];
+        if n % cut > 0 {
+            lens.push(n % cut);
+        }
+        for m in three_machines() {
+            assert_push_matches_gather(&m, &lens, &counts, "random");
+        }
+    }
+}

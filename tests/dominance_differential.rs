@@ -225,9 +225,12 @@ fn flat_map_bit_identical_at_block_boundaries() {
             let data: Vec<u64> = (0..n as u64).map(|i| i * 7 + 3).collect();
             // Mixed fan-out widths incl. zero (deletion) and >1 (clone).
             let counts: Vec<u32> = (0..n).map(|i| ((i * 5 + 1) % 4) as u32).collect();
-            let (out_s, lay_s) = seq.flat_map(&seg, &data, &counts, |v, r| v * 10 + r as u64);
-            let (out_p, lay_p) = par.flat_map(&seg, &data, &counts, |v, r| v * 10 + r as u64);
+            let (mut out_s, mut out_p) = (Vec::new(), Vec::new());
+            seq.flat_map_into(&seg, &data, &counts, |v, r| v * 10 + r as u64, &mut out_s);
+            par.flat_map_into(&seg, &data, &counts, |v, r| v * 10 + r as u64, &mut out_p);
             assert_eq!(out_s, out_p, "values at n={n} block={block_elems}");
+            let lay_s = seq.fanout_layout(&seg, &counts);
+            let lay_p = par.fanout_layout(&seg, &counts);
             assert_eq!(lay_s, lay_p, "layout at n={n} block={block_elems}");
         }
     }

@@ -35,9 +35,10 @@ use dp_spatial::snapshot::{quadtree_from_payload, quadtree_payload};
 use dp_spatial::update::{batch_update, batch_update_bucket_pmr, UpdateBatch};
 use dp_spatial::{SegId, SpatialError};
 use scan_model::{Backend, Machine};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+mod support;
+use support::requested_by;
 
 // ---------------------------------------------------------------------
 // The oracle: the parent commit's tree, root walk and encoder
@@ -430,52 +431,6 @@ fn decoded_and_assembled_trees_compare_equal_across_id_layouts() {
 // ---------------------------------------------------------------------
 // (b) hostile payloads
 // ---------------------------------------------------------------------
-
-/// Counts the bytes the current thread asks the allocator for, so a test
-/// can bound what one decode call allocated while other tests run.
-struct CountingAlloc;
-
-thread_local! {
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(bytes: usize) {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell` with no destructor, so touching it never allocates or unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size.saturating_sub(layout.size()));
-        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Bytes requested from the allocator while `f` ran on this thread.
-fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = REQUESTED.with(Cell::get);
-    let out = f();
-    (out, REQUESTED.with(Cell::get) - before)
-}
 
 /// A payload header: world, rounds, truncated and the claimed node count.
 fn header(claimed_nodes: u64) -> Vec<u8> {

@@ -152,7 +152,13 @@ fn measured_rows(m: &Machine) -> Vec<(&'static str, Counts, u64)> {
         drop(m.delete_duplicates(&sorted, &seg))
     });
     row("flat_map", &mut || {
-        drop(m.flat_map(&seg, &data, &copies, |v, r| v + i64::from(r)))
+        m.flat_map_into(
+            &seg,
+            &data,
+            &copies,
+            |v, r| v + i64::from(r),
+            &mut Vec::new(),
+        )
     });
     row("apply", &mut || drop(m.apply(&data, &mixed)));
     row("apply_into", &mut || {
