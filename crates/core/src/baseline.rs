@@ -1,20 +1,18 @@
 //! The paths the production modules replaced, kept as **oracles and
 //! comparison baselines only**. Nothing in `dp-spatial`, `dp-service` or
-//! the CLI calls into this module; tests and benches do, by name:
+//! the CLI calls into this module; tests do, by name:
 //!
 //! * [`pm1_verdicts_unfused`] / [`build_pm1_unfused`] — the PM₁ split
 //!   decision as seven independently composed scans, before
 //!   [`Machine::scan_lanes`] fused them into one pass. The oracle for
 //!   [`crate::pm1::pm1_verdicts`] / [`crate::pm1::build_pm1`]: verdicts
 //!   and trees must be bit-identical (`tests/fused_complexity.rs`), and
-//!   the difference in `scan_passes` is the fusion's whole effect
-//!   (`bench_scanmodel`, `benches/fused_kernels.rs`). Its trees are what
-//!   `SnapshotFamily::Pm1Unfused` tags on disk.
+//!   the difference in `scan_passes` is the fusion's whole effect. Its
+//!   trees are what `SnapshotFamily::Pm1Unfused` tags on disk.
 //! * [`spatial_join`] / [`try_spatial_join`] — the sequential recursive
 //!   co-traversal of two aligned quadtrees. The oracle for
 //!   [`crate::join::frontier_join`]: same sorted, deduplicated pair set on
-//!   every input (`tests/join_differential.rs`), and the single-thread
-//!   baseline of `benches/join_throughput.rs`. It touches no
+//!   every input (`tests/join_differential.rs`). It touches no
 //!   [`Machine`], so it shares no kernel with the path it checks.
 
 use crate::error::SpatialError;

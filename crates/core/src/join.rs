@@ -93,7 +93,7 @@ pub fn brute_force_join_in(
 }
 
 /// Result of a [`frontier_join`] run: the pairs plus the round-level
-/// telemetry the complexity tests and benches assert on.
+/// telemetry the complexity tests assert on and `dpbench` reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinOutcome {
     /// Intersecting pairs `(id_a, id_b)`, sorted and deduplicated —

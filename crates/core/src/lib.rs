@@ -36,7 +36,7 @@
 //!
 //! Each operation has one exported path. What those paths replaced — the
 //! unfused PM₁ decision, the sequential recursive join — lives in
-//! [`baseline`], for tests and benches to compare against.
+//! [`baseline`], for tests to compare against.
 //!
 //! ## Quick example
 //!

@@ -163,8 +163,8 @@ pub(crate) fn fit_exact<T>(out: &mut Vec<T>, n: usize) {
 /// [`Machine::record_round_trace`]: each step captures the frontier shape
 /// before the step, how many nodes split, the *delta* of the machine's
 /// physical counters across the step, the arena high-water mark, and wall
-/// time. Consumers (the service's per-shard build logs, `bench_scanmodel
-/// --trace`) read the buffer back with [`Machine::round_traces`] /
+/// time. Consumers (the service's per-shard build logs, `dpbench`'s
+/// traced runs) read the buffer back with [`Machine::round_traces`] /
 /// [`Machine::take_round_traces`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundTrace {

@@ -43,11 +43,16 @@
 //! pipelined admission layer (`ServicePipeline`) instead of direct
 //! `execute_batch` calls. Arrival does not slow down when the service
 //! does, so queueing delay becomes visible: the driver reports
-//! p50/p99/p999 end-to-end latency from its own fixed-bucket histogram,
-//! plus how many requests the admission layer shed (`--policy shed`,
-//! the default) or how hard backpressure throttled the submitter
-//! (`--policy block`). `--slo-p999 MICROS` turns the run into a smoke
-//! gate: exit nonzero when the p999 bucket bound exceeds the budget.
+//! p50/p99/p999 end-to-end latency from its own fixed-bucket histogram.
+//! A request's latency runs from the instant the schedule says it
+//! *arrives*, not the instant it was actually submitted, so time a late
+//! submitter spent blocked under `--policy block` (or oversleeping) is
+//! charged to the requests it delayed — no coordinated omission. The
+//! driver also reports how many requests the admission layer shed
+//! (`--policy shed`, the default) or how hard backpressure throttled
+//! the submitter (`--policy block`). `--slo-p999 MICROS` turns the run
+//! into a smoke gate: exit nonzero when the p999 bucket bound exceeds
+//! the budget.
 //! `--self-check` also works open loop: read-only runs verify a sample
 //! of the *served pipeline responses* against brute force (updates runs
 //! fall back to the sequential oracle replay described above).
@@ -767,7 +772,9 @@ fn open_loop_run(args: &Args, data: &Dataset, rate: f64) {
     let sample_reads = args.self_check && !args.updates && !args.dominance;
     let mut samples: Vec<(Request, Response)> = Vec::new();
     for (i, t) in tickets.into_iter().enumerate() {
-        let submitted = t.submitted_at();
+        // Tickets are in arrival order; latency runs from the due time so
+        // a late submitter cannot hide the queue it is stuck behind.
+        let due = start + Duration::from_micros(sched.arrivals[i].at_micros);
         let (resp, done) = t
             .wait_timeout(Duration::from_secs(10))
             .unwrap_or_else(|_| panic!("a request waited > 10 s: reply slot leaked"));
@@ -777,7 +784,7 @@ fn open_loop_run(args: &Args, data: &Dataset, rate: f64) {
             if matches!(resp, Response::Rejected(_)) {
                 rejected += 1;
             }
-            hist.record(done.saturating_duration_since(submitted));
+            hist.record(done.saturating_duration_since(due));
             if sample_reads && i % 97 == 0 {
                 samples.push((sched.arrivals[i].request, resp));
             }

@@ -104,13 +104,13 @@
 //! | `writes` | the overlay ladder, one publish path, compaction | the executor, the background compactor |
 //! | `stats` | counter block, [`ServiceStats`] views | callers, [`admission`] |
 //! | [`admission`], [`shed`], [`cache`], [`snapshot`] | the pipelined front end, its full-lane policy, the hot-window cache, persistence | as before |
-//! | [`coalesce`] | [`LatencyHistogram`] | `stats`, the load driver |
+//! | [`histogram`] | [`LatencyHistogram`] | `stats`, the load driver |
 
 pub mod admission;
 pub mod cache;
-pub mod coalesce;
 mod config;
 mod families;
+pub mod histogram;
 mod reads;
 mod recovery;
 mod response;
@@ -122,8 +122,8 @@ mod writes;
 
 pub use admission::{BatchTicket, ServicePipeline, Ticket};
 pub use cache::{CacheKind, CacheLookup, CacheStats, WindowCache};
-pub use coalesce::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use config::QueryServiceConfig;
+pub use histogram::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use reads::brute_knearest;
 pub use recovery::{RecoveryAction, RecoveryEvent, RETRY_LIMIT};
 pub use response::Response;

@@ -1,13 +1,13 @@
 //! Telemetry: the per-shard counter block, the views handed to callers.
 
-use crate::coalesce::LatencyHistogram;
+use crate::histogram::LatencyHistogram;
 use crate::{CacheStats, QueryService};
 use dp_geom::Rect;
 use scan_model::{RoundTrace, StatsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂-microsecond latency buckets per shard.
-pub const LATENCY_BUCKETS: usize = crate::coalesce::HISTOGRAM_BUCKETS;
+pub const LATENCY_BUCKETS: usize = crate::histogram::HISTOGRAM_BUCKETS;
 
 /// Interior-mutable per-shard counters. All-zero by `Default`.
 #[derive(Debug, Default)]

@@ -2,15 +2,12 @@
 //! ablation experiment (E19–E25 in `DESIGN.md`), the measured rows the
 //! paper's complexity claims predict.
 //!
-//! Run with: `cargo run --release -p dp-bench --bin exp_tables [all|rounds|threshold|rtree|query|backend]`
+//! Run with: `cargo run --release --bin exp_tables [all|rounds|threshold|rtree|query|backend]`
 //!
 //! `exp_tables probe-floor [seed]` (not part of `all`) prints the
 //! small-batch floor of the query path on a serve-shaped shard tree —
 //! EXPERIMENTS E48.
 
-use dp_bench::{
-    planar_at, query_windows, render_table, roads_approx, uniform_at, SIZE_LADDER, WORLD,
-};
 use dp_geom::{clip_segment_closed, seg_meets_rect, LineSeg, Rect};
 use dp_service::{QueryService, QueryServiceConfig};
 use dp_spatial::batch::batch_window_query;
@@ -21,33 +18,132 @@ use dp_spatial::rsplit::RtreeSplitAlgorithm;
 use dp_spatial::rtree::{build_rtree, pack_rtree_hilbert};
 use dp_spatial::shard::{build_shard, ShardGrid};
 use dp_spatial::stats::measure_build;
-use dp_workloads::{request_stream, square_world, uniform_segments, Request, RequestMix};
+use dp_workloads::{
+    request_stream, road_network, square_world, uniform_segments, Dataset, Request, RequestMix,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use scan_model::{Machine, Segments};
 use std::hint::black_box;
 use std::time::Instant;
 
+/// The paper tables (E19–E25), in the order `all` prints them.
+const PAPER_TABLES: [(&str, fn()); 5] = [
+    ("rounds", rounds_tables),
+    ("threshold", threshold_table),
+    ("rtree", rtree_quality_table),
+    ("query", query_table),
+    ("backend", backend_table),
+];
+
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match which.as_str() {
-        "rounds" => rounds_tables(),
-        "threshold" => threshold_table(),
-        "rtree" => rtree_quality_table(),
-        "query" => query_table(),
-        "backend" => backend_table(),
+    let mut args = std::env::args().skip(1);
+    let which = args.next().unwrap_or_else(|| "all".to_string());
+    if let Err(message) = run(&which, args.next().as_deref()) {
+        eprintln!("exp_tables: {message}");
+        std::process::exit(2);
+    }
+}
+
+/// Prints what `which` names. A name it does not know is an error that
+/// lists the valid ones — never a silent `all`.
+fn run(which: &str, seed: Option<&str>) -> Result<(), String> {
+    match which {
+        "all" => PAPER_TABLES.iter().for_each(|(_, table)| table()),
         "probe-floor" => {
-            let seed = std::env::args().nth(2).map_or(1995, |s| {
-                s.parse().expect("probe-floor: the seed must be an integer")
-            });
+            let seed = seed.map_or(Ok(1995), |s| {
+                s.parse()
+                    .map_err(|_| format!("probe-floor: the seed must be an integer, got `{s}`"))
+            })?;
             probe_floor_tables(seed)
         }
-        _ => {
-            rounds_tables();
-            threshold_table();
-            rtree_quality_table();
-            query_table();
-            backend_table();
+        name => {
+            let known = PAPER_TABLES.iter().find(|(known, _)| *known == name);
+            let (_, table) = known.ok_or_else(|| {
+                let names: Vec<&str> = PAPER_TABLES.iter().map(|(known, _)| *known).collect();
+                format!(
+                    "unknown table `{name}`; expected one of: all, {}, probe-floor",
+                    names.join(", ")
+                )
+            })?;
+            table()
         }
     }
+    Ok(())
+}
+
+/// The dataset-size ladder used by all scaling experiments.
+const SIZE_LADDER: [usize; 5] = [500, 1_000, 2_000, 4_000, 8_000];
+
+/// World side used by the scaling experiments (power of two).
+const WORLD: u32 = 4096;
+
+/// The standard uniform workload at size `n`.
+fn uniform_at(n: usize) -> Dataset {
+    uniform_segments(n, WORLD, 64, 42 + n as u64)
+}
+
+/// The standard road-network workload with roughly `n` edges.
+fn roads_approx(n: usize) -> Dataset {
+    // ~1.8 edges per junction cell.
+    let cells = ((n as f64 / 1.8).sqrt().ceil() as u32).max(2);
+    road_network(cells, WORLD, 7 + n as u64)
+}
+
+/// A strictly planar polygonal-map workload with roughly `n` edges at
+/// constant density: the world grows with n (cell width 32, power-of-two
+/// side), so quadtree depth tracks log n instead of saturating at the
+/// resolution bound. The ideal PM₁ input.
+fn planar_at(n: usize) -> Dataset {
+    let cells = (((n as f64) / 4.0).sqrt().ceil() as u32).max(1);
+    let size = (cells * 32).next_power_of_two();
+    dp_workloads::polygon_rings(cells, size, 17 + n as u64)
+}
+
+/// Deterministic query windows covering `frac` of the world per side.
+fn query_windows(count: usize, frac: f64, seed: u64) -> Vec<Rect> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let side = WORLD as f64 * frac;
+    (0..count)
+        .map(|_| {
+            let x = rng.gen_range(0.0..(WORLD as f64 - side));
+            let y = rng.gen_range(0.0..(WORLD as f64 - side));
+            Rect::from_coords(x, y, x + side, y + side)
+        })
+        .collect()
+}
+
+/// Renders a plain-text table: header plus rows, columns padded to the
+/// widest cell — the rows-and-series layout the paper's figures use.
+fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (i, cell) in row.iter().enumerate() {
+            if i < widths.len() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+    }
+    let mut out = String::new();
+    out.push_str(&format!("\n## {title}\n\n"));
+    let fmt_row = |cells: &[String]| -> String {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
+            .collect::<Vec<_>>()
+            .join("  ")
+    };
+    let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
+    out.push_str(&fmt_row(&head));
+    out.push('\n');
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&fmt_row(row));
+        out.push('\n');
+    }
+    out
 }
 
 /// E19–E21: subdivision rounds and primitive ops per round versus n.
@@ -677,4 +773,51 @@ fn probe_floor_tables(seed: u64) {
             &rows
         )
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ladders_are_usable() {
+        let d = uniform_at(500);
+        assert_eq!(d.len(), 500);
+        let r = roads_approx(500);
+        assert!(r.len() > 250 && r.len() < 1_000, "got {}", r.len());
+    }
+
+    #[test]
+    fn query_windows_inside_world() {
+        for q in query_windows(50, 0.05, 1) {
+            assert!(q.min.x >= 0.0 && q.max.x <= WORLD as f64);
+            assert!(q.min.y >= 0.0 && q.max.y <= WORLD as f64);
+        }
+    }
+
+    #[test]
+    fn table_renders_aligned() {
+        let t = render_table(
+            "demo",
+            &["n", "value"],
+            &[
+                vec!["10".into(), "1.5".into()],
+                vec!["1000".into(), "12.25".into()],
+            ],
+        );
+        assert!(t.contains("## demo"));
+        assert!(t.contains("1000"));
+    }
+
+    #[test]
+    fn an_unknown_table_name_is_an_error_naming_the_valid_ones() {
+        for typo in ["probe_floor", "round", ""] {
+            let message = run(typo, None).expect_err("a typo must not run anything");
+            let paper = PAPER_TABLES.iter().map(|(name, _)| *name);
+            for name in paper.chain(["all", "probe-floor"]) {
+                assert!(message.contains(name), "`{message}` does not list {name}");
+            }
+        }
+        assert!(run("probe-floor", Some("x")).is_err());
+    }
 }

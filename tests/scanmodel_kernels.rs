@@ -776,3 +776,28 @@ fn build_round_profiles_reproduce_the_parent_commit() {
         }
     }
 }
+
+/// `arena_high_water_bytes` after one `build_bucket_pmr` of
+/// `uniform_segments(20_000, 4096, 64, 20_042)` (capacity 8, depth 12) on
+/// a fresh machine: a function of the lease sequence, not the schedule,
+/// so it is the same on all three machines. The in-place applies are what
+/// keep it under twice the input; a split round that holds one more
+/// leased n-length lane moves it. Re-record downward only.
+const BUCKET_ARENA_PEAK_BYTES: usize = 1_215_138;
+
+#[test]
+fn bucket_pmr_arena_peak_stays_under_twice_the_input() {
+    let data = uniform_segments(20_000, 4096, 64, 20_042);
+    for (backend, machine) in pin_machines() {
+        build_bucket_pmr(&machine, data.world, &data.segs, 8, 12);
+        let peak = machine.arena_high_water_bytes();
+        assert_eq!(
+            peak, BUCKET_ARENA_PEAK_BYTES,
+            "{backend}: the build's arena peak moved"
+        );
+        assert!(
+            peak <= 2 * std::mem::size_of_val(&data.segs[..]),
+            "{backend}: arena peak {peak} exceeds twice the input's bytes"
+        );
+    }
+}
