@@ -3,12 +3,16 @@
 //! the CLI calls into this module; tests do, by name:
 //!
 //! * [`pm1_verdicts_unfused`] / [`build_pm1_unfused`] — the PM₁ split
-//!   decision as seven independently composed scans, before
-//!   [`Machine::scan_lanes`] fused them into one pass. The oracle for
-//!   [`crate::pm1::pm1_verdicts`] / [`crate::pm1::build_pm1`]: verdicts
-//!   and trees must be bit-identical (`tests/fused_complexity.rs`), and
-//!   the difference in `scan_passes` is the fusion's whole effect. Its
-//!   trees are what `SnapshotFamily::Pm1Unfused` tags on disk.
+//!   decision as seven independently composed n-length scans read at the
+//!   segment heads, before they were fused into one pass and then into
+//!   one segmented reduce. The oracle for [`crate::pm1::pm1_verdicts`] /
+//!   [`crate::pm1::build_pm1`]: verdicts and trees must be bit-identical
+//!   (`tests/fused_complexity.rs`), and the difference in `scan_passes` is
+//!   the fusion's whole effect. It counts lines with
+//!   [`Machine::capacity_check_scan`], not the reduce-backed
+//!   [`Machine::segment_counts`], so the oracle shares no primitive with
+//!   the path it checks. Its trees are what `SnapshotFamily::Pm1Unfused`
+//!   tags on disk.
 //! * [`spatial_join`] / [`try_spatial_join`] — the sequential recursive
 //!   co-traversal of two aligned quadtrees. The oracle for
 //!   [`crate::join::frontier_join`]: same sorted, deduplicated pair set on
@@ -91,18 +95,19 @@ pub fn pm1_verdicts_unfused(
     let mbb_max_x = machine.down_scan_seg(&xs_max, seg, Max, ScanKind::Inclusive);
     let mbb_max_y = machine.down_scan_seg(&ys_max, seg, Max, ScanKind::Inclusive);
 
-    // Line counts (Fig. 22 / Fig. 19 capacity scan).
-    let counts = machine.segment_counts(seg);
+    // Line counts (Fig. 22 / Fig. 19 capacity scan), read at the heads
+    // like every scan above.
+    let counts = machine.capacity_check_scan(seg);
+    machine.note_elementwise();
 
     // Elementwise verdict at each node (segment head reads).
     machine.note_elementwise();
     seg.starts()
         .iter()
-        .enumerate()
-        .map(|(s, &head)| {
+        .map(|&head| {
             let degenerate =
                 mbb_min_x[head] == mbb_max_x[head] && mbb_min_y[head] == mbb_max_y[head];
-            Pm1Verdict::classify(max_eps[head], min_eps[head], degenerate, counts[s])
+            Pm1Verdict::classify(max_eps[head], min_eps[head], degenerate, counts[head])
         })
         .collect()
 }

@@ -268,6 +268,7 @@ pub fn dominance_agg(
         });
         let cw_y = machine.gather(&cw, &order_y);
         let cc_y = machine.gather(&contrib, &order_y);
+        // A scan, not a segmented reduce: every lane reads its own prefix.
         let scans = machine.scan_lanes(
             &[
                 (&cw_y, FusedOp::Sum),

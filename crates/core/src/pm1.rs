@@ -16,13 +16,19 @@
 //! 5. for `max = min = 0` nodes, the node's line count (Fig. 19 capacity
 //!    scan) decides: more than one line ⇒ split (Fig. 22).
 //!
+//! Every one of those scans is read only at its segment head, so the
+//! seven run as one segmented reduce
+//! ([`Machine::seg_reduce_lanes_into`]): the paper's op count (seven
+//! scans, one elementwise derivation) with one value per node written
+//! instead of seven per lane.
+//!
 //! The build itself (Sec. 5.1) is the generic iterative driver: decide,
 //! retire, split — O(log n) rounds of O(1) scans each.
 
 use crate::lineproc::{run_quad_build, LineProcSet};
 use crate::quadtree::DpQuadtree;
 use dp_geom::{LineSeg, Rect};
-use scan_model::{Direction, FusedOp, Machine, ScanKind};
+use scan_model::{FusedOp, Machine};
 
 /// Per-node outcome of the PM₁ split decision, exposed for tests and the
 /// Fig. 20–22 experiment.
@@ -84,27 +90,22 @@ impl Pm1Verdict {
 /// (Sec. 4.5). Exposed so the figure-level experiments can inspect the
 /// per-node verdicts; the build uses [`pm1_decision`].
 ///
-/// This is the **fused** form: the seven per-lane inputs of Figs. 20–22
-/// (endpoint counts, four MBB extents, a count lane) are produced in one
-/// segment-aware elementwise pass ([`Machine::seg_map_lanes_into`]: a
-/// lane's block is its node's, not a per-lane copy) into arena-leased
-/// buffers, then all seven downward
-/// inclusive scans run as a single [`Machine::scan_lanes`] pass. The
-/// endpoint counts and line counts are carried as `f64` lanes — their
-/// values are small integers, exact in `f64` — so every lane shares one
-/// element type. Verdicts are bit-identical to the original seven-scan
+/// This is the **fused** form: the seven per-lane quantities of Figs.
+/// 20–22 (the endpoint count twice, four MBB extents, a one for the
+/// count) are mapped and folded per node in one
+/// [`Machine::seg_reduce_lanes_into`] pass — a lane reads its block from
+/// its node, and each node gets the seven values its downward scans would
+/// leave at its head, with no per-lane vector in between. The endpoint
+/// counts and line counts are carried as `f64` lanes — their values are
+/// small integers, exact in `f64` — so every lane shares one element
+/// type. Verdicts are bit-identical to the original seven-scan
 /// composition kept as [`crate::baseline::pm1_verdicts_unfused`]
 /// (asserted by the fused-complexity differential test).
 pub fn pm1_verdicts(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<Pm1Verdict> {
-    let seg = &state.seg;
-    // One fused elementwise pass fills all six distinct scan inputs
-    // (counted as one elementwise op; the paper's Figs. 20-21 count the
-    // EPs and per-lane-box derivations as elementwise steps), each lane
-    // reading its block from its node. Parallel on the parallel backend.
-    let mut ins: [Vec<f64>; 6] = std::array::from_fn(|_| machine.lease());
-    machine.seg_map_lanes_into(
+    let mut nodes: [Vec<f64>; 7] = std::array::from_fn(|_| machine.lease());
+    machine.seg_reduce_lanes_into(
         &state.line,
-        seg,
+        &state.seg,
         |node, id| {
             let s = &segs[id as usize];
             let r = &state.nodes[node].rect;
@@ -124,51 +125,42 @@ pub fn pm1_verdicts(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) ->
                     bx.3 = bx.3.max(p.y);
                 }
             }
-            [cnt as f64, bx.0, bx.1, bx.2, bx.3, 1.0]
+            let eps = cnt as f64;
+            [eps, eps, bx.0, bx.1, bx.2, bx.3, 1.0]
         },
-        &mut ins,
+        // Node extremes (Fig. 20), endpoint MBB (Fig. 21) and the
+        // capacity count (Fig. 19 / 22).
+        [
+            FusedOp::Max,
+            FusedOp::Min,
+            FusedOp::Min,
+            FusedOp::Min,
+            FusedOp::Max,
+            FusedOp::Max,
+            FusedOp::Sum,
+        ],
+        &mut nodes,
     );
-    let [eps, xs_min, ys_min, xs_max, ys_max, ones] = &ins;
 
-    // All seven downward inclusive scans in one fused pass: node extremes
-    // (Fig. 20), endpoint MBB (Fig. 21) and the capacity count (Fig. 19 /
-    // 22) arrive together at each segment head.
-    let lanes: [(&[f64], FusedOp); 7] = [
-        (eps, FusedOp::Max),
-        (eps, FusedOp::Min),
-        (xs_min, FusedOp::Min),
-        (ys_min, FusedOp::Min),
-        (xs_max, FusedOp::Max),
-        (ys_max, FusedOp::Max),
-        (ones, FusedOp::Sum),
-    ];
-    let mut outs: Vec<Vec<f64>> = (0..lanes.len()).map(|_| machine.lease()).collect();
-    machine.scan_lanes_into(&lanes, seg, Direction::Down, ScanKind::Inclusive, &mut outs);
-
-    // Elementwise verdict at each node (segment head reads). The lane
-    // values are exact small integers (EPs ∈ {0,1,2}, counts ≤ n), so the
-    // f64 equality tests below are exact.
-    machine.note_elementwise();
-    let verdicts = seg
-        .starts()
-        .iter()
-        .map(|&head| {
-            // The lane values are exact small integers in f64, so the
-            // conversions below are lossless.
-            let degenerate = outs[2][head] == outs[4][head] && outs[3][head] == outs[5][head];
-            Pm1Verdict::classify(
-                outs[0][head] as i64,
-                outs[1][head] as i64,
+    // Elementwise verdict at each node, one elementwise op over the nodes.
+    // The values are exact small integers in f64 (EPs ∈ {0,1,2}, counts
+    // ≤ n), so the equality tests and conversions below are exact.
+    let [max_eps, min_eps, lo_x, lo_y, hi_x, hi_y, lines] = &nodes;
+    let mut verdicts = Vec::new();
+    machine.fill_lanes_into(
+        state.seg.num_segments(),
+        |s| {
+            let degenerate = lo_x[s] == hi_x[s] && lo_y[s] == hi_y[s];
+            [Pm1Verdict::classify(
+                max_eps[s] as i64,
+                min_eps[s] as i64,
                 degenerate,
-                outs[6][head] as u64,
-            )
-        })
-        .collect();
-
-    for out in outs {
-        machine.recycle(out);
-    }
-    for buf in ins {
+                lines[s] as u64,
+            )]
+        },
+        std::array::from_mut(&mut verdicts),
+    );
+    for buf in nodes {
         machine.recycle(buf);
     }
     verdicts

@@ -9,50 +9,52 @@
 //!   scans as Fig. 21.
 //! * **PM₂** relaxes PM₁'s vertexless-block rule: several q-edges may
 //!   share a vertexless block if they are all incident on one *common*
-//!   vertex (outside the block). The common-vertex test is two candidate
-//!   broadcasts (the first lane's endpoints, an upward copy-scan) plus
-//!   two downward AND-scans — every line checks the candidates against
-//!   its own endpoints.
+//!   vertex (outside the block). The common-vertex test checks two
+//!   candidates — the endpoints of the node's first line — against every
+//!   line's own endpoints and ANDs the checks over the node.
 //!
-//! Both builds reuse the generic driver and two-stage node split, so the
-//! family differs *only* in the decision functions below.
+//! Every scan here is read only at its node's head, so each decision's
+//! scans run as one segmented reduce ([`Machine::seg_reduce_lanes_into`])
+//! that writes one value per node; PM₂'s candidates are read from the
+//! head lane through the segment starts rather than broadcast to every
+//! lane. Both builds reuse the generic driver and two-stage node split,
+//! so the family differs *only* in the decision functions below.
 
 use crate::lineproc::{run_quad_build, LineProcSet};
 use crate::pm1::{pm1_verdicts, Pm1Verdict};
 use crate::quadtree::DpQuadtree;
 use dp_geom::{LineSeg, Rect};
-use scan_model::ops::{And, Max, Min};
-use scan_model::{Machine, ScanKind};
+use scan_model::{FusedOp, Machine};
 
 /// Per-segment flag: do all lines of the segment share a common endpoint
-/// (anywhere in the plane)? Computed with the candidate-broadcast + AND
-/// scan composition described in the module docs.
+/// (anywhere in the plane)? Each line checks the head line's two
+/// endpoints against its own, and two `u8` lanes AND the checks over the
+/// segment (`Min` of 0/1 is AND).
 fn segments_share_vertex(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<bool> {
     let seg = &state.seg;
-    let n = seg.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Each lane's own endpoints.
-    let own: Vec<(f64, f64, f64, f64)> = machine.map(&state.line, |id| {
-        let s = &segs[id as usize];
-        (s.a.x, s.a.y, s.b.x, s.b.y)
-    });
-    // Broadcast the first lane's endpoints to the whole segment: the two
-    // shared-vertex candidates.
-    let candidates = machine.broadcast_first(&own, seg);
-    // Elementwise candidate checks.
-    let ok1: Vec<bool> = machine.zip_map(&own, &candidates, |o, c| {
-        (o.0 == c.0 && o.1 == c.1) || (o.2 == c.0 && o.3 == c.1)
-    });
-    let ok2: Vec<bool> = machine.zip_map(&own, &candidates, |o, c| {
-        (o.0 == c.2 && o.1 == c.3) || (o.2 == c.2 && o.3 == c.3)
-    });
-    // Downward AND scans deliver the per-segment verdicts at the heads.
-    let all1 = machine.down_scan_seg(&ok1, seg, And, ScanKind::Inclusive);
-    let all2 = machine.down_scan_seg(&ok2, seg, And, ScanKind::Inclusive);
+    let mut all: [Vec<u8>; 2] = std::array::from_fn(|_| machine.lease());
+    machine.seg_reduce_lanes_into(
+        &state.line,
+        seg,
+        |node, id| {
+            let own = &segs[id as usize];
+            let first = &segs[state.line[seg.starts()[node]] as usize];
+            let meets = |c| own.a == c || own.b == c;
+            [u8::from(meets(first.a)), u8::from(meets(first.b))]
+        },
+        [FusedOp::Min, FusedOp::Min],
+        &mut all,
+    );
     machine.note_elementwise();
-    seg.starts().iter().map(|&h| all1[h] || all2[h]).collect()
+    let shared = all[0]
+        .iter()
+        .zip(&all[1])
+        .map(|(&a, &b)| a == 1 || b == 1)
+        .collect();
+    for buf in all {
+        machine.recycle(buf);
+    }
+    shared
 }
 
 /// The PM₂ split decision: PM₁'s verdicts, except that a vertexless node
@@ -75,13 +77,12 @@ pub fn pm2_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) ->
 /// distinct vertex positions (non-degenerate endpoint MBB). Closed vertex
 /// membership, matching PM₁.
 pub fn pm3_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) -> Vec<bool> {
-    let seg = &state.seg;
-    // Per-lane box of the in-node endpoints, one extent per lane vector,
-    // each lane reading its block from its node.
-    let mut extents: [Vec<f64>; 4] = Default::default();
-    machine.seg_map_lanes_into(
+    // Each lane's box of its in-node endpoints, reading its block from its
+    // node, folded into the node's endpoint MBB.
+    let mut mbb: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
+    machine.seg_reduce_lanes_into(
         &state.line,
-        seg,
+        &state.seg,
         |node, id| {
             let s = &segs[id as usize];
             let r = &state.nodes[node].rect;
@@ -103,21 +104,18 @@ pub fn pm3_decision(machine: &Machine, state: &LineProcSet, segs: &[LineSeg]) ->
             }
             bx
         },
-        &mut extents,
+        [FusedOp::Min, FusedOp::Min, FusedOp::Max, FusedOp::Max],
+        &mut mbb,
     );
-    let [xs_min, ys_min, xs_max, ys_max] = &extents;
-    let lo_x = machine.down_scan_seg(xs_min, seg, Min, ScanKind::Inclusive);
-    let lo_y = machine.down_scan_seg(ys_min, seg, Min, ScanKind::Inclusive);
-    let hi_x = machine.down_scan_seg(xs_max, seg, Max, ScanKind::Inclusive);
-    let hi_y = machine.down_scan_seg(ys_max, seg, Max, ScanKind::Inclusive);
     machine.note_elementwise();
-    seg.starts()
-        .iter()
-        .map(|&h| {
-            let any = lo_x[h].is_finite();
-            any && (lo_x[h] < hi_x[h] || lo_y[h] < hi_y[h])
-        })
-        .collect()
+    let [lo_x, lo_y, hi_x, hi_y] = &mbb;
+    let split = (0..lo_x.len())
+        .map(|s| lo_x[s].is_finite() && (lo_x[s] < hi_x[s] || lo_y[s] < hi_y[s]))
+        .collect();
+    for buf in mbb {
+        machine.recycle(buf);
+    }
+    split
 }
 
 /// Builds a PM₂ quadtree with all lines inserted simultaneously.

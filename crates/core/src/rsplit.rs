@@ -4,9 +4,10 @@
 //!
 //! * [`RtreeSplitAlgorithm::Mean`] — the O(1) split: the split axis and
 //!   coordinate come from the **means of the bounding-box midpoints**,
-//!   computed with a downward addition scan, a head division, and an
-//!   upward copy-scan broadcast; the axis whose two resulting bounding
-//!   boxes overlap least wins.
+//!   computed with a downward addition scan read at the heads (a
+//!   segmented reduce), a head division, and an upward copy-scan
+//!   broadcast; the axis whose two resulting bounding boxes overlap least
+//!   wins.
 //! * [`RtreeSplitAlgorithm::Sweep`] — the O(log n) split: entries are
 //!   **sorted by the left edge** of their boxes, upward inclusive and
 //!   downward exclusive min/max scans give each position the bounding box
@@ -38,6 +39,7 @@
 //! then issues no sort at all.
 
 use dp_geom::Rect;
+use scan_model::ops::Element;
 use scan_model::{Direction, FusedOp, Machine, ScanKind, Segments};
 
 /// Which node split selector the R-tree build uses (paper Sec. 4.7).
@@ -50,59 +52,50 @@ pub enum RtreeSplitAlgorithm {
     Sweep,
 }
 
-/// Per-segment minimum bounding rectangles of the items `keep` selects —
-/// the one MBR fold of the build (node boxes of a level from the boxes of
-/// the level below, the split groups' extents of the mean selector): one
-/// elementwise pass fills the four extent lanes (identities where `keep`
-/// is false) into arena-leased buffers, one fused four-lane downward
-/// min/max scan folds them, and a head read collects one box per segment
-/// (the "small sequence of upward and downward inclusive scan operations"
-/// of Sec. 4.7). A segment with nothing kept comes back [`Rect::empty`].
-pub(crate) fn segment_mbrs(
+/// Per-segment minimum bounding rectangles of the boxes `rect_of` picks
+/// from each lane of `data` (`None` leaves a lane out) — the one MBR fold
+/// of the build (node boxes of a level from the boxes of the level below,
+/// the split groups' extents of the mean selector): one four-lane
+/// segmented min/max reduce of the extents (the "small sequence of upward
+/// and downward inclusive scan operations" of Sec. 4.7, read at the heads)
+/// and a pass that makes one box per segment. A segment with nothing
+/// picked comes back [`Rect::empty`].
+pub(crate) fn segment_mbrs<A: Element>(
     machine: &Machine,
     seg: &Segments,
-    items: &[Rect],
-    keep: impl Fn(usize) -> bool + Sync,
+    data: &[A],
+    rect_of: impl Fn(usize, A) -> Option<Rect> + Sync,
 ) -> Vec<Rect> {
-    assert_eq!(seg.len(), items.len());
-    let mut lanes: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
-    machine.fill_lanes_into(
-        seg.len(),
-        |i| {
-            if keep(i) {
-                extents(&items[i])
-            } else {
+    let mut mbb: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
+    machine.seg_reduce_lanes_into(
+        data,
+        seg,
+        |s, a| {
+            rect_of(s, a).map_or(
                 [
                     f64::INFINITY,
                     f64::INFINITY,
                     f64::NEG_INFINITY,
                     f64::NEG_INFINITY,
-                ]
-            }
+                ],
+                |r| extents(&r),
+            )
         },
-        &mut lanes,
-    );
-    let mut outs: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
-    machine.scan_lanes_into(
-        &extent_lanes(&lanes),
-        seg,
-        Direction::Down,
-        ScanKind::Inclusive,
-        &mut outs,
+        EXTENT_OPS,
+        &mut mbb,
     );
     machine.note_elementwise();
-    let rects = seg
-        .starts()
-        .iter()
-        .map(|&h| {
-            if outs[0][h] > outs[2][h] || outs[1][h] > outs[3][h] {
+    let [lo_x, lo_y, hi_x, hi_y] = &mbb;
+    let rects = (0..seg.num_segments())
+        .map(|s| {
+            if lo_x[s] > hi_x[s] || lo_y[s] > hi_y[s] {
                 Rect::empty()
             } else {
-                Rect::from_coords(outs[0][h], outs[1][h], outs[2][h], outs[3][h])
+                Rect::from_coords(lo_x[s], lo_y[s], hi_x[s], hi_y[s])
             }
         })
         .collect();
-    for buf in lanes.into_iter().chain(outs) {
+    for buf in mbb {
         machine.recycle(buf);
     }
     rects
@@ -113,15 +106,13 @@ fn extents(r: &Rect) -> [f64; 4] {
     [r.min.x, r.min.y, r.max.x, r.max.y]
 }
 
-/// The four extent lanes paired with their fold operators (min over the
-/// lower edges, max over the upper ones).
+/// The four extent lanes' fold operators: min over the lower edges, max
+/// over the upper ones.
+const EXTENT_OPS: [FusedOp; 4] = [FusedOp::Min, FusedOp::Min, FusedOp::Max, FusedOp::Max];
+
+/// The four extent lanes paired with their fold operators.
 fn extent_lanes(lanes: &[Vec<f64>; 4]) -> [(&[f64], FusedOp); 4] {
-    [
-        (&lanes[0], FusedOp::Min),
-        (&lanes[1], FusedOp::Min),
-        (&lanes[2], FusedOp::Max),
-        (&lanes[3], FusedOp::Max),
-    ]
+    std::array::from_fn(|l| (&lanes[l][..], EXTENT_OPS[l]))
 }
 
 /// The minimum number of items each side of a split must receive.
@@ -197,17 +188,7 @@ pub(crate) fn split_classes(
         }
     }
     match (algo, sorted) {
-        (RtreeSplitAlgorithm::Mean, _) => {
-            let class = mean_split(machine, seg, mbrs, overflowing, m_min, max);
-            // The groups' boxes: one masked fold per side.
-            let left = segment_mbrs(machine, seg, mbrs, |i| !class[i]);
-            let right = segment_mbrs(machine, seg, mbrs, |i| class[i]);
-            let halves = (0..seg.num_segments())
-                .filter(|&s| overflowing[s])
-                .map(|s| [left[s], right[s]])
-                .collect();
-            Split { class, halves }
-        }
+        (RtreeSplitAlgorithm::Mean, _) => mean_split(machine, seg, mbrs, overflowing, m_min, max),
         (RtreeSplitAlgorithm::Sweep, Some(orders)) => {
             sweep_split(machine, seg, mbrs, overflowing, m_min, max, orders)
         }
@@ -229,76 +210,67 @@ fn mean_split(
     overflowing: &[bool],
     m_min: usize,
     max: usize,
-) -> Vec<bool> {
+) -> Split {
     let n = seg.len();
-    // Midpoints and a count lane, filled in one elementwise pass into
-    // leased buffers.
-    machine.note_elementwise();
-    let mut mid_x: Vec<f64> = machine.lease();
-    let mut mid_y: Vec<f64> = machine.lease();
-    let mut ones: Vec<f64> = machine.lease();
-    for r in mbrs {
-        let c = r.center();
-        mid_x.push(c.x);
-        mid_y.push(c.y);
-        ones.push(1.0);
-    }
-    // Downward addition scans sum the midpoints (and the count lane rides
-    // along fused); the head divides by the count and broadcasts back
-    // with an upward copy scan (Sec. 4.7).
-    let sum_lanes: [(&[f64], FusedOp); 3] = [
-        (&mid_x, FusedOp::Sum),
-        (&mid_y, FusedOp::Sum),
-        (&ones, FusedOp::Sum),
-    ];
-    let mut sums: Vec<Vec<f64>> = (0..sum_lanes.len()).map(|_| machine.lease()).collect();
-    machine.scan_lanes_into(
-        &sum_lanes,
+    // Downward addition scans sum the midpoints per node (a count lane
+    // rides along), read at the head as one segmented reduce; the head
+    // divides by the count and broadcasts back with an upward copy scan
+    // (Sec. 4.7).
+    let mut sums: [Vec<f64>; 3] = std::array::from_fn(|_| machine.lease());
+    machine.seg_reduce_lanes_into(
+        mbrs,
         seg,
-        Direction::Down,
-        ScanKind::Inclusive,
+        |_, r| {
+            let c = r.center();
+            [c.x, c.y, 1.0]
+        },
+        [FusedOp::Sum; 3],
         &mut sums,
     );
     machine.note_elementwise();
     let mut head_mean_x = vec![0.0f64; n];
     let mut head_mean_y = vec![0.0f64; n];
-    for &h in seg.starts() {
-        head_mean_x[h] = sums[0][h] / sums[2][h];
-        head_mean_y[h] = sums[1][h] / sums[2][h];
+    for (s, &h) in seg.starts().iter().enumerate() {
+        head_mean_x[h] = sums[0][s] / sums[2][s];
+        head_mean_y[h] = sums[1][s] / sums[2][s];
     }
     for s in sums {
         machine.recycle(s);
     }
-    machine.recycle(ones);
     let mean_x = machine.broadcast_first(&head_mean_x, seg);
     let mean_y = machine.broadcast_first(&head_mean_y, seg);
 
     // Each item decides its side per axis.
-    let side_x: Vec<bool> = machine.zip_map(&mid_x, &mean_x, |m, mu| m >= mu);
-    let side_y: Vec<bool> = machine.zip_map(&mid_y, &mean_y, |m, mu| m >= mu);
+    let side_x: Vec<bool> = machine.zip_map(mbrs, &mean_x, |r, mu| r.center().x >= mu);
+    let side_y: Vec<bool> = machine.zip_map(mbrs, &mean_y, |r, mu| r.center().y >= mu);
+
+    // A lane's rank in its node locates it (lane = head + rank), so the
+    // per-node folds below can read the per-lane sides; the rank fallback
+    // splits by it too.
+    let ranks = machine.rank_in_segment(seg);
+    let lane = |s: usize, rank: u64| seg.starts()[s] + rank as usize;
+    // The boxes of one side's group in every node.
+    let group = |side: &[bool], right: bool| {
+        segment_mbrs(machine, seg, &ranks, |s, rank| {
+            let i = lane(s, rank);
+            (side[i] == right).then_some(mbrs[i])
+        })
+    };
 
     // Resulting group extents and overlaps per axis.
-    let left_x = segment_mbrs(machine, seg, mbrs, |i| !side_x[i]);
-    let right_x = segment_mbrs(machine, seg, mbrs, |i| side_x[i]);
-    let left_y = segment_mbrs(machine, seg, mbrs, |i| !side_y[i]);
-    let right_y = segment_mbrs(machine, seg, mbrs, |i| side_y[i]);
+    let (left_x, right_x) = (group(&side_x, false), group(&side_x, true));
+    let (left_y, right_y) = (group(&side_y, false), group(&side_y, true));
 
-    // Side counts per segment (legality), fused into one two-lane
-    // addition scan. The counts are small integers, exact in `f64`.
-    machine.note_elementwise();
-    let mut ones_x: Vec<f64> = machine.lease();
-    let mut ones_y: Vec<f64> = machine.lease();
-    for (&sx, &sy) in side_x.iter().zip(&side_y) {
-        ones_x.push(sx as u64 as f64);
-        ones_y.push(sy as u64 as f64);
-    }
-    let cnt_lanes: [(&[f64], FusedOp); 2] = [(&ones_x, FusedOp::Sum), (&ones_y, FusedOp::Sum)];
-    let mut cnts: Vec<Vec<f64>> = (0..cnt_lanes.len()).map(|_| machine.lease()).collect();
-    machine.scan_lanes_into(
-        &cnt_lanes,
+    // Side counts per node (legality), one two-lane addition reduce.
+    let mut cnts: [Vec<u64>; 2] = std::array::from_fn(|_| machine.lease());
+    machine.seg_reduce_lanes_into(
+        &ranks,
         seg,
-        Direction::Down,
-        ScanKind::Inclusive,
+        |s, rank| {
+            let i = lane(s, rank);
+            [u64::from(side_x[i]), u64::from(side_y[i])]
+        },
+        [FusedOp::Sum; 2],
         &mut cnts,
     );
 
@@ -317,11 +289,10 @@ fn mean_split(
             if !overflowing[s] {
                 return Choice::RankFallback; // unused
             }
-            let len = r.len() as f64;
-            let h = r.start;
-            let floor = split_floor(r.len(), m_min, max) as f64;
-            let legal = |right: f64| right >= floor && (len - right) >= floor;
-            let (lx, ly) = (legal(cnts[0][h]), legal(cnts[1][h]));
+            let len = r.len();
+            let floor = split_floor(len, m_min, max);
+            let legal = |right: u64| right as usize >= floor && len - right as usize >= floor;
+            let (lx, ly) = (legal(cnts[0][s]), legal(cnts[1][s]));
             let ov_x = left_x[s].overlap_area(&right_x[s]);
             let ov_y = left_y[s].overlap_area(&right_y[s]);
             match (lx, ly) {
@@ -342,7 +313,6 @@ fn mean_split(
     // Per-item class under the chosen rule. The rank fallback splits the
     // segment at its midpoint in lane order — degenerate data (all
     // midpoints equal) still makes progress.
-    let ranks = machine.rank_in_segment(seg);
     machine.note_elementwise();
     let mut class = vec![false; n];
     for (s, r) in seg.ranges().enumerate() {
@@ -361,11 +331,13 @@ fn mean_split(
     for c in cnts {
         machine.recycle(c);
     }
-    machine.recycle(ones_x);
-    machine.recycle(ones_y);
-    machine.recycle(mid_x);
-    machine.recycle(mid_y);
-    class
+    // The groups' boxes: one masked fold per side.
+    let (left, right) = (group(&class, false), group(&class, true));
+    let halves = (0..seg.num_segments())
+        .filter(|&s| overflowing[s])
+        .map(|s| [left[s], right[s]])
+        .collect();
+    Split { class, halves }
 }
 
 // ----------------------------------------------------------------------
@@ -424,7 +396,8 @@ fn axis_sweep(
     machine.fill_lanes_into(seg.len(), |i| extents(&mbrs[order[i]]), &mut lanes);
     // L Bbox: upward inclusive min/max scans (Fig. 29 rows
     // `L Bbox left side` / `L Bbox right side`, extended to full boxes),
-    // fused into one four-lane pass.
+    // fused into one four-lane pass. Both rows stay scans, not reduces:
+    // every split position reads its own prefix and suffix.
     let mut l: [Vec<f64>; 4] = std::array::from_fn(|_| machine.lease());
     machine.scan_lanes_into(
         &extent_lanes(&lanes),
@@ -505,7 +478,8 @@ fn sweep_split(
 ) -> Split {
     let n = seg.len();
     // One rank lane and one capacity-check lane (Fig. 19) per step, shared
-    // by both axes; a position's segment length is their sum.
+    // by both axes; a position's segment length is their sum. The check
+    // stays a scan: every position reads its own suffix count.
     let rank = machine.rank_in_segment(seg);
     let after = machine.capacity_check_scan(seg);
     let sweep = |order: &[usize]| {

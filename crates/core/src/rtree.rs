@@ -174,7 +174,7 @@ pub fn build_rtree_audited(
         return tree;
     }
 
-    let root_mbr = segment_mbrs(machine, &tree.groups[0], &tree.lane_bbox, |_| true);
+    let root_mbr = segment_mbrs(machine, &tree.groups[0], &tree.lane_bbox, |_, r| Some(r));
     let mut policy = RtreeSplitPolicy {
         tree: &mut tree,
         algo,
@@ -521,7 +521,7 @@ impl DpRTree {
         let mut out: Vec<Vec<Rect>> = Vec::with_capacity(self.groups.len());
         for seg in &self.groups {
             let items = out.last().map_or(&self.lane_bbox[..], |below| &below[..]);
-            let nodes = segment_mbrs(machine, seg, items, |_| true);
+            let nodes = segment_mbrs(machine, seg, items, |_, r| Some(r));
             out.push(nodes);
         }
         out
@@ -858,7 +858,7 @@ mod tests {
     ) -> Vec<Rect> {
         let mut mbrs = lane_bbox.to_vec();
         for seg in &groups[..h] {
-            mbrs = segment_mbrs(machine, seg, &mbrs, |_| true);
+            mbrs = segment_mbrs(machine, seg, &mbrs, |_, r| Some(r));
         }
         mbrs
     }

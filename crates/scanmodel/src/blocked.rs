@@ -44,6 +44,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::fused::{FusedElement, FusedOp, MAX_FUSED_WIDTH};
+use crate::machine::fit_exact;
 use crate::ops::{CombineOp, Element, Sum};
 use crate::scan::{Direction, ScanKind};
 use crate::scatter::SyncPtr;
@@ -195,6 +196,50 @@ struct LaneState<T, const K: usize> {
     state: [T; K],
 }
 
+/// Cuts `lo..hi` at the segment boundaries inside it: the runs of lanes
+/// between two boundaries, in walk order, each with whether the fold
+/// restarts at its first-walked lane (a segment head going up, a segment
+/// end going down). The restart structure is read off the segment starts
+/// once per run, so the bodies below loop over a run with no per-lane
+/// flag test. The scan walk and the segmented reduce both cut here.
+#[inline(always)]
+fn runs(
+    seg: &Segments,
+    dir: Direction,
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = (Range<usize>, bool)> + '_ {
+    let starts = seg.starts();
+    let flags = seg.flags();
+    // The segment starts strictly inside `lo..hi`.
+    let cuts = &starts[starts.partition_point(|&s| s <= lo)..];
+    let mut cuts = cuts[..cuts.partition_point(|&s| s < hi)].iter();
+    let up = matches!(dir, Direction::Up);
+    // The next run's walk-side end, and whether the fold restarts there;
+    // every run but the first-walked begins at a cut. (A pointer walk over
+    // the cuts: runs of one or two lanes are common late in a build, and
+    // indexing them costs as much as the run.)
+    let mut at = if up { lo } else { hi };
+    let mut restarts = if up {
+        flags[lo]
+    } else {
+        hi == flags.len() || flags[hi]
+    };
+    let mut done = false;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        let cut = if up { cuts.next() } else { cuts.next_back() };
+        done = cut.is_none();
+        let far = cut.copied().unwrap_or(if up { hi } else { lo });
+        let run = if up { at..far } else { far..at };
+        let item = (run, restarts);
+        (at, restarts) = (far, true);
+        Some(item)
+    })
+}
+
 /// Everything a block body reads: the K input lanes, their operators, the
 /// segment structure and the walk's direction and kind. `Copy`, so each
 /// pool phase carries its own copy and the single-sweep arm's never has
@@ -228,52 +273,13 @@ impl<T: Element, L: LaneOps<T, K>, const K: usize> Walk<'_, T, L, K> {
         }
     }
 
-    /// Cuts `lo..hi` at the segment boundaries inside it: the runs of
-    /// lanes between two boundaries, in walk order, each with whether the
-    /// fold restarts at its first-walked lane (a segment head going up, a
-    /// segment end going down). The restart structure is read off the
-    /// segment starts once per run, so the bodies below loop over a run
-    /// with no per-lane flag test.
-    #[inline(always)]
-    fn runs(&self, lo: usize, hi: usize) -> impl Iterator<Item = (Range<usize>, bool)> + '_ {
-        let starts = self.seg.starts();
-        let flags = self.seg.flags();
-        // The segment starts strictly inside `lo..hi`.
-        let cuts = &starts[starts.partition_point(|&s| s <= lo)..];
-        let mut cuts = cuts[..cuts.partition_point(|&s| s < hi)].iter();
-        let up = matches!(self.dir, Direction::Up);
-        // The next run's walk-side end, and whether the fold restarts
-        // there; every run but the first-walked begins at a cut. (A
-        // pointer walk over the cuts: runs of one or two lanes are common
-        // late in a build, and indexing them costs as much as the run.)
-        let mut at = if up { lo } else { hi };
-        let mut restarts = if up {
-            flags[lo]
-        } else {
-            hi == flags.len() || flags[hi]
-        };
-        let mut done = false;
-        std::iter::from_fn(move || {
-            if done {
-                return None;
-            }
-            let cut = if up { cuts.next() } else { cuts.next_back() };
-            done = cut.is_none();
-            let far = cut.copied().unwrap_or(if up { hi } else { lo });
-            let run = if up { at..far } else { far..at };
-            let item = (run, restarts);
-            (at, restarts) = (far, true);
-            Some(item)
-        })
-    }
-
     /// Block-reduce over `lo..hi` in walk order: the K-lane pair-scan
     /// total plus whether the block contains a restart.
     #[inline(always)]
     fn summary(&self, lo: usize, hi: usize) -> (bool, LaneState<T, K>) {
         let mut total = self.empty();
         let mut has_reset = false;
-        for (run, restarts) in self.runs(lo, hi) {
+        for (run, restarts) in runs(self.seg, self.dir, lo, hi) {
             has_reset |= restarts;
             total = match self.dir {
                 Direction::Up => self.summary_body(run, restarts, total),
@@ -320,7 +326,7 @@ impl<T: Element, L: LaneOps<T, K>, const K: usize> Walk<'_, T, L, K> {
     ) -> LaneState<T, K> {
         // Plain locals, so the loops keep the addresses in registers.
         let outs: [*mut T; K] = std::array::from_fn(|l| bases[l].get());
-        for (run, restarts) in self.runs(lo, hi) {
+        for (run, restarts) in runs(self.seg, self.dir, lo, hi) {
             seed = match self.dir {
                 Direction::Up => self.rescan_body(run, restarts, seed, outs),
                 Direction::Down => self.rescan_body(run.rev(), restarts, seed, outs),
@@ -342,7 +348,7 @@ impl<T: Element, L: LaneOps<T, K>, const K: usize> Walk<'_, T, L, K> {
         let datas = self.datas;
         // SAFETY (both writes): slot i of lane l is written exactly once,
         // by the block owning index i; blocks are disjoint and i < n,
-        // within each out's resized length.
+        // within each out's reserved capacity.
         if restarts || !seed.valid {
             // The walk's first lane always restarts (lane 0 heads a
             // segment, the last lane ends one) and every later block is
@@ -378,10 +384,11 @@ impl<T: Element, L: LaneOps<T, K>, const K: usize> Walk<'_, T, L, K> {
 }
 
 /// The scan kernel. `datas` are the K input lanes (each `seg.len()`
-/// long, checked by the callers), `outs` their K output buffers.
-/// `threads` is the pool width the walk may use; `0` means "stay off the
-/// pool": the one-sweep arm runs inline without consulting the pool's
-/// fault hook (the sequential backend).
+/// long, checked by the callers), `outs` their K output buffers, written
+/// through their spare capacity: every slot is stored exactly once, so
+/// nothing is pre-filled. `threads` is the pool width the walk may use;
+/// `0` means "stay off the pool": the one-sweep arm runs inline without
+/// consulting the pool's fault hook (the sequential backend).
 #[allow(clippy::too_many_arguments)]
 fn scan_walk<T, L, const K: usize>(
     datas: [&[T]; K],
@@ -397,9 +404,8 @@ fn scan_walk<T, L, const K: usize>(
     L: LaneOps<T, K>,
 {
     let n = seg.len();
-    for (l, out) in outs.iter_mut().enumerate() {
-        out.clear();
-        out.resize(n, ops.identity(l));
+    for out in outs.iter_mut() {
+        fit_exact(out, n);
     }
     if n == 0 {
         return;
@@ -415,55 +421,171 @@ fn scan_walk<T, L, const K: usize>(
     let block = block.max(1);
     let nblocks = n.div_ceil(block);
 
-    if threads.min(nblocks) <= 1 {
-        // One sweep: reduce, carry and apply collapse into a single
-        // rescan of the whole vector, so each element is loaded and
-        // stored exactly once. On the pool's behalf (threads > 0) the
-        // checkpoint keeps fault-injection coverage identical to the
-        // multi-worker path.
-        if threads > 0 {
-            rayon::fault_checkpoint();
+    'walk: {
+        if threads.min(nblocks) <= 1 {
+            // One sweep: reduce, carry and apply collapse into a single
+            // rescan of the whole vector, so each element is loaded and
+            // stored exactly once. On the pool's behalf (threads > 0) the
+            // checkpoint keeps fault-injection coverage identical to the
+            // multi-worker path.
+            if threads > 0 {
+                rayon::fault_checkpoint();
+            }
+            walk.rescan(0, n, walk.empty(), &bases);
+            break 'walk;
         }
-        walk.rescan(0, n, walk.empty(), &bases);
-        return;
-    }
 
-    // Phase 1 (block-reduce): per-block pair-scan summaries, workers
-    // walking contiguous block ranges.
-    let mut summaries = vec![(false, walk.empty()); nblocks];
-    let sptr = SyncPtr(summaries.as_mut_ptr());
-    rayon::for_each_block(n, block, move |lo, hi| {
-        // SAFETY: `lo / block` is a unique block index per call and the
-        // summaries vec was sized to `nblocks`.
-        unsafe { sptr.get().add(lo / block).write(walk.summary(lo, hi)) };
-    });
+        // Phase 1 (block-reduce): per-block pair-scan summaries, workers
+        // walking contiguous block ranges.
+        let mut summaries = vec![(false, walk.empty()); nblocks];
+        let sptr = SyncPtr(summaries.as_mut_ptr());
+        rayon::for_each_block(n, block, move |lo, hi| {
+            // SAFETY: `lo / block` is a unique block index per call and the
+            // summaries vec was sized to `nblocks`.
+            unsafe { sptr.get().add(lo / block).write(walk.summary(lo, hi)) };
+        });
 
-    // Phase 2 (carry): exclusive fold of the block totals, sequential
-    // over the (few) blocks in walk order, lane by lane.
-    let mut carries = vec![walk.empty(); nblocks];
-    let mut carry = walk.empty();
-    for k in 0..nblocks {
-        let b = match dir {
-            Direction::Up => k,
-            Direction::Down => nblocks - 1 - k,
-        };
-        carries[b] = carry;
-        let (has_reset, total) = summaries[b];
-        if has_reset || !carry.valid {
-            carry = total;
-        } else if total.valid {
-            for l in 0..K {
-                carry.state[l] = walk.combine(l, carry.state[l], total.state[l]);
+        // Phase 2 (carry): exclusive fold of the block totals, sequential
+        // over the (few) blocks in walk order, lane by lane.
+        let mut carries = vec![walk.empty(); nblocks];
+        let mut carry = walk.empty();
+        for k in 0..nblocks {
+            let b = match dir {
+                Direction::Up => k,
+                Direction::Down => nblocks - 1 - k,
+            };
+            carries[b] = carry;
+            let (has_reset, total) = summaries[b];
+            if has_reset || !carry.valid {
+                carry = total;
+            } else if total.valid {
+                for l in 0..K {
+                    carry.state[l] = walk.combine(l, carry.state[l], total.state[l]);
+                }
             }
         }
-    }
 
-    // Phase 3 (block-apply): re-scan each block seeded with its carry,
-    // over the same worker-local block ranges as the reduce.
-    let carries = &carries;
-    rayon::for_each_block(n, block, move |lo, hi| {
-        walk.rescan(lo, hi, carries[lo / block], &bases);
+        // Phase 3 (block-apply): re-scan each block seeded with its carry,
+        // over the same worker-local block ranges as the reduce.
+        let carries = &carries;
+        rayon::for_each_block(n, block, move |lo, hi| {
+            walk.rescan(lo, hi, carries[lo / block], &bases);
+        });
+    }
+    for out in outs.iter_mut() {
+        // SAFETY: either arm wrote every slot `0..n` of every output. A
+        // worker panic unwinds past this line and leaves the outputs
+        // cleared, never holding uninitialised lanes.
+        unsafe { out.set_len(n) };
+    }
+}
+
+/// One piece of a segment that a reduce block could not finish alone:
+/// the fold of the segment's lanes inside the block, and whether the
+/// segment's head is among them.
+#[derive(Clone, Copy)]
+struct Piece<T, const K: usize> {
+    segment: usize,
+    head: bool,
+    value: [T; K],
+}
+
+/// The segmented reduce kernel behind [`crate::Machine::seg_reduce_lanes_into`]:
+/// `out[l][s]` is lane `l` of `lane(s, i)` folded, in the downward scan's
+/// operand order, over the lanes `i` of segment `s`. With `pool` the lanes
+/// are cut into `block`-sized blocks dealt to the workers: a block writes
+/// the segments that lie wholly inside it and hands back at most two
+/// boundary [`Piece`]s, which a short sequential fold over the blocks
+/// combines. Without it (or with one block) one inline sweep writes every
+/// segment.
+pub(crate) fn seg_reduce_walk<T, L, F, const K: usize>(
+    seg: &Segments,
+    ops: L,
+    lane: F,
+    block: usize,
+    pool: bool,
+    outs: &mut [Vec<T>; K],
+) where
+    T: Element,
+    L: LaneOps<T, K>,
+    F: Fn(usize, usize) -> [T; K] + Sync,
+{
+    let (n, segments) = (seg.len(), seg.num_segments());
+    for out in outs.iter_mut() {
+        fit_exact(out, segments);
+    }
+    let bases: [SyncPtr<T>; K] = std::array::from_fn(|l| SyncPtr(outs[l].as_mut_ptr()));
+    let write = |s: usize, value: [T; K]| {
+        for (base, v) in bases.iter().zip(value) {
+            // SAFETY: slot `s` of each output is written once — by the
+            // block holding all of segment `s`, or by the sequential fold
+            // of the pieces of a segment several blocks share — and
+            // `s < segments`, within each output's reserved capacity.
+            unsafe { base.get().add(s).write(v) };
+        }
+    };
+    // One block's walk: each run is one segment's lanes inside the block,
+    // folded from its last lane down.
+    let reduce_block = |lo: usize, hi: usize| {
+        let mut pieces = [None; 2];
+        let mut s = seg.segment_of(hi - 1);
+        for (run, closed_above) in runs(seg, Direction::Down, lo, hi) {
+            let head = run.start > lo || seg.flags()[lo];
+            let mut lanes = run.rev();
+            let last = lanes.next().expect("a run holds at least one lane");
+            let mut value = lane(s, last);
+            for i in lanes {
+                let d = lane(s, i);
+                for l in 0..K {
+                    value[l] = ops.combine(l, d[l], value[l]);
+                }
+            }
+            if closed_above && head {
+                write(s, value);
+            } else {
+                let slot = usize::from(pieces[0].is_some());
+                pieces[slot] = Some(Piece {
+                    segment: s,
+                    head,
+                    value,
+                });
+            }
+            s = s.saturating_sub(1);
+        }
+        pieces
+    };
+
+    // Inline, the whole vector is one block and leaves no pieces.
+    let block = if pool { block.max(1) } else { n.max(1) };
+    let mut pieces: Vec<[Option<Piece<T, K>>; 2]> = vec![[None; 2]; n.div_ceil(block)];
+    let pptr = SyncPtr(pieces.as_mut_ptr());
+    for_each_block(pool, n, block, |lo, hi| {
+        // SAFETY: `lo / block` is a unique block index per call and the
+        // pieces vec was sized to the block count.
+        unsafe { pptr.get().add(lo / block).write(reduce_block(lo, hi)) };
     });
+    // The boundary pieces in walk order (last block first, its upper piece
+    // first): a piece without its segment's head carries its fold down to
+    // the next piece, which is of the same segment.
+    let mut carry: Option<[T; K]> = None;
+    for piece in pieces.iter().rev().flatten().flatten() {
+        let mut value = piece.value;
+        if let Some(above) = carry.take() {
+            for l in 0..K {
+                value[l] = ops.combine(l, value[l], above[l]);
+            }
+        }
+        if piece.head {
+            write(piece.segment, value);
+        } else {
+            carry = Some(value);
+        }
+    }
+    for out in outs.iter_mut() {
+        // SAFETY: every segment's slot was written above. A worker panic
+        // unwinds past this line and leaves the outputs cleared.
+        unsafe { out.set_len(segments) };
+    }
 }
 
 /// Blocked segmented scan for one static operator, bit-identical to
@@ -839,6 +961,28 @@ mod tests {
         let seg1 = Segments::single(1);
         let lanes: Vec<(&[i64], FusedOp)> = vec![(&one, FusedOp::Sum), (&one, FusedOp::Max)];
         check_lanes_all_modes(&lanes, &seg1, ANY_SHAPE);
+    }
+
+    /// The segmented reduce at blocks down to one lane — every shape of
+    /// boundary piece — equals the downward inclusive scan read at the
+    /// heads, pooled and inline.
+    #[test]
+    fn seg_reduce_matches_the_scan_heads_at_any_block() {
+        for &n in &[0usize, 1, 7, 64, 65, 500] {
+            let a: Vec<i64> = (0..n).map(|i| (i % 23) as i64 - 11).collect();
+            let seg = irregular_segments(n, 0xACE ^ n as u64, 37);
+            let ops = [FusedOp::Sum, FusedOp::Min, FusedOp::Max];
+            let lanes = ops.map(|op| (&a[..], op));
+            let want: Vec<Vec<i64>> = reference(&lanes, &seg, Direction::Down, ScanKind::Inclusive)
+                .into_iter()
+                .map(|lane| seg.starts().iter().map(|&h| lane[h]).collect())
+                .collect();
+            for &(block, pool) in &[(1, true), (2, true), (3, true), (64, true), (8, false)] {
+                let mut got: [Vec<i64>; 3] = Default::default();
+                seg_reduce_walk(&seg, ops, |_, i| [a[i]; 3], block, pool, &mut got);
+                assert_eq!(got.to_vec(), want, "n={n} block={block} pool={pool}");
+            }
+        }
     }
 
     #[test]

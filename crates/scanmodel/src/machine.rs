@@ -349,8 +349,7 @@ impl Machine {
             "elementwise: output buffers differ in length"
         );
         let bases = lanes.map(|lane| SyncPtr(lane.as_mut_ptr()));
-        let share = n.div_ceil(self.threads).max(MIN_WORKER_SHARE);
-        let block = blocked::block_elems_of(self.block_bytes, lane_bytes).min(share);
+        let block = self.one_pass_block(n, lane_bytes);
         blocked::for_each_block(self.use_par(n), n, block, |lo, hi| {
             // SAFETY: blocks are disjoint, so every sub-slice is handed to
             // exactly one worker, and `lo..hi` lies within each buffer
@@ -362,6 +361,18 @@ impl Machine {
                 }),
             );
         });
+    }
+
+    /// The block length of a pass over `n` lanes that revisits nothing
+    /// (the elementwise walks, the segmented reduce): each worker's even
+    /// share (down to [`MIN_WORKER_SHARE`]) cut evenly into blocks within
+    /// the cache budget for `lane_bytes`-wide lanes. (Capping the share at
+    /// the budget instead left a remainder block: 148k lanes in 64k-lane
+    /// blocks went to two workers as 2 + 1 blocks.)
+    fn one_pass_block(&self, n: usize, lane_bytes: usize) -> usize {
+        let share = n.div_ceil(self.threads).max(MIN_WORKER_SHARE);
+        let budget = blocked::block_elems_of(self.block_bytes, lane_bytes);
+        share.div_ceil(share.div_ceil(budget))
     }
 
     /// Current counter values.
@@ -953,6 +964,56 @@ impl Machine {
                 s += 1;
             }
         });
+    }
+
+    /// Segmented reduce: `outs[l][s]` is lane `l` of `f(s, data[i])` folded
+    /// under `ops[l]` over the lanes `i` of segment `s` — by definition what
+    /// a downward inclusive [`Machine::scan_lanes_into`] of the mapped lanes
+    /// leaves at the segment's head, the one value per node a node-level
+    /// decision reads (Secs. 4.4–4.5). One pass maps and folds; each output
+    /// holds `seg.num_segments()` values (cleared first) and no n-length
+    /// lane exists. `f` gets the lane's segment index, as in
+    /// [`Machine::seg_map_lanes_into`]. Counted as what it replaces: K scans
+    /// in one scan pass, one elementwise op, `K × segments` values of bytes.
+    ///
+    /// Numerical contract: each segment folds in the downward scan's
+    /// operand order (`d ⊕ state`, from its last lane to its head), so the
+    /// inline sweep (the sequential backend, or a pass that fits one block)
+    /// equals the scan's head value bit for bit for every operator. A
+    /// pooled pass folds a segment that several blocks share piece by
+    /// piece: bit-identical for operators associative under rounding
+    /// (integers, `f64` Min/Max, integer-valued `f64` sums), the blocked
+    /// scan's own contract ([`blocked`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != seg.len()`.
+    pub fn seg_reduce_lanes_into<A, T, F, const K: usize>(
+        &self,
+        data: &[A],
+        seg: &Segments,
+        f: F,
+        ops: [FusedOp; K],
+        outs: &mut [Vec<T>; K],
+    ) where
+        A: Element,
+        T: FusedElement,
+        F: Fn(usize, A) -> [T; K] + Sync,
+    {
+        seg.expect_lane("segment reduce", data.len());
+        let (n, segments) = (data.len(), seg.num_segments());
+        self.count_fused_scan(K as u64);
+        self.count_elementwise();
+        for out in outs.iter() {
+            self.note_alloc_avoided(out.capacity(), segments);
+        }
+        self.count_bytes_moved(K * segments * std::mem::size_of::<T>());
+        let pool = self.use_par(n);
+        if pool {
+            self.count_blocked_pass();
+        }
+        let block = self.one_pass_block(n, widest::<A, T>());
+        blocked::seg_reduce_walk(seg, ops, |s, i| f(s, data[i]), block, pool, outs);
     }
 
     /// The frame the multi-lane fills share: one elementwise op and its

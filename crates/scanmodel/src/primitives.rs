@@ -15,6 +15,7 @@
 //! lane *goes* from two counting scans, and the R-tree and quadtree split
 //! stages consume those targets directly.
 
+use crate::fused::FusedOp;
 use crate::machine::Machine;
 use crate::ops::Element;
 use crate::ops::{First, Last, Sum};
@@ -154,35 +155,19 @@ impl Machine {
     }
 
     /// [`Machine::segment_counts`] into a caller-provided buffer (cleared
-    /// first). The internal ones/scan vectors are leased from the
-    /// machine's scratch arena, so a warm call performs no allocation —
-    /// this is the per-round capacity check of the build loops (paper
-    /// Sec. 4.4), issued once per segment structure per round.
+    /// first): the capacity check's `+`-fold of ones as one
+    /// [`Machine::seg_reduce_lanes_into`] lane, so only the one count per
+    /// segment is written — this is the per-round capacity check of the
+    /// build loops (paper Sec. 4.4), issued once per segment structure per
+    /// round, and counts as the scan plus the head read it stands for.
     pub fn segment_counts_into(&self, seg: &Segments, out: &mut Vec<u64>) {
-        let mut ones: Vec<u64> = self.lease();
-        crate::machine::fit_exact(&mut ones, seg.len());
-        ones.resize(seg.len(), 1);
-        let mut scanned: Vec<u64> = self.lease();
-        self.scan_into(
-            &ones,
+        self.seg_reduce_lanes_into(
+            seg.flags(),
             seg,
-            Sum,
-            Direction::Down,
-            ScanKind::Inclusive,
-            &mut scanned,
+            |_, _| [1u64],
+            [FusedOp::Sum],
+            std::array::from_mut(out),
         );
-        self.count_elementwise();
-        out.clear();
-        out.extend(seg.starts().iter().map(|&s| scanned[s]));
-        self.recycle(ones);
-        self.recycle(scanned);
-    }
-
-    /// Per-lane segment totals: the capacity check followed by a broadcast
-    /// of the head value across the segment.
-    pub fn segment_counts_broadcast(&self, seg: &Segments) -> Vec<u64> {
-        let scanned = self.capacity_check_scan(seg);
-        self.broadcast_first(&scanned, seg)
     }
 
     // ------------------------------------------------------------------
@@ -371,10 +356,6 @@ mod tests {
             let scanned = m.capacity_check_scan(&seg);
             assert_eq!(scanned, vec![3, 2, 1, 4, 3, 2, 1, 2, 1]);
             assert_eq!(m.segment_counts(&seg), vec![3, 4, 2]);
-            assert_eq!(
-                m.segment_counts_broadcast(&seg),
-                vec![3, 3, 3, 4, 4, 4, 4, 2, 2]
-            );
         }
     }
 

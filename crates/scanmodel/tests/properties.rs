@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use scan_model::ops::{Max, Min, Sum};
-use scan_model::{Backend, Direction, FusedOp, Machine, ScanKind, Segments};
+use scan_model::{Backend, Direction, FusedElement, FusedOp, Machine, ScanKind, Segments};
 
 /// A random segmented vector: data plus segment lengths that sum to its
 /// length.
@@ -616,4 +616,160 @@ proptest! {
             assert_push_matches_gather(&m, &lens, &counts, "random");
         }
     }
+}
+
+/// The operators the reduce tests rotate through their lanes.
+const REDUCE_OPS: [FusedOp; 3] = [FusedOp::Sum, FusedOp::Min, FusedOp::Max];
+
+/// `seg_reduce_lanes_into` against its definition on one machine: the
+/// downward inclusive fused scan of the same lanes, read at the segment
+/// heads, bit for bit (`f64`s compared by their printed form, which tells
+/// `-0.0` from `0.0`).
+fn assert_reduce_is_scan_at_heads<T, const K: usize>(
+    m: &Machine,
+    lanes: &[Vec<T>; K],
+    seg: &Segments,
+    ops: [FusedOp; K],
+) where
+    T: FusedElement + std::fmt::Debug,
+{
+    let lane_ids: Vec<u32> = (0..seg.len() as u32).collect();
+    let mut got: [Vec<T>; K] = std::array::from_fn(|_| Vec::new());
+    m.seg_reduce_lanes_into(
+        &lane_ids,
+        seg,
+        |_, i| std::array::from_fn(|l| lanes[l][i as usize]),
+        ops,
+        &mut got,
+    );
+    let scan_in: Vec<(&[T], FusedOp)> = (0..K).map(|l| (&lanes[l][..], ops[l])).collect();
+    let mut scanned: Vec<Vec<T>> = vec![Vec::new(); K];
+    m.scan_lanes_into(
+        &scan_in,
+        seg,
+        Direction::Down,
+        ScanKind::Inclusive,
+        &mut scanned,
+    );
+    for l in 0..K {
+        let want: Vec<T> = seg.starts().iter().map(|&h| scanned[l][h]).collect();
+        assert_eq!(
+            format!("{:?}", got[l]),
+            format!("{want:?}"),
+            "lane {l} of {K}, {:?}",
+            ops[l]
+        );
+    }
+}
+
+/// [`assert_reduce_is_scan_at_heads`] at width K over `u64`, `i64` and
+/// integer-valued `f64` lanes derived from `data`, operators rotated by
+/// `rot`; `fractional` adds fractional `f64` lanes (exact only where the
+/// reduce and the scan both run one sweep).
+fn reduce_at_width<const K: usize>(
+    m: &Machine,
+    data: &[i64],
+    seg: &Segments,
+    rot: usize,
+    fractional: bool,
+) {
+    let ops: [FusedOp; K] = std::array::from_fn(|l| REDUCE_OPS[(l + rot) % 3]);
+    let k = |l: usize| l as i64 + 1;
+    let u: [Vec<u64>; K] =
+        std::array::from_fn(|l| data.iter().map(|&v| ((v + 1000) * k(l)) as u64).collect());
+    assert_reduce_is_scan_at_heads(m, &u, seg, ops);
+    let i: [Vec<i64>; K] = std::array::from_fn(|l| data.iter().map(|&v| v * k(l) - k(l)).collect());
+    assert_reduce_is_scan_at_heads(m, &i, seg, ops);
+    let f: [Vec<f64>; K] =
+        std::array::from_fn(|l| data.iter().map(|&v| (v * k(l)) as f64).collect());
+    assert_reduce_is_scan_at_heads(m, &f, seg, ops);
+    if fractional {
+        let f: [Vec<f64>; K] = std::array::from_fn(|l| {
+            data.iter()
+                .map(|&v| v as f64 / 7.0 + l as f64 * 0.1)
+                .collect()
+        });
+        assert_reduce_is_scan_at_heads(m, &f, seg, ops);
+    }
+}
+
+fn reduce_at_every_width(m: &Machine, data: &[i64], seg: &Segments, rot: usize, fractional: bool) {
+    reduce_at_width::<1>(m, data, seg, rot, fractional);
+    reduce_at_width::<2>(m, data, seg, rot, fractional);
+    reduce_at_width::<4>(m, data, seg, rot, fractional);
+    reduce_at_width::<7>(m, data, seg, rot, fractional);
+    reduce_at_width::<8>(m, data, seg, rot, fractional);
+}
+
+proptest! {
+    /// Random segment shapes, K ∈ {1, 2, 4, 7, 8}, Sum/Min/Max over
+    /// `u64`/`i64`/integer-valued `f64` on all three machines; fractional
+    /// `f64` sums on the two whose inputs fit one block.
+    #[test]
+    fn seg_reduce_is_the_downward_scan_at_the_heads(
+        (data, lens) in segmented_vec(),
+        rot in 0usize..3,
+    ) {
+        let seg = Segments::from_lengths(&lens).unwrap();
+        for (k, m) in three_machines().iter().enumerate() {
+            reduce_at_every_width(m, &data, &seg, rot, k < 2);
+        }
+    }
+}
+
+/// The reduce at the shapes the block edges make interesting — the third
+/// machine cuts 64-lane blocks: one segment spanning several blocks, all
+/// singletons, a boundary exactly on a block edge and one a lane off it
+/// on either side. `f` sees each lane's own segment, and empty input
+/// gives empty outputs.
+#[test]
+fn seg_reduce_edge_shapes() {
+    let data: Vec<i64> = (0..200).map(|i| (i * i) % 97 - 48).collect();
+    let shapes: [Vec<usize>; 5] = [
+        vec![200],
+        vec![1; 200],
+        vec![64, 64, 72],
+        vec![63, 2, 135],
+        vec![65, 63, 72],
+    ];
+    for lens in shapes {
+        let seg = Segments::from_lengths(&lens).unwrap();
+        for (k, m) in three_machines().iter().enumerate() {
+            reduce_at_every_width(m, &data, &seg, k, k < 2);
+            let mut seen: [Vec<u64>; 2] = Default::default();
+            m.seg_reduce_lanes_into(
+                &data,
+                &seg,
+                |s, _| [s as u64; 2],
+                [FusedOp::Min, FusedOp::Max],
+                &mut seen,
+            );
+            let want: Vec<u64> = (0..lens.len() as u64).collect();
+            assert_eq!(seen, [want.clone(), want], "{lens:?}");
+        }
+    }
+    for m in three_machines() {
+        let mut outs: [Vec<u64>; 3] = [vec![1], vec![2, 3], Vec::new()];
+        m.seg_reduce_lanes_into(
+            &[] as &[u32],
+            &Segments::single(0),
+            |_, _| [0; 3],
+            [FusedOp::Sum; 3],
+            &mut outs,
+        );
+        assert!(outs.iter().all(Vec::is_empty));
+    }
+}
+
+#[test]
+#[should_panic(expected = "segment reduce")]
+fn seg_reduce_rejects_a_length_mismatch() {
+    let mut outs: [Vec<u64>; 1] = Default::default();
+    Machine::new(Backend::Sequential).seg_reduce_lanes_into(
+        &[1u64, 2],
+        &Segments::single(3),
+        |_, v| [v],
+        [FusedOp::Sum],
+        &mut outs,
+    );
 }

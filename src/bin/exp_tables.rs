@@ -6,20 +6,24 @@
 //!
 //! `exp_tables probe-floor [seed]` (not part of `all`) prints the
 //! small-batch floor of the query path on a serve-shaped shard tree —
-//! EXPERIMENTS E48.
+//! EXPERIMENTS E48. `exp_tables decision [seed]` (not part of `all`)
+//! prints what the quadtree builds' split decision costs inside a build on
+//! `dpbench bulk_build`'s inputs — EXPERIMENTS E50.
 
 use dp_geom::{clip_segment_closed, seg_meets_rect, LineSeg, Rect};
 use dp_service::{QueryService, QueryServiceConfig};
 use dp_spatial::batch::batch_window_query;
-use dp_spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial::pm1::build_pm1;
+use dp_spatial::bucket_pmr::{bucket_pmr_decision, build_bucket_pmr};
+use dp_spatial::lineproc::{run_quad_build, LineProcSet};
+use dp_spatial::pm1::{build_pm1, pm1_decision};
 use dp_spatial::quadtree::{DpQuadtree, QtNode};
 use dp_spatial::rsplit::RtreeSplitAlgorithm;
 use dp_spatial::rtree::{build_rtree, pack_rtree_hilbert};
 use dp_spatial::shard::{build_shard, ShardGrid};
 use dp_spatial::stats::measure_build;
 use dp_workloads::{
-    request_stream, road_network, square_world, uniform_segments, Dataset, Request, RequestMix,
+    polygon_rings, request_stream, road_network, square_world, uniform_segments, Dataset, Request,
+    RequestMix,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,21 +52,22 @@ fn main() {
 /// Prints what `which` names. A name it does not know is an error that
 /// lists the valid ones — never a silent `all`.
 fn run(which: &str, seed: Option<&str>) -> Result<(), String> {
+    let seed = || {
+        seed.map_or(Ok(1995), |s| {
+            s.parse()
+                .map_err(|_| format!("{which}: the seed must be an integer, got `{s}`"))
+        })
+    };
     match which {
         "all" => PAPER_TABLES.iter().for_each(|(_, table)| table()),
-        "probe-floor" => {
-            let seed = seed.map_or(Ok(1995), |s| {
-                s.parse()
-                    .map_err(|_| format!("probe-floor: the seed must be an integer, got `{s}`"))
-            })?;
-            probe_floor_tables(seed)
-        }
+        "probe-floor" => probe_floor_tables(seed()?),
+        "decision" => decision_table(seed()?),
         name => {
             let known = PAPER_TABLES.iter().find(|(known, _)| *known == name);
             let (_, table) = known.ok_or_else(|| {
                 let names: Vec<&str> = PAPER_TABLES.iter().map(|(known, _)| *known).collect();
                 format!(
-                    "unknown table `{name}`; expected one of: all, {}, probe-floor",
+                    "unknown table `{name}`; expected one of: all, {}, probe-floor, decision",
                     names.join(", ")
                 )
             })?;
@@ -775,6 +780,85 @@ fn probe_floor_tables(seed: u64) {
     );
 }
 
+// ---------------------------------------------------------------------
+// E50: the split decision inside a quadtree build
+// ---------------------------------------------------------------------
+
+/// `dpbench`'s `sub_seed`, so `decision <seed>` builds the inputs
+/// `dpbench --workload bulk_build --seed <seed>` builds.
+fn sub_seed(seed: u64, stream: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A quadtree family's split decision, as `run_quad_build` calls it.
+type Decide = fn(&Machine, &LineProcSet, &[LineSeg]) -> Vec<bool>;
+
+/// E50: what the split decision costs inside a whole build, on `dpbench
+/// bulk_build`'s inputs — PM₁ on `polygon_rings` with about 101,000 edges
+/// (depth 16), bucket PMR on `uniform_segments(100_000, 4096, 64)`
+/// (capacity 8, depth 12) — through the public API only: `run_quad_build`
+/// with a `decide` closure that times the family's own decision function.
+/// Medians of five builds.
+fn decision_table(seed: u64) {
+    let machine = Machine::parallel();
+    let cells = (101_000f64 / 4.0).sqrt().ceil() as u32;
+    let planar = polygon_rings(cells, (cells * 32).next_power_of_two(), sub_seed(seed, 1));
+    let uniform = uniform_segments(100_000, 4096, 64, sub_seed(seed, 2));
+    let bucket: Decide = |m, state, _| bucket_pmr_decision(m, state, 8);
+    let builds: [(&str, &Dataset, usize, Decide); 2] = [
+        ("pm1", &planar, 16, pm1_decision),
+        ("bucket-pmr", &uniform, 12, bucket),
+    ];
+    let mut rows = Vec::new();
+    for (name, data, depth, decision) in builds {
+        let (mut build_ms, mut decide_ms, mut share) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..5 {
+            let mut deciding = 0.0;
+            let mut decide = |m: &Machine, state: &LineProcSet, segs: &[LineSeg]| {
+                let start = Instant::now();
+                let split = decision(m, state, segs);
+                deciding += start.elapsed().as_secs_f64() * 1e3;
+                split
+            };
+            let start = Instant::now();
+            black_box(run_quad_build(
+                &machine,
+                data.world,
+                &data.segs,
+                depth,
+                &mut decide,
+            ));
+            let total = start.elapsed().as_secs_f64() * 1e3;
+            build_ms.push(total);
+            decide_ms.push(deciding);
+            share.push(deciding / total);
+        }
+        rows.push(vec![
+            name.to_string(),
+            data.len().to_string(),
+            format!("{:.1}", median(&mut build_ms)),
+            format!("{:.1}", median(&mut decide_ms)),
+            format!("{:.0} %", 100.0 * median(&mut share)),
+        ]);
+    }
+    print!(
+        "{}",
+        render_table(
+            &format!(
+                "E50: the split decision inside a quadtree build, seed {seed}, medians of 5 builds, {} rayon threads",
+                rayon::current_num_threads()
+            ),
+            &["build", "segments", "build ms", "decision ms", "share"],
+            &rows
+        )
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,10 +898,21 @@ mod tests {
         for typo in ["probe_floor", "round", ""] {
             let message = run(typo, None).expect_err("a typo must not run anything");
             let paper = PAPER_TABLES.iter().map(|(name, _)| *name);
-            for name in paper.chain(["all", "probe-floor"]) {
+            for name in paper.chain(["all", "probe-floor", "decision"]) {
                 assert!(message.contains(name), "`{message}` does not list {name}");
             }
         }
         assert!(run("probe-floor", Some("x")).is_err());
+    }
+
+    /// `decision` takes a seed the way `probe-floor` does, and draws the
+    /// planar and uniform inputs from the streams `dpbench`'s
+    /// `common::sub_seed` gives `bulk_build` at that seed.
+    #[test]
+    fn decision_rejects_a_bad_seed_and_draws_the_benchmark_streams() {
+        let message = run("decision", Some("1995x")).expect_err("not a seed");
+        assert!(message.starts_with("decision:"), "{message}");
+        assert_eq!(sub_seed(1995, 1), 0xcec4_d81b_b70a_c067);
+        assert_eq!(sub_seed(1995, 2), 0x008e_19d1_dc5e_cc1b);
     }
 }

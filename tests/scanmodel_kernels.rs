@@ -4,7 +4,8 @@
 //! * **Op-count table** — every gather-form layout wrapper is one cloning
 //!   (1 scan / 2 elementwise / 1 permute), `unshuffle_layout` is Fig. 16
 //!   (2 scans / 3 elementwise), every apply is one permute (+1 elementwise
-//!   fused-map, +1 in-place reuse in place), on both backends, with
+//!   fused-map, +1 in-place reuse in place), a K-lane segmented reduce is
+//!   K scans in one pass plus one elementwise op, on both backends, with
 //!   `bytes_moved` equal across them.
 //! * **Scan bit-identity** — the one scan walk against the independent
 //!   oracle `scan_seq`, K ∈ {1, 2, 4, 8, 9} lanes × Up/Down ×
@@ -23,8 +24,10 @@
 //!   `build_pm1` and `build_bucket_pmr` at two sizes — all three machines
 //!   agreed there and must reproduce them here. (The split rounds of the
 //!   profile have since been re-recorded once, downward in every
-//!   component, when the node split stopped carrying a block per lane;
-//!   the digests never.)
+//!   component, when the node split stopped carrying a block per lane,
+//!   and the bytes of every round once more when the decisions became
+//!   segmented reduces; the digests never.) Beside them, the arena peaks
+//!   of one bucket-PMR and one PM₁ build, re-recordable downward only.
 
 #[path = "../crates/scanmodel/tests/oracles/mod.rs"]
 mod oracles;
@@ -185,6 +188,16 @@ fn measured_rows(m: &Machine) -> Vec<(&'static str, Counts, u64)> {
     row("apply_unshuffle_swap", &mut || {
         m.apply_unshuffle_swap(&mut data.clone(), &packed)
     });
+    row("seg_reduce_lanes", &mut || {
+        let mut outs: [Vec<i64>; 4] = Default::default();
+        m.seg_reduce_lanes_into(
+            &data,
+            &seg,
+            |s, v| [v, v, 1, s as i64],
+            [FusedOp::Sum, FusedOp::Min, FusedOp::Sum, FusedOp::Max],
+            &mut outs,
+        );
+    });
     rows
 }
 
@@ -193,7 +206,7 @@ fn op_count_table_holds_on_both_backends() {
     const CLONING: Counts = (1, 1, 2, 1, 0, 0);
     const PERMUTE: Counts = (0, 0, 0, 1, 0, 0);
     const IN_PLACE: Counts = (0, 0, 0, 1, 0, 1);
-    let table: [(&str, Counts); 15] = [
+    let table: [(&str, Counts); 16] = [
         ("delete_layout", CLONING),
         ("clone_layout", CLONING),
         ("fanout_layout", CLONING),
@@ -211,6 +224,8 @@ fn op_count_table_holds_on_both_backends() {
         ("apply_unshuffle", PERMUTE),
         ("apply_unshuffle_into", PERMUTE),
         ("apply_unshuffle_swap", IN_PLACE),
+        // The K scans and the map it stands for, in one pass.
+        ("seg_reduce_lanes", (4, 1, 1, 0, 0, 0)),
     ];
     let mut bytes: Option<Vec<u64>> = None;
     for (backend, m) in machines() {
@@ -227,11 +242,16 @@ fn op_count_table_holds_on_both_backends() {
         );
     }
     // A gather-form layout carries Fig. 14's two u64 vectors, an
-    // unshuffle Fig. 16's four, an apply its one output vector.
+    // unshuffle Fig. 16's four, an apply its one output vector, a K-lane
+    // reduce K values per segment.
     let bytes = bytes.unwrap();
     assert_eq!(bytes[0], 2 * 8 * 500);
     assert_eq!(bytes[3], 4 * 8 * 500);
     assert_eq!(bytes[12], 8 * 500);
+    assert_eq!(
+        bytes[15],
+        4 * 8 * segments(500, 13, 3).num_segments() as u64
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -713,22 +733,24 @@ const BUCKET_LAST_ROUND: RoundOps = (1, 2, 0, 1);
 
 /// `bytes_moved` of every round of `build_pm1` / `build_bucket_pmr` on
 /// `uniform_segments(n, 1024, 24, 1303)` for `n` = 600 and 2400, the same
-/// on all three machines. The split rounds were re-recorded — every entry
-/// below the parent commit's — when the per-lane block vector and the
-/// retire-delete layout left the split; the last round (decide only) is
-/// the parent commit's.
+/// on all three machines. Re-recorded twice, every entry below the one it
+/// replaced: when the per-lane block vector and the retire-delete layout
+/// left the split (the split rounds), and when the decisions became
+/// segmented reduces writing one value per node instead of one per lane
+/// (every round; PM₁'s n = 600 split round 133,516 → 71,173, of which one
+/// byte per node is the verdict pass, now a counted elementwise op).
 const PM1_ROUND_BYTES: [&[u64]; 2] = [
     &[
-        133516, 138657, 148239, 164992, 197563, 230698, 215525, 157355, 115096, 91147, 42432,
+        71173, 74405, 81447, 94384, 125000, 158595, 146842, 107413, 78975, 63136, 18183,
     ],
     &[
-        532637, 549341, 580903, 648186, 785056, 1050068, 1385781, 1581759, 1552870, 1441564, 696280,
+        283094, 293209, 314951, 361362, 459672, 668067, 942631, 1089710, 1073501, 1001209, 287166,
     ],
 ];
 const BUCKET_ROUND_BYTES: [&[u64]; 2] = [
-    &[75916, 79137, 85743, 91433, 31799, 1024],
+    &[71124, 74209, 80663, 86233, 27327, 416],
     &[
-        302237, 312701, 334567, 380058, 465681, 247783, 42981, 2203, 120,
+        283045, 293013, 314167, 358226, 441577, 222279, 34741, 1995, 32,
     ],
 ];
 
@@ -777,17 +799,23 @@ fn build_round_profiles_reproduce_the_parent_commit() {
     }
 }
 
+/// The input of the arena pins: 20,000 uniform segments in a 4096² world.
+fn arena_pin_input() -> Dataset {
+    uniform_segments(20_000, 4096, 64, 20_042)
+}
+
 /// `arena_high_water_bytes` after one `build_bucket_pmr` of
-/// `uniform_segments(20_000, 4096, 64, 20_042)` (capacity 8, depth 12) on
-/// a fresh machine: a function of the lease sequence, not the schedule,
-/// so it is the same on all three machines. The in-place applies are what
-/// keep it under twice the input; a split round that holds one more
-/// leased n-length lane moves it. Re-record downward only.
-const BUCKET_ARENA_PEAK_BYTES: usize = 1_215_138;
+/// [`arena_pin_input`] (capacity 8, depth 12) on a fresh machine: a
+/// function of the lease sequence, not the schedule, so it is the same on
+/// all three machines. The in-place applies are what keep it under twice
+/// the input; a split round that holds one more leased n-length lane
+/// moves it. Re-record downward only (1,215,138 before the capacity check
+/// became a segmented reduce and stopped leasing two n-length lanes).
+const BUCKET_ARENA_PEAK_BYTES: usize = 493_010;
 
 #[test]
 fn bucket_pmr_arena_peak_stays_under_twice_the_input() {
-    let data = uniform_segments(20_000, 4096, 64, 20_042);
+    let data = arena_pin_input();
     for (backend, machine) in pin_machines() {
         build_bucket_pmr(&machine, data.world, &data.segs, 8, 12);
         let peak = machine.arena_high_water_bytes();
@@ -798,6 +826,26 @@ fn bucket_pmr_arena_peak_stays_under_twice_the_input() {
         assert!(
             peak <= 2 * std::mem::size_of_val(&data.segs[..]),
             "{backend}: arena peak {peak} exceeds twice the input's bytes"
+        );
+    }
+}
+
+/// `arena_high_water_bytes` after one `build_pm1` of [`arena_pin_input`]
+/// (depth 12) on a fresh machine, the same on all three machines. The
+/// PM₁ decision's six filled and seven scanned n-length `f64` lanes were
+/// leased from the arena until the decision became one segmented reduce
+/// (21,100,705 then). Re-record downward only.
+const PM1_ARENA_PEAK_BYTES: usize = 9_624_089;
+
+#[test]
+fn pm1_arena_peak_holds_no_per_lane_decision_slab() {
+    let data = arena_pin_input();
+    for (backend, machine) in pin_machines() {
+        build_pm1(&machine, data.world, &data.segs, 12);
+        assert_eq!(
+            machine.arena_high_water_bytes(),
+            PM1_ARENA_PEAK_BYTES,
+            "{backend}: the build's arena peak moved"
         );
     }
 }
