@@ -255,21 +255,31 @@ impl QueryService {
 
     /// Answers k-NN plans `(slot, p, k)` by expanding windows: the probe
     /// executor run for rounds, all unfinished requests advancing together.
+    ///
+    /// A request starts at half-width `r₀ = √(k·area(world) / (π·live))`,
+    /// the radius whose disc holds k segments at the mean density (segments
+    /// have length, so it meets at least k in expectation), or at the
+    /// distance to the world for a `p` outside it, and doubles until its
+    /// k-th best is ≤ r or the window covers the world. That test is sound
+    /// for every r, so r₀ decides what an answer costs, never the answer.
     fn run_knn(
         &self,
         st: &ServingState,
         requests: Vec<(usize, Point, usize)>,
     ) -> Vec<(usize, Vec<(SegId, f64)>)> {
+        // No density to size a window from; and a zero-area world (empty,
+        // being half-open) has no window that grows.
+        if st.live() == 0 {
+            return requests.iter().map(|r| (r.0, Vec::new())).collect();
+        }
         let world = self.grid.world();
-        // Initial half-width: a quarter tile, so round one stays local —
-        // or the distance to the world for a `p` outside it (finite, so
-        // validation let it through): no smaller window reaches a segment,
-        // and doubling up to it would burn ~log₂(distance) empty rounds.
-        // Any start is sound: `kth ≤ r` below holds for every `r`.
-        let r0 = ((world.max.x - world.min.x) / self.config.shard_grid as f64 / 4.0).max(1e-9);
+        let share = world.area() / (std::f64::consts::PI * st.live() as f64);
         let mut pending: Vec<(usize, Point, usize, f64)> = requests
             .into_iter()
-            .map(|(slot, p, k)| (slot, p, k, r0.max(world.dist2_to_point(p).sqrt())))
+            .map(|(slot, p, k)| {
+                let r0 = (k as f64 * share).sqrt();
+                (slot, p, k, r0.max(world.dist2_to_point(p).sqrt()))
+            })
             .collect();
         let mut answers = Vec::with_capacity(pending.len());
         while !pending.is_empty() {
@@ -287,7 +297,16 @@ impl QueryService {
                     .into_iter()
                     .map(|id| (id, st.logical_seg(id).dist2_to_point(p).sqrt()))
                     .collect();
-                scored.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                // Distance-then-id is a total order, so the k selected are
+                // the full sort's first k. Scores stay `sqrt`ed, as
+                // `brute_knearest` ranks: squares could tie differently.
+                let cmp =
+                    |a: &(SegId, f64), b: &(SegId, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+                if (1..scored.len()).contains(&k) {
+                    scored.select_nth_unstable_by(k - 1, cmp);
+                    scored.truncate(k);
+                }
+                scored.sort_unstable_by(cmp);
                 // Every segment at distance ≤ r intersects the window, so
                 // a k-th best ≤ r is provably final; a window covering the
                 // whole world has seen everything. (`k == 0` never reaches

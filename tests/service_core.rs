@@ -20,6 +20,11 @@
 //!
 //! The last section holds regression tests for defects the same PR
 //! fixed; those fail at the parent by design.
+//!
+//! The counters alone — `knn_rounds`, per-shard `probes` and `batches`,
+//! the stream's probe total — were re-recorded once, when k-NN's first
+//! window came to be sized from k and the live density (more, much
+//! smaller rounds); no answer, event or byte pin moved with them.
 
 use dp_geom::{clip_segment_closed, LineSeg, Point, Rect};
 use dp_service::{
@@ -142,7 +147,7 @@ fn eager_oracle(base: &[LineSeg], overlay: &[LineSeg], stream: &[Request]) -> Ve
 const MIXED_STREAM_DIGEST: u32 = 109_645_521;
 /// `(knn_rounds, join_requests, compactions, failed_compactions)` and
 /// the total routed probes of the `execute_batch` run.
-const MIXED_STREAM_COUNTERS: (ServiceRow, u64) = ((17, 25, 4, 0), 357);
+const MIXED_STREAM_COUNTERS: (ServiceRow, u64) = ((17, 25, 4, 0), 354);
 
 #[test]
 fn mixed_stream_reproduces_the_parent_answers_on_both_front_doors() {
@@ -399,7 +404,7 @@ fn a_probe_chunk_that_crashes_once_is_retried() {
         events,
         vec![event(0, RecoveryAction::Retry(1), pool_fault(0))]
     );
-    assert_eq!(projection, (vec![(0, 60, 5, 1, 0, false, 0)], (1, 0, 0, 0)));
+    assert_eq!(projection, (vec![(0, 61, 6, 1, 0, false, 0)], (2, 0, 0, 0)));
 }
 
 #[test]
@@ -413,7 +418,7 @@ fn a_probe_chunk_that_keeps_crashing_rides_through_a_rebuild() {
             event(0, RecoveryAction::Rebuild, pool_fault(2)),
         ]
     );
-    assert_eq!(projection, (vec![(0, 60, 5, 2, 1, false, 0)], (1, 0, 0, 0)));
+    assert_eq!(projection, (vec![(0, 61, 6, 2, 1, false, 0)], (2, 0, 0, 0)));
 }
 
 #[test]
@@ -435,7 +440,7 @@ fn a_probe_chunk_whose_rebuild_crashes_too_degrades_to_the_oracle() {
         ]
     );
     // No chunk ever completed on the index: zero batches.
-    assert_eq!(projection, (vec![(0, 60, 0, 2, 0, true, 0)], (1, 0, 0, 0)));
+    assert_eq!(projection, (vec![(0, 61, 0, 2, 0, true, 0)], (2, 0, 0, 0)));
 }
 
 #[test]
@@ -484,7 +489,7 @@ fn a_join_that_keeps_crashing_degrades_to_the_oracle_join() {
     assert_eq!(svc.recovery_events(), events);
     assert_eq!(
         stats_projection(&svc),
-        (vec![(0, 37, 0, 4, 1, true, 0)], (1, 5, 0, 0))
+        (vec![(0, 41, 0, 4, 1, true, 0)], (2, 5, 0, 0))
     );
 }
 
@@ -543,11 +548,11 @@ fn a_build_that_keeps_crashing_degrades_every_shard() {
             (
                 vec![
                     (0, 14, 0, 2, 0, true, 3),
-                    (1, 20, 0, 2, 0, true, 3),
-                    (2, 20, 0, 2, 0, true, 3),
+                    (1, 21, 0, 2, 0, true, 3),
+                    (2, 18, 0, 2, 0, true, 3),
                     (3, 18, 0, 2, 0, true, 3),
                 ],
-                (1, 4, 0, 0)
+                (2, 4, 0, 0)
             ),
             "{backend:?}"
         );
@@ -581,10 +586,10 @@ fn an_out_of_world_overlay_segment_is_reported_by_its_overlay_position() {
     }
 }
 
-/// k-NN always started at a quarter-tile radius and doubled, so a finite
-/// query point at distance D outside the world (validation only rejects
-/// non-finite points) burned ~log₂(D) full routed probe rounds that
-/// could not return anything — about a thousand for `x = 1e300`.
+/// k-NN started every request at one fixed radius and doubled, so a
+/// finite query point at distance D outside the world (validation only
+/// rejects non-finite points) burned ~log₂(D) full routed probe rounds
+/// that could not return anything — about a thousand for `x = 1e300`.
 #[test]
 fn knn_far_outside_the_world_answers_within_a_small_round_budget() {
     let data = uniform_segments(150, 64, 8, 1441);
@@ -608,8 +613,8 @@ fn knn_far_outside_the_world_answers_within_a_small_round_budget() {
             assert_eq!(resp.try_knearest(i), Ok(expected.as_slice()), "{p:?}");
         }
         // All five advance together, so the batch costs the rounds of its
-        // slowest member: the near-outside points, a few doublings of
-        // the quarter-tile radius.
+        // slowest member: a near-outside point, a few doublings of the
+        // radius that holds k segments at the mean density.
         let rounds = svc.stats().knn_rounds;
         assert!(rounds <= 6, "{backend:?}: {rounds} k-NN rounds");
     }
