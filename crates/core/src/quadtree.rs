@@ -414,7 +414,8 @@ impl DpQuadtree {
         best
     }
 
-    /// Visits every leaf with its block rectangle and depth.
+    /// Visits every leaf with its block rectangle and depth, in pre-order
+    /// with quadrant 3 first.
     pub fn for_each_leaf<F: FnMut(&Rect, usize, &[SegId])>(&self, mut f: F) {
         let mut stack = vec![(0usize, self.world, 0usize)];
         while let Some((idx, rect, depth)) = stack.pop() {

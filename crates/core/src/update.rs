@@ -12,35 +12,40 @@
 //! `tests/update_differential.rs`.
 //!
 //! One [`batch_update`] is five phases, all expressed in the scan-model
-//! kernels and driven by the instrumented [`RoundDriver`]:
+//! kernels and driven by the instrumented [`RoundDriver`]. None allocates
+//! per leaf: the old tree is read through its two flat vectors
+//! ([`DpQuadtree::node`]), the leaves' lines are one flat vector in
+//! *record order* (pre-order, quadrant 3 first), and what the phases
+//! learn about a node is one word of a node-indexed vector.
 //!
 //! 1. **Collection compaction** — deleted segments are removed from the
 //!    backing collection with the deletion-compaction kernel (Sec. 4.3);
 //!    an exclusive `+`-scan over the keep flags yields the old→new id
 //!    remap in one scan pass. Inserts append after the kept ids.
-//! 2. **Leaf delete-compaction** — every leaf's line list is flattened
-//!    into one segmented lane vector; one [`Machine::delete_layout`] +
-//!    gather compacts all leaves simultaneously and one elementwise pass
-//!    remaps the survivors.
+//! 2. **Leaf delete-compaction** — every leaf's ids are copied into one
+//!    segmented lane vector; one [`Machine::delete_layout`] + apply
+//!    compacts all leaves simultaneously and one elementwise pass remaps
+//!    the survivors.
 //! 3. **Insert routing** — the new segments descend the existing tree in
 //!    lockstep, one level per round, on the crate's one descent step
 //!    (`batch::descend_level`, the same flat-map the batch window query
-//!    walks): a lane landing on a leaf retires into that leaf's record, a
-//!    lane over an internal node fans out to exactly its crossing
+//!    walks): a lane landing on a leaf retires as a `(leaf node, new id)`
+//!    pair, a lane over an internal node fans out to exactly its crossing
 //!    children (the generalized cloning of Sec. 4.1). Membership uses the
 //!    same [`seg_in_block`] predicate as the bulk build's node split, so
 //!    routed q-edges land exactly where a bulk build would place them.
 //! 4. **Merge sweep** — underflowing regions collapse. The sweep is
-//!    top-down over the *affected* subtree (a block is affected iff some
-//!    batch segment — deleted old geometry or insert — crosses it):
-//!    starting at the root, each affected internal block evaluates the
-//!    structure's split decision on the distinct union of its subtree's
-//!    lines; a `false` verdict collapses the whole subtree into one leaf,
-//!    a `true` verdict descends into the affected children only.
-//!    Unaffected subtrees are untouched — by induction they already equal
-//!    the bulk shape. Top-down matters: split decisions need not be
+//!    top-down over the *affected* internal nodes of the old tree (a block
+//!    is affected iff some batch segment — deleted old geometry or insert —
+//!    crosses it): starting at the root, each affected internal block
+//!    evaluates the structure's split decision on the distinct union of
+//!    its subtree's lines; a `false` verdict collapses the whole subtree
+//!    into one leaf, a `true` verdict descends into the affected children
+//!    only. Unaffected subtrees are untouched — by induction they already
+//!    equal the bulk shape. Top-down matters: split decisions need not be
 //!    monotone in the line set, so a bottom-up cascade can stall below a
-//!    block whose bulk verdict is "leaf".
+//!    block whose bulk verdict is "leaf". The unions are built once,
+//!    bottom-up, before the sweep (see `Unions`).
 //! 5. **Split repair** — leaves whose line set changed re-enter the
 //!    ordinary [`QuadSplitPolicy`] via its multi-node frontier
 //!    constructor and subdivide until the split criterion is satisfied,
@@ -50,7 +55,8 @@
 //! every step hits the `RoundAbort` fault site and records a
 //! [`scan_model::RoundTrace`] — the crash-recovery sweeps in
 //! `tests/fault_injection.rs` kill updates at every round the same way
-//! they kill builds.
+//! they kill builds. The tree and collection are written only after the
+//! last fault site, so an update killed anywhere leaves both as they were.
 //!
 //! The rebuilt tree's `rounds()` accumulates across the tree's lifetime
 //! (bulk rounds + every update's merge and repair rounds); `truncated()`
@@ -65,7 +71,7 @@ use crate::SegId;
 use dp_geom::{seg_in_block, LineSeg, NodePath, Quadrant, Rect};
 use scan_model::ops::Sum;
 use scan_model::{FaultSite, Machine, ScanKind, Segments};
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// One batch of mutations. Deletes refer to ids in the *pre-batch*
 /// collection; inserts are appended after the surviving segments, so the
@@ -117,74 +123,186 @@ pub struct UpdateOutcome {
     pub collapsed: usize,
 }
 
-/// One leaf block of the tree being updated, tracked through the phases.
-struct Rec {
-    path: NodePath,
-    rect: Rect,
-    lines: Vec<SegId>,
-    /// Line set changed (deletion or routed insert) — split repair input.
-    changed: bool,
-    /// Absorbed by a merge collapse; excluded from the final assembly.
-    dead: bool,
+/// [`LeafLines::aux`] of a node with nothing to say, and of an internal
+/// node the merge sweep collapsed.
+const NONE: u32 = u32::MAX;
+const COLLAPSED: u32 = u32::MAX - 1;
+
+/// The old tree's leaves with the batch applied, held flat. A leaf's
+/// lines are its survivors in `kept` followed by its routed inserts in
+/// `landed`.
+struct LeafLines {
+    /// The survivors of every non-empty leaf, remapped, in record order.
+    kept: Vec<SegId>,
+    /// Per non-empty leaf, in record order: how many ids survived.
+    counts: Vec<usize>,
+    /// Routed inserts as `(leaf node, new id)`, sorted.
+    landed: Vec<(u32, SegId)>,
+    /// Per node of the old tree: a leaf's first pair in `landed`, an
+    /// affected internal node's index in [`Unions::blocks`], [`COLLAPSED`]
+    /// or [`NONE`].
+    aux: Vec<u32>,
 }
 
-/// A frontier node of the merge sweep: an internal block of the old
-/// structure whose subtree may collapse.
-struct MergeCandidate {
-    path: NodePath,
-    rect: Rect,
-    /// Indices into the record table of every leaf under this block.
-    members: Vec<usize>,
-    /// Indices into the batch footprint of the segments crossing this
-    /// block (narrowed as the sweep descends).
-    foot: Vec<u32>,
-}
-
-/// The merge sweep as a [`SplitPolicy`]: `decide` evaluates the split
-/// criterion on each candidate's distinct line union (one batched closure
-/// call per round), `emit` collapses the rejected candidates, `partition`
-/// descends into the affected children of the rest.
-struct MergeSweepPolicy<'a, 'd, 'c, 's> {
-    recs: &'a mut Vec<Rec>,
-    segs: &'s [LineSeg],
-    footprint: &'a [LineSeg],
-    decide: &'d mut SplitDecision<'c>,
-    frontier: Vec<MergeCandidate>,
-    /// Per frontier candidate: the distinct union of its subtree's lines,
-    /// computed by `decide` and consumed by `emit`. Unordered: leaf line
-    /// order is never semantic (queries sort before use).
-    unions: Vec<Vec<SegId>>,
-    /// Stamped seen-table for the union dedup: `seen[id] == stamp` iff
-    /// `id` was already taken for the current candidate. One O(lines)
-    /// sweep per round instead of a sort per candidate.
-    seen: Vec<u32>,
-    stamp: u32,
-    collapsed: usize,
-}
-
-impl MergeSweepPolicy<'_, '_, '_, '_> {
-    fn collapse(&mut self, c: usize) {
-        let cand = &self.frontier[c];
-        for &ri in &cand.members {
-            self.recs[ri].dead = true;
+impl LeafLines {
+    /// The survivors of a record-order walk's next leaf, which held `len`
+    /// ids before the batch; `at` is the walk's position (leaves passed
+    /// that held ids, survivors passed).
+    fn survivors(&self, at: &mut (usize, usize), len: usize) -> Range<usize> {
+        let start = at.1;
+        if len > 0 {
+            at.1 += self.counts[at.0];
+            at.0 += 1;
         }
-        self.collapsed += cand.members.len();
-        let lines = std::mem::take(&mut self.unions[c]);
-        // The collapsed block is decision-false by construction, so it
-        // needs no split repair.
-        self.recs.push(Rec {
-            path: cand.path,
-            rect: cand.rect,
-            lines,
-            changed: false,
-            dead: false,
-        });
+        start..at.1
+    }
+
+    /// The inserts routed to leaf `v`, in landing order.
+    fn inserts(&self, v: usize) -> impl Iterator<Item = SegId> + '_ {
+        let from = (self.aux[v] as usize).min(self.landed.len());
+        let run = self.landed[from..]
+            .iter()
+            .take_while(move |p| p.0 as usize == v);
+        run.map(|p| p.1)
     }
 }
 
-impl SplitPolicy for MergeSweepPolicy<'_, '_, '_, '_> {
+/// The merge sweep's input: the distinct line union of every affected
+/// internal node, built in one post-order walk before the sweep starts.
+///
+/// A node's union is the first occurrences of the lines of the leaves
+/// below it, in record order — what a walk over those leaves would
+/// collect. Deduplication that keeps first occurrences is associative,
+/// `dedup(A ++ B) = dedup(dedup(A) ++ dedup(B))`, and a subtree's leaves
+/// are contiguous in record order, so the union is also the deduplicated
+/// concatenation of the children's contributions, quadrant 3 first: an
+/// affected internal child contributes its own union, a leaf its lines,
+/// and an unaffected internal child — no insert reaches it — the
+/// contiguous run of its leaves' survivors in [`LeafLines::kept`]. Every
+/// union, and with it every collapsed leaf, therefore holds the ids a
+/// leaf-by-leaf walk would, in the same order.
+struct Unions<'f> {
+    /// The batch footprint: deleted geometry, then inserts.
+    footprint: &'f [LineSeg],
+    /// Per affected internal node: its union's range in `ids` and the
+    /// number of leaves below it.
+    blocks: Vec<(Range<usize>, usize)>,
+    ids: Vec<SegId>,
+    /// The footprint entries crossing each node on the walk's path.
+    foot: Vec<u32>,
+    /// Stamped seen-table for the dedup: `seen[id] == stamp` iff `id` was
+    /// already taken for the current node.
+    seen: Vec<u32>,
+    stamp: u32,
+    at: (usize, usize),
+}
+
+impl Unions<'_> {
+    /// Walks the subtree of `v` (block `rect`) in record order, building
+    /// the union of every affected internal node in it; `foot` is the range
+    /// of `self.foot` crossing `v`, `None` if `v` is unaffected. Returns the
+    /// subtree's survivors in [`LeafLines::kept`] and its leaf count.
+    fn visit(
+        &mut self,
+        tree: &DpQuadtree,
+        lines: &mut LeafLines,
+        (v, rect): (usize, Rect),
+        foot: Option<Range<usize>>,
+    ) -> (Range<usize>, usize) {
+        let children = match tree.node(v) {
+            QtNode::Leaf { lines: ids } => return (lines.survivors(&mut self.at, ids.len()), 1),
+            QtNode::Internal { children } => children,
+        };
+        let quads = rect.quadrants();
+        let mut spans: [Range<usize>; 4] = Default::default();
+        let mut leaves = 0;
+        for q in (0..4).rev() {
+            // An internal child is affected iff a footprint entry crossing
+            // `v` crosses it too.
+            let mark = self.foot.len();
+            if let (Some(f), QtNode::Internal { .. }) = (&foot, tree.node(children[q])) {
+                for i in f.clone() {
+                    let s = self.foot[i];
+                    if seg_in_block(&self.footprint[s as usize], &quads[q]) {
+                        self.foot.push(s);
+                    }
+                }
+            }
+            let child_foot = (self.foot.len() > mark).then_some(mark..self.foot.len());
+            let (span, n) = self.visit(tree, lines, (children[q], quads[q]), child_foot);
+            self.foot.truncate(mark);
+            spans[q] = span;
+            leaves += n;
+        }
+        let subtree = spans[3].start..spans[0].end;
+        if foot.is_none() {
+            return (subtree, leaves);
+        }
+
+        if self.stamp == u32::MAX {
+            self.seen.iter_mut().for_each(|s| *s = 0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let start = self.ids.len();
+        for q in (0..4).rev() {
+            let c = children[q];
+            if matches!(tree.node(c), QtNode::Internal { .. }) && lines.aux[c] != NONE {
+                for i in self.blocks[lines.aux[c] as usize].0.clone() {
+                    self.take(self.ids[i]);
+                }
+            } else {
+                // A leaf, or an unaffected internal node: no inserts.
+                for &id in &lines.kept[spans[q].clone()] {
+                    self.take(id);
+                }
+                lines.inserts(c).for_each(|id| self.take(id));
+            }
+        }
+        lines.aux[v] = self.blocks.len() as u32;
+        self.blocks.push((start..self.ids.len(), leaves));
+        (subtree, leaves)
+    }
+
+    fn take(&mut self, id: SegId) {
+        let s = &mut self.seen[id as usize];
+        if *s != self.stamp {
+            *s = self.stamp;
+            self.ids.push(id);
+        }
+    }
+}
+
+/// The merge sweep as a [`SplitPolicy`] over the old tree's affected
+/// internal nodes: `decide` evaluates the split criterion on each
+/// candidate's union in one batched call, `emit` collapses the rejected
+/// candidates, `partition` descends into the rest's affected children.
+struct MergeSweepPolicy<'a, 'd, 'c> {
+    tree: &'a DpQuadtree,
+    aux: &'a mut [u32],
+    unions: &'a Unions<'a>,
+    segs: &'a [LineSeg],
+    decide: &'d mut SplitDecision<'c>,
+    /// Candidates: `(node, path, block)`.
+    frontier: Vec<(usize, NodePath, Rect)>,
+    /// Collapsed blocks in collapse order: `(path, index in blocks)`.
+    collapses: Vec<(NodePath, usize)>,
+    collapsed: usize,
+}
+
+impl MergeSweepPolicy<'_, '_, '_> {
+    fn block(&self, c: usize) -> &(Range<usize>, usize) {
+        &self.unions.blocks[self.aux[self.frontier[c].0] as usize]
+    }
+
+    fn union(&self, c: usize) -> &[SegId] {
+        &self.unions.ids[self.block(c).0.clone()]
+    }
+}
+
+impl SplitPolicy for MergeSweepPolicy<'_, '_, '_> {
     fn active_elements(&self) -> usize {
-        self.frontier.iter().map(|c| c.members.len()).sum()
+        (0..self.frontier.len()).map(|c| self.block(c).1).sum()
     }
 
     fn active_nodes(&self) -> usize {
@@ -192,52 +310,28 @@ impl SplitPolicy for MergeSweepPolicy<'_, '_, '_, '_> {
     }
 
     fn decide(&mut self, machine: &Machine) -> Vec<bool> {
-        // Distinct union of each candidate subtree's lines (a line crosses
-        // the candidate block iff it appears in some leaf below it — the
-        // q-edge rule).
+        // The unions' pass (a line crosses a block iff it appears in some
+        // leaf below it — the q-edge rule), counted once a round.
         machine.note_elementwise();
-        if self.seen.len() < self.segs.len() {
-            self.seen.resize(self.segs.len(), 0);
-        }
-        self.unions.clear();
-        for cand in &self.frontier {
-            if self.stamp == u32::MAX {
-                self.seen.iter_mut().for_each(|s| *s = 0);
-                self.stamp = 0;
-            }
-            self.stamp += 1;
-            let stamp = self.stamp;
-            let mut u: Vec<SegId> = Vec::new();
-            for &ri in &cand.members {
-                for &id in &self.recs[ri].lines {
-                    let s = &mut self.seen[id as usize];
-                    if *s != stamp {
-                        *s = stamp;
-                        u.push(id);
-                    }
-                }
-            }
-            self.unions.push(u);
-        }
 
         // One batched decision over the non-empty candidates; an emptied
         // subtree collapses unconditionally (a bulk build leaves an empty
         // block as a leaf).
         let occupied: Vec<usize> = (0..self.frontier.len())
-            .filter(|&c| !self.unions[c].is_empty())
+            .filter(|&c| !self.union(c).is_empty())
             .collect();
         let mut want = vec![false; self.frontier.len()];
         if !occupied.is_empty() {
-            let lengths: Vec<usize> = occupied.iter().map(|&c| self.unions[c].len()).collect();
+            let lengths: Vec<usize> = occupied.iter().map(|&c| self.union(c).len()).collect();
             let line: Vec<SegId> = occupied
                 .iter()
-                .flat_map(|&c| self.unions[c].iter().copied())
+                .flat_map(|&c| self.union(c).iter().copied())
                 .collect();
             let nodes: Vec<ActiveNode> = occupied
                 .iter()
-                .map(|&c| ActiveNode {
-                    path: self.frontier[c].path,
-                    rect: self.frontier[c].rect,
+                .map(|&c| {
+                    let (_, path, rect) = self.frontier[c];
+                    ActiveNode { path, rect }
                 })
                 .collect();
             let state = LineProcSet {
@@ -258,54 +352,31 @@ impl SplitPolicy for MergeSweepPolicy<'_, '_, '_, '_> {
     fn emit(&mut self, _machine: &Machine, want: &[bool]) {
         for (c, keep) in want.iter().enumerate() {
             if !keep {
-                self.collapse(c);
+                // The collapsed block is decision-false by construction,
+                // so it needs no split repair.
+                let (v, path, _) = self.frontier[c];
+                self.collapsed += self.block(c).1;
+                self.collapses.push((path, self.aux[v] as usize));
+                self.aux[v] = COLLAPSED;
             }
         }
     }
 
     fn partition(&mut self, _machine: &Machine, want: &[bool]) {
         let mut next = Vec::new();
-        for (c, cand) in self.frontier.iter().enumerate() {
-            if !want[c] {
-                continue;
-            }
-            // Group the member leaves by their quadrant under this block.
-            let depth = cand.path.depth() as usize;
-            let quads = cand.rect.quadrants();
-            let mut groups: [Vec<usize>; 4] = Default::default();
-            for &ri in &cand.members {
-                let q = self.recs[ri].path.quadrant_at(depth);
-                groups[q.index()].push(ri);
-            }
-            for (qi, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
+        for (&(v, path, rect), _) in self.frontier.iter().zip(want).filter(|(_, &w)| w) {
+            let QtNode::Internal { children } = self.tree.node(v) else {
+                unreachable!("candidates are internal nodes");
+            };
+            let quads = rect.quadrants();
+            for (q, &child) in children.iter().enumerate() {
+                // A leaf child has nothing beneath it to merge; an
+                // unaffected one is already bulk-shaped.
+                if matches!(self.tree.node(child), QtNode::Internal { .. })
+                    && self.aux[child] != NONE
+                {
+                    next.push((child, path.child(Quadrant::from_index(q)), quads[q]));
                 }
-                let child_path = cand.path.child(Quadrant::from_index(qi));
-                let child_rect = quads[qi];
-                // A single record at the child block is already a leaf
-                // there — nothing beneath it to merge.
-                if group.len() == 1 && self.recs[group[0]].path == child_path {
-                    continue;
-                }
-                // Unaffected children keep their structure: no batch
-                // segment crosses the block, so its subtree is already
-                // bulk-shaped.
-                let foot: Vec<u32> = cand
-                    .foot
-                    .iter()
-                    .copied()
-                    .filter(|&f| seg_in_block(&self.footprint[f as usize], &child_rect))
-                    .collect();
-                if foot.is_empty() {
-                    continue;
-                }
-                next.push(MergeCandidate {
-                    path: child_path,
-                    rect: child_rect,
-                    members: group,
-                    foot,
-                });
             }
         }
         self.frontier = next;
@@ -327,7 +398,9 @@ impl SplitPolicy for MergeSweepPolicy<'_, '_, '_, '_> {
 ///
 /// Deletion remaps ids: surviving segments are compacted in order, then
 /// inserts append. Callers holding external ids must apply the same
-/// remap (`new = old - |{d in deletes : d < old}|`).
+/// remap (`new = old - |{d in deletes : d < old}|`). A panic inside the
+/// update — an injected fault included — leaves `tree` and `segs` as they
+/// were.
 ///
 /// # Panics
 ///
@@ -367,94 +440,53 @@ pub fn batch_update(
     for &d in &deletes {
         delete_flag[d as usize] = true;
     }
-    let deleted_geom: Vec<LineSeg> = deletes.iter().map(|&d| segs[d as usize]).collect();
     let kept = n - deletes.len();
     // Exclusive +-scan over the keep flags: each survivor's rank is its
-    // post-compaction id.
+    // post-compaction id (a deleted id is compacted away before the remap
+    // would read its entry).
     let keep: Vec<u64> = machine.map(&delete_flag, |f| !f as u64);
     let ranks = machine.up_scan(&keep, Sum, ScanKind::Exclusive);
     machine.note_elementwise();
-    let new_id: Vec<SegId> = (0..n)
-        .map(|i| {
-            if delete_flag[i] {
-                SegId::MAX
-            } else {
-                ranks[i] as SegId
-            }
-        })
-        .collect();
-    if !deletes.is_empty() {
+    let new_id: Vec<SegId> = ranks.iter().map(|&r| r as SegId).collect();
+    // Built beside `segs`, which is written after the last fault site.
+    let mut new_segs = if deletes.is_empty() {
+        segs.clone()
+    } else {
         let layout = machine.delete_layout(&Segments::single(n), &delete_flag);
-        *segs = machine.apply(segs, &layout);
-    }
-    segs.extend(batch.inserts.iter().copied());
+        machine.apply(segs, &layout)
+    };
+    new_segs.reserve_exact(batch.inserts.len());
+    new_segs.extend(batch.inserts.iter().copied());
 
     // The batch footprint: every region either verdict can change in is
     // crossed by one of these.
-    let mut footprint = deleted_geom;
+    let mut footprint: Vec<LineSeg> = deletes.iter().map(|&d| segs[d as usize]).collect();
     footprint.extend(batch.inserts.iter().copied());
 
-    // ---- Collect the current leaves (empty ones included, so every
-    // block of the full 4-ary structure has a record beneath it). ----
-    let mut recs: Vec<Rec> = Vec::new();
-    let mut rec_of_node: HashMap<usize, usize> = HashMap::new();
-    let mut stack = vec![(0usize, NodePath::ROOT, world)];
-    while let Some((idx, path, rect)) = stack.pop() {
-        match tree.node(idx) {
-            QtNode::Leaf { lines } => {
-                rec_of_node.insert(idx, recs.len());
-                recs.push(Rec {
-                    path,
-                    rect,
-                    lines: lines.to_vec(),
-                    changed: false,
-                    dead: false,
-                });
-            }
-            QtNode::Internal { children } => {
-                let quads = rect.quadrants();
-                for qi in 0..4 {
-                    stack.push((
-                        children[qi],
-                        path.child(Quadrant::from_index(qi)),
-                        quads[qi],
-                    ));
-                }
-            }
-        }
-    }
-
     // ---- Phase 2: leaf delete-compaction, all leaves at once. ----
-    if !deletes.is_empty() {
-        let occupied: Vec<usize> = (0..recs.len())
-            .filter(|&ri| !recs[ri].lines.is_empty())
-            .collect();
-        if !occupied.is_empty() {
-            let lengths: Vec<usize> = occupied.iter().map(|&ri| recs[ri].lines.len()).collect();
-            let flat: Vec<SegId> = occupied
-                .iter()
-                .flat_map(|&ri| recs[ri].lines.iter().copied())
-                .collect();
-            let seg = Segments::from_lengths(&lengths).expect("occupied leaves are non-empty");
-            let mut flags: Vec<bool> = machine.lease();
-            machine.map_into(&flat, |id| delete_flag[id as usize], &mut flags);
-            let layout = machine.delete_layout(&seg, &flags);
-            // Compact and remap the survivors in the flat buffer itself.
-            let mut remapped = flat;
-            machine.apply_in_place(&mut remapped, &layout);
-            machine.map_in_place(&mut remapped, |id| new_id[id as usize]);
-            machine.recycle(flags);
-            let mut off = 0;
-            for (k, &ri) in occupied.iter().enumerate() {
-                let klen = layout.counts[k];
-                if klen != recs[ri].lines.len() {
-                    recs[ri].changed = true;
-                }
-                recs[ri].lines = remapped[off..off + klen].to_vec();
-                off += klen;
-            }
-            debug_assert_eq!(off, remapped.len());
+    let old: &DpQuadtree = tree;
+    let mut lines = LeafLines {
+        kept: Vec::new(),
+        counts: Vec::new(),
+        landed: Vec::new(),
+        aux: vec![NONE; old.num_nodes()],
+    };
+    old.for_each_leaf(|_, _, ids| {
+        if !ids.is_empty() {
+            lines.counts.push(ids.len());
+            lines.kept.extend_from_slice(ids);
         }
+    });
+    if !deletes.is_empty() && !lines.counts.is_empty() {
+        let seg = Segments::from_lengths(&lines.counts).expect("occupied leaves are non-empty");
+        let mut flags: Vec<bool> = machine.lease();
+        machine.map_into(&lines.kept, |id| delete_flag[id as usize], &mut flags);
+        let layout = machine.delete_layout(&seg, &flags);
+        // Compact and remap the survivors in the flat buffer itself.
+        machine.apply_in_place(&mut lines.kept, &layout);
+        machine.map_in_place(&mut lines.kept, |id| new_id[id as usize]);
+        machine.recycle(flags);
+        lines.counts = layout.counts;
     }
 
     // ---- Phase 3: insert routing, the lockstep descent of `batch`. ----
@@ -468,14 +500,9 @@ pub fn batch_update(
             machine.check_fault(FaultSite::RoundAbort);
             let descending = descend_level(
                 machine,
-                tree,
+                old,
                 &mut lanes,
-                |j, node, _| {
-                    // Landed: retire the lane into the leaf's record.
-                    let rec = &mut recs[rec_of_node[&node]];
-                    rec.lines.push(kept as SegId + j);
-                    rec.changed = true;
-                },
+                |j, node, _| lines.landed.push((node as u32, kept as SegId + j)),
                 |j, child| seg_in_block(&batch.inserts[j as usize], child),
             );
             if !descending {
@@ -483,68 +510,99 @@ pub fn batch_update(
             }
             machine.bump_rounds();
         }
+        // A leaf's lanes land in ascending `j`, so sorting the pairs
+        // keeps each leaf's inserts in landing order.
+        lines.landed.sort_unstable();
+        for (i, &(v, _)) in lines.landed.iter().enumerate().rev() {
+            lines.aux[v as usize] = i as u32;
+        }
     }
 
     // ---- Phase 4: top-down merge sweep over the affected subtree. ----
-    let mut merge_rounds = 0;
-    let mut collapsed = 0;
-    if recs.len() > 1 {
-        let foot_all: Vec<u32> = (0..footprint.len() as u32).collect();
-        let all_members: Vec<usize> = (0..recs.len()).collect();
+    let mut unions = Unions {
+        footprint: &footprint,
+        blocks: Vec::new(),
+        ids: Vec::new(),
+        foot: (0..footprint.len() as u32).collect(),
+        seen: Vec::new(),
+        stamp: 0,
+        at: (0, 0),
+    };
+    let (merge_rounds, collapsed, collapses) = if let QtNode::Internal { .. } = old.node(0) {
+        // The root is a candidate whatever the footprint.
+        unions.seen = vec![0; new_segs.len()];
+        let all = 0..unions.foot.len();
+        unions.visit(old, &mut lines, (0, world), Some(all));
         let mut policy = MergeSweepPolicy {
-            recs: &mut recs,
-            segs,
-            footprint: &footprint,
+            tree: old,
+            aux: &mut lines.aux,
+            unions: &unions,
+            segs: &new_segs,
             decide,
-            frontier: vec![MergeCandidate {
-                path: NodePath::ROOT,
-                rect: world,
-                members: all_members,
-                foot: foot_all,
-            }],
-            unions: Vec::new(),
-            seen: Vec::new(),
-            stamp: 0,
+            frontier: vec![(0, NodePath::ROOT, world)],
+            collapses: Vec::new(),
             collapsed: 0,
         };
-        merge_rounds = RoundDriver::run(machine, &mut policy);
-        collapsed = policy.collapsed;
-    }
+        let rounds = RoundDriver::run(machine, &mut policy);
+        (rounds, policy.collapsed, policy.collapses)
+    } else {
+        (0, 0, Vec::new())
+    };
 
-    // ---- Reassemble: every surviving leaf that needs no repair goes into
-    // the new tree first, then phase 5 retires its blocks beside them. ----
-    let repair: Vec<usize> = (0..recs.len())
-        .filter(|&ri| !recs[ri].dead && recs[ri].changed && !recs[ri].lines.is_empty())
-        .collect();
+    // ---- Reassemble: the unchanged leaves in record order, then the
+    // collapsed blocks in collapse order; phase 5 retires the changed
+    // leaves' blocks beside them. ----
     let mut out = QuadtreeAssembler::new(world);
-    for r in &recs {
-        if !r.dead && !r.changed && !r.lines.is_empty() {
-            out.place(r.path, &r.lines);
+    let (mut line, mut lengths, mut nodes) = (Vec::new(), Vec::new(), Vec::new());
+    let mut at = (0, 0);
+    let mut stack = vec![(0usize, NodePath::ROOT, world, false)];
+    while let Some((v, path, rect, dead)) = stack.pop() {
+        match old.node(v) {
+            QtNode::Leaf { lines: ids } => {
+                let survivors = &lines.kept[lines.survivors(&mut at, ids.len())];
+                let mut inserts = lines.inserts(v).peekable();
+                if dead {
+                    continue;
+                }
+                if survivors.len() == ids.len() && inserts.peek().is_none() {
+                    if !survivors.is_empty() {
+                        out.place(path, survivors);
+                    }
+                } else if !survivors.is_empty() || inserts.peek().is_some() {
+                    let before = line.len();
+                    line.extend_from_slice(survivors);
+                    line.extend(inserts);
+                    lengths.push(line.len() - before);
+                    nodes.push(ActiveNode { path, rect });
+                }
+            }
+            QtNode::Internal { children } => {
+                let dead = dead || lines.aux[v] == COLLAPSED;
+                let quads = rect.quadrants();
+                for q in 0..4 {
+                    let child = path.child(Quadrant::from_index(q));
+                    stack.push((children[q], child, quads[q], dead));
+                }
+            }
+        }
+    }
+    for (path, b) in collapses {
+        let union = &unions.ids[unions.blocks[b].0.clone()];
+        if !union.is_empty() {
+            out.place(path, union);
         }
     }
 
     // ---- Phase 5: split repair over the changed leaves. ----
     let mut split_rounds = 0;
     let mut new_truncated = 0;
-    if !repair.is_empty() {
-        let lengths: Vec<usize> = repair.iter().map(|&ri| recs[ri].lines.len()).collect();
-        let line: Vec<SegId> = repair
-            .iter()
-            .flat_map(|&ri| recs[ri].lines.iter().copied())
-            .collect();
-        let nodes: Vec<ActiveNode> = repair
-            .iter()
-            .map(|&ri| ActiveNode {
-                path: recs[ri].path,
-                rect: recs[ri].rect,
-            })
-            .collect();
+    if !nodes.is_empty() {
         let state = LineProcSet {
             line,
-            seg: Segments::from_lengths(&lengths).expect("repair records are non-empty"),
+            seg: Segments::from_lengths(&lengths).expect("repair leaves are non-empty"),
             nodes,
         };
-        let mut policy = QuadSplitPolicy::from_frontier(state, segs, max_depth, decide, out)
+        let mut policy = QuadSplitPolicy::from_frontier(state, &new_segs, max_depth, decide, out)
             .expect("repair frontier is non-empty");
         split_rounds = RoundDriver::run(machine, &mut policy);
         (out, new_truncated) = policy.into_parts();
@@ -553,6 +611,7 @@ pub fn batch_update(
         tree.rounds() + merge_rounds + split_rounds,
         tree.truncated() + new_truncated,
     );
+    *segs = new_segs;
 
     UpdateOutcome {
         deleted: deletes.len(),

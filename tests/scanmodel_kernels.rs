@@ -20,8 +20,10 @@
 //! * **Parent pins** — recorded at 6066589, before any kernel was touched:
 //!   CRC-32 digests of the PM₁/PM₂/PM₃/bucket-PMR/region/k-d builds, the
 //!   frontier join's pair list, the skyline and a 1 % batch update on
-//!   fixed seeded inputs, and the per-round primitive profile of
-//!   `build_pm1` and `build_bucket_pmr` at two sizes — all three machines
+//!   fixed seeded inputs (plus a delete-only and an insert-only update,
+//!   recorded at 2a3ba2e before the update engine was rewritten), and
+//!   the per-round primitive profile of `build_pm1` and
+//!   `build_bucket_pmr` at two sizes — all three machines
 //!   agreed there and must reproduce them here. (The split rounds of the
 //!   profile have since been re-recorded once, downward in every
 //!   component, when the node split stopped carrying a block per lane,
@@ -587,9 +589,9 @@ fn endpoints(segs: &[LineSeg]) -> Vec<Point> {
     pts
 }
 
-/// The nine digests of one input on one machine, in the order of
+/// The eleven digests of one input on one machine, in the order of
 /// `DIGEST_NAMES`.
-fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 9] {
+fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 11] {
     let segs = &data.segs;
     let quad = |family, tree| stream_digest(&encode_tree_snapshot(family, segs, &tree, None));
     let pm1 = build_pm1(machine, data.world, segs, DEPTH);
@@ -616,21 +618,33 @@ fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 9] {
         px.dedup();
         px
     };
-    // A 1 % batch: every 100th segment deleted, as many of the other
-    // input's segments inserted.
-    let (mut updated_tree, mut updated_segs) = (bucket.clone(), segs.clone());
-    let batch = UpdateBatch {
-        inserts: other.segs.iter().step_by(100).copied().collect(),
-        deletes: (0..segs.len() as u32).step_by(100).collect(),
+    // The bucket tree after one batch, as snapshot bytes.
+    let updated = |batch: UpdateBatch| {
+        let (mut tree, mut segs) = (bucket.clone(), segs.clone());
+        batch_update_bucket_pmr(machine, &mut tree, &mut segs, &batch, CAPACITY, DEPTH);
+        stream_digest(&encode_tree_snapshot(
+            SnapshotFamily::BucketPmr,
+            &segs,
+            &tree,
+            None,
+        ))
     };
-    batch_update_bucket_pmr(
-        machine,
-        &mut updated_tree,
-        &mut updated_segs,
-        &batch,
-        CAPACITY,
-        DEPTH,
-    );
+    // A 1 % batch: every 100th segment deleted, as many of the other
+    // input's segments inserted. Then a delete-only batch (every 37th
+    // segment, so whole regions merge) and an insert-only one (every 41st
+    // segment of the other input, so leaves split).
+    let update_digests = [
+        updated(UpdateBatch {
+            inserts: other.segs.iter().step_by(100).copied().collect(),
+            deletes: (0..segs.len() as u32).step_by(100).collect(),
+        }),
+        updated(UpdateBatch::deleting(
+            (0..segs.len() as u32).step_by(37).collect(),
+        )),
+        updated(UpdateBatch::inserting(
+            other.segs.iter().step_by(41).copied().collect(),
+        )),
+    ];
     [
         quad(SnapshotFamily::Pm1Fused, pm1),
         quad(
@@ -646,12 +660,9 @@ fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 9] {
         debug_digest(&build_kdtree(machine, &endpoints(segs), 4)),
         debug_digest(&join.pairs),
         debug_digest(&skyline(machine, &points)),
-        stream_digest(&encode_tree_snapshot(
-            SnapshotFamily::BucketPmr,
-            &updated_segs,
-            &updated_tree,
-            None,
-        )),
+        update_digests[0],
+        update_digests[1],
+        update_digests[2],
     ]
 }
 
@@ -674,7 +685,7 @@ fn round_profile(traces: &[RoundTrace]) -> Vec<(u64, u64, u64, u64, u64)> {
 }
 
 /// Family order of the digests of one input.
-const DIGEST_NAMES: [&str; 9] = [
+const DIGEST_NAMES: [&str; 11] = [
     "pm1",
     "pm2",
     "pm3",
@@ -684,19 +695,23 @@ const DIGEST_NAMES: [&str; 9] = [
     "frontier-join pairs",
     "skyline ids",
     "1% batch update",
+    "delete-only batch update",
+    "insert-only batch update",
 ];
 
 /// [`digests`] of the two [`pin_inputs`], recorded from the parent commit
 /// (6066589), where the three machines agreed. (PM₁ and PM₂ agree on the
-/// uniform input: no two of its segments share a vertex.)
-const PARENT_DIGESTS: [[u32; 9]; 2] = [
+/// uniform input: no two of its segments share a vertex.) The delete-only
+/// and insert-only update digests were recorded later, at 2a3ba2e, from
+/// the update engine that still kept one `Vec` per leaf.
+const PARENT_DIGESTS: [[u32; 11]; 2] = [
     [
         0x6a86e58d, 0x6a86e58d, 0x33e86f46, 0x133883e8, 0xc2741540, 0x180461c8, 0x60003620,
-        0x9307be11, 0xcc8c9294,
+        0x9307be11, 0xcc8c9294, 0x738676fe, 0x12f7d250,
     ],
     [
         0x695675e4, 0x7ab52dd7, 0x2135ae18, 0x98801e42, 0xf9bd0ef5, 0xbb2bc5df, 0x4b17faf9,
-        0x300026a2, 0x59dc2057,
+        0x300026a2, 0x59dc2057, 0x56033c5b, 0x7945e003,
     ],
 ];
 

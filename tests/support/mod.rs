@@ -67,6 +67,15 @@ pub fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, REQUESTED.with(Cell::get) - before)
 }
 
+/// Allocator calls (fresh blocks and regrowths) made while `f` ran on
+/// this thread.
+#[allow(dead_code)]
+pub fn calls_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
 /// The size of every block `f` asked the allocator for on this thread, in
 /// order — a fresh block's size, a regrown block's new size.
 ///

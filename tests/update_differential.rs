@@ -10,10 +10,17 @@
 //! tree is a function of the collection alone — history cannot leak into
 //! structure. The scripted schedules pin the edge cases (empty batches,
 //! delete-everything, insert-and-delete in one batch, duplicate
-//! geometry); the proptest sweeps random batch schedules, honouring
-//! `PROPTEST_CASES`.
+//! geometry, deletes from leaves the depth bound cut off, a delete and
+//! an identical insert in one batch, segments on block edges, a batch
+//! that empties a quadrant); the proptest sweeps random batch schedules,
+//! honouring `PROPTEST_CASES`.
+//!
+//! Two more properties ride in this binary: an update killed at any of
+//! its fault sites leaves the tree and its collection exactly as they
+//! were, and one serve-shaped update's memory account (this binary
+//! installs the counting allocator of `tests/support`).
 
-use dp_spatial_suite::geom::{LineSeg, Rect};
+use dp_spatial_suite::geom::{seg_in_block, LineSeg, Rect};
 use dp_spatial_suite::spatial::batch::batch_window_query;
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
 use dp_spatial_suite::spatial::join::frontier_join;
@@ -27,7 +34,12 @@ use dp_spatial_suite::spatial::update::{
 use dp_spatial_suite::spatial::SegId;
 use dp_spatial_suite::workloads::uniform_segments;
 use proptest::prelude::*;
-use scan_model::{Backend, Machine};
+use scan_model::{Backend, FaultPlan, FaultSite, InjectedFault, Machine, WorkerFaultGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+mod support;
+use support::{calls_by, requested_by};
 
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -249,6 +261,187 @@ fn scripted_interleavings_match_bulk_pm_families() {
             }
         }
     }
+}
+
+/// Segments that drive every family to its depth bound: three lines
+/// crossing at one interior point (more q-edges than a bucket holds, and
+/// a crossing with no vertex for PM₁ and PM₂) and two vertices closer
+/// than the smallest block (PM₁ and PM₃).
+fn truncating() -> Vec<LineSeg> {
+    vec![
+        LineSeg::from_coords(10.0, 20.1, 30.0, 20.1),
+        LineSeg::from_coords(20.1, 10.0, 20.1, 30.0),
+        LineSeg::from_coords(10.0, 10.0, 30.2, 30.2),
+        LineSeg::from_coords(40.0, 40.0, 50.0, 45.0),
+        LineSeg::from_coords(40.05, 40.05, 45.0, 55.0),
+    ]
+}
+
+/// Scripted schedules for the block-boundary cases of the engine, over
+/// `initial` (whose last five segments are [`truncating`]): deletes from
+/// truncated max-depth leaves, a delete and an identical insert in one
+/// batch, segments lying on block edges, and a batch that empties a
+/// quadrant.
+fn boundary_schedules(initial: &[LineSeg]) -> Vec<(&'static str, Vec<UpdateBatch>)> {
+    let n = initial.len() as SegId;
+    let (cross, close) = (n - 5, n - 2);
+    let half = WORLD / 2.0;
+    let nw = Rect::from_coords(0.0, half, half, WORLD);
+    let in_nw: Vec<SegId> = (0..n)
+        .filter(|&id| seg_in_block(&initial[id as usize], &nw))
+        .collect();
+    assert!(
+        !in_nw.is_empty(),
+        "the fixture leaves the NW quadrant empty"
+    );
+    vec![
+        (
+            "truncated leaves",
+            vec![
+                // One crossing line and one of the close vertices go; the
+                // second batch takes another crossing line (renumbered to
+                // `cross` by the first batch's compaction).
+                UpdateBatch::deleting(vec![cross, close]),
+                UpdateBatch::deleting(vec![cross]),
+            ],
+        ),
+        (
+            "delete and identical insert",
+            vec![UpdateBatch {
+                inserts: vec![initial[3], initial[cross as usize + 2]],
+                deletes: vec![3, cross + 2],
+            }],
+        ),
+        (
+            "block edges",
+            vec![
+                UpdateBatch::inserting(vec![
+                    // On the root's horizontal cut.
+                    LineSeg::from_coords(4.0, half, 60.0, half),
+                    // On a depth-2 vertical cut.
+                    LineSeg::from_coords(16.0, 2.0, 16.0, 40.0),
+                    // On a depth-3 cut, ending at a block corner.
+                    LineSeg::from_coords(8.0, 8.0, 15.0, 8.0),
+                    // On the world's own edge.
+                    LineSeg::from_coords(0.0, 5.0, 0.0, 20.0),
+                ]),
+                UpdateBatch {
+                    inserts: vec![LineSeg::from_coords(half, 1.0, half, 63.0)],
+                    deletes: vec![n, n + 2],
+                },
+            ],
+        ),
+        (
+            "empty a quadrant",
+            vec![UpdateBatch {
+                inserts: vec![LineSeg::from_coords(40.0, 3.0, 47.0, 9.0)],
+                deletes: in_nw,
+            }],
+        ),
+    ]
+}
+
+#[test]
+fn boundary_schedules_match_bulk_on_every_family() {
+    let mut initial = uniform_segments(12, WORLD as u32, 8, 511).segs;
+    initial.extend(truncating());
+    for (mname, m) in machines() {
+        for family in [Family::Bucket, Family::Pm1, Family::Pm2, Family::Pm3] {
+            assert!(
+                family.build(&m, &initial).truncated() > 0,
+                "{family:?}: the fixture reaches no depth bound"
+            );
+            for (label, schedule) in boundary_schedules(&initial) {
+                check_schedule(&format!("{mname}/{label}"), family, &m, &initial, &schedule);
+            }
+        }
+    }
+}
+
+/// An update killed at any of its fault sites leaves the tree and the
+/// collection exactly as they were: the update writes both only after
+/// its last fault site. The kills are every `RoundAbort` occurrence the
+/// update reaches (one per routing level, one per merge and repair
+/// round), on both backends, and the first `WorkerPanic` on the parallel
+/// backend (the sequential one runs no pool job).
+#[test]
+fn aborted_update_leaves_tree_and_segs_untouched() {
+    let data = uniform_segments(2_000, 1024, 16, 521);
+    let batch = UpdateBatch {
+        inserts: uniform_segments(20, 1024, 16, 522).segs,
+        deletes: (0..2_000).step_by(100).collect(),
+    };
+    let (capacity, depth) = (8, 12);
+    for (mname, m) in machines() {
+        let with_plan = |plan: Arc<FaultPlan>| {
+            match mname {
+                "parallel" => Machine::new(Backend::Parallel).with_par_threshold(1),
+                _ => Machine::sequential(),
+            }
+            .with_fault_plan(plan)
+        };
+        let tree = build_bucket_pmr(&m, data.world, &data.segs, capacity, depth);
+        let update = |m: &Machine| {
+            let (mut t, mut s) = (tree.clone(), data.segs.clone());
+            let crash = catch_unwind(AssertUnwindSafe(|| {
+                batch_update_bucket_pmr(m, &mut t, &mut s, &batch, capacity, depth)
+            }));
+            (crash.map(|_| ()), t, s)
+        };
+        let counting = Arc::new(FaultPlan::disabled());
+        let (clean, _, _) = update(&with_plan(counting.clone()));
+        assert!(clean.is_ok(), "[{mname}] a disabled plan injects nothing");
+        let aborts = counting.occurrences(FaultSite::RoundAbort);
+        assert!(aborts > 3, "[{mname}] only {aborts} abort sites");
+
+        let mut kills: Vec<(FaultSite, u64)> =
+            (0..aborts).map(|k| (FaultSite::RoundAbort, k)).collect();
+        if mname == "parallel" {
+            kills.push((FaultSite::WorkerPanic, 0));
+        }
+        for (site, k) in kills {
+            let plan = Arc::new(FaultPlan::once_at(site, k));
+            let _guard =
+                (site == FaultSite::WorkerPanic).then(|| WorkerFaultGuard::install(plan.clone()));
+            let (crash, t, s) = update(&with_plan(plan.clone()));
+            let payload = crash.expect_err("the update must die at the injected fault");
+            let fault = payload
+                .downcast_ref::<InjectedFault>()
+                .expect("the payload is the typed InjectedFault");
+            assert_eq!((fault.site, fault.occurrence), (site, k), "[{mname}]");
+            assert!(t == tree, "[{mname}] {site:?} at {k}: tree changed");
+            assert!(
+                s == data.segs,
+                "[{mname}] {site:?} at {k}: segments changed"
+            );
+        }
+    }
+}
+
+/// The memory account of one update of the tree `dpbench serve_*` shards
+/// hold (20,000 uniform segments, capacity 8, depth 12) by 100 deletes
+/// and 100 inserts, on the sequential machine, whose every allocation is
+/// on this thread. The update that kept one `Vec` per leaf made 36,538
+/// allocator calls for 9,425,842 requested bytes here; the flat engine
+/// makes 429 calls for 5,465,290 bytes. The call bound is a fifth of
+/// the old count; the byte bound is the old figure.
+#[test]
+fn serve_shaped_update_allocates_for_its_batch_not_its_tree() {
+    let m = Machine::sequential();
+    let data = uniform_segments(20_000, 1024, 16, 7);
+    let (capacity, depth) = (8, 12);
+    let tree = build_bucket_pmr(&m, data.world, &data.segs, capacity, depth);
+    let batch = UpdateBatch {
+        inserts: uniform_segments(100, 1024, 16, 8).segs,
+        deletes: (0..20_000).step_by(200).collect(),
+    };
+    let (mut t, mut s) = (tree.clone(), data.segs.clone());
+    let ((_, calls), bytes) = requested_by(|| {
+        calls_by(|| batch_update_bucket_pmr(&m, &mut t, &mut s, &batch, capacity, depth))
+    });
+    eprintln!("serve-shaped update: {calls} allocator calls, {bytes} bytes requested");
+    assert!(calls <= 7_300, "{calls} allocator calls");
+    assert!(bytes < 9_400_000, "{bytes} bytes requested");
 }
 
 /// The join leg: an updated tree joined against a fixed overlay tree
