@@ -44,7 +44,6 @@
 //! `clip_segment_closed`: they are the independent oracles this path is
 //! tested against.
 
-use crate::error::SpatialError;
 use crate::quadtree::{DpQuadtree, QtNode};
 use crate::SegId;
 use dp_geom::Rect;
@@ -163,29 +162,6 @@ pub fn batch_window_query(
         dp_geom::seg_meets_rect(&segs[id as usize], &queries[q])
     });
     results
-}
-
-/// Checked [`batch_window_query`]: rejects any window that reaches
-/// outside the tree's world instead of silently clipping it, so
-/// misrouted traffic surfaces as [`SpatialError::WindowOutsideWorld`]
-/// rather than as quietly-smaller result sets. This is the join's
-/// mismatched-world check unified onto the batch query path.
-pub fn try_batch_window_query(
-    machine: &Machine,
-    tree: &DpQuadtree,
-    queries: &[Rect],
-    segs: &[dp_geom::LineSeg],
-) -> Result<Vec<Vec<SegId>>, SpatialError> {
-    for (index, window) in queries.iter().enumerate() {
-        if !tree.world().contains_rect(window) {
-            return Err(SpatialError::WindowOutsideWorld {
-                index,
-                window: *window,
-                world: tree.world(),
-            });
-        }
-    }
-    Ok(batch_window_query(machine, tree, queries, segs))
 }
 
 /// The candidate phase of [`batch_window_query`]: per query, the
@@ -529,33 +505,6 @@ mod tests {
                 &segs,
             );
             assert_eq!(out, vec![Vec::<SegId>::new()]);
-        }
-    }
-
-    #[test]
-    fn checked_batch_rejects_out_of_world_windows() {
-        use crate::error::SpatialError;
-        for m in machines() {
-            let segs = dataset();
-            let tree = build_bucket_pmr(&m, world(), &segs, 4, 8);
-            let inside = Rect::from_coords(1.0, 1.0, 9.0, 9.0);
-            let outside = Rect::from_coords(60.0, 60.0, 70.0, 70.0);
-            // In-world windows behave exactly like the clipping variant.
-            assert_eq!(
-                try_batch_window_query(&m, &tree, &[inside], &segs).unwrap(),
-                batch_window_query(&m, &tree, &[inside], &segs)
-            );
-            // The second window reaches outside → a positioned error, not
-            // a silently clipped result.
-            let err = try_batch_window_query(&m, &tree, &[inside, outside], &segs).unwrap_err();
-            assert_eq!(
-                err,
-                SpatialError::WindowOutsideWorld {
-                    index: 1,
-                    window: outside,
-                    world: world(),
-                }
-            );
         }
     }
 

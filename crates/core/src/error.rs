@@ -1,14 +1,11 @@
 //! Error surface of the checked query/join entry points.
 //!
-//! The bulk operations historically disagreed about precondition
-//! violations: `spatial_join` panicked on mismatched worlds while
-//! `batch_window_query` silently clipped out-of-world windows. The
-//! checked entry points ([`crate::join::frontier_join`],
-//! [`crate::batch::try_batch_window_query`]; the join's oracle,
-//! [`crate::baseline::try_spatial_join`], likewise) unify both behind one
-//! `Result`-returning surface with this error type; the panicking and
-//! clipping variants remain for callers that have already validated
-//! their inputs.
+//! The checked entry points ([`crate::join::frontier_join`]; the join's
+//! oracle, [`crate::baseline::try_spatial_join`], likewise) and the
+//! service report precondition violations through one
+//! `Result`-returning surface with this error type; the panicking
+//! variants remain for callers that have already validated their
+//! inputs.
 
 use dp_geom::Rect;
 use scan_model::FaultSite;
@@ -52,16 +49,6 @@ pub enum SpatialError {
         left: Rect,
         /// World of the right-hand index.
         right: Rect,
-    },
-    /// A query window reaches outside the index's world, so silently
-    /// clipping it would hide misrouted traffic.
-    WindowOutsideWorld {
-        /// Position of the offending window in the request batch.
-        index: usize,
-        /// The offending window.
-        window: Rect,
-        /// The index's world rectangle.
-        world: Rect,
     },
     /// A request that cannot be answered regardless of index state
     /// (non-finite coordinates, `k == 0`). Detected by per-request
@@ -150,14 +137,6 @@ impl fmt::Display for SpatialError {
                 "operands cover different worlds: {left} vs {right} \
                  (aligned decompositions require identical worlds)"
             ),
-            SpatialError::WindowOutsideWorld {
-                index,
-                window,
-                world,
-            } => write!(
-                f,
-                "query window {index} ({window}) reaches outside the index world {world}"
-            ),
             SpatialError::MalformedRequest { index, kind } => {
                 write!(f, "request {index} is malformed: {kind}")
             }
@@ -214,17 +193,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("different worlds"), "{s}");
-    }
-
-    #[test]
-    fn display_names_the_window_slot() {
-        let e = SpatialError::WindowOutsideWorld {
-            index: 3,
-            window: Rect::from_coords(9.0, 9.0, 10.0, 10.0),
-            world: Rect::from_coords(0.0, 0.0, 8.0, 8.0),
-        };
-        let s = e.to_string();
-        assert!(s.contains("window 3"), "{s}");
     }
 
     #[test]

@@ -63,12 +63,10 @@ pub mod bucket_pmr;
 pub mod dominance;
 pub mod error;
 pub mod join;
-pub mod kdtree;
 pub mod lineproc;
 pub mod pm1;
 pub mod pm_family;
 pub mod quadtree;
-pub mod region;
 pub mod round_driver;
 pub mod rsplit;
 pub mod rtree;

@@ -552,11 +552,6 @@ impl DpRTree {
         self.rounds
     }
 
-    /// Number of leaf nodes.
-    pub fn num_leaves(&self) -> usize {
-        self.groups[0].num_segments()
-    }
-
     /// Indexed ids, grouped by leaf, in linear processor order.
     pub fn lanes(&self) -> (&[SegId], &Segments) {
         (&self.lane_line, &self.groups[0])

@@ -27,7 +27,7 @@
 use crate::bucket_pmr::build_bucket_pmr;
 use crate::quadtree::DpQuadtree;
 use crate::SegId;
-use dp_geom::{clip_segment_closed, LineSeg, Point, Rect};
+use dp_geom::{clip_segment_closed, LineSeg, Rect};
 use scan_model::Machine;
 
 /// A `g × g` grid of tiles partitioning a world rectangle.
@@ -167,30 +167,6 @@ impl ShardGrid {
         None
     }
 
-    /// The shard whose half-open tile contains `p`, or `None` when `p`
-    /// lies outside the half-open world. Exactly one shard owns any
-    /// in-world point (tiles partition the world under half-open
-    /// membership, like quadtree blocks).
-    pub fn shard_of_point(&self, p: Point) -> Option<usize> {
-        if !self.world.contains_half_open(p) {
-            return None;
-        }
-        let (tw, th) = self.tile_size();
-        let ix = (((p.x - self.world.min.x) / tw).floor() as u32).min(self.grid - 1);
-        let iy = (((p.y - self.world.min.y) / th).floor() as u32).min(self.grid - 1);
-        // Guard against a float quotient landing one tile high for a point
-        // just below a boundary: step back while the tile misses the point.
-        let fix = |mut i: u32, coord: f64, wmin: f64, t: f64| {
-            while i > 0 && coord < wmin + i as f64 * t {
-                i -= 1;
-            }
-            i
-        };
-        let ix = fix(ix, p.x, self.world.min.x, tw);
-        let iy = fix(iy, p.y, self.world.min.y, th);
-        Some((iy * self.grid + ix) as usize)
-    }
-
     /// Partitions `segs` over the tiles: shard `i` receives the ids of
     /// every segment that (closed-)intersects tile `i`. A segment
     /// crossing tile boundaries appears in every tile it touches.
@@ -253,6 +229,7 @@ pub fn build_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_geom::Point;
 
     fn world() -> Rect {
         Rect::from_coords(0.0, 0.0, 64.0, 64.0)
@@ -275,8 +252,7 @@ mod tests {
             area += (t.max.x - t.min.x) * (t.max.y - t.min.y);
         }
         assert_eq!(area, 64.0 * 64.0);
-        // Every in-world point is owned by exactly one shard, and that
-        // shard's tile half-open-contains it.
+        // Every in-world point is owned by exactly one shard.
         for &(x, y) in &[
             (0.0, 0.0),
             (15.9, 16.0),
@@ -285,15 +261,11 @@ mod tests {
             (32.0, 0.0),
         ] {
             let p = Point::new(x, y);
-            let s = g.shard_of_point(p).unwrap();
-            assert!(g.tile_of(s).contains_half_open(p), "point {p:?} shard {s}");
             let owners = (0..g.num_shards())
                 .filter(|&i| g.tile_of(i).contains_half_open(p))
                 .count();
             assert_eq!(owners, 1);
         }
-        assert_eq!(g.shard_of_point(Point::new(64.0, 1.0)), None);
-        assert_eq!(g.shard_of_point(Point::new(1.0, -0.1)), None);
     }
 
     #[test]

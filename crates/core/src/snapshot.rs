@@ -53,9 +53,6 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Size of the whole-file header in bytes.
 pub const HEADER_LEN: usize = 28;
 
-/// Per-section overhead in bytes (tag + length prefix + trailing CRC).
-pub const SECTION_OVERHEAD: usize = 16;
-
 /// What a snapshot file contains (the header's family tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotFamily {

@@ -19,12 +19,6 @@ pub struct BuildReport {
 }
 
 impl BuildReport {
-    /// Scans per round, the paper's "constant number of scans" check
-    /// (`None` when no rounds ran).
-    pub fn scans_per_round(&self) -> Option<f64> {
-        (self.ops.rounds > 0).then(|| self.ops.scans as f64 / self.ops.rounds as f64)
-    }
-
     /// Total primitive ops per round.
     pub fn ops_per_round(&self) -> Option<f64> {
         (self.ops.rounds > 0).then(|| self.ops.total_primitives() as f64 / self.ops.rounds as f64)
@@ -62,8 +56,9 @@ mod tests {
         assert!(tree.stats().nodes > 1);
         assert!(report.ops.scans > 0);
         assert!(report.ops.rounds > 0);
-        assert!(report.scans_per_round().unwrap() > 0.0);
-        assert!(report.ops_per_round().unwrap() >= report.scans_per_round().unwrap());
+        assert!(
+            report.ops_per_round().unwrap() >= report.ops.scans as f64 / report.ops.rounds as f64
+        );
     }
 
     #[test]

@@ -54,8 +54,8 @@
 //! * [`Machine::unshuffle_layout`] — *unshuffling* / *packing* (Sec. 4.2),
 //!   the one scatter-form layout (two scans, Fig. 16);
 //! * [`Machine::segment_counts`] — the *node capacity check* scan (Sec. 4.4);
-//! * [`Machine::broadcast_first`] / [`Machine::broadcast_last`] — the
-//!   copy-scan broadcast used throughout Section 4;
+//! * [`Machine::broadcast_first`] — the copy-scan broadcast used
+//!   throughout Section 4;
 //! * [`Machine::segmented_sort_perm`] — the per-segment sort used by the
 //!   R-tree sweep split (Sec. 4.7).
 //!

@@ -164,8 +164,7 @@ pub(crate) fn fit_exact<T>(out: &mut Vec<T>, n: usize) {
 /// before the step, how many nodes split, the *delta* of the machine's
 /// physical counters across the step, the arena high-water mark, and wall
 /// time. Consumers (the service's per-shard build logs, `dpbench`'s
-/// traced runs) read the buffer back with [`Machine::round_traces`] /
-/// [`Machine::take_round_traces`].
+/// traced runs) drain the buffer with [`Machine::take_round_traces`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundTrace {
     /// Driver step index within one build (for the quadtree builders one
@@ -455,11 +454,6 @@ impl Machine {
         }
     }
 
-    /// A copy of the buffered round traces.
-    pub fn round_traces(&self) -> Vec<RoundTrace> {
-        self.traces.lock().expect("machine traces poisoned").clone()
-    }
-
     /// Drains and returns the buffered round traces.
     pub fn take_round_traces(&self) -> Vec<RoundTrace> {
         std::mem::take(&mut *self.traces.lock().expect("machine traces poisoned"))
@@ -497,14 +491,6 @@ impl Machine {
             .lock()
             .expect("machine arena poisoned")
             .high_water_bytes()
-    }
-
-    /// Bytes currently retained (pooled) by the machine's scratch arena.
-    pub fn arena_retained_bytes(&self) -> usize {
-        self.scratch
-            .lock()
-            .expect("machine arena poisoned")
-            .retained_bytes()
     }
 
     /// Records that an `_into` primitive reused a warm buffer. Counted
@@ -748,21 +734,6 @@ impl Machine {
         O: CombineOp<T>,
     {
         self.scan(data, &Segments::single(data.len()), op, Direction::Up, kind)
-    }
-
-    /// Unsegmented downward scan over the whole vector.
-    pub fn down_scan<T, O>(&self, data: &[T], op: O, kind: ScanKind) -> Vec<T>
-    where
-        T: Element,
-        O: CombineOp<T>,
-    {
-        self.scan(
-            data,
-            &Segments::single(data.len()),
-            op,
-            Direction::Down,
-            kind,
-        )
     }
 
     // ------------------------------------------------------------------

@@ -18,7 +18,7 @@
 use crate::fused::FusedOp;
 use crate::machine::Machine;
 use crate::ops::Element;
-use crate::ops::{First, Last, Sum};
+use crate::ops::{First, Sum};
 use crate::scan::{Direction, ScanKind};
 use crate::vector::Segments;
 use std::cmp::Ordering as CmpOrdering;
@@ -180,12 +180,6 @@ impl Machine {
         self.scan(data, seg, First, Direction::Up, ScanKind::Inclusive)
     }
 
-    /// Broadcasts the last lane of each segment to every lane of the
-    /// segment (downward inclusive right-projection scan).
-    pub fn broadcast_last<T: Element + Default>(&self, data: &[T], seg: &Segments) -> Vec<T> {
-        self.scan(data, seg, Last, Direction::Down, ScanKind::Inclusive)
-    }
-
     /// Each lane's rank within its segment (upward exclusive `+`-scan of
     /// ones).
     pub fn rank_in_segment(&self, seg: &Segments) -> Vec<u64> {
@@ -265,6 +259,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::machine::{Backend, Machine};
+    use crate::ops::Last;
 
     fn machines() -> Vec<Machine> {
         vec![
@@ -365,7 +360,8 @@ mod tests {
             let seg = Segments::from_lengths(&[2, 3]).unwrap();
             let data = vec![7u64, 0, 9, 0, 4];
             assert_eq!(m.broadcast_first(&data, &seg), vec![7, 7, 9, 9, 9]);
-            assert_eq!(m.broadcast_last(&data, &seg), vec![0, 0, 4, 4, 4]);
+            let last = m.scan(&data, &seg, Last, Direction::Down, ScanKind::Inclusive);
+            assert_eq!(last, vec![0, 0, 4, 4, 4]);
         }
     }
 

@@ -131,15 +131,6 @@ impl Segments {
         &self.starts
     }
 
-    /// Length of segment `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= self.num_segments()`.
-    pub fn segment_len(&self, s: usize) -> usize {
-        self.range(s).len()
-    }
-
     /// Lane range of segment `s`.
     ///
     /// # Panics
@@ -187,20 +178,6 @@ impl Segments {
             }
         }
         ids
-    }
-
-    /// `true` when lane `i` is the last lane of its segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn is_segment_end(&self, i: usize) -> bool {
-        assert!(
-            i < self.len(),
-            "lane {i} out of bounds (len {})",
-            self.len()
-        );
-        i + 1 == self.len() || self.flags[i + 1]
     }
 }
 
@@ -254,8 +231,6 @@ mod tests {
         let seg = Segments::single(5);
         assert_eq!(seg.num_segments(), 1);
         assert_eq!(seg.range(0), 0..5);
-        assert!(seg.is_segment_end(4));
-        assert!(!seg.is_segment_end(3));
     }
 
     #[test]
@@ -266,13 +241,6 @@ mod tests {
             assert_eq!(seg.segment_of(i), want, "lane {i}");
         }
         assert_eq!(seg.segment_ids(), expect.to_vec());
-    }
-
-    #[test]
-    fn segment_end_detection() {
-        let seg = Segments::from_lengths(&[2, 1, 3]).unwrap();
-        let ends: Vec<bool> = (0..seg.len()).map(|i| seg.is_segment_end(i)).collect();
-        assert_eq!(ends, vec![false, true, true, false, false, true]);
     }
 
     #[test]

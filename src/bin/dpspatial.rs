@@ -9,11 +9,15 @@
 //! dpspatial join     --a roads.csv --b rivers.csv
 //! ```
 //!
-//! Maps are CSV files with one `ax,ay,bx,by` segment per line (integer
-//! grid coordinates inside a power-of-two world, inferred or passed with
-//! `--size`). Argument parsing is hand-rolled to keep the dependency set
-//! at the workspace's approved list.
+//! Maps are CSV files with one `ax,ay,bx,by` segment per line (finite,
+//! non-negative coordinates inside a power-of-two world, inferred or
+//! passed with `--size`). Argument parsing is hand-rolled to keep the
+//! dependency set at the workspace's approved list. Malformed input —
+//! a bad coordinate, a world too small for the map, an out-of-range
+//! builder parameter — is reported as `dpspatial: <reason>` with exit
+//! status 1, never as a panic.
 
+use dp_spatial_suite::geom::morton::MAX_DEPTH;
 use dp_spatial_suite::geom::{LineSeg, Point, Rect};
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
 use dp_spatial_suite::spatial::join::frontier_join;
@@ -96,13 +100,22 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
         .map_err(|_| format!("cannot parse {what} from `{s}`"))
 }
 
-fn parse_csv_numbers(s: &str, count: usize, what: &str) -> Result<Vec<f64>, String> {
-    let parts: Vec<f64> = s
+fn parse_list<T: std::str::FromStr>(s: &str, count: usize, what: &str) -> Result<Vec<T>, String> {
+    let parts: Vec<T> = s
         .split(',')
         .map(|p| parse_num(p.trim(), what))
         .collect::<Result<_, _>>()?;
     if parts.len() != count {
         return Err(format!("{what} needs {count} comma-separated numbers"));
+    }
+    Ok(parts)
+}
+
+/// [`parse_list`] of coordinates, which must be finite.
+fn parse_csv_numbers(s: &str, count: usize, what: &str) -> Result<Vec<f64>, String> {
+    let parts: Vec<f64> = parse_list(s, count, what)?;
+    if parts.iter().any(|v| !v.is_finite()) {
+        return Err(format!("{what} must be finite, got `{s}`"));
     }
     Ok(parts)
 }
@@ -129,6 +142,12 @@ fn read_map(path: &str) -> Result<Vec<LineSeg>, String> {
         }
         let nums = parse_csv_numbers(line, 4, "segment coordinates")
             .map_err(|e| format!("{path}:{}: {e}", ln + 1))?;
+        if nums.iter().any(|&v| v < 0.0) {
+            return Err(format!(
+                "{path}:{}: negative coordinate in `{line}`",
+                ln + 1
+            ));
+        }
         segs.push(LineSeg::from_coords(nums[0], nums[1], nums[2], nums[3]));
     }
     if segs.is_empty() {
@@ -137,21 +156,51 @@ fn read_map(path: &str) -> Result<Vec<LineSeg>, String> {
     Ok(segs)
 }
 
-/// Smallest power-of-two world strictly containing every coordinate.
+/// The `[0, --size)²` world, or without `--size` the smallest
+/// power-of-two world strictly containing every coordinate of a map
+/// [`read_map`] accepted; an error when some endpoint lies outside it.
 fn infer_world(segs: &[LineSeg], flags: &HashMap<String, String>) -> Result<Rect, String> {
-    if let Some(size) = flags.get("size") {
-        let size: u32 = parse_num(size, "--size")?;
-        if !size.is_power_of_two() {
-            return Err("--size must be a power of two".into());
+    let side = match flags.get("size") {
+        Some(size) => parse_size(size)? as f64,
+        None => {
+            let max = segs
+                .iter()
+                .flat_map(|s| [s.a.x, s.a.y, s.b.x, s.b.y])
+                .fold(0.0f64, f64::max);
+            let mut side = 2.0;
+            while side <= max {
+                side *= 2.0;
+            }
+            side
         }
-        return Ok(Rect::from_coords(0.0, 0.0, size as f64, size as f64));
-    }
-    let max = segs
+    };
+    let world = Rect::from_coords(0.0, 0.0, side, side);
+    match segs
         .iter()
-        .flat_map(|s| [s.a.x, s.a.y, s.b.x, s.b.y])
-        .fold(0.0f64, f64::max);
-    let side = (max.max(1.0) as u64 + 1).next_power_of_two() as f64;
-    Ok(Rect::from_coords(0.0, 0.0, side, side))
+        .position(|s| !world.contains_half_open(s.a) || !world.contains_half_open(s.b))
+    {
+        Some(id) => Err(format!(
+            "segment {id} ({}) lies outside the world {world}",
+            segs[id]
+        )),
+        None => Ok(world),
+    }
+}
+
+/// `--size`, a power of two.
+fn parse_size(size: &str) -> Result<u32, String> {
+    let size: u32 = parse_num(size, "--size")?;
+    size.is_power_of_two()
+        .then_some(size)
+        .ok_or_else(|| "--size must be a power of two".into())
+}
+
+/// `--capacity`, at least 1 (default 8).
+fn parse_capacity(flags: &HashMap<String, String>) -> Result<usize, String> {
+    match parse_num(get_or(flags, "capacity", "8"), "--capacity")? {
+        0 => Err("--capacity must be at least 1".into()),
+        b => Ok(b),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -161,7 +210,7 @@ fn infer_world(segs: &[LineSeg], flags: &HashMap<String, String>) -> Result<Rect
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let kind = get(flags, "kind")?;
     let n: usize = parse_num(get(flags, "n")?, "--n")?;
-    let size: u32 = parse_num(get_or(flags, "size", "1024"), "--size")?;
+    let size = parse_size(get_or(flags, "size", "1024"))?;
     let seed: u64 = parse_num(get_or(flags, "seed", "42"), "--seed")?;
     let data = match kind {
         "roads" => {
@@ -199,7 +248,10 @@ fn build_index(
 ) -> Result<(AnyIndex, String), String> {
     let kind = get_or(flags, "index", "bpmr");
     let depth: usize = parse_num(get_or(flags, "depth", "12"), "--depth")?;
-    let capacity: usize = parse_num(get_or(flags, "capacity", "8"), "--capacity")?;
+    if depth > MAX_DEPTH as usize {
+        return Err(format!("--depth must be at most {MAX_DEPTH}, got {depth}"));
+    }
+    let capacity = parse_capacity(flags)?;
     Ok(match kind {
         "bpmr" => (
             AnyIndex::Quad(build_bucket_pmr(machine, world, segs, capacity, depth)),
@@ -219,8 +271,13 @@ fn build_index(
         ),
         "rtree" | "pack" => {
             let order = get_or(flags, "order", "2,8");
-            let parts = parse_csv_numbers(order, 2, "--order")?;
-            let (m, mx) = (parts[0] as usize, parts[1] as usize);
+            let parts: Vec<usize> = parse_list(order, 2, "--order")?;
+            let (m, mx) = (parts[0], parts[1]);
+            if mx < 2 || (kind == "rtree" && (m < 1 || m > mx.saturating_add(1) / 2)) {
+                return Err(format!(
+                    "--order {m},{mx}: need M >= 2 and, for rtree, 1 <= m <= (M+1)/2"
+                ));
+            }
             if kind == "pack" {
                 (
                     AnyIndex::Rtree(pack_rtree_hilbert(machine, segs, world, mx)),
@@ -337,7 +394,7 @@ fn cmd_nearest(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
     let a = read_map(get(flags, "a")?)?;
     let b = read_map(get(flags, "b")?)?;
-    let capacity: usize = parse_num(get_or(flags, "capacity", "8"), "--capacity")?;
+    let capacity = parse_capacity(flags)?;
     // Shared world over both maps.
     let all: Vec<LineSeg> = a.iter().chain(b.iter()).copied().collect();
     let world = infer_world(&all, flags)?;

@@ -1,14 +1,12 @@
 //! Integration tests for the extension features beyond the paper's core:
 //! the PM₂/PM₃ family members, the Hilbert-packed R-tree, the batch
-//! (data-parallel) query engine, and the scan-model k-D tree — all
-//! cross-validated against brute force and against each other on the
-//! shared workloads.
+//! (data-parallel) query engine — all cross-validated against brute
+//! force and against each other on the shared workloads.
 
 use dp_spatial_suite::geom::{clip_segment_closed, Point, Rect};
 use dp_spatial_suite::seq;
 use dp_spatial_suite::spatial::batch::batch_window_query;
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial_suite::spatial::kdtree::build_kdtree;
 use dp_spatial_suite::spatial::pm1::build_pm1;
 use dp_spatial_suite::spatial::pm_family::{build_pm2, build_pm3};
 use dp_spatial_suite::spatial::rtree::pack_rtree_hilbert;
@@ -114,30 +112,6 @@ fn batch_queries_match_singles_across_structures() {
     for (i, q) in queries.iter().enumerate() {
         assert_eq!(batched[i], tree.window_query(q, &data.segs), "query {i}");
     }
-}
-
-#[test]
-fn kdtree_indexes_junctions_exactly() {
-    let machine = Machine::parallel();
-    let data = road_network(16, 512, 12);
-    let mut junctions: Vec<Point> = data.segs.iter().flat_map(|s| [s.a, s.b]).collect();
-    junctions.sort_by(|a, b| a.lex_cmp(b));
-    junctions.dedup();
-    let kd = build_kdtree(&machine, &junctions, 8);
-    let q = Rect::from_coords(100.0, 100.0, 300.0, 260.0);
-    let got = kd.range_query(&q, &junctions);
-    let want: Vec<u32> = (0..junctions.len() as u32)
-        .filter(|&id| q.contains(junctions[id as usize]))
-        .collect();
-    assert_eq!(got, want);
-    let probe = Point::new(333.0, 111.0);
-    let (_, d) = kd.nearest(probe, &junctions).unwrap();
-    let brute = junctions
-        .iter()
-        .map(|p| p.dist(probe))
-        .min_by(|a, b| a.total_cmp(b))
-        .unwrap();
-    assert_eq!(d, brute);
 }
 
 #[test]

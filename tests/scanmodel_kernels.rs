@@ -18,7 +18,7 @@
 //! * **In place ≡ fresh** — for shrinking, growing and mixed layouts; a
 //!   proptest honouring `PROPTEST_CASES`.
 //! * **Parent pins** — recorded at 6066589, before any kernel was touched:
-//!   CRC-32 digests of the PM₁/PM₂/PM₃/bucket-PMR/region/k-d builds, the
+//!   CRC-32 digests of the PM₁/PM₂/PM₃/bucket-PMR builds, the
 //!   frontier join's pair list, the skyline and a 1 % batch update on
 //!   fixed seeded inputs (plus a delete-only and an insert-only update,
 //!   recorded at 2a3ba2e before the update engine was rewritten), and
@@ -34,14 +34,11 @@
 #[path = "../crates/scanmodel/tests/oracles/mod.rs"]
 mod oracles;
 
-use dp_spatial_suite::geom::{LineSeg, Point};
 use dp_spatial_suite::spatial::bucket_pmr::build_bucket_pmr;
 use dp_spatial_suite::spatial::dominance::{dominance_weight, skyline, DomPoint};
 use dp_spatial_suite::spatial::join::frontier_join;
-use dp_spatial_suite::spatial::kdtree::build_kdtree;
 use dp_spatial_suite::spatial::pm1::build_pm1;
 use dp_spatial_suite::spatial::pm_family::{build_pm2, build_pm3};
-use dp_spatial_suite::spatial::region::build_region_quadtree;
 use dp_spatial_suite::spatial::snapshot::{crc32, encode_tree_snapshot, SnapshotFamily};
 use dp_spatial_suite::spatial::update::{batch_update_bucket_pmr, UpdateBatch};
 use dp_spatial_suite::workloads::{clustered_segments, uniform_segments, Dataset};
@@ -582,16 +579,9 @@ fn debug_digest<T: std::fmt::Debug>(value: &T) -> u32 {
     crc32(format!("{value:?}").as_bytes())
 }
 
-fn endpoints(segs: &[LineSeg]) -> Vec<Point> {
-    let mut pts: Vec<Point> = segs.iter().map(|s| s.a).collect();
-    pts.sort_by(|p, q| p.x.total_cmp(&q.x).then(p.y.total_cmp(&q.y)));
-    pts.dedup();
-    pts
-}
-
-/// The eleven digests of one input on one machine, in the order of
+/// The nine digests of one input on one machine, in the order of
 /// `DIGEST_NAMES`.
-fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 11] {
+fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 9] {
     let segs = &data.segs;
     let quad = |family, tree| stream_digest(&encode_tree_snapshot(family, segs, &tree, None));
     let pm1 = build_pm1(machine, data.world, segs, DEPTH);
@@ -609,15 +599,6 @@ fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 11] {
             w: dominance_weight(s),
         })
         .collect();
-    let pixels: Vec<(u32, u32)> = {
-        let mut px: Vec<(u32, u32)> = segs
-            .iter()
-            .map(|s| (s.a.x as u32 / 4, s.a.y as u32 / 4))
-            .collect();
-        px.sort_unstable();
-        px.dedup();
-        px
-    };
     // The bucket tree after one batch, as snapshot bytes.
     let updated = |batch: UpdateBatch| {
         let (mut tree, mut segs) = (bucket.clone(), segs.clone());
@@ -656,8 +637,6 @@ fn digests(machine: &Machine, data: &Dataset, other: &Dataset) -> [u32; 11] {
             build_pm3(machine, data.world, segs, DEPTH),
         ),
         quad(SnapshotFamily::BucketPmr, bucket),
-        debug_digest(&build_region_quadtree(machine, 8, &pixels)),
-        debug_digest(&build_kdtree(machine, &endpoints(segs), 4)),
         debug_digest(&join.pairs),
         debug_digest(&skyline(machine, &points)),
         update_digests[0],
@@ -685,13 +664,11 @@ fn round_profile(traces: &[RoundTrace]) -> Vec<(u64, u64, u64, u64, u64)> {
 }
 
 /// Family order of the digests of one input.
-const DIGEST_NAMES: [&str; 11] = [
+const DIGEST_NAMES: [&str; 9] = [
     "pm1",
     "pm2",
     "pm3",
     "bucket-pmr",
-    "region",
-    "k-d",
     "frontier-join pairs",
     "skyline ids",
     "1% batch update",
@@ -704,14 +681,14 @@ const DIGEST_NAMES: [&str; 11] = [
 /// uniform input: no two of its segments share a vertex.) The delete-only
 /// and insert-only update digests were recorded later, at 2a3ba2e, from
 /// the update engine that still kept one `Vec` per leaf.
-const PARENT_DIGESTS: [[u32; 11]; 2] = [
+const PARENT_DIGESTS: [[u32; 9]; 2] = [
     [
-        0x6a86e58d, 0x6a86e58d, 0x33e86f46, 0x133883e8, 0xc2741540, 0x180461c8, 0x60003620,
-        0x9307be11, 0xcc8c9294, 0x738676fe, 0x12f7d250,
+        0x6a86e58d, 0x6a86e58d, 0x33e86f46, 0x133883e8, 0x60003620, 0x9307be11, 0xcc8c9294,
+        0x738676fe, 0x12f7d250,
     ],
     [
-        0x695675e4, 0x7ab52dd7, 0x2135ae18, 0x98801e42, 0xf9bd0ef5, 0xbb2bc5df, 0x4b17faf9,
-        0x300026a2, 0x59dc2057, 0x56033c5b, 0x7945e003,
+        0x695675e4, 0x7ab52dd7, 0x2135ae18, 0x98801e42, 0x4b17faf9, 0x300026a2, 0x59dc2057,
+        0x56033c5b, 0x7945e003,
     ],
 ];
 
