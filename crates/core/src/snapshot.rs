@@ -68,7 +68,7 @@ pub enum SnapshotFamily {
     BucketPmr,
     /// Packed Hilbert R-tree.
     Rtree,
-    /// A full `dp-service` serving state (shard trees + overlay ladder).
+    /// A full `dp-service` serving state (shard trees + write overlay).
     Service,
 }
 

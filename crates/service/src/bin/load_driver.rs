@@ -22,8 +22,8 @@
 //! after the timed run — it also passes under injected faults, since
 //! recovered and degraded shards answer bit-identically.
 //! `--updates` switches to the `WITH_UPDATES` mix: insert and delete
-//! requests ride the stream, exercising the overlay ladder and
-//! epoch-swapped compaction; with `--self-check` a prefix of the stream
+//! requests ride the stream, exercising the pending and tombstone lists
+//! and epoch-swapped compaction; with `--self-check` a prefix of the stream
 //! is replayed sequentially on a fresh service against an eager
 //! insert/delete oracle.
 //!

@@ -97,7 +97,7 @@ impl QueryServiceConfig {
 }
 
 /// A machine on the configured backend with `plan` attached — for every
-/// shard core, rebuild, compaction and the overlay ladder.
+/// shard core, rebuild, compaction and the aggregation machine.
 pub(crate) fn make_machine(config: &QueryServiceConfig, plan: &Arc<FaultPlan>) -> Machine {
     let machine = match config.par_threshold {
         Some(t) => Machine::new(config.backend).with_par_threshold(t),

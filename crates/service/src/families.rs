@@ -175,7 +175,7 @@ fn decode_agg(words: &[SegId]) -> (u64, u64, u64) {
 }
 
 /// Brute closed max-dominance skyline over dominance points — the
-/// degraded rung when the ladder machine crashes mid-pipeline. O(n²)
+/// degraded rung when the aggregation machine crashes mid-pipeline. O(n²)
 /// but exact; restates the `seq_spatial` oracle locally because that
 /// crate is a dev-dependency only.
 fn brute_skyline(points: &[DomPoint]) -> Vec<SegId> {
@@ -221,13 +221,13 @@ impl QueryService {
     }
 
     /// Skyline of the candidates' midpoints via the data-parallel
-    /// sort + segmented-scan pipeline on the ladder machine, with a
+    /// sort + segmented-scan pipeline on the aggregation machine, with a
     /// brute closed-dominance fallback when the machine crashes
     /// (injected [`scan_model::FaultSite::SkylineAbort`] or genuine) —
     /// ids come back sorted ascending either way.
     fn compute_skyline(&self, st: &ServingState, cands: &[SegId]) -> Vec<SegId> {
         let points: Vec<DomPoint> = cands.iter().map(|&id| dom_point(st, id)).collect();
-        let run = catch_unwind(AssertUnwindSafe(|| skyline(&self.ladder_machine, &points)));
+        let run = catch_unwind(AssertUnwindSafe(|| skyline(&self.agg_machine, &points)));
         let mut ids = run.unwrap_or_else(|_| brute_skyline(&points));
         ids.sort_unstable();
         ids
@@ -254,7 +254,7 @@ impl QueryService {
             return (0, 0, 0);
         }
         let run = catch_unwind(AssertUnwindSafe(|| {
-            dominance_agg(&self.ladder_machine, &points, &[(p.x, p.y)])
+            dominance_agg(&self.agg_machine, &points, &[(p.x, p.y)])
         }));
         match run {
             Ok(aggs) => (aggs[0].count, aggs[0].sum, aggs[0].max),

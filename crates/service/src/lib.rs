@@ -42,6 +42,13 @@
 //! from the centre always intersects the square of half-width `d`, a
 //! k-th best distance `≤ r` proves no unseen segment can do better.
 //!
+//! ## Writes
+//!
+//! A write touches no tree: an insert appends to the epoch's `pending`
+//! list, a delete tombstones a base segment or removes a pending one,
+//! and reads scan `pending` exactly. Compaction folds both lists into the
+//! shard trees as one batch update once they reach `compact_threshold`.
+//!
 //! ## Crash tolerance
 //!
 //! No failure on the request path aborts the process. The service is
@@ -101,7 +108,7 @@
 //! | `recovery` | the ladder (`on_shard`: retry → rebuild → degrade), the shared shard-build body, `fan_out` | probe chunks, the cached join, the cold build |
 //! | `families` | the request-family table: validate + plan, route, reduce, wrap | `reads`, [`admission`] |
 //! | `reads` | the executor: read runs, routed probes, k-NN rounds, joins | [`QueryService::execute_batch`], lane workers |
-//! | `writes` | the overlay ladder, one publish path, compaction | the executor, the background compactor |
+//! | `writes` | writes as edits of the pending and tombstone lists, one publish path, compaction | the executor, the background compactor |
 //! | `stats` | counter block, [`ServiceStats`] views | callers, [`admission`] |
 //! | [`admission`], [`shed`], [`cache`], [`snapshot`] | the pipelined front end, its full-lane policy, the hot-window cache, persistence | as before |
 //! | [`histogram`] | [`LatencyHistogram`] | `stats`, the load driver |

@@ -16,7 +16,6 @@ use dp_spatial::shard::ShardIndex;
 use dp_spatial::{SegId, SpatialError};
 use dp_workloads::Request;
 use scan_model::Machine;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -137,7 +136,7 @@ impl QueryService {
     /// Routes `rects` to overlapping shards, executes every shard's
     /// queue in `flush_batch`-sized lockstep batches, and merges the hits
     /// back per probe — mapped to *logical* ids (tombstoned base hits
-    /// dropped, overlay-ladder hits folded in), sorted, deduplicated.
+    /// dropped, pending hits folded in), sorted, deduplicated.
     fn run_probes(&self, st: &ServingState, rects: &[Rect]) -> Vec<Vec<SegId>> {
         let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); st.shards.len()];
         for (pi, rect) in rects.iter().enumerate() {
@@ -179,31 +178,17 @@ impl QueryService {
                 }
             }
         }
-        // Overlay-ladder hits: every pending segment has a logical id ≥
-        // kept(), above every base logical — appending keeps the order.
+        // Pending hits by the exact scan: every pending segment has a
+        // logical id ≥ kept(), above every base logical — appending keeps
+        // the order.
         if !st.pending.is_empty() {
             let kept = st.kept();
-            for (ids, extra) in results.iter_mut().zip(self.ladder_probe(st, rects)) {
+            let pending = scan_probe(rects, &st.pending, 0..st.pending.len() as SegId);
+            for (ids, extra) in results.iter_mut().zip(pending) {
                 ids.extend(extra.into_iter().map(|l| kept + l));
             }
         }
         results
-    }
-
-    /// Window hits among the pending (overlay) segments, as local ids:
-    /// one lockstep batch over the ladder tree, with a brute exact-clip
-    /// fallback when the ladder machine crashes (injected or genuine) —
-    /// answers stay bit-identical either way.
-    fn ladder_probe(&self, st: &ServingState, rects: &[Rect]) -> Vec<Vec<SegId>> {
-        if let Some(tree) = &st.ladder {
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                batch_window_query(&self.ladder_machine, tree, rects, &st.pending)
-            }));
-            if let Ok(hits) = run {
-                return hits;
-            }
-        }
-        scan_probe(rects, &st.pending, 0..st.pending.len() as SegId)
     }
 
     /// Executes one shard's probe queue. Returns `(probe index, global
@@ -428,10 +413,10 @@ impl QueryService {
 }
 
 /// Window probes without an index — a degraded shard over its assignment,
-/// a crashed overlay ladder over the pending segments: per rect, scan
-/// `ids` with the exact closed-clip test, the predicate the indexed path
-/// bottoms out in, so answers are bit-identical, just O(probes × ids).
-/// Pure sequential code: no machine, no pool, nothing to crash.
+/// every probe over the pending segments: per rect, scan `ids` with the
+/// exact closed-clip test, the predicate the indexed path bottoms out in,
+/// so answers are bit-identical, just O(probes × ids). Pure sequential
+/// code: no machine, no pool, nothing to crash.
 fn scan_probe(
     rects: &[Rect],
     segs: &[LineSeg],

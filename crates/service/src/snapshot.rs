@@ -2,27 +2,29 @@
 //!
 //! A serving [`QueryService`] is, durably speaking, three things: the
 //! epoch-base segment collection, the per-shard bucket PMR trees built
-//! over it, and the write overlay (tombstones + pending inserts + the
-//! overlay ladder tree). This module persists all of them in one
-//! [`dp_spatial::snapshot`] file (family
-//! [`SnapshotFamily::Service`]) and restores a service from it without
-//! rebuilding a single tree — the *warm restart* path.
+//! over it, and the write overlay (tombstones + pending inserts). This
+//! module persists all of them in one [`dp_spatial::snapshot`] file
+//! (family [`SnapshotFamily::Service`]) and restores a service from it
+//! without rebuilding a single tree — the *warm restart* path.
 //!
 //! ## Layout (service section tags, ≥ 16)
 //!
 //! ```text
 //! header  family=Service, elements = base segment count
 //! [0] META        u64 lane: shard_grid, capacity, max_depth,
-//!                 num_shards, epoch, has_ladder
+//!                 num_shards, epoch, has_ladder (written as 0)
 //! [1] WORLD       f64 lane: min.x min.y max.x max.y
 //! [2] BASE_SEGS   epoch-base segments (SoA lanes)
 //! [3] TOMBSTONES  sorted base ids deleted since the epoch
 //! [4] PENDING     overlay segments inserted since the epoch
-//! [5] LADDER      overlay quadtree   (only when has_ladder = 1)
 //! then per shard i (row-major):
 //!     SHARD_IDS   the shard's local→global id table
 //!     SHARD_TREE  the shard's bucket PMR quadtree
 //! ```
+//!
+//! Pending inserts carry no index, so nothing writes a [`tags::LADDER`]
+//! section any more. Older files have one at position 5 when `has_ladder = 1`:
+//! the reader validates that tree like a shard tree, then drops it.
 //!
 //! Shard tiles and local segment copies are *derived* state — the tile
 //! from the grid, the local segments by gathering `BASE_SEGS` through
@@ -66,7 +68,7 @@ use std::sync::Arc;
 /// [`dp_spatial::snapshot::tags`] (all < 16) so a mixed-up payload can
 /// never parse as the wrong layout.
 pub mod tags {
-    /// Scalar metadata lane (config echo + epoch + ladder flag).
+    /// Scalar metadata lane (config echo + epoch + ladder flag, now 0).
     pub const META: u32 = 16;
     /// The service world rectangle.
     pub const WORLD: u32 = 17;
@@ -76,7 +78,8 @@ pub mod tags {
     pub const TOMBSTONES: u32 = 19;
     /// Pending overlay segments.
     pub const PENDING: u32 = 20;
-    /// The overlay ladder quadtree (present iff pending is non-empty).
+    /// A quadtree over the pending inserts: older encoders wrote it iff
+    /// pending was non-empty; the reader validates it, then drops it.
     pub const LADDER: u32 = 21;
     /// One shard's local→global id table.
     pub const SHARD_IDS: u32 = 24;
@@ -154,15 +157,14 @@ fn decode_service(
         return Err(malformed("tombstones must be sorted, unique base ids"));
     }
     let pending = segs_from_payload(reader.expect(4, tags::PENDING)?)?;
-    if (has_ladder == 1) == pending.is_empty() {
-        return Err(malformed("ladder presence disagrees with pending inserts"));
+    // An older writer's ladder (iff pending): validated, then dropped.
+    if has_ladder == 1 {
+        if pending.is_empty() {
+            return Err(malformed("ladder presence disagrees with pending inserts"));
+        }
+        quadtree_from_payload(reader.expect(5, tags::LADDER)?)?;
     }
     let shard_base = 5 + has_ladder as usize;
-    let ladder = if has_ladder == 1 {
-        Some(quadtree_from_payload(reader.expect(5, tags::LADDER)?)?)
-    } else {
-        None
-    };
     if reader.num_sections() != shard_base + 2 * grid.num_shards() {
         return Err(malformed("section count disagrees with the shard count"));
     }
@@ -189,7 +191,7 @@ fn decode_service(
         shards.push(shard);
     }
     let state = ServingState::new(epoch, Arc::new(segs), shards);
-    Ok(state.with_overlay(tombstones, pending, ladder.map(Arc::new)))
+    Ok(state.with_overlay(tombstones, pending))
 }
 
 impl QueryService {
@@ -222,7 +224,6 @@ impl QueryService {
         if let Some(plan) = plan {
             w = w.with_fault_plan(plan);
         }
-        let has_ladder = st.ladder.is_some();
         w.section(
             tags::META,
             &u64s_payload(&[
@@ -231,16 +232,13 @@ impl QueryService {
                 self.config.max_depth as u64,
                 st.shards.len() as u64,
                 st.epoch,
-                u64::from(has_ladder),
+                0, // has_ladder: pending inserts are never indexed
             ]),
         );
         w.section(tags::WORLD, &rect_payload(&self.grid.world()));
         w.section(tags::BASE_SEGS, &segs_payload(&st.segs));
         w.section(tags::TOMBSTONES, &ids_payload(&st.tombstones));
         w.section(tags::PENDING, &segs_payload(&st.pending));
-        if let Some(ladder) = &st.ladder {
-            w.section(tags::LADDER, &quadtree_payload(ladder));
-        }
         for index in &shard_parts {
             w.section(tags::SHARD_IDS, &ids_payload(&index.global_ids));
             w.section(tags::SHARD_TREE, &quadtree_payload(&index.tree));

@@ -10,7 +10,6 @@ use crate::recovery::fan_out;
 use crate::stats::ShardCounters;
 use crate::{QueryServiceConfig, RecoveryEvent, ShardJoinStats, WindowCache};
 use dp_geom::{LineSeg, Rect};
-use dp_spatial::quadtree::DpQuadtree;
 use dp_spatial::shard::{ShardGrid, ShardIndex};
 use dp_spatial::{SegId, SpatialError};
 use scan_model::{FaultPlan, Machine, RoundTrace};
@@ -182,12 +181,9 @@ pub(crate) struct ServingState {
     pub(crate) shards: Arc<Vec<Shard>>,
     /// Base ids deleted since the epoch was built (sorted ascending).
     pub(crate) tombstones: Vec<SegId>,
-    /// Segments inserted since the epoch was built, in arrival order.
+    /// Segments inserted since the epoch was built, in arrival order;
+    /// unindexed (reads scan them; compaction keeps them near `compact_threshold`).
     pub(crate) pending: Vec<LineSeg>,
-    /// The overlay ladder: a bucket PMR quadtree over `pending`
-    /// (local ids), maintained incrementally by the batch updater.
-    /// `None` exactly when `pending` is empty.
-    pub(crate) ladder: Option<Arc<DpQuadtree>>,
 }
 
 impl ServingState {
@@ -199,24 +195,17 @@ impl ServingState {
             shards: Arc::new(shards),
             tombstones: Vec::new(),
             pending: Vec::new(),
-            ladder: None,
         }
     }
 
     /// The same epoch under the overlay an accepted write leaves behind.
-    pub(crate) fn with_overlay(
-        &self,
-        tombstones: Vec<SegId>,
-        pending: Vec<LineSeg>,
-        ladder: Option<Arc<DpQuadtree>>,
-    ) -> ServingState {
+    pub(crate) fn with_overlay(&self, tombstones: Vec<SegId>, pending: Vec<LineSeg>) -> Self {
         ServingState {
             epoch: self.epoch,
             segs: self.segs.clone(),
             shards: self.shards.clone(),
             tombstones,
             pending,
-            ladder,
         }
     }
 
@@ -282,11 +271,12 @@ pub struct QueryService {
     /// Overlay segment collection (empty without an overlay layer);
     /// `Response::Join` pairs index `(logical collection, overlay_segs)`.
     pub(crate) overlay_segs: Vec<LineSeg>,
-    /// The fault-plan fork driving the write path's ladder machine
-    /// (salted past every shard fork).
-    pub(crate) ladder_plan: Arc<FaultPlan>,
-    /// The machine the overlay ladder and its queries run on.
-    pub(crate) ladder_machine: Machine,
+    /// The fault-plan fork driving the aggregation machine (salted past
+    /// every shard fork).
+    pub(crate) agg_plan: Arc<FaultPlan>,
+    /// The machine the skyline and dominance-aggregation reductions run
+    /// on.
+    pub(crate) agg_machine: Machine,
     pub(crate) requests: AtomicU64,
     pub(crate) knn_rounds: AtomicU64,
     pub(crate) join_requests: AtomicU64,
@@ -428,8 +418,9 @@ impl QueryService {
     }
 
     /// The one place a service is put together, from a cold build's
-    /// epoch 0 and build events or a restore's decoded state. The overlay
-    /// ladder's machine runs on a fork of `plan` salted past every shard's.
+    /// epoch 0 and build events or a restore's decoded state. The
+    /// aggregation machine runs on a fork of `plan` salted past every
+    /// shard's.
     pub(crate) fn assemble(
         config: QueryServiceConfig,
         world: Rect,
@@ -439,14 +430,14 @@ impl QueryService {
         events: Vec<RecoveryEvent>,
     ) -> QueryService {
         let grid = ShardGrid::new(world, config.shard_grid);
-        let ladder_plan = Arc::new(plan.fork(grid.num_shards() as u64));
+        let agg_plan = Arc::new(plan.fork(grid.num_shards() as u64));
         QueryService {
             config,
             grid,
             state: RwLock::new(Arc::new(state)),
             overlay_segs,
-            ladder_machine: make_machine(&config, &ladder_plan),
-            ladder_plan,
+            agg_machine: make_machine(&config, &agg_plan),
+            agg_plan,
             requests: AtomicU64::new(0),
             knn_rounds: AtomicU64::new(0),
             join_requests: AtomicU64::new(0),

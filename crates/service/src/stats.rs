@@ -189,9 +189,9 @@ pub struct ServiceStats {
     pub compactions: u64,
     /// Compaction attempts that crashed and left the old epoch serving.
     pub failed_compactions: u64,
-    /// Faults injected by the overlay ladder's fault-plan fork (0
-    /// without fault injection).
-    pub ladder_faults: u64,
+    /// Faults injected by the fault-plan fork of the machine the skyline
+    /// and dominance reductions run on (0 without fault injection).
+    pub agg_faults: u64,
 }
 
 impl ServiceStats {
@@ -243,9 +243,9 @@ impl ServiceStats {
     }
 
     /// Total faults injected across all shard fault-plan forks, plus the
-    /// overlay ladder's fork.
+    /// aggregation machine's fork.
     pub fn total_faults_injected(&self) -> u64 {
-        self.shards.iter().map(|s| s.faults_injected).sum::<u64>() + self.ladder_faults
+        self.shards.iter().map(|s| s.faults_injected).sum::<u64>() + self.agg_faults
     }
 
     /// Approximate latency quantile over all per-shard flushes: the upper
@@ -309,7 +309,7 @@ impl QueryService {
             tombstones: st.tombstones.len(),
             compactions: self.compactions.load(Ordering::Relaxed),
             failed_compactions: self.failed_compactions.load(Ordering::Relaxed),
-            ladder_faults: self.ladder_plan.total_fired(),
+            agg_faults: self.agg_plan.total_fired(),
         }
     }
 

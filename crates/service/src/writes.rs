@@ -1,7 +1,8 @@
-//! The write path: one write at a time through the overlay ladder, and
-//! compaction folding the overlay into a fresh epoch. Both publish the
-//! same way: build the successor aside, swap the serving `Arc` under the
-//! state write lock, invalidate the cache after the swap, under that lock.
+//! The write path: a write is an edit of the overlay lists (`pending`,
+//! `tombstones`), and compaction folds those lists into a fresh epoch's
+//! shard trees. Both publish the same way: build the successor aside,
+//! swap the serving `Arc` under the state write lock, invalidate the
+//! cache after the swap, under that lock.
 
 use crate::config::make_machine;
 use crate::families::Plan;
@@ -9,8 +10,6 @@ use crate::recovery::error_from_panic;
 use crate::state::{base_of_logical, logical_of_base, ServingState, ShardCore};
 use crate::{QueryService, Response};
 use dp_geom::{LineSeg, Rect};
-use dp_spatial::bucket_pmr::build_bucket_pmr;
-use dp_spatial::quadtree::DpQuadtree;
 use dp_spatial::shard::ShardIndex;
 use dp_spatial::update::{batch_update_bucket_pmr, UpdateBatch};
 use dp_spatial::{MalformedKind, SegId, SpatialError};
@@ -19,57 +18,42 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLockWriteGuard};
 
 impl QueryService {
-    /// Applies one write plan under the state write lock: the overlay
-    /// ladder absorbs the mutation (a size-1 batch through the core
-    /// update engine, with a bulk-rebuild fallback) and the new serving
-    /// state is published in one atomic swap. A write that cannot be
-    /// applied — refused by its plan, unknown id, or a ladder that keeps
-    /// crashing — is rejected per slot and publishes nothing.
+    /// Applies one write plan to the overlay lists under the state write
+    /// lock and publishes the new serving state in one atomic swap; no
+    /// tree is touched. A write refused by its plan or naming an unknown
+    /// id is rejected per slot and publishes nothing.
     pub(crate) fn apply_write(&self, index: usize, plan: &Plan) -> Response {
         if let Plan::Rejected { error, .. } = *plan {
             return Response::Rejected(error);
         }
         let mut guard = self.write_state();
         let st = guard.clone();
-        // Each arm: the state the write leaves behind, and its response.
-        let applied = match *plan {
-            Plan::Insert(seg) => self
-                .ladder_apply(&st, &UpdateBatch::inserting(vec![seg]))
-                .map(|(tree, pending)| {
-                    let ladder = Some(Arc::new(tree));
-                    let next = st.with_overlay(st.tombstones.clone(), pending, ladder);
-                    (next, Response::Inserted(st.live()))
-                }),
-            Plan::Delete(id) if id >= st.live() => Err(SpatialError::MalformedRequest {
-                index,
-                kind: MalformedKind::UnknownSegment,
-            }),
-            // An epoch-base segment: tombstone it; the ladder and pending
-            // overlay are untouched.
+        let (mut tombstones, mut pending) = (st.tombstones.clone(), st.pending.clone());
+        let response = match *plan {
+            Plan::Insert(seg) => {
+                pending.push(seg);
+                Response::Inserted(st.live())
+            }
+            Plan::Delete(id) if id >= st.live() => {
+                return Response::Rejected(SpatialError::MalformedRequest {
+                    index,
+                    kind: MalformedKind::UnknownSegment,
+                });
+            }
             Plan::Delete(id) if id < st.kept() => {
                 let b = base_of_logical(&st.tombstones, id);
-                let mut tombstones = st.tombstones.clone();
                 tombstones.insert(tombstones.partition_point(|&t| t < b), b);
-                let next = st.with_overlay(tombstones, st.pending.clone(), st.ladder.clone());
-                Ok((next, Response::Deleted(id)))
+                Response::Deleted(id)
             }
-            // A pending segment: the ladder compacts it out (the logical
-            // ids of later pending segments shift down, matching the
-            // eager oracle's `Vec::remove`).
-            Plan::Delete(id) => self
-                .ladder_apply(&st, &UpdateBatch::deleting(vec![id - st.kept()]))
-                .map(|(tree, pending)| {
-                    let ladder = (!pending.is_empty()).then(|| Arc::new(tree));
-                    let next = st.with_overlay(st.tombstones.clone(), pending, ladder);
-                    (next, Response::Deleted(id))
-                }),
+            // A pending segment: the logical ids of later pending segments
+            // shift down, matching the eager oracle's `Vec::remove`.
+            Plan::Delete(id) => {
+                pending.remove((id - st.kept()) as usize);
+                Response::Deleted(id)
+            }
             _ => unreachable!("apply_write is only called for writes"),
         };
-        let (next, response) = match applied {
-            Ok(applied) => applied,
-            Err(e) => return Response::Rejected(e),
-        };
-        *guard = Arc::new(next);
+        *guard = Arc::new(st.with_overlay(tombstones, pending));
         // Invalidate *after* publishing, still under the write lock: any
         // reader that missed the cache at the pre-bump version either
         // snapshotted the old state (its admit is refused by the bump)
@@ -89,53 +73,6 @@ impl QueryService {
             let _ = self.compact_now();
         }
         response
-    }
-
-    /// The ladder tree and pending collection after applying `batch`: a
-    /// size-1 batch through the data-parallel update engine, falling
-    /// back to a bulk rebuild of the final pending set when the
-    /// incremental pass crashes (both under `catch_unwind`, so injected
-    /// ladder faults surface as typed rejections, not aborts). By the
-    /// update differential, both paths produce the same tree.
-    fn ladder_apply(
-        &self,
-        st: &ServingState,
-        batch: &UpdateBatch,
-    ) -> Result<(DpQuadtree, Vec<LineSeg>), SpatialError> {
-        let (cap, depth) = (self.config.capacity, self.config.max_depth);
-        let world = self.grid.world();
-        let incremental = catch_unwind(AssertUnwindSafe(|| {
-            let mut pending = st.pending.clone();
-            let mut tree = match &st.ladder {
-                Some(t) => DpQuadtree::clone(t),
-                None => build_bucket_pmr(&self.ladder_machine, world, &pending, cap, depth),
-            };
-            batch_update_bucket_pmr(
-                &self.ladder_machine,
-                &mut tree,
-                &mut pending,
-                batch,
-                cap,
-                depth,
-            );
-            (tree, pending)
-        }));
-        let attempt = incremental.or_else(|_| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut pending = st.pending.clone();
-                for &d in batch.deletes.iter().rev() {
-                    pending.remove(d as usize);
-                }
-                pending.extend(batch.inserts.iter().copied());
-                let tree = build_bucket_pmr(&self.ladder_machine, world, &pending, cap, depth);
-                (tree, pending)
-            }))
-        });
-        // The ladder's driver traces are telemetry no stats surface
-        // reads; drain them so a long write stream cannot grow the
-        // machine's trace buffer without bound.
-        self.ladder_machine.take_round_traces();
-        attempt.map_err(|p| error_from_panic(self.grid.num_shards(), 2, p.as_ref()))
     }
 
     /// Whether write pressure has crossed the compaction threshold —

@@ -407,8 +407,8 @@ fn compaction_writes(n: u32) -> Vec<Request> {
 /// Kill-at-every-round sweep over an epoch compaction. For every abort
 /// occurrence `k` until faults stop firing: build a service whose fault
 /// plan aborts each fork's round `k`, push the same write burst through
-/// (the overlay ladder's bulk-rebuild fallback absorbs ladder aborts, so
-/// every write still succeeds), and force a compaction. If the
+/// (a write edits the overlay lists and runs no machine round, so every
+/// write succeeds), and force a compaction. If the
 /// compaction crashes, the *old* epoch must keep serving correct
 /// answers, the failure must be counted, and — because every fault-plan
 /// fork keeps its occurrence counters across attempts — an immediate
@@ -452,7 +452,7 @@ fn compaction_kill_sweep_converges_to_clean_epoch() {
         for resp in svc.execute_batch(&compaction_writes(n)) {
             assert!(
                 !matches!(resp, Response::Rejected(_)),
-                "k={k}: ladder fallback must absorb the abort, got {resp:?}"
+                "k={k}: a write runs no round to abort, got {resp:?}"
             );
         }
         match svc.compact_now() {
@@ -476,7 +476,7 @@ fn compaction_kill_sweep_converges_to_clean_epoch() {
                 // a *later* shard's fork (its counters still short of k)
                 // can fire on the next attempt. But each fork fires a
                 // once-at fault at most once, so attempts are bounded by
-                // the fork count: shards + ladder.
+                // the fork count: shards + the aggregation machine.
                 let mut converged = false;
                 for _ in 0..svc.num_shards() + 1 {
                     if svc.compact_now() == Ok(1) {
@@ -512,7 +512,7 @@ fn compaction_kill_sweep_converges_to_clean_epoch() {
 /// Writes admitted through a pipelined lane defer compaction to the
 /// off-thread compactor; a seeded fault plan aborts compaction round
 /// `k` there. The guarantees under fire: every admitted write still
-/// succeeds (the recovery ladder absorbs aborts), reads served through
+/// succeeds (a write runs no machine round), reads served through
 /// the pipeline while the compactor crashes off-thread match the eager
 /// baseline (the old epoch keeps serving — readers never block on a
 /// doomed rebuild), the crash is counted, and foreground retries after
@@ -573,7 +573,7 @@ fn kill_during_background_compaction_keeps_readers_serving() {
             for resp in pipeline.submit_all(&compaction_writes(n)) {
                 assert!(
                     !matches!(resp, Response::Rejected(_)),
-                    "k={k}: ladder fallback must absorb the abort, got {resp:?}"
+                    "k={k}: a write runs no round to abort, got {resp:?}"
                 );
             }
             // The compactor was signalled (threshold 4 against ~15
@@ -612,7 +612,7 @@ fn kill_during_background_compaction_keeps_readers_serving() {
         }
         // Foreground retries converge (each fault-plan fork fires its
         // once-at fault at most once, so attempts are bounded by the
-        // fork count: shards + ladder).
+        // fork count: shards + the aggregation machine).
         let mut attempts = 0;
         while svc.stats().overlay_size + svc.stats().tombstones > 0 || svc.stats().epoch == 0 {
             attempts += 1;
@@ -1072,9 +1072,9 @@ fn kill_during_skyline_build_is_invisible_under_seeded_matrix() {
                 clean.segments(),
                 "seed {seed} on {backend:?}: collections diverged"
             );
-            // The service forks the plan per component; the ladder fork
-            // owns the skyline site, so read the aggregated stats rather
-            // than the parent plan's counters (which never move).
+            // The service forks the plan per component; the aggregation
+            // machine's fork owns the skyline site, so read the aggregated
+            // stats rather than the parent plan's counters (which never move).
             total_fired += svc.stats().total_faults_injected();
         }
         assert!(
@@ -1185,7 +1185,7 @@ fn snapshot_torn_at_every_section_falls_through_cold() {
         .unwrap_or(101);
     let rig = SnapshotTearRig::new(seed);
     // META, WORLD, BASE_SEGS, TOMBSTONES, PENDING + (ids, tree) per
-    // shard on a 2x2 grid; no overlay writes, so no LADDER section.
+    // shard on a 2x2 grid.
     assert_eq!(rig.sections, 13, "unexpected section count for the sweep");
     let service = rig.service();
 

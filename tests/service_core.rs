@@ -1,11 +1,13 @@
 //! Parent-pinned behaviour of the `dp-service` core.
 //!
-//! `cargo test -q` at the workspace root runs only the root package, so
-//! none of `dp-service`'s own unit tests gate tier-1. This file does: it
-//! holds what the service answered, recovered and persisted at commit
-//! `0643664` (the parent of the PR that split `crates/service/src/lib.rs`
-//! along its mechanisms), recorded there as constants on fixed seeds, and
-//! every later change to the crate must reproduce them on both backends:
+//! `cargo test -q` at the workspace root runs every workspace member
+//! (`default-members` lists them), so `dp-service`'s unit tests gate
+//! tier-1 beside this file. What this file adds is behaviour pinned to
+//! a past commit: it holds what the service answered, recovered and
+//! persisted at commit `0643664` (the parent of the PR that split
+//! `crates/service/src/lib.rs` along its mechanisms), recorded there as
+//! constants on fixed seeds, and every later change to the crate must
+//! reproduce them on both backends:
 //!
 //! * **(a) answers** — a CRC-32 of the full `Vec<Response>` for one mixed
 //!   stream of every request kind (inserts and deletes crossing several
@@ -18,13 +20,17 @@
 //! * **(c) persistence** — a CRC-32 of `encode_snapshot()` after the
 //!   same write stream.
 //!
-//! The last section holds regression tests for defects the same PR
-//! fixed; those fail at the parent by design.
+//! The last section holds regression tests for defects fixed since;
+//! those fail at the commit before their fix by design.
 //!
 //! The counters alone — `knn_rounds`, per-shard `probes` and `batches`,
 //! the stream's probe total — were re-recorded once, when k-NN's first
 //! window came to be sized from k and the live density (more, much
-//! smaller rounds); no answer, event or byte pin moved with them.
+//! smaller rounds); no answer, event or byte pin moved with them. The
+//! snapshot digest was re-recorded once, when pending inserts stopped
+//! carrying an index of their own: the stream is the old one without
+//! its `LADDER` section, with META's `has_ladder` word set to 0 and the
+//! header's section count and both CRCs updated to match.
 
 use dp_geom::{clip_segment_closed, LineSeg, Point, Rect};
 use dp_service::{
@@ -42,6 +48,9 @@ use scan_model::{Backend, FaultPlan, FaultSite, InjectedFault};
 use seq_spatial::dominance::skyline_brute;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+mod support;
+use support::{calls_by, requested_by};
 
 /// Both backends; `par_threshold = 1` forces the pool onto these small
 /// datasets.
@@ -207,7 +216,7 @@ fn mixed_stream_reproduces_the_parent_answers_on_both_front_doors() {
 /// four bytes (the final section's own CRC: a CRC over a message ending
 /// in its own CRC no longer depends on the message).
 const SNAPSHOT_STATE: (u64, usize, usize, u64, usize) = (4, 8, 2, 4, 188);
-const SNAPSHOT_DIGEST: u32 = 2_469_830_168;
+const SNAPSHOT_DIGEST: u32 = 1_719_959_707;
 
 #[test]
 fn snapshot_after_the_write_stream_reproduces_the_parent_bytes() {
@@ -560,8 +569,8 @@ fn a_build_that_keeps_crashing_degrades_every_shard() {
 }
 
 // ---------------------------------------------------------------------
-// Defects fixed by the PR that recorded the pins above: these three
-// fail at the parent.
+// Defects fixed since the pins above were recorded: each fails at the
+// commit before its fix.
 // ---------------------------------------------------------------------
 
 /// `try_build_with_faults` validated base and overlay as one chained
@@ -652,4 +661,35 @@ fn a_poisoned_point_through_the_pipeline_is_rejected_per_slot() {
         out[3].try_window(3).map(<[SegId]>::len),
         Ok(data.segs.len())
     );
+}
+
+/// Every write cloned the bucket PMR tree kept over the pending inserts
+/// and ran a size-1 batch update on it (with a bulk rebuild as its crash
+/// fallback). Identical long inserts drive that tree to `max_depth`, so
+/// twelve of them asked the allocator for 474 MB in 3,540 calls. A write
+/// is a list edit now; only compaction builds trees.
+#[test]
+fn a_write_does_no_index_work() {
+    let data = uniform_segments(2000, 1024, 16, 7);
+    let svc = QueryService::build(QueryServiceConfig::sequential(2), data.world, data.segs);
+    let long = LineSeg::from_coords(10.0, 10.0, 1000.0, 990.0);
+    let fan = |i: u32| LineSeg::from_coords(20.0 + 40.0 * f64::from(i), 30.0, 500.0, 900.0);
+    let distinct = (0..12).map(fan).map(Request::Insert).collect();
+    let batches = [
+        ("12 identical inserts", vec![Request::Insert(long); 12]),
+        ("12 distinct inserts", distinct),
+        ("6 pending deletes", vec![Request::Delete(2000); 6]),
+    ];
+    for (name, batch) in &batches {
+        let ((out, bytes), calls) = calls_by(|| requested_by(|| svc.execute_batch(batch)));
+        for resp in &out {
+            assert!(
+                matches!(resp, Response::Inserted(_) | Response::Deleted(2000)),
+                "{name}: {resp:?}"
+            );
+        }
+        assert!(calls <= 200, "{name}: {calls} allocator calls");
+        assert!(bytes <= 256 << 10, "{name}: {bytes} bytes requested");
+    }
+    assert_eq!(svc.stats().overlay_size, 18);
 }

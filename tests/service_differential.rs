@@ -194,7 +194,7 @@ fn backends_agree_on_full_streams() {
 /// the instant it arrives (`Vec::push` / `Vec::remove`, so logical ids
 /// are positions in the evolving collection) and answers every read by
 /// brute force over the current collection. The epoch-swapped service —
-/// overlay ladder, tombstones, threshold compactions and all — must
+/// pending inserts, tombstones, threshold compactions and all — must
 /// produce the exact same response vector.
 fn check_write_identity(data: &Dataset, config: QueryServiceConfig, seed: u64, n_requests: usize) {
     let service = QueryService::build(config, data.world, data.segs.clone());

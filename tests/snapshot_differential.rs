@@ -23,11 +23,15 @@
 //!    deterministic build — so any format change, intentional or not,
 //!    fails CI until the fixture (and `FORMAT_VERSION`) are bumped
 //!    together. A committed stale-version fixture must be rejected with
-//!    [`SpatialError::SnapshotVersionMismatch`], cleanly.
+//!    [`SpatialError::SnapshotVersionMismatch`], cleanly. A third,
+//!    `tests/fixtures/service_v1_ladder.snap`, is the same build as
+//!    written while pending inserts carried a quadtree of their own (a
+//!    `LADDER` section); it must still restore warm.
 //!
 //! Regenerate the fixtures after a deliberate format change with:
 //! `REGEN_SNAPSHOT_FIXTURES=1 cargo test --test snapshot_differential`.
 
+use dp_service::snapshot::tags;
 use dp_service::{QueryService, QueryServiceConfig, RecoveryAction, Response};
 use dp_spatial::baseline::build_pm1_unfused;
 use dp_spatial::bucket_pmr::build_bucket_pmr;
@@ -43,7 +47,7 @@ use dp_spatial::SpatialError;
 use dp_workloads::{restart_scenario, uniform_segments, Request};
 use proptest::prelude::*;
 use scan_model::{Backend, FaultPlan, Machine};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn cases() -> u32 {
@@ -140,8 +144,8 @@ fn rtree_round_trips_bit_identically() {
 // ---------------------------------------------------------------------
 
 /// A realistic multi-section service snapshot for the corruption
-/// sweeps: four shards, live tombstones and a pending overlay ladder,
-/// so every section kind the format defines is present.
+/// sweeps: four shards, live tombstones and pending inserts, so every
+/// section kind the encoder writes is present.
 fn corruption_subject() -> (QueryServiceConfig, dp_workloads::Dataset, Vec<u8>) {
     let data = uniform_segments(220, 64, 8, 73);
     let config = QueryServiceConfig {
@@ -229,8 +233,8 @@ fn any_single_bit_flip_is_rejected() {
 
 /// The deterministic build behind the committed golden fixture: a
 /// sequential-backend service over a fixed-seed world with live
-/// tombstones and a pending overlay ladder, so the fixture exercises
-/// every section kind.
+/// tombstones and pending inserts, so the fixture exercises every
+/// section kind the encoder writes.
 fn golden_config() -> QueryServiceConfig {
     QueryServiceConfig {
         shard_grid: 2,
@@ -297,29 +301,71 @@ fn golden_fixture_matches_current_encoder() {
     );
 }
 
-/// The golden fixture decodes warm and the restored service answers a
-/// probe stream bit-identically to the live service it was taken from.
-#[test]
-fn golden_fixture_warm_restores_and_serves() {
-    let (data, live) = golden_service();
-    let path = fixture_path("service_v1.snap");
-    let (restored, warm) = QueryService::try_restore_or_build(
+/// The golden build request served from the snapshot at `path`:
+/// `(service, warm)`. A refused snapshot degrades to a cold rebuild.
+fn restore_golden(data: &dp_workloads::Dataset, path: &Path) -> (QueryService, bool) {
+    QueryService::try_restore_or_build(
         golden_config(),
         data.world,
         data.segs.clone(),
         Vec::new(),
         Arc::new(FaultPlan::disabled()),
-        &path,
+        path,
     )
-    .expect("golden fixture restores");
-    assert!(warm, "golden fixture must restore warm, not rebuild cold");
+    .expect("a refused snapshot degrades to a cold rebuild, not an error")
+}
+
+/// Restores the golden service from the fixture `name` and asserts it
+/// came back warm and answers a probe stream bit-identically to the
+/// live service the fixture was taken from.
+fn assert_fixture_restores_warm_and_serves(name: &str) {
+    let (data, live) = golden_service();
+    let (restored, warm) = restore_golden(&data, &fixture_path(name));
+    assert!(warm, "{name} must restore warm, not rebuild cold");
     let probes =
         dp_workloads::request_stream(data.world, 60, dp_workloads::RequestMix::default(), 91);
     assert_eq!(
         restored.execute_batch(&probes),
         live.execute_batch(&probes),
-        "restored service diverges from the live one"
+        "{name}: restored service diverges from the live one"
     );
+}
+
+/// The golden fixture decodes warm and the restored service answers a
+/// probe stream bit-identically to the live service it was taken from.
+#[test]
+fn golden_fixture_warm_restores_and_serves() {
+    assert_fixture_restores_warm_and_serves("service_v1.snap");
+}
+
+/// Read compatibility, `FORMAT_VERSION` unchanged: the golden build as
+/// written while pending inserts were indexed by a quadtree of their own
+/// — META's `has_ladder` word 1 and a `LADDER` section at position 5.
+/// The reader validates that tree and drops it, so the file restores
+/// warm and serves exactly like the live service; garbage in that
+/// section under a valid CRC is refused, and the restore goes cold.
+#[test]
+fn ladder_fixture_restores_warm_and_serves() {
+    let bytes = std::fs::read(fixture_path("service_v1_ladder.snap")).expect("ladder fixture");
+    let ladder = SnapshotReader::parse(&bytes)
+        .expect("parses")
+        .section_extents()[5]
+        .clone();
+    assert_eq!(
+        bytes[ladder.start..ladder.start + 4],
+        tags::LADDER.to_le_bytes()
+    );
+    assert_fixture_restores_warm_and_serves("service_v1_ladder.snap");
+
+    let mut hostile = bytes.clone();
+    hostile[ladder.start + 12..ladder.end - 4].fill(0xff);
+    let crc = crc32(&hostile[ladder.start..ladder.end - 4]);
+    hostile[ladder.end - 4..ladder.end].copy_from_slice(&crc.to_le_bytes());
+    let path = std::env::temp_dir().join(format!("hostile_ladder_{}.snap", std::process::id()));
+    std::fs::write(&path, &hostile).expect("temp snapshot");
+    let (_, warm) = restore_golden(&golden_service().0, &path);
+    std::fs::remove_file(&path).ok();
+    assert!(!warm, "a hostile LADDER section must be refused");
 }
 
 /// A fixture written by a past format version is rejected with the
@@ -344,15 +390,7 @@ fn stale_version_fixture_is_rejected_cleanly() {
     }
 
     let (data, live) = golden_service();
-    let (restored, warm) = QueryService::try_restore_or_build(
-        golden_config(),
-        data.world,
-        data.segs.clone(),
-        Vec::new(),
-        Arc::new(FaultPlan::disabled()),
-        &path,
-    )
-    .expect("version mismatch must degrade to a cold rebuild, not fail");
+    let (restored, warm) = restore_golden(&data, &path);
     assert!(!warm, "a stale fixture cannot restore warm");
     let cold_restarts: Vec<_> = restored
         .recovery_events()
