@@ -27,7 +27,10 @@
 //! constant number of primitive operations — the natural object-space
 //! parallelization of query processing. Insert routing
 //! ([`crate::update::batch_update`] phase 3) is the same descent with a
-//! different `reaches` predicate.
+//! different `reaches` predicate, and the frontier join
+//! ([`crate::join::frontier_join`]) steps its block pairs with the same
+//! `ChildMask` flat-map, a child pair admitted when neither side is an
+//! empty leaf.
 //!
 //! A segment is stored in every leaf it crosses, so a window's landed
 //! candidates arrive duplicated (2.5× on the serving workloads). The
@@ -54,11 +57,12 @@ use scan_model::Machine;
 pub(crate) type Lane = (u32, u32, Rect);
 
 /// Which of an internal node's four children a lane descends to: bit `q`
-/// set = child `q` (NW, NE, SW, SE) admitted. Zero for a leaf lane. The
+/// set = child `q` (NW, NE, SW, SE) admitted. Zero for a leaf lane (and,
+/// in the frontier join, for a retiring leaf×leaf pair). The
 /// arity lane of the level's flat-map — its `Into<u32>` is the number of
 /// copies — and the code every copy reads its quadrant from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChildMask(u8);
+pub(crate) struct ChildMask(u8);
 
 impl From<ChildMask> for u32 {
     fn from(mask: ChildMask) -> u32 {
@@ -67,8 +71,15 @@ impl From<ChildMask> for u32 {
 }
 
 impl ChildMask {
+    /// The mask admitting exactly the quadrants `q` with `admit(q)`, asked
+    /// in quadrant order.
+    pub(crate) fn of(admit: impl Fn(usize) -> bool) -> Self {
+        let admitted = (0..4).filter(|&q| admit(q));
+        ChildMask(admitted.fold(0, |bits, q| bits | 1 << q))
+    }
+
     /// The quadrant of the `rank`-th admitted child.
-    fn nth(self, rank: u32) -> usize {
+    pub(crate) fn nth(self, rank: u32) -> usize {
         let mut bits = self.0;
         for _ in 0..rank {
             bits &= bits - 1;
@@ -122,8 +133,7 @@ where
             QtNode::Leaf { .. } => ChildMask(0),
             QtNode::Internal { .. } => {
                 let quads = rect.quadrants();
-                let admitted = (0..4).filter(|&q| reaches(payload, &quads[q]));
-                ChildMask(admitted.fold(0, |bits, q| bits | 1 << q))
+                ChildMask::of(|q| reaches(payload, &quads[q]))
             }
         },
         &mut masks,

@@ -1,7 +1,7 @@
-//! Dominance/skyline aggregation over point sets — ROADMAP item 4(a),
-//! after Sroka & Tyszkiewicz (PAPERS.md): aggregation over dominated
-//! points falls out of exactly the primitives this repo already has —
-//! sort, segmented scan, zip, and the variable-arity flat-map
+//! Dominance/skyline aggregation over point sets, after Sroka &
+//! Tyszkiewicz (PAPERS.md): aggregation over dominated points falls out
+//! of exactly the primitives this repo already has — sort, segmented
+//! scan, zip, and the variable-arity flat-map
 //! ([`scan_model::Machine::flat_map_into`]) that generalizes the paper's
 //! cloning kernel.
 //!

@@ -8,8 +8,9 @@
 //! overlapping nodes would force (paper Fig. 12).
 //!
 //! [`frontier_join`] is the **breadth-first, data-parallel frontier
-//! join**: the frontier is a flat vector of candidate block pairs
-//! `(node_a, node_b)`, and each round — one [`JoinPolicy`] step on the
+//! join**: the frontier is a flat vector of *live* candidate block pairs
+//! `(node_a, node_b)` — a pair is dead, and never enters it, when either
+//! side is an empty leaf — and each round — one `JoinPolicy` step on the
 //! shared [`RoundDriver`] — advances *every* pair one level in lockstep
 //! using the paper's own primitives:
 //!
@@ -17,15 +18,17 @@
 //!    sweep that writes only the intersecting pairs — the deletion
 //!    primitive's "keep where the flag is clear" (Figs. 17–18) applied as
 //!    the lanes are created, so no counting scan rides along;
-//! 2. one [`Machine::flat_map_coded_into`] both drops the retired pairs (arity
-//!    0) and fans every ambiguous pair out ×4 (arity 4) against the finer
-//!    side's children — the generalized *cloning* of Figs. 13–14 (a
-//!    coarser leaf block is cloned unchanged against each child of the
-//!    finer internal block) — and one grouped elementwise sweep steps
-//!    each quadruple to its children and classifies them;
-//! 3. dead children (an empty-leaf side) are deleted, and one *unshuffle*
-//!    (Figs. 15–16) packs still-ambiguous pairs apart from the ready
-//!    leaf×leaf pairs entering the next round.
+//! 2. one elementwise pass codes every expanding pair's live child pairs
+//!    as a `ChildMask` — an internal×leaf pair keeps its leaf side fixed, the
+//!    generalized *cloning* of Figs. 13–14 (a coarser leaf block is cloned
+//!    unchanged against each child of the finer internal block);
+//! 3. one [`Machine::flat_map_coded_into`] steps copy `rank` to the child
+//!    pair of the mask's `rank`-th set bit, so a retiring pair (arity 0,
+//!    the deletion of Figs. 17–18) and a dead child are never written —
+//!    the level step of the crate's window descent and insert routing.
+//!
+//! Order inside the frontier carries no meaning: [`frontier_join`] sorts
+//! and deduplicates the reported pairs.
 //!
 //! Every frontier vector moves through arena-backed `_into` variants
 //! ([`Machine::lease`] / [`Machine::recycle`]), so rounds reuse scratch
@@ -38,12 +41,13 @@
 //! The sequential recursive co-traversal this replaced is the join's
 //! oracle, [`crate::baseline::spatial_join`].
 
+use crate::batch::ChildMask;
 use crate::error::SpatialError;
 use crate::quadtree::{DpQuadtree, QtNode};
 use crate::round_driver::{RoundAdvance, RoundDriver, SplitPolicy};
 use crate::SegId;
 use dp_geom::{clip_segment_closed, segments_intersect, LineSeg, Rect};
-use scan_model::{Machine, Segments};
+use scan_model::Machine;
 
 /// Brute-force reference join (all-pairs), for validation and as the
 /// baseline in the join benchmarks.
@@ -112,37 +116,38 @@ pub struct JoinOutcome {
     pub pairs_matched: u64,
 }
 
-/// How a candidate block pair relates to the next round. Stored as a
-/// `u8` lane so the class computed during expansion is *cached* — the
-/// next round's decide pass reads it linearly instead of re-touching
-/// both tree nodes for every lane.
-const DEAD: u8 = 0;
-const READY: u8 = 1;
-const AMBIG: u8 = 2;
-
 /// The [`SplitPolicy`] of the data-parallel frontier join. "Splitting" a
 /// frontier lane means expanding the block pair one level; "retiring" it
-/// means either exact-testing a ready leaf×leaf pair or dropping a dead
-/// one. See the module docs for the round anatomy.
-pub struct JoinPolicy<'t> {
+/// means exact-testing a leaf×leaf pair. See the module docs for the round
+/// anatomy.
+pub(crate) struct JoinPolicy<'t> {
     a: &'t DpQuadtree,
     b: &'t DpQuadtree,
     segs_a: &'t [LineSeg],
     segs_b: &'t [LineSeg],
-    /// Frontier lanes: `(node in a, node in b)` per candidate pair.
+    /// Frontier lanes: `(node in a, node in b)` per live candidate pair.
     nab: Vec<(u32, u32)>,
-    /// Cached [`DEAD`]/[`READY`]/[`AMBIG`] class per lane, maintained by
-    /// the expansion child-step.
-    class: Vec<u8>,
     pairs: Vec<(SegId, SegId)>,
     frontier_peak: usize,
     pairs_tested: u64,
     pairs_matched: u64,
 }
 
+/// The four quadrant steps of node `n`: its children, or `n` itself four
+/// times when it is a leaf (aligned decompositions keep blocks nested, so
+/// a coarser leaf block is cloned unchanged against each child of the
+/// finer internal block).
+fn steps(tree: &DpQuadtree, n: u32) -> [u32; 4] {
+    match tree.node(n as usize) {
+        QtNode::Internal { children } => children.map(|c| c as u32),
+        QtNode::Leaf { .. } => [n; 4],
+    }
+}
+
 impl<'t> JoinPolicy<'t> {
-    /// A fresh policy with the root×root pair as its only frontier lane.
-    pub fn new(
+    /// A fresh policy whose frontier is the root×root pair, or nothing
+    /// when that pair is already dead.
+    pub(crate) fn new(
         a: &'t DpQuadtree,
         segs_a: &'t [LineSeg],
         b: &'t DpQuadtree,
@@ -153,37 +158,26 @@ impl<'t> JoinPolicy<'t> {
             b,
             segs_a,
             segs_b,
-            nab: vec![(0, 0)],
-            class: Vec::new(),
+            nab: Vec::new(),
             pairs: Vec::new(),
             frontier_peak: 1,
             pairs_tested: 0,
             pairs_matched: 0,
         };
-        let root = policy.classify(0, 0);
-        policy.class.push(root);
+        if policy.live(0, 0) {
+            policy.nab.push((0, 0));
+        }
         policy
     }
 
-    fn classify(&self, na: u32, nb: u32) -> u8 {
-        match (self.a.node(na as usize), self.b.node(nb as usize)) {
-            (QtNode::Leaf { lines: la }, QtNode::Leaf { lines: lb }) => {
-                if la.is_empty() || lb.is_empty() {
-                    DEAD
-                } else {
-                    READY
-                }
-            }
-            (QtNode::Internal { .. }, QtNode::Leaf { lines })
-            | (QtNode::Leaf { lines }, QtNode::Internal { .. }) => {
-                if lines.is_empty() {
-                    DEAD
-                } else {
-                    AMBIG
-                }
-            }
-            (QtNode::Internal { .. }, QtNode::Internal { .. }) => AMBIG,
-        }
+    /// A pair is dead when either side is an empty leaf: nothing under it
+    /// can intersect.
+    fn live(&self, na: u32, nb: u32) -> bool {
+        let holds_lines = |tree: &DpQuadtree, n: u32| match tree.node(n as usize) {
+            QtNode::Leaf { lines } => !lines.is_empty(),
+            QtNode::Internal { .. } => true,
+        };
+        holds_lines(self.a, na) && holds_lines(self.b, nb)
     }
 }
 
@@ -197,10 +191,12 @@ impl SplitPolicy for JoinPolicy<'_> {
     }
 
     fn decide(&mut self, machine: &Machine) -> Vec<bool> {
-        // One elementwise pass over the cached class lane (the expansion
-        // step already touched every node — no need to do it again).
+        // One elementwise pass: a pair expands unless both blocks are
+        // leaves.
         machine.note_elementwise();
-        self.class.iter().map(|&c| c == AMBIG).collect()
+        let leaf = |tree: &DpQuadtree, n: u32| matches!(tree.node(n as usize), QtNode::Leaf { .. });
+        let expands = |&(na, nb): &(u32, u32)| !(leaf(self.a, na) && leaf(self.b, nb));
+        self.nab.iter().map(expands).collect()
     }
 
     fn emit(&mut self, machine: &Machine, want: &[bool]) {
@@ -220,34 +216,36 @@ impl SplitPolicy for JoinPolicy<'_> {
         let (segs_a, segs_b) = (self.segs_a, self.segs_b);
         let mut hits: Vec<(SegId, SegId)> = machine.lease();
         let mut tested = 0u64;
-        for (i, &w) in want.iter().enumerate() {
-            if w || self.class[i] != READY {
+        for (&(na, nb), &w) in self.nab.iter().zip(want) {
+            if w {
                 continue;
             }
-            let (na, nb) = self.nab[i];
-            if let (QtNode::Leaf { lines: la }, QtNode::Leaf { lines: lb }) =
+            // Only live pairs enter the frontier, so both leaves hold
+            // lines.
+            let (QtNode::Leaf { lines: la }, QtNode::Leaf { lines: lb }) =
                 (self.a.node(na as usize), self.b.node(nb as usize))
-            {
-                for &sa in la {
-                    let seg_a = &segs_a[sa as usize];
-                    // Hoist the outer direction vector across the row:
-                    // pairs whose inner endpoints sit strictly on one
-                    // side of the outer line cannot intersect (no
-                    // straddle, and a collinear touch needs a zero
-                    // cross product), so two hoisted cross products
-                    // retire most misses before the full exact test.
-                    let (adx, ady) = (seg_a.b.x - seg_a.a.x, seg_a.b.y - seg_a.a.y);
-                    for &sb in lb {
-                        let seg_b = &segs_b[sb as usize];
-                        let d3 = adx * (seg_b.a.y - seg_a.a.y) - ady * (seg_b.a.x - seg_a.a.x);
-                        let d4 = adx * (seg_b.b.y - seg_a.a.y) - ady * (seg_b.b.x - seg_a.a.x);
-                        let same_strict_side = (d3 > 0.0 && d4 > 0.0) || (d3 < 0.0 && d4 < 0.0);
-                        if !same_strict_side && segments_intersect(seg_a, seg_b) {
-                            hits.push((sa, sb));
-                        }
+            else {
+                unreachable!("a retiring pair is leaf×leaf");
+            };
+            for &sa in la {
+                let seg_a = &segs_a[sa as usize];
+                // Hoist the outer direction vector across the row: pairs
+                // whose inner endpoints sit strictly on one side of the
+                // outer line cannot intersect (no straddle, and a
+                // collinear touch needs a zero cross product), so two
+                // hoisted cross products retire most misses before the
+                // full exact test.
+                let (adx, ady) = (seg_a.b.x - seg_a.a.x, seg_a.b.y - seg_a.a.y);
+                for &sb in lb {
+                    let seg_b = &segs_b[sb as usize];
+                    let d3 = adx * (seg_b.a.y - seg_a.a.y) - ady * (seg_b.a.x - seg_a.a.x);
+                    let d4 = adx * (seg_b.b.y - seg_a.a.y) - ady * (seg_b.b.x - seg_a.a.x);
+                    let same_strict_side = (d3 > 0.0 && d4 > 0.0) || (d3 < 0.0 && d4 < 0.0);
+                    if !same_strict_side && segments_intersect(seg_a, seg_b) {
+                        hits.push((sa, sb));
                     }
-                    tested += lb.len() as u64;
                 }
+                tested += lb.len() as u64;
             }
         }
         self.pairs_tested += tested;
@@ -257,86 +255,34 @@ impl SplitPolicy for JoinPolicy<'_> {
     }
 
     fn partition(&mut self, machine: &Machine, want: &[bool]) {
-        // 1. One layout for "concentrate" and "expand": a retired lane
-        //    has arity 0 (deletion, Figs. 17–18), an ambiguous one arity
-        //    4 (generalized cloning, Figs. 13–14). Every copy carries its
-        //    parent pair; the sweep below steps each to its child.
-        let mut arity: Vec<u32> = machine.lease();
-        machine.map_into(want, |w| if w { 4 } else { 0 }, &mut arity);
-        let mut fanned: Vec<(u32, u32)> = machine.lease();
-        machine.flat_map_coded_into(&self.nab, &arity, |parents, _, _| parents, &mut fanned);
-        machine.recycle(arity);
-        machine.recycle(std::mem::replace(&mut self.nab, fanned));
-
-        // 2. One elementwise child-and-classify step, deliberately *not*
-        //    the shared `batch::descend_level`: when this was measured
-        //    that step fanned out to live children by classifying every
-        //    child in the arity pass and again in the child pass (a
-        //    prototype read +3 % on the whole join, EXPERIMENTS E44; the
-        //    level step classifies once since, so a live-children arity
-        //    is open again — ROADMAP item 4). The uniform ×4 group is
-        //    what this code buys instead — lanes 4k..4k+4 share one
-        //    parent pair, so each group's parent nodes are loaded once;
-        //    copy rank r names the quadrant — an internal side descends
-        //    to children[r], a leaf side stays put (aligned
-        //    decompositions keep blocks nested: a coarser leaf block is
-        //    cloned unchanged against each child of the finer internal
-        //    block). Classifying here, while the child nodes are warm,
-        //    is what lets the next round's decide skip the tree entirely.
-        machine.note_elementwise();
-        self.class.clear();
-        self.class.reserve(self.nab.len());
-        debug_assert_eq!(self.nab.len() % 4, 0, "uniform fanout quadruples");
-        for g in (0..self.nab.len()).step_by(4) {
-            let (pa, pb) = self.nab[g];
-            match (self.a.node(pa as usize), self.b.node(pb as usize)) {
-                (QtNode::Internal { children: ca }, QtNode::Internal { children: cb }) => {
-                    for r in 0..4 {
-                        let pair = (ca[r] as u32, cb[r] as u32);
-                        self.nab[g + r] = pair;
-                        self.class.push(self.classify(pair.0, pair.1));
-                    }
-                }
-                (QtNode::Internal { children: ca }, QtNode::Leaf { .. }) => {
-                    for (r, &c) in ca.iter().enumerate() {
-                        let pair = (c as u32, pb);
-                        self.nab[g + r] = pair;
-                        self.class.push(self.classify(pair.0, pair.1));
-                    }
-                }
-                (QtNode::Leaf { .. }, QtNode::Internal { children: cb }) => {
-                    for (r, &c) in cb.iter().enumerate() {
-                        let pair = (pa, c as u32);
-                        self.nab[g + r] = pair;
-                        self.class.push(self.classify(pair.0, pair.1));
-                    }
-                }
-                (QtNode::Leaf { .. }, QtNode::Leaf { .. }) => {
-                    unreachable!("leaf×leaf lanes retire before expansion")
-                }
-            }
-        }
-
-        // 3. Drop dead children, then unshuffle (Figs. 15–16) so
-        //    still-ambiguous pairs pack apart from ready leaf×leaf pairs —
-        //    the class lane rides along through both reorderings.
-        machine.note_elementwise();
-        let mut dead: Vec<bool> = machine.lease();
-        machine.map_into(&self.class, |c| c == DEAD, &mut dead);
-        let seg = Segments::single(self.nab.len());
-        let layout = machine.delete_layout(&seg, &dead);
-        machine.recycle(dead);
-        machine.apply_in_place(&mut self.nab, &layout);
-        machine.apply_in_place(&mut self.class, &layout);
-
-        let mut ready: Vec<bool> = machine.lease();
-        machine.map_into(&self.class, |c| c == READY, &mut ready);
-        let seg = Segments::single(self.nab.len());
-        let layout = machine.unshuffle_layout(&seg, &ready);
-        machine.recycle(ready);
-        machine.apply_unshuffle_swap(&mut self.nab, &layout);
-        machine.apply_unshuffle_swap(&mut self.class, &layout);
-
+        // The level step of `batch::descend_level`: one elementwise pass
+        // codes each expanding pair's live child pairs as a `ChildMask`
+        // (a retiring pair's is empty — the deletion of Figs. 17–18 as
+        // arity 0), and one flat-map steps copy `rank` to the pair of
+        // the mask's `rank`-th set bit — the cloning of Figs. 13–14,
+        // minus the children that would be born dead.
+        let mut masks: Vec<ChildMask> = machine.lease();
+        machine.zip_map_into(
+            &self.nab,
+            want,
+            |(na, nb), split| {
+                let (ca, cb) = (steps(self.a, na), steps(self.b, nb));
+                ChildMask::of(|q| split && self.live(ca[q], cb[q]))
+            },
+            &mut masks,
+        );
+        let mut next: Vec<(u32, u32)> = machine.lease();
+        machine.flat_map_coded_into(
+            &self.nab,
+            &masks,
+            |(na, nb), mask, rank| {
+                let q = mask.nth(rank);
+                (steps(self.a, na)[q], steps(self.b, nb)[q])
+            },
+            &mut next,
+        );
+        machine.recycle(masks);
+        machine.recycle(std::mem::replace(&mut self.nab, next));
         self.frontier_peak = self.frontier_peak.max(self.nab.len());
     }
 
@@ -442,6 +388,73 @@ mod tests {
             assert_eq!(out.pairs, brute_force_join(&roads, &rivers));
             assert!(out.pairs_matched >= out.pairs.len() as u64);
             assert!(out.pairs_tested >= out.pairs_matched);
+        }
+    }
+
+    /// Every round's frontier is exactly the live child pairs of the
+    /// pairs the round expanded, written out by hand from the two trees'
+    /// nodes: no dead pair is ever written and no live one is lost.
+    #[test]
+    fn each_round_steps_to_exactly_the_live_child_pairs() {
+        // The west half of `a` is empty, so pairs reaching it die.
+        let a: Vec<LineSeg> = (0..12)
+            .map(|k| {
+                let y = (k % 8) as f64;
+                LineSeg::from_coords(4.0 + (k % 3) as f64, y, 5.0 + (k % 3) as f64, y + 0.5)
+            })
+            .collect();
+        let b: Vec<LineSeg> = (0..10)
+            .map(|k| LineSeg::from_coords(k as f64 * 0.7, 1.0, k as f64 * 0.7 + 0.5, 7.0))
+            .collect();
+        for m in machines() {
+            let ta = build_bucket_pmr(&m, world(), &a, 1, 5);
+            let tb = build_bucket_pmr(&m, world(), &b, 1, 5);
+            let live = |&(na, nb): &(u32, u32)| {
+                let holds = |t: &DpQuadtree, n| match t.node(n as usize) {
+                    QtNode::Leaf { lines } => !lines.is_empty(),
+                    QtNode::Internal { .. } => true,
+                };
+                holds(&ta, na) && holds(&tb, nb)
+            };
+            let mut policy = JoinPolicy::new(&ta, &a, &tb, &b);
+            let mut driver = RoundDriver::new();
+            let (mut peak, mut dead_seen) = (1, 0);
+            loop {
+                let mut want: Vec<(u32, u32)> = Vec::new();
+                for &(na, nb) in &policy.nab {
+                    let children = match (ta.node(na as usize), tb.node(nb as usize)) {
+                        (QtNode::Internal { children: ca }, QtNode::Internal { children: cb }) => {
+                            (0..4).map(|q| (ca[q] as u32, cb[q] as u32)).collect()
+                        }
+                        (QtNode::Internal { children: ca }, QtNode::Leaf { .. }) => {
+                            ca.iter().map(|&c| (c as u32, nb)).collect()
+                        }
+                        (QtNode::Leaf { .. }, QtNode::Internal { children: cb }) => {
+                            cb.iter().map(|&c| (na, c as u32)).collect()
+                        }
+                        (QtNode::Leaf { .. }, QtNode::Leaf { .. }) => Vec::new(),
+                    };
+                    dead_seen += children.iter().filter(|p| !live(p)).count();
+                    want.extend(children.into_iter().filter(|p| live(p)));
+                }
+                let finished = driver.step(&m, &mut policy).finished;
+                if finished && want.is_empty() {
+                    break;
+                }
+                let mut got = policy.nab.clone();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "round {}", driver.rounds());
+                peak = peak.max(got.len());
+                if finished {
+                    break;
+                }
+            }
+            assert!(dead_seen > 0, "the input must make dead children");
+            let out = frontier_join(&m, &ta, &a, &tb, &b).unwrap();
+            assert_eq!(out.frontier_peak, peak);
+            assert_eq!(out.rounds, driver.rounds());
+            assert_eq!(out.pairs, brute_force_join(&a, &b));
         }
     }
 

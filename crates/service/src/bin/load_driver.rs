@@ -134,56 +134,41 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--workload" => args.workload = value("--workload"),
-            "--segments" => args.segments = value("--segments").parse().expect("--segments"),
-            "--requests" => args.requests = value("--requests").parse().expect("--requests"),
-            "--shards" => args.shards = value("--shards").parse().expect("--shards"),
-            "--threads" => {
-                args.threads = value("--threads")
-                    .parse::<usize>()
-                    .expect("--threads")
-                    .max(1)
-            }
-            "--flush" => args.flush = value("--flush").parse().expect("--flush"),
-            "--batch" => args.batch = value("--batch").parse::<usize>().expect("--batch").max(1),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed"),
+        let name = flag.as_str();
+        match name {
+            "--workload" => args.workload = parsed(name, it.next()),
+            "--segments" => args.segments = parsed(name, it.next()),
+            "--requests" => args.requests = parsed(name, it.next()),
+            "--shards" => args.shards = parsed(name, it.next()),
+            "--threads" => args.threads = parsed::<usize>(name, it.next()).max(1),
+            "--flush" => args.flush = parsed(name, it.next()),
+            "--batch" => args.batch = parsed::<usize>(name, it.next()).max(1),
+            "--seed" => args.seed = parsed(name, it.next()),
             "--sequential" => args.sequential = true,
-            "--overlay" => args.overlay = value("--overlay").parse().expect("--overlay"),
-            "--fault-seed" => {
-                args.fault_seed = Some(value("--fault-seed").parse().expect("--fault-seed"))
-            }
-            "--fault-rate" => {
-                args.fault_rate = value("--fault-rate").parse().expect("--fault-rate")
-            }
+            "--overlay" => args.overlay = parsed(name, it.next()),
+            "--fault-seed" => args.fault_seed = Some(parsed(name, it.next())),
+            "--fault-rate" => args.fault_rate = parsed(name, it.next()),
             "--self-check" => args.self_check = true,
             "--updates" => args.updates = true,
             "--dominance" => args.dominance = true,
-            "--rate" => args.rate = Some(value("--rate").parse().expect("--rate")),
-            "--lanes" => args.lanes = Some(value("--lanes").parse().expect("--lanes")),
+            "--rate" => args.rate = Some(parsed(name, it.next())),
+            "--lanes" => args.lanes = Some(parsed(name, it.next())),
             "--policy" => {
-                args.policy = match value("--policy").as_str() {
+                args.policy = match parsed::<String>(name, it.next()).as_str() {
                     "block" => AdmissionPolicy::Block,
                     "shed" => AdmissionPolicy::Shed,
-                    other => panic!("unknown admission policy {other} (block|shed)"),
+                    other => fail(format_args!(
+                        "unknown admission policy {other} (block|shed)"
+                    )),
                 }
             }
-            "--slo-p999" => args.slo_p999 = Some(value("--slo-p999").parse().expect("--slo-p999")),
+            "--slo-p999" => args.slo_p999 = Some(parsed(name, it.next())),
             "--sweep" => args.sweep = true,
-            "--queue" => args.queue = Some(value("--queue").parse().expect("--queue")),
-            "--snapshot-dir" => args.snapshot_dir = Some(value("--snapshot-dir")),
+            "--queue" => args.queue = Some(parsed(name, it.next())),
+            "--snapshot-dir" => args.snapshot_dir = Some(parsed(name, it.next())),
             "--warm-restart" => args.warm_restart = true,
-            "--hot" => args.hot = value("--hot").parse().expect("--hot"),
-            "--hot-count" => {
-                args.hot_count = value("--hot-count")
-                    .parse::<usize>()
-                    .expect("--hot-count")
-                    .max(1)
-            }
+            "--hot" => args.hot = parsed(name, it.next()),
+            "--hot-count" => args.hot_count = parsed::<usize>(name, it.next()).max(1),
             "--help" | "-h" => {
                 println!(
                     "usage: load_driver [--workload uniform|clustered|roads|rings|paper] \
@@ -196,10 +181,29 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other} (try --help)"),
+            other => fail(format_args!("unknown flag {other} (try --help)")),
         }
     }
     args
+}
+
+/// Prints `load_driver: <reason>` and exits 1 — how a malformed command
+/// line or a configuration the service rejects ends, instead of a panic.
+fn fail(reason: impl std::fmt::Display) -> ! {
+    eprintln!("load_driver: {reason}");
+    std::process::exit(1)
+}
+
+/// The value following `flag`, parsed; [`fail`]s when it is missing or
+/// does not parse.
+fn parsed<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let value = value.unwrap_or_else(|| fail(format_args!("missing value for {flag}")));
+    value
+        .parse()
+        .unwrap_or_else(|e| fail(format_args!("{flag}: cannot parse `{value}`: {e}")))
 }
 
 fn load_dataset(args: &Args) -> Dataset {
@@ -214,7 +218,7 @@ fn load_dataset(args: &Args) -> Dataset {
             world: paper_world(),
             segs: paper_dataset(),
         },
-        other => panic!("unknown workload {other}"),
+        other => fail(format_args!("unknown workload {other}")),
     }
 }
 
@@ -303,7 +307,7 @@ fn main() {
             plan,
             path,
         )
-        .unwrap_or_else(|e| panic!("service build rejected: {e}"));
+        .unwrap_or_else(|e| fail(format_args!("service build rejected: {e}")));
         let restore_ms = t_warm.elapsed().as_secs_f64() * 1e3;
         if warm {
             // A reference cold build of the same request, so the run
@@ -315,7 +319,7 @@ fn main() {
                 data.segs.clone(),
                 overlay_segs.clone(),
             )
-            .unwrap_or_else(|e| panic!("service build rejected: {e}"));
+            .unwrap_or_else(|e| fail(format_args!("service build rejected: {e}")));
             let cold_ms = t_cold.elapsed().as_secs_f64() * 1e3;
             drop(cold);
             println!(
@@ -344,7 +348,7 @@ fn main() {
             overlay_segs.clone(),
             plan,
         )
-        .unwrap_or_else(|e| panic!("service build rejected: {e}"))
+        .unwrap_or_else(|e| fail(format_args!("service build rejected: {e}")))
     };
     println!(
         "built {} shards in {:.1} ms",
@@ -493,7 +497,8 @@ fn main() {
 
     if let Some(path) = &snap_path {
         if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("--snapshot-dir: {e}"));
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|e| fail(format_args!("--snapshot-dir: {e}")));
         }
         match service.save_snapshot(path) {
             Ok(()) => {
@@ -591,7 +596,7 @@ fn self_check_updates(args: &Args, data: &Dataset, stream: &[Request]) {
         ..QueryServiceConfig::default()
     };
     let service = QueryService::try_build(config, data.world, data.segs.clone())
-        .unwrap_or_else(|e| panic!("self-check service build rejected: {e}"));
+        .unwrap_or_else(|e| fail(format_args!("self-check service build rejected: {e}")));
     let sample = &stream[..stream.len().min(2_000)];
     let mut live: Vec<LineSeg> = data.segs.clone();
     let out = service.execute_batch(sample);
@@ -697,7 +702,7 @@ fn open_loop_run(args: &Args, data: &Dataset, rate: f64) {
     let t0 = Instant::now();
     let service = Arc::new(
         QueryService::try_build(pipeline_config(args), data.world, data.segs.clone())
-            .unwrap_or_else(|e| panic!("service build rejected: {e}")),
+            .unwrap_or_else(|e| fail(format_args!("service build rejected: {e}"))),
     );
     println!(
         "built {} shards in {:.1} ms",
@@ -740,7 +745,7 @@ fn open_loop_run(args: &Args, data: &Dataset, rate: f64) {
     }
     let lanes = args.lanes.unwrap_or_else(|| service.num_shards());
     let pipeline = ServicePipeline::new(Arc::clone(&service), lanes, args.policy)
-        .unwrap_or_else(|e| panic!("pipeline rejected: {e}"));
+        .unwrap_or_else(|e| fail(format_args!("pipeline rejected: {e}")));
     println!(
         "open loop: {} arrivals at {:.0} req/s over {} lanes, {:?} policy, flush {}",
         sched.arrivals.len(),
@@ -944,11 +949,11 @@ fn sweep(args: &Args, data: &Dataset) {
             };
             let service = Arc::new(
                 QueryService::try_build(config, data.world, data.segs.clone())
-                    .unwrap_or_else(|e| panic!("service build rejected: {e}")),
+                    .unwrap_or_else(|e| fail(format_args!("service build rejected: {e}"))),
             );
             let pipeline =
                 ServicePipeline::new(Arc::clone(&service), lanes, AdmissionPolicy::Block)
-                    .unwrap_or_else(|e| panic!("pipeline rejected: {e}"));
+                    .unwrap_or_else(|e| fail(format_args!("pipeline rejected: {e}")));
             service.reset_stats();
             let t = Instant::now();
             let out = pipeline.submit_all(&stream);

@@ -18,12 +18,17 @@ use dp_spatial_suite::workloads::{
 use proptest::prelude::*;
 use scan_model::{Backend, Machine, RoundTrace};
 
-/// Both backends; the parallel machine forces `par_threshold = 1` so the
-/// rayon code paths run even on the small differential datasets.
+/// Both backends; the parallel machines force `par_threshold = 1` so the
+/// rayon code paths run even on the small differential datasets, and the
+/// last one's tiny blocks make every round's flat-map copies straddle
+/// block seams.
 fn machines() -> Vec<Machine> {
     vec![
         Machine::sequential(),
         Machine::new(Backend::Parallel).with_par_threshold(1),
+        Machine::new(Backend::Parallel)
+            .with_par_threshold(1)
+            .with_block_bytes(4 * std::mem::size_of::<u64>()),
     ]
 }
 
@@ -60,7 +65,44 @@ fn layer_pairs() -> Vec<(Dataset, Vec<LineSeg>)> {
         },
         overlay64(306),
     ));
+    cases.push(half_world_on_block_edges());
     cases
+}
+
+/// The base confined to the west half of a 64² world, so every pair that
+/// reaches the east half dies, and an overlay crossing exactly on the
+/// block edges x = 32 and y = 32 and through their (32, 32) corner, where
+/// base segments end or run along them.
+fn half_world_on_block_edges() -> (Dataset, Vec<LineSeg>) {
+    let seg = LineSeg::from_coords;
+    let mut base: Vec<LineSeg> = uniform_segments(200, 64, 8, 208)
+        .segs
+        .iter()
+        .map(|s| seg(s.a.x / 2.0, s.a.y, s.b.x / 2.0, s.b.y))
+        .collect();
+    for k in 0..8 {
+        let t = k as f64;
+        base.push(seg(24.0, 4.0 + 8.0 * t, 32.0, 4.0 + 8.0 * t)); // ends on x = 32
+        base.push(seg(4.0 * t, 32.0, 4.0 * t + 4.0, 32.0)); // runs along y = 32
+    }
+    base.push(seg(28.0, 28.0, 32.0, 32.0)); // ends on the corner
+    let mut overlay = vec![
+        seg(24.0, 40.0, 40.0, 24.0),
+        seg(32.0, 24.0, 32.0, 40.0),
+        seg(24.0, 32.0, 40.0, 32.0),
+    ];
+    for k in 0..16 {
+        let t = 4.0 * k as f64;
+        overlay.push(seg(32.0, t, 32.0, t + 3.0)); // runs along x = 32
+        overlay.push(seg(30.0, t + 1.0, 34.0, t + 3.0)); // crosses x = 32
+        overlay.push(seg(t + 1.0, 30.0, t + 3.0, 34.0)); // crosses y = 32
+    }
+    let base = Dataset {
+        name: "west-half base, overlay on the block edges".to_string(),
+        world: uniform_segments(1, 64, 8, 0).world,
+        segs: base,
+    };
+    (base, overlay)
 }
 
 fn check_pair(data: &Dataset, overlay: &[LineSeg], m: &Machine, capacity: usize, depth: usize) {
@@ -131,7 +173,7 @@ fn traced_join(n: usize, m: &Machine) -> (JoinOutcome, Vec<RoundTrace>, DpQuadtr
 }
 
 /// Primitives of one expanding join round.
-const SPLIT_ROUND: (u64, u64, u64, u64) = (4, 4, 17, 7);
+const SPLIT_ROUND: (u64, u64, u64, u64) = (1, 1, 8, 2);
 
 /// The paper's complexity claim, checked through op-counter deltas: each
 /// join round costs a constant number of scan-model primitives —
@@ -188,11 +230,9 @@ fn join_rounds_cost_constant_primitives() {
             "per-round primitive profiles depend on n"
         );
         // And the constant itself, `(scans, scan passes, elementwise,
-        // permutes)`: an expanding round lays its frontier out three
-        // times — retired-and-fanned-out in one layout, dead children,
-        // the ready/ambiguous unshuffle. With "delete retired" and "×4
-        // fan-out" as two layouts (commit a0be818) the row read
-        // (5, 5, 18, 9).
+        // permutes)`: an expanding round lays its frontier out once —
+        // decide (1 elementwise), emit (3), the live-children mask (1)
+        // and one coded flat-map (1 scan, 3 elementwise, 2 permutes).
         assert_eq!(
             profiles[0],
             vec![SPLIT_ROUND],
