@@ -1,7 +1,7 @@
 //! Dominance/skyline aggregation over point sets, after Sroka &
 //! Tyszkiewicz (PAPERS.md): aggregation over dominated points falls out
 //! of exactly the primitives this repo already has — sort, segmented
-//! scan, zip, and the variable-arity flat-map
+//! scan, the stable unshuffle, zip, and the variable-arity flat-map
 //! ([`scan_model::Machine::flat_map_into`]) that generalizes the paper's
 //! cloning kernel.
 //!
@@ -24,27 +24,19 @@
 //!   unsegmented max-scan of the sorted `y` lane, two broadcast scans
 //!   over the equal-`x` groups, and one flat-map compaction of the
 //!   surviving ids. O(1) primitives after the sort, on both backends.
-//! * [`dominance_agg`] — a bottom-up CDQ-style merge: after one global
-//!   sort by `(x asc, points-before-queries)`, round `k` pairs adjacent
-//!   index ranges of length `2^k` and lets the left half's *points*
-//!   contribute to the right half's *queries* through one per-pair
-//!   `y`-sort and one 3-lane fused segmented scan (`Sum` count, `Sum`
-//!   weight, `Max` weight). Each (point, query) pair with the point at
-//!   or below-left of the query meets exactly once — at the round of the
-//!   highest differing bit of their sorted positions — so `ceil(log2 n)`
-//!   rounds of O(1) primitives each cover every dominated pair exactly
-//!   once. Every round records a [`scan_model::RoundTrace`] and checks
+//! * [`dominance_agg`] — sort once by x (for ranks) and once by y (for
+//!   the order every round works in), then `ceil(log2 n)` top-down
+//!   rounds. Each round splits every segment by one bit of the x-rank
+//!   with the paper's stable unshuffle (Sec. 4.2), so the halves stay in
+//!   y-order without a re-sort; one 3-lane fused inclusive scan (`Sum`
+//!   weight, `Sum` count, `Max` weight) lets the left half's *points*
+//!   contribute to the right half's *queries*, which add their prefix
+//!   into a table indexed by query slot. Each (point, query) pair with
+//!   the point at or below-left of the query meets exactly once — at the
+//!   round of the highest differing bit of their x-ranks. Every round
+//!   records a [`scan_model::RoundTrace`] and checks
 //!   [`FaultSite::SkylineAbort`], so the crash harness can kill a build
 //!   at any round boundary.
-//! * [`Staircase`] — the servable per-shard structure: the skyline
-//!   frozen in `x`-ascending order (its `y` lane is then non-increasing,
-//!   which is what makes it a staircase) with prefix count/weight
-//!   tables. The staircase points dominated by a query form one
-//!   contiguous run (an `x <= q.x` prefix intersected with a `y <= q.y`
-//!   suffix of it), so count and weight-sum answer in O(log n) binary
-//!   searches; max-weight scans the run (documented trade-off — a
-//!   sparse-table would buy O(1) at 2× memory, not yet needed at
-//!   skyline sizes).
 
 use crate::SegId;
 use dp_geom::LineSeg;
@@ -166,20 +158,47 @@ pub fn skyline(machine: &Machine, points: &[DomPoint]) -> Vec<SegId> {
 /// points and a point exactly at the query both count). Results align
 /// with `queries` by index.
 ///
-/// Mechanics: points and queries are merged into one lane set sorted by
-/// `(x asc, points-before-queries)`. Round `k` pairs adjacent sorted
-/// ranges of length `2^k`; within each pair the *left* half's points
-/// contribute and the *right* half's queries receive, which covers each
-/// (point at-or-left-of query) pair exactly once across `ceil(log2 n)`
-/// rounds — the pair meets at the round of the highest differing bit of
-/// their sorted positions, left/right halves resolved by that bit. One
-/// per-pair `y`-sort (points before queries on ties, encoding the closed
-/// `y <= q.y` bound) and one 3-lane fused inclusive scan (`Sum` count,
-/// `Sum` weight, `Max` weight) deliver each query its round's
-/// contribution; accumulators are masked to receiver lanes so left-half
-/// query slots stay intact for later rounds. O(1) primitives per round;
-/// every round checks [`FaultSite::SkylineAbort`], bumps the machine's
-/// round counter and records a [`scan_model::RoundTrace`].
+/// Mechanics: points and queries are merged into one lane set and
+/// sorted twice, once each. The `(x asc, points-before-queries)` sort
+/// gives every lane its x-rank; a stable `(y asc, points-before-queries)`
+/// sort over the x-sorted lanes then fixes the one y-order every round
+/// works in, ties falling back to x-rank. Two lanes ride that order:
+/// `code = x_rank << 1 | kind` and the weight (a query lane's weight
+/// holds its index in `queries` instead: queries contribute nothing).
+///
+/// Rounds run top-down over `l = top/2, …, 2, 1`, where `top` is the lane
+/// count rounded up to a power of two. Round `l` first splits every live
+/// segment by bit `2l` of the x-rank — one stable
+/// [`Machine::unshuffle_layout`] (paper Sec. 4.2, Figs. 15–16) applied to
+/// both lanes, empty halves dropped — so the segments are the aligned
+/// x-rank ranges of length `2l`, each still in y-order. The first round's
+/// split is by bit `top`, which no rank has: a no-op charged like the
+/// others, so every round spends one primitive tuple. One fill pass then
+/// gives left-half (bit `l` clear) points `(w, 1)` and every other lane
+/// the identities, one fused 3-lane inclusive scan (`Sum` weight, `Sum`
+/// count, `Max` weight) gives each lane its prefix, and right-half
+/// queries add their prefix into a table indexed by query slot — a
+/// scatter to distinct targets, counted as one permute. No round sorts or
+/// gathers.
+///
+/// Why the aggregates are exactly those of a per-pair re-sort by y:
+/// 1. a point–query pair meets in exactly one round, the one whose `l` is
+///    the highest bit in which their x-ranks differ: there they share a
+///    segment with the lower rank in the left half. The x tie-break puts
+///    an equal-x point below the query, so every point with `x <= q.x`
+///    has the lower rank.
+/// 2. A stable partition of a y-sorted run leaves each half y-sorted with
+///    its ties in the same relative order, so after any number of splits
+///    each segment is in the `(y, kind, x_rank)` order a per-pair sort
+///    would produce.
+/// 3. So each query's inclusive prefix covers the same contributions —
+///    the left half's points with `y <= q.y`, the kind tie-break putting
+///    equal-y points first — and every integer `DomAgg` (order-free `u64`
+///    sums and maxima) is unchanged.
+///
+/// `ceil(log2 n)` rounds; every round checks [`FaultSite::SkylineAbort`],
+/// bumps the machine's round counter and records a
+/// [`scan_model::RoundTrace`].
 pub fn dominance_agg(
     machine: &Machine,
     points: &[DomPoint],
@@ -192,228 +211,114 @@ pub fn dominance_agg(
     if points.is_empty() {
         return vec![DomAgg::default(); n_q];
     }
-    let n = points.len() + n_q;
+    let n_p = points.len();
+    let n = n_p + n_q;
     let all = Segments::single(n);
 
-    // Merged SoA lanes: kind 0 = point, 1 = query (the sort tie-break
-    // that encodes the closed x bound), qidx maps a query lane back to
-    // its slot in the caller's order.
-    let mut xs: Vec<f64> = Vec::with_capacity(n);
-    let mut ys: Vec<f64> = Vec::with_capacity(n);
-    let mut kind: Vec<u64> = Vec::with_capacity(n);
-    let mut ws: Vec<u64> = Vec::with_capacity(n);
-    let mut qidx: Vec<u64> = Vec::with_capacity(n);
+    // Merged lanes, points first. The sort keys pair a coordinate with
+    // kind 0 = point, 1 = query: the tie-break that encodes both closed
+    // bounds. A query's weight lane holds its index in `queries`.
     machine.note_elementwise();
-    for p in points {
-        xs.push(p.x);
-        ys.push(p.y);
-        kind.push(0);
-        ws.push(p.w);
-        qidx.push(0);
-    }
-    for (qi, &(qx, qy)) in queries.iter().enumerate() {
-        xs.push(qx);
-        ys.push(qy);
-        kind.push(1);
-        ws.push(0);
-        qidx.push(qi as u64);
-    }
+    let xkeys: Vec<(f64, u64)> = points
+        .iter()
+        .map(|p| (p.x, 0))
+        .chain(queries.iter().map(|q| (q.0, 1)))
+        .collect();
+    let ykeys: Vec<(f64, u64)> = points
+        .iter()
+        .map(|p| (p.y, 0))
+        .chain(queries.iter().map(|q| (q.1, 1)))
+        .collect();
+    let wq: Vec<u64> = points.iter().map(|p| p.w).chain(0..n_q as u64).collect();
 
-    // Global sort: x ascending, points before queries on equal x (the
-    // closed `p.x <= q.x` bound), stable.
-    let keys: Vec<(f64, u64)> = machine.zip_map(&xs, &kind, |x, k| (x, k));
-    let order = machine.segmented_sort_perm(&all, &keys, |a, b| {
-        a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
-    });
-    let ys_s = machine.gather(&ys, &order);
-    let kind_s = machine.gather(&kind, &order);
-    let ws_s = machine.gather(&ws, &order);
-    let qidx_s = machine.gather(&qidx, &order);
+    // The two sorts: coordinate ascending, points before queries, stable.
+    let by_coord = |a: &(f64, u64), b: &(f64, u64)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
+    let order_x = machine.segmented_sort_perm(&all, &xkeys, by_coord);
+    // Sorting the y-keys in x-order makes a y tie fall back to x-rank,
+    // and y-ordered lane `j` then *is* x-rank `order_y[j]`.
+    let order_y = machine.segmented_sort_perm(&all, &machine.gather(&ykeys, &order_x), by_coord);
+    let src = machine.gather(&order_x, &order_y);
+    let mut code = machine.zip_map(&order_y, &src, |r, s| (r as u64) << 1 | u64::from(s >= n_p));
+    let mut wts = machine.gather(&wq, &src);
 
-    // Per-lane sorted position, used to derive the pair/half masks each
-    // round with one elementwise op (a power-of-two L makes "left half
-    // of my pair" the single bit test `i & L == 0`).
-    let pos = machine.rank_in_segment(&all);
-    // y-sort keys, fixed across rounds: y ascending, points before
-    // queries on ties (the closed `p.y <= q.y` bound).
-    let ykeys: Vec<(f64, u64)> = machine.zip_map(&ys_s, &kind_s, |y, k| (y, k));
-
-    let mut acc_cnt = vec![0u64; n];
-    let mut acc_sum = vec![0u64; n];
-    let mut acc_max = vec![0u64; n];
-
-    let mut l = 1usize;
-    while l < n {
+    let mut segs = all;
+    let mut class: Vec<bool> = Vec::new();
+    let mut contrib: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    let mut prefix: Vec<Vec<u64>> = vec![Vec::new(); 3];
+    let mut out = vec![DomAgg::default(); n_q];
+    let top = n.next_power_of_two();
+    let mut l = top / 2;
+    let mut step = 0;
+    while l > 0 {
         machine.check_fault(FaultSite::SkylineAbort);
         let started = Instant::now();
         let before = machine.stats();
-        let lbit = l as u64;
+        let (split_bit, half_bit) = (2 * l as u64, l as u64);
 
-        // Pair segments of length 2L (the final pair may be partial).
-        let pair_flags = machine.map(&pos, |i| i % (2 * lbit) == 0);
-        let pairs = Segments::from_flags(pair_flags).expect("pair flags start at lane 0");
+        // Split every segment at bit 2l of the x-rank, keeping y-order.
+        machine.map_into(&code, |c| (c >> 1) & split_bit != 0, &mut class);
+        let layout = machine.unshuffle_layout(&segs, &class);
+        machine.apply_unshuffle_swap(&mut code, &layout);
+        machine.apply_unshuffle_swap(&mut wts, &layout);
+        let lengths: Vec<usize> = layout
+            .counts
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .filter(|&len| len > 0)
+            .collect();
+        segs = Segments::from_lengths(&lengths).expect("empty halves are dropped");
 
-        // Contribution lanes: left-half points carry (weight, 1); all
-        // other lanes carry the scan identities.
-        let in_left = machine.map(&pos, |i| u64::from(i & lbit == 0));
-        let contrib = machine.zip_map(&in_left, &kind_s, |lft, k| lft * (1 - k));
-        let cw = machine.zip_map(&contrib, &ws_s, |c, w| c * w);
-
-        // Per-pair y-sort, then one fused 3-lane inclusive scan: each
-        // lane sees count / weight-sum / weight-max over contributions
-        // with y at-or-below its own (ties resolved points-first by the
-        // sort keys).
-        let order_y = machine.segmented_sort_perm(&pairs, &ykeys, |a, b| {
-            a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
-        });
-        let cw_y = machine.gather(&cw, &order_y);
-        let cc_y = machine.gather(&contrib, &order_y);
-        // A scan, not a segmented reduce: every lane reads its own prefix.
-        let scans = machine.scan_lanes(
+        // Left-half points contribute (weight, 1), every other lane the
+        // scan identities; a scan, not a segmented reduce, because every
+        // lane reads its own prefix.
+        machine.fill_lanes_into(
+            n,
+            |i| {
+                let c = code[i];
+                if c & 1 == 0 && (c >> 1) & half_bit == 0 {
+                    [wts[i], 1]
+                } else {
+                    [0, 0]
+                }
+            },
+            &mut contrib,
+        );
+        machine.scan_lanes_into(
             &[
-                (&cw_y, FusedOp::Sum),
-                (&cc_y, FusedOp::Sum),
-                (&cw_y, FusedOp::Max),
+                (&contrib[0], FusedOp::Sum),
+                (&contrib[1], FusedOp::Sum),
+                (&contrib[0], FusedOp::Max),
             ],
-            &pairs,
+            &segs,
             Direction::Up,
             ScanKind::Inclusive,
+            &mut prefix,
         );
-        // Scatter the scan results back to sorted-x positions.
-        let sum_b = machine.permute(&scans[0], &order_y);
-        let cnt_b = machine.permute(&scans[1], &order_y);
-        let max_b = machine.permute(&scans[2], &order_y);
 
-        // Only right-half queries receive this round. The mask is not
-        // optional: left-half query lanes are receivers of *other*
-        // rounds, and an unmasked accumulate would corrupt them.
-        let recv = machine.zip_map(&in_left, &kind_s, |lft, k| (1 - lft) * k);
-        let m_sum = machine.zip_map(&sum_b, &recv, |v, r| v * r);
-        let m_cnt = machine.zip_map(&cnt_b, &recv, |v, r| v * r);
-        let m_max = machine.zip_map(&max_b, &recv, |v, r| v * r);
-        machine.zip_map_in_place(&mut acc_sum, &m_sum, |a, d| a + d);
-        machine.zip_map_in_place(&mut acc_cnt, &m_cnt, |a, d| a + d);
-        machine.zip_map_in_place(&mut acc_max, &m_max, |a, d| a.max(d));
+        // Right-half queries receive into their slot.
+        machine.note_permute();
+        for (i, &c) in code.iter().enumerate() {
+            if c & 1 == 1 && (c >> 1) & half_bit != 0 {
+                let agg = &mut out[wts[i] as usize];
+                agg.sum += prefix[0][i];
+                agg.count += prefix[1][i];
+                agg.max = agg.max.max(prefix[2][i]);
+            }
+        }
 
         machine.bump_rounds();
         machine.record_round_trace(machine.round_trace_since(
             &before,
             started,
-            l.trailing_zeros() as usize,
+            step,
             n,
-            pairs.num_segments(),
+            segs.num_segments(),
             0,
         ));
-        l *= 2;
-    }
-
-    // Extraction: route each query lane's accumulators back to the
-    // caller's query order (one permutation-shaped pass).
-    machine.note_permute();
-    let mut out = vec![DomAgg::default(); n_q];
-    for i in 0..n {
-        if kind_s[i] == 1 {
-            out[qidx_s[i] as usize] = DomAgg {
-                count: acc_cnt[i],
-                sum: acc_sum[i],
-                max: acc_max[i],
-            };
-        }
+        step += 1;
+        l /= 2;
     }
     out
-}
-
-/// The skyline frozen as a servable staircase: points in `x`-ascending
-/// order with `y` non-increasing, plus prefix count/weight tables.
-///
-/// The staircase points dominated by a query `(qx, qy)` are exactly one
-/// contiguous run: the `x <= qx` prefix intersected with the `y <= qy`
-/// suffix of that prefix (non-increasing `y` makes the second filter a
-/// suffix). [`Staircase::agg`] therefore answers count and weight-sum
-/// with two binary searches and prefix-table lookups; max-weight scans
-/// the run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Staircase {
-    ids: Vec<SegId>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    ws: Vec<u64>,
-    /// `pre_sum[i]` = sum of `ws[..i]`.
-    pre_sum: Vec<u64>,
-}
-
-impl Staircase {
-    /// Builds the staircase of `points`: runs [`skyline`] on the given
-    /// machine, then freezes the survivors in `x`-ascending order.
-    pub fn build(machine: &Machine, points: &[DomPoint]) -> Staircase {
-        let sky = skyline(machine, points);
-        // skyline returns x-descending pipeline order; reverse to
-        // ascending. Duplicate-coordinate survivors stay adjacent.
-        let by_id: std::collections::HashMap<SegId, &DomPoint> =
-            points.iter().map(|p| (p.id, p)).collect();
-        let mut ids: Vec<SegId> = sky;
-        ids.reverse();
-        let xs: Vec<f64> = ids.iter().map(|id| by_id[id].x).collect();
-        let ys: Vec<f64> = ids.iter().map(|id| by_id[id].y).collect();
-        let ws: Vec<u64> = ids.iter().map(|id| by_id[id].w).collect();
-        let mut pre_sum = Vec::with_capacity(ids.len() + 1);
-        pre_sum.push(0);
-        for (i, &w) in ws.iter().enumerate() {
-            pre_sum.push(pre_sum[i] + w);
-        }
-        Staircase {
-            ids,
-            xs,
-            ys,
-            ws,
-            pre_sum,
-        }
-    }
-
-    /// Number of staircase steps (skyline points).
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// `true` when the staircase has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Skyline ids in `x`-ascending staircase order.
-    pub fn ids(&self) -> &[SegId] {
-        &self.ids
-    }
-
-    /// The contiguous index run of staircase points dominated by
-    /// `(qx, qy)` (closed quadrant).
-    pub fn dominated_run(&self, qx: f64, qy: f64) -> std::ops::Range<usize> {
-        // x <= qx is a prefix of the x-ascending order.
-        let hi = self.xs.partition_point(|&x| x <= qx);
-        // Within it, y <= qy is a suffix (ys non-increasing).
-        let lo = self.ys[..hi].partition_point(|&y| y > qy);
-        lo..hi
-    }
-
-    /// Aggregates over the staircase points dominated by `(qx, qy)`:
-    /// count and sum in O(log n), max by scanning the run.
-    pub fn agg(&self, qx: f64, qy: f64) -> DomAgg {
-        let run = self.dominated_run(qx, qy);
-        DomAgg {
-            count: (run.end - run.start) as u64,
-            sum: self.pre_sum[run.end] - self.pre_sum[run.start],
-            max: self.ws[run.clone()].iter().copied().max().unwrap_or(0),
-        }
-    }
-
-    /// Whether `(x, y)` is dominated by (or coincides with) some
-    /// staircase point — i.e. whether it would be redundant against this
-    /// skyline. The best candidate is the leftmost step with `sx >= x`
-    /// (it has the largest `y` among them).
-    pub fn covers(&self, x: f64, y: f64) -> bool {
-        let i = self.xs.partition_point(|&sx| sx < x);
-        i < self.len() && self.ys[i] >= y
-    }
 }
 
 /// Small helper used by the pipelines: an elementwise projection of the
@@ -514,32 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn staircase_agg_matches_run_scan() {
-        for m in machines() {
-            let pts = [
-                pt(0, 0.0, 3.0, 2),
-                pt(1, 1.0, 2.0, 9),
-                pt(2, 2.0, 1.0, 4),
-                pt(3, 0.5, 0.5, 100),
-            ];
-            let st = Staircase::build(&m, &pts);
-            assert_eq!(st.ids(), &[0, 1, 2]);
-            // Query dominating steps 1 and 2 but not 0.
-            let a = st.agg(2.5, 2.5);
-            assert_eq!(
-                a,
-                DomAgg {
-                    count: 2,
-                    sum: 13,
-                    max: 9
-                }
-            );
-            assert!(st.covers(0.5, 0.5));
-            assert!(!st.covers(3.0, 0.5));
-        }
-    }
-
-    #[test]
     fn dominance_rounds_are_logarithmic() {
         let m = Machine::sequential();
         let pts: Vec<DomPoint> = (0..100)
@@ -549,7 +428,7 @@ mod tests {
         let before_rounds = m.stats().rounds;
         let _ = dominance_agg(&m, &pts, &queries);
         let rounds = m.stats().rounds - before_rounds;
-        // n = 128 lanes -> exactly 7 merge rounds.
+        // n = 128 lanes -> exactly 7 rounds.
         assert_eq!(rounds, 7);
     }
 }

@@ -15,13 +15,13 @@
 //!   dominated point never changes the skyline.
 //! * **Kernel** — the variable-arity flat-map underneath the skyline
 //!   compaction is bit-identical across backends at block-boundary
-//!   sizes (n = block−1, block, block+1), and the CDQ merge rounds of
-//!   [`dominance_agg`] spend O(1) primitives per round: the per-round
-//!   `RoundTrace` deltas are one constant tuple, independent of input
-//!   size.
+//!   sizes (n = block−1, block, block+1), and the top-down unshuffle
+//!   rounds of [`dominance_agg`] spend O(1) primitives per round: the
+//!   per-round `RoundTrace` deltas are one constant tuple, independent of
+//!   input size, and one call sorts exactly twice.
 
 use dp_spatial_suite::seq::dominance::{dominance_agg_brute, skyline_brute};
-use dp_spatial_suite::spatial::dominance::{dominance_agg, skyline, DomAgg, DomPoint, Staircase};
+use dp_spatial_suite::spatial::dominance::{dominance_agg, skyline, DomAgg, DomPoint};
 use dp_spatial_suite::spatial::SegId;
 use proptest::prelude::*;
 use scan_model::{Backend, Machine, Segments};
@@ -166,47 +166,6 @@ fn scripted_all_dominated() {
 }
 
 // ---------------------------------------------------------------------
-// Staircase: the servable form answers like the pipelines it froze
-// ---------------------------------------------------------------------
-
-#[test]
-fn staircase_matches_skyline_restricted_oracle() {
-    let pts: Vec<DomPoint> = (0..60)
-        .map(|i| {
-            let x = ((i * 37) % 64) as f64 * 0.5;
-            let y = ((i * 23) % 64) as f64 * 0.5;
-            pt(i, x, y, (i as u64 % 9) + 1)
-        })
-        .collect();
-    let want_ids = sky_oracle(&pts);
-    // The staircase aggregates over skyline points only.
-    let sky_pts: Vec<DomPoint> = pts
-        .iter()
-        .filter(|p| want_ids.contains(&p.id))
-        .copied()
-        .collect();
-    for (name, m) in machines() {
-        let st = Staircase::build(&m, &pts);
-        let mut ids = st.ids().to_vec();
-        ids.sort_unstable();
-        assert_eq!(ids, want_ids, "staircase ids on {name}");
-        for q in [
-            (1.0, 30.0),
-            (30.0, 1.0),
-            (16.0, 16.0),
-            (-1.0, -1.0),
-            (40.0, 40.0),
-        ] {
-            let want = agg_oracle(&sky_pts, &[q])[0];
-            assert_eq!(st.agg(q.0, q.1), want, "staircase agg at {q:?} on {name}");
-            // covers == some skyline point closed-dominates the probe.
-            let want_cover = sky_pts.iter().any(|p| p.x >= q.0 && p.y >= q.1);
-            assert_eq!(st.covers(q.0, q.1), want_cover, "covers at {q:?} on {name}");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Kernel: flat-map block-boundary bit-identity and O(1)-per-round gates
 // ---------------------------------------------------------------------
 
@@ -236,7 +195,26 @@ fn flat_map_bit_identical_at_block_boundaries() {
     }
 }
 
-/// Every CDQ merge round of `dominance_agg` spends the same constant
+/// `n` points spread over a 997 × 991 grid and 24 queries along its
+/// anti-diagonal: the input of the per-call primitive pins.
+fn spread_input(n: usize) -> (Vec<DomPoint>, Vec<(f64, f64)>) {
+    let pts = (0..n)
+        .map(|i| {
+            pt(
+                i as SegId,
+                ((i * 131) % 997) as f64,
+                ((i * 577) % 991) as f64,
+                (i % 50) as u64,
+            )
+        })
+        .collect();
+    let queries = (0..24)
+        .map(|i| (i as f64 * 40.0, 980.0 - i as f64 * 40.0))
+        .collect();
+    (pts, queries)
+}
+
+/// Every round of `dominance_agg` spends the same constant
 /// primitive budget: within one run all rounds record one (scans,
 /// scan_passes, elementwise, permutes) tuple, and the tuple is the same
 /// at two input sizes an order of magnitude apart — O(1) primitives per
@@ -247,19 +225,7 @@ fn dominance_rounds_spend_constant_primitives() {
     for (name, m) in machines() {
         let mut tuples_by_size = Vec::new();
         for &n in &sizes {
-            let pts: Vec<DomPoint> = (0..n)
-                .map(|i| {
-                    pt(
-                        i as SegId,
-                        ((i * 131) % 997) as f64,
-                        ((i * 577) % 991) as f64,
-                        (i % 50) as u64,
-                    )
-                })
-                .collect();
-            let queries: Vec<(f64, f64)> = (0..24)
-                .map(|i| (i as f64 * 40.0, 980.0 - i as f64 * 40.0))
-                .collect();
+            let (pts, queries) = spread_input(n);
             m.take_round_traces();
             let _ = dominance_agg(&m, &pts, &queries);
             let traces = m.take_round_traces();
@@ -285,6 +251,88 @@ fn dominance_rounds_spend_constant_primitives() {
             tuples_by_size[0], tuples_by_size[1],
             "per-round primitive budget depends on input size on {name}"
         );
+    }
+}
+
+/// One `dominance_agg` call sorts exactly twice — once by x for the
+/// ranks, once by y for the order every round carries — so no round
+/// sorts.
+#[test]
+fn dominance_agg_sorts_exactly_twice() {
+    for (name, m) in machines() {
+        for n in [200usize, 3000] {
+            let (pts, queries) = spread_input(n);
+            let before = m.stats().sorts;
+            let _ = dominance_agg(&m, &pts, &queries);
+            assert_eq!(m.stats().sorts - before, 2, "sorts at n={n} on {name}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Boundary and multi-block differential
+// ---------------------------------------------------------------------
+
+/// A `lanes`-lane input (points plus queries) built to stress the
+/// unshuffle rounds: x comes in equal runs of `run` (3 and 5 do not
+/// divide a power of two, so runs straddle x-rank bit boundaries), y takes
+/// `levels` values (equal-y points on both sides of every split), and
+/// every other query sits exactly on a point.
+fn boundary_input(lanes: usize, run: usize, levels: usize) -> (Vec<DomPoint>, Vec<(f64, f64)>) {
+    let n_q = (lanes / 4 + 1).min(lanes);
+    let n_p = lanes - n_q;
+    let pts: Vec<DomPoint> = (0..n_p)
+        .map(|i| {
+            pt(
+                i as SegId,
+                (i / run) as f64,
+                ((i * 7) % levels) as f64,
+                ((i * 13) % 17) as u64,
+            )
+        })
+        .collect();
+    let queries = (0..n_q)
+        .map(|qi| match pts.get((qi * 11) % n_p.max(1)) {
+            Some(p) if qi % 2 == 0 => (p.x, p.y),
+            _ => (
+                (qi % (n_p / run + 2)) as f64 + 0.5,
+                (qi % (levels + 1)) as f64 - 0.5,
+            ),
+        })
+        .collect();
+    (pts, queries)
+}
+
+/// `dominance_agg` equals brute force at lane counts 2^k − 1, 2^k and
+/// 2^k + 1 for k ≤ 12 — the first split a no-op, the last round's
+/// segments of one or two lanes — on the sequential backend and on the
+/// pooled parallel backend with blocks of 2, 16 and 64 elements, so the
+/// layouts, applies and scans cut segments at every offset.
+#[test]
+fn boundary_sizes_match_brute_on_every_block_size() {
+    let mut ms = vec![("sequential".to_string(), Machine::sequential())];
+    for block_elems in [2usize, 16, 64] {
+        ms.push((
+            format!("parallel/{block_elems}"),
+            Machine::new(Backend::Parallel)
+                .with_par_threshold(1)
+                .with_block_bytes(block_elems * std::mem::size_of::<u64>()),
+        ));
+    }
+    for k in 1..=12u32 {
+        for lanes in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+            for (run, levels) in [(3, 5), (5, 1)] {
+                let (pts, queries) = boundary_input(lanes, run, levels);
+                let want = agg_oracle(&pts, &queries);
+                for (name, m) in &ms {
+                    assert_eq!(
+                        dominance_agg(m, &pts, &queries),
+                        want,
+                        "{lanes} lanes, x runs of {run}, {levels} y levels on {name}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -941,7 +941,7 @@ fn seeded_matrix_from_env() {
 
 /// Aborts the skyline / dominance-aggregation pipelines at every
 /// `SkylineAbort` decision point in turn (the skyline entry check plus
-/// every CDQ merge round), then recomputes on the very same machine: the
+/// every `dominance_agg` round), then recomputes on the very same machine: the
 /// recomputed answers must equal the never-faulted ones bit-for-bit, and
 /// each injected fault must fire exactly once and never re-fire during
 /// recovery — on both backends.
